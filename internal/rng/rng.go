@@ -12,6 +12,8 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 )
 
 // Stream is a deterministic random number stream. It wraps math/rand with a
@@ -57,24 +59,88 @@ type State struct {
 	Draws uint64
 }
 
-// State captures the stream's current position. The snapshot is O(1); the
-// cost is paid on FromState, which replays the draws.
+// State captures the stream's current position in O(1), without
+// allocating.
 func (s *Stream) State() State {
 	return State{Seed: s.seed, Draws: s.src.n}
 }
 
 // FromState reconstructs the exact stream a State was captured from: the
 // next value drawn from the result is bit-identical to the next value the
-// snapshotted stream would have produced. Replay is O(Draws) at ~1ns per
-// draw — resuming a checkpointed run re-winds millions of draws in
-// milliseconds.
+// snapshotted stream would have produced. Positioning the generator
+// replays raw draws at roughly 5ns each. A cold restore replays all of
+// st.Draws from the seed; restoring a seed this process has restored
+// before, at the same or a later draw count, resumes from the memoised
+// generator and replays only the draws in between. Both paths produce the
+// same bits.
 func FromState(st State) *Stream {
-	s := New(st.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		s.src.src.Uint64()
+	src, at := memo.resume(st)
+	for ; at < st.Draws; at++ {
+		src.Uint64()
 	}
-	s.src.n = st.Draws
-	return s
+	memo.remember(st, src)
+	cs := &countingSource{src: src, n: st.Draws}
+	return &Stream{r: rand.New(cs), src: cs, seed: st.Seed}
+}
+
+// memoCap bounds the snapshot memo. A math/rand generator is about 5 KB,
+// so the memo holds at most about 320 KB per process.
+const memoCap = 64
+
+// memo keeps, for each stream seed, a private copy of the generator at the
+// last position FromState restored in this process. A sharded run restores
+// every replica's streams each epoch at a slightly later position than the
+// last, so a warm restore replays one epoch's draws instead of the run's.
+var memo = snapshotMemo{snaps: make(map[int64]snapshot, memoCap)}
+
+type snapshotMemo struct {
+	mu    sync.Mutex
+	snaps map[int64]snapshot
+}
+
+// snapshot is immutable once stored: remember replaces an entry rather
+// than writing into it, so readers copy src outside the lock.
+type snapshot struct {
+	draws uint64
+	src   rand.Source64 // never handed out: readers get a copy
+}
+
+// resume returns a generator for st.Seed and the draw count it sits at: a
+// copy of the memoised snapshot when that is at or before st.Draws,
+// otherwise a freshly seeded generator at zero.
+func (m *snapshotMemo) resume(st State) (rand.Source64, uint64) {
+	m.mu.Lock()
+	sn, ok := m.snaps[st.Seed]
+	m.mu.Unlock()
+	if ok && sn.draws <= st.Draws {
+		return cloneSource(sn.src), sn.draws
+	}
+	return rand.NewSource(st.Seed).(rand.Source64), 0
+}
+
+// remember records a copy of src, positioned at st, as st.Seed's
+// snapshot. When the memo is full, a new seed evicts an arbitrary one.
+func (m *snapshotMemo) remember(st State, src rand.Source64) {
+	sn := snapshot{draws: st.Draws, src: cloneSource(src)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.snaps[st.Seed]; !ok && len(m.snaps) >= memoCap {
+		for seed := range m.snaps {
+			delete(m.snaps, seed)
+			break
+		}
+	}
+	m.snaps[st.Seed] = sn
+}
+
+// cloneSource copies a math/rand generator. Its state is a pointer-free
+// struct behind the Source pointer, so a copy by value shares nothing
+// with src.
+func cloneSource(src rand.Source64) rand.Source64 {
+	v := reflect.ValueOf(src).Elem()
+	c := reflect.New(v.Type())
+	c.Elem().Set(v)
+	return c.Interface().(rand.Source64)
 }
 
 // Derive returns a child stream whose seed is a deterministic function of

@@ -3,6 +3,7 @@ package rng
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -240,4 +241,149 @@ func TestStateWrapperPreservesSequences(t *testing.T) {
 			t.Fatalf("gaussian %d: wrapper %v != bare %v", i, a, b)
 		}
 	}
+}
+
+// coldStream is the reference a restore must match: a bare math/rand
+// generator replayed from the seed, independent of FromState and its memo.
+func coldStream(st State) *rand.Rand {
+	src := rand.NewSource(st.Seed).(rand.Source64)
+	for i := uint64(0); i < st.Draws; i++ {
+		src.Uint64()
+	}
+	return rand.New(src)
+}
+
+// sameNext reports the first of the next n values where s and ref differ.
+func sameNext(s *Stream, ref *rand.Rand, n int) (int, bool) {
+	for i := 0; i < n; i++ {
+		if s.Int63() != ref.Int63() {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// memoised reports the draw count the memo holds for seed.
+func memoised(seed int64) (uint64, bool) {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	sn, ok := memo.snaps[seed]
+	return sn.draws, ok
+}
+
+func TestFromStateMemoInterleaved(t *testing.T) {
+	// Restores jump forward, repeat, jump backward and start at zero across
+	// several seeds, then across more seeds than the memo holds. Every
+	// restored stream must match a cold replay from its seed.
+	r := rand.New(rand.NewSource(99))
+	seeds := []int64{3, -8, 1 << 40, 12345, 0}
+	pos := make(map[int64]uint64)
+	warm := 0
+	check := func(st State) {
+		t.Helper()
+		if d, ok := memoised(st.Seed); ok && d <= st.Draws {
+			warm++
+		}
+		if i, ok := sameNext(FromState(st), coldStream(st), 1000); !ok {
+			t.Fatalf("restore %+v: value %d differs from a cold replay", st, i)
+		}
+		if d, _ := memoised(st.Seed); d != st.Draws {
+			t.Fatalf("restore %+v: memo left at %d draws", st, d)
+		}
+	}
+	for step := 0; step < 300; step++ {
+		seed := seeds[r.Intn(len(seeds))]
+		d := pos[seed]
+		switch r.Intn(5) {
+		case 0:
+			d += uint64(r.Intn(5000)) // forward
+		case 1: // repeat
+		case 2:
+			d -= uint64(r.Intn(int(d) + 1)) // backward
+		case 3:
+			d = 0
+		default:
+			d += 1
+		}
+		pos[seed] = d
+		check(State{Seed: seed, Draws: d})
+	}
+	for i := 0; i < 2*memoCap; i++ {
+		check(State{Seed: int64(1000 + i), Draws: uint64(i * 7)})
+		memo.mu.Lock()
+		n := len(memo.snaps)
+		memo.mu.Unlock()
+		if n > memoCap {
+			t.Fatalf("memo holds %d seeds, cap %d", n, memoCap)
+		}
+	}
+	for i := 2*memoCap - 1; i >= 0; i-- {
+		check(State{Seed: int64(1000 + i), Draws: uint64(i * 9)})
+	}
+	if warm < 100 {
+		t.Fatalf("only %d restores resumed from the memo", warm)
+	}
+}
+
+func TestFromStateMemoIndependent(t *testing.T) {
+	// A restored stream and the memo must not share generator state:
+	// advancing either leaves the other's output unchanged.
+	st := State{Seed: 4242, Draws: 777}
+	a := FromState(st)
+	for i := 0; i < 5000; i++ {
+		a.Float64() // would move a shared memo snapshot
+	}
+	b := FromState(st)
+	if i, ok := sameNext(b, coldStream(st), 1000); !ok {
+		t.Fatalf("memo moved with the restored stream: value %d differs", i)
+	}
+	next := State{Seed: st.Seed, Draws: st.Draws + 10}
+	if i, ok := sameNext(FromState(next), coldStream(next), 10); !ok { // overwrites the memo
+		t.Fatalf("forward restore: value %d differs", i)
+	}
+	if i, ok := sameNext(b, coldStream(State{Seed: st.Seed, Draws: st.Draws + 1000}), 1000); !ok {
+		t.Fatalf("restored stream moved with the memo: value %d differs", i)
+	}
+}
+
+func TestFromStateConcurrent(t *testing.T) {
+	// Goroutines restore overlapping seeds at interleaved positions; each
+	// stream must still match its cold replay.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				st := State{Seed: int64(500 + (g+k)%3), Draws: uint64(k*311 + g*17)}
+				if i, ok := sameNext(FromState(st), coldStream(st), 200); !ok {
+					t.Errorf("goroutine %d restore %+v: value %d differs", g, st, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+var sinkStream *Stream
+
+// BenchmarkFromState restores a stream 10^6 draws from its seed: cold
+// replays them all, warm resumes from the memoised generator at that
+// position.
+func BenchmarkFromState(b *testing.B) {
+	const draws = 1_000_000
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkStream = FromState(State{Seed: int64(1<<32 + i), Draws: draws})
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		st := State{Seed: 1 << 31, Draws: draws}
+		FromState(st)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkStream = FromState(st)
+		}
+	})
 }

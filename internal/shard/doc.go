@@ -39,32 +39,3 @@
 //     coordinator/worker binary mismatch is a typed *fleet.VersionError
 //     at dial time, which fails the replica without burning retries.
 package shard
-
-import (
-	"io"
-
-	"sacga/internal/fleet"
-)
-
-// The frame codec lives in internal/fleet (both ends of every transport
-// share it); these aliases keep this package's vocabulary — and its
-// frame-level fuzz and fault tests — unchanged.
-
-type frameType = fleet.FrameType
-
-const (
-	frameRequest   = fleet.FrameRequest
-	frameReply     = fleet.FrameReply
-	frameHeartbeat = fleet.FrameHeartbeat
-)
-
-// writeFrame emits one sealed frame on w.
-func writeFrame(w io.Writer, typ frameType, payload []byte) error {
-	return fleet.WriteFrame(w, typ, payload)
-}
-
-// readFrame reads one frame from r; see fleet.ReadFrame for the contract
-// (clean EOF at a boundary, typed *search.CorruptError on any mangling).
-func readFrame(r io.Reader, src string) (frameType, []byte, error) {
-	return fleet.ReadFrame(r, src)
-}

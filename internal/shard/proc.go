@@ -46,7 +46,7 @@ func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Re
 		l.SetDeadline(time.Now().Add(lease + leaseSlack))
 		defer l.SetDeadline(time.Time{})
 	}
-	if err := l.WriteFrame(frameRequest, payload); err != nil {
+	if err := l.WriteFrame(fleet.FrameRequest, payload); err != nil {
 		return nil, fmt.Errorf("shard: send request: %w", err)
 	}
 	var leaseC <-chan time.Time
@@ -85,9 +85,9 @@ func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Re
 				hbT.Reset(hbTimeout)
 			}
 			switch f.Type {
-			case frameHeartbeat:
+			case fleet.FrameHeartbeat:
 				continue
-			case frameReply:
+			case fleet.FrameReply:
 				var reply Reply
 				if err := decodePayload("shard: worker stream", f.Payload, &reply); err != nil {
 					return nil, err

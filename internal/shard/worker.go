@@ -102,14 +102,14 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	}
 	var wmu sync.Mutex // serializes reply and heartbeat frames
 	for {
-		typ, payload, err := readFrame(r, "shard: worker stream")
+		typ, payload, err := fleet.ReadFrame(r, "shard: worker stream")
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if typ != frameRequest {
+		if typ != fleet.FrameRequest {
 			return &search.CorruptError{Path: "shard: worker stream", Reason: fmt.Sprintf("unexpected frame type %d", typ)}
 		}
 		var req Request
@@ -154,7 +154,7 @@ func sealReply(reply *Reply) ([]byte, error) {
 		return nil, err
 	}
 	var buf writerBuffer
-	if err := writeFrame(&buf, frameReply, payload); err != nil {
+	if err := fleet.WriteFrame(&buf, fleet.FrameReply, payload); err != nil {
 		return nil, err
 	}
 	return buf.b, nil
@@ -190,7 +190,7 @@ func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica
 				return
 			case <-t.C:
 				wmu.Lock()
-				err := writeFrame(w, frameHeartbeat, payload)
+				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload)
 				wmu.Unlock()
 				if err != nil {
 					return // pipe gone; the main loop will notice too
