@@ -28,6 +28,7 @@ import (
 	"sacga/internal/rng"
 	"sacga/internal/search"
 	"sacga/internal/sizing"
+	"sacga/internal/yield"
 )
 
 // benchCfg is the reduced-budget configuration used by the per-figure
@@ -196,6 +197,60 @@ func BenchmarkCircuitEvaluateBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prob.EvaluateBatch(xs, out)
 	}
+}
+
+// BenchmarkCircuitEvaluateBatchRobust measures the batch path with the
+// robustness constraint on, as the experiments and circuit jobs run it: one
+// op = a 64-design EvaluateBatch with an 8-sample Monte-Carlo estimator.
+// The designs sit on the near-feasible gate, so most of them take the
+// Monte-Carlo pass; random designs almost never reach it and would time
+// only the corner sweep of BenchmarkCircuitEvaluateBatch.
+func BenchmarkCircuitEvaluateBatchRobust(b *testing.B) {
+	prob := sizing.New(process.Default018(), sizing.PaperSpec(),
+		sizing.WithRobustness(yield.NewEstimator(5, 8)))
+	xs := nearFeasibleDesigns(1, 64)
+	out := make([]objective.Result, len(xs))
+	prob.EvaluateBatch(xs, out) // warm scratch + result buffers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prob.EvaluateBatch(xs, out)
+	}
+}
+
+// nearFeasibleDesigns returns n genomes clustered on the sizing problem's
+// Monte-Carlo gate (every worst-corner DR, OR, ST, SE, saturation-region
+// and phase-margin violation below 0.2), which fewer than 1 in 100 uniform
+// random designs pass: anchors from a seeded random search, each member
+// one anchor plus a small gaussian jitter.
+func nearFeasibleDesigns(seed int64, n int) [][]float64 {
+	prob := sizing.New(process.Default018(), sizing.PaperSpec())
+	s := rng.New(seed)
+	var anchors [][]float64
+	for len(anchors) < 8 {
+		x := make([]float64, sizing.NumGenes)
+		for g := range x {
+			x[g] = s.Float64()
+		}
+		v := prob.Evaluate(x).Violations
+		gated := true
+		for _, c := range []int{sizing.ConsDR, sizing.ConsOR, sizing.ConsST,
+			sizing.ConsSE, sizing.ConsSatRegion, sizing.ConsPM} {
+			gated = gated && v[c] < 0.2
+		}
+		if gated {
+			anchors = append(anchors, x)
+		}
+	}
+	xs := make([][]float64, n)
+	for i := range xs {
+		a := anchors[i%len(anchors)]
+		x := make([]float64, sizing.NumGenes)
+		for g := range x {
+			x[g] = a[g] + 0.02*s.Norm()
+		}
+		xs[i] = x
+	}
+	return xs
 }
 
 // ---- evaluation-engine benchmarks ----

@@ -3,6 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"log"
+	"regexp"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,6 +94,25 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { s.Drain() })
 	return s
+}
+
+// syncLog is a Config.Log sink the test may read while server goroutines
+// write to it.
+type syncLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }
 
 // waitTerminal polls until the job ends, failing the test on timeout.
@@ -340,13 +363,18 @@ func TestDrainRestartResume(t *testing.T) {
 		t.Fatalf("Drain interrupted %d jobs, want 1", interrupted)
 	}
 
-	s2 := newTestServer(t, Config{Slots: 2, Workers: 1, Dir: dir, CheckpointEvery: 1, Build: build})
-	j, ok := s2.job(view.ID)
-	if !ok {
+	// The armed checkpoint itself belongs to the restarted server's worker,
+	// which clears it on the job's first turn; the recovery log line that
+	// New writes is the race-free witness that it was armed.
+	var logs syncLog
+	s2 := newTestServer(t, Config{Slots: 2, Workers: 1, Dir: dir, CheckpointEvery: 1, Build: build,
+		Log: log.New(&logs, "", 0)})
+	if _, ok := s2.job(view.ID); !ok {
 		t.Fatal("restarted server did not recover the job")
 	}
-	if j.restoreCP == nil && !j.State().Terminal() {
-		t.Fatal("recovered job has no checkpoint armed")
+	armed := regexp.MustCompile(`job ` + regexp.QuoteMeta(view.ID) + ` resumes from \S+ \(gen \d+\)`)
+	if !armed.MatchString(logs.String()) {
+		t.Fatalf("recovered job has no checkpoint armed; log:\n%s", logs.String())
 	}
 	// Resubmitting the identical request attaches to the recovered job.
 	v2, deduped, err := s2.Submit(req)

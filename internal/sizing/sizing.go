@@ -204,7 +204,18 @@ type Problem struct {
 	sys     scint.System
 	spec    Spec
 	rob     *yield.Estimator
+	mc      []mcSample
 	lo, hi  []float64
+}
+
+// mcSample is one stored Monte-Carlo point of the attached estimator,
+// resolved once in New for the batch path: the perturbed technology
+// (Tech.Perturb allocates the variant's name, so it cannot run per batch)
+// and the sample's z-vector, whose local-mismatch coordinates the batch
+// path applies with perturbDesign's expressions.
+type mcSample struct {
+	tech process.Tech
+	z    [yield.Dims]float64
 }
 
 // Option mutates a Problem during construction.
@@ -249,6 +260,13 @@ func New(tech process.Tech, spec Spec, opts ...Option) *Problem {
 	}
 	for _, o := range opts {
 		o(p)
+	}
+	if p.rob != nil {
+		p.mc = make([]mcSample, p.rob.Samples())
+		for k := range p.mc {
+			p.mc[k].z = p.rob.Sample(k)
+			p.mc[k].tech = p.tech.Perturb(p.mc[k].z[:])
+		}
 	}
 	return p
 }
@@ -363,14 +381,30 @@ func (p *Problem) accViolations(drdb, outputRange, settleTime, settleErr,
 // (the Monte-Carlo pass criterion; robustness and area are excluded — area
 // does not vary statistically in this model).
 func (p *Problem) passes(perf *scint.Perf) bool {
+	return p.passValues(perf.BiasOK, perf.DRdB, perf.OutputRange,
+		perf.SettleTime, perf.SettleErr, perf.WorstSatMargin, perf.PhaseMarginDeg)
+}
+
+// passValues is the value-form core of passes, shared with the lane-major
+// batch path (which holds the sample performances as planes).
+func (p *Problem) passValues(biasOK bool, drdb, outputRange, settleTime,
+	settleErr, worstSatMargin, phaseMarginDeg float64) bool {
 	s := &p.spec
-	return perf.BiasOK &&
-		perf.DRdB >= s.DRMinDB &&
-		perf.OutputRange >= s.ORMin &&
-		perf.SettleTime <= s.STMax &&
-		perf.SettleErr <= s.SEMax &&
-		perf.WorstSatMargin >= 0 &&
-		perf.PhaseMarginDeg >= s.PMMinDeg
+	return biasOK &&
+		drdb >= s.DRMinDB &&
+		outputRange >= s.ORMin &&
+		settleTime <= s.STMax &&
+		settleErr <= s.SEMax &&
+		worstSatMargin >= 0 &&
+		phaseMarginDeg >= s.PMMinDeg
+}
+
+// nearFeasible is the gate in front of the Monte-Carlo robustness pass: a
+// design reaches it only when its worst-corner violations of every
+// constraint the samples re-check are already small.
+func nearFeasible(v []float64) bool {
+	return v[ConsDR] < 0.2 && v[ConsST] < 0.2 && v[ConsSE] < 0.2 &&
+		v[ConsOR] < 0.2 && v[ConsSatRegion] < 0.2 && v[ConsPM] < 0.2
 }
 
 // Evaluate implements objective.Problem: decode, sweep corners for
@@ -405,9 +439,7 @@ func (p *Problem) EvaluateInto(x []float64, out *objective.Result) {
 	// bulk of the search space (a large constant-factor speedup) without
 	// changing the feasible region.
 	if p.rob != nil {
-		nearFeasible := v[ConsDR] < 0.2 && v[ConsST] < 0.2 && v[ConsSE] < 0.2 &&
-			v[ConsOR] < 0.2 && v[ConsSatRegion] < 0.2 && v[ConsPM] < 0.2
-		if nearFeasible {
+		if nearFeasible(v) {
 			r := p.rob.RobustnessWithDesign(&p.tech, d, p.sys, perturbDesign, p.passes)
 			v[ConsRobust] = clampVio((p.spec.RobustMin-r)/p.spec.RobustMin, 10)
 		} else {
@@ -460,13 +492,21 @@ func perturbDesign(d scint.Design, z []float64) scint.Design {
 	if len(z) < 7 {
 		return d
 	}
-	sigmaK6 := math.Hypot(
-		mismatchTech.PMOSDev.MismatchSigmaBeta(d.Amp.W6, d.Amp.L6),
-		mismatchTech.NMOSDev.MismatchSigmaBeta(d.Amp.W7, d.Amp.L7))
-	sigmaIt := mismatchTech.NMOSDev.MismatchSigmaBeta(d.Amp.W5, d.Amp.L5)
+	sigmaK6, sigmaIt := mismatchSigmas(d.Amp.W5, d.Amp.L5, d.Amp.W6, d.Amp.L6, d.Amp.W7, d.Amp.L7)
 	d.Amp.K6 *= 1 + z[5]*sigmaK6
 	d.Amp.Itail *= 1 + z[6]*sigmaIt
 	return d
+}
+
+// mismatchSigmas returns perturbDesign's Pelgrom-scaled relative sigmas
+// for a design's device geometry: the K6 mirror-ratio sigma (M6/M7) and
+// the tail-current sigma (M5).
+func mismatchSigmas(w5, l5, w6, l6, w7, l7 float64) (sigmaK6, sigmaIt float64) {
+	sigmaK6 = math.Hypot(
+		mismatchTech.PMOSDev.MismatchSigmaBeta(w6, l6),
+		mismatchTech.NMOSDev.MismatchSigmaBeta(w7, l7))
+	sigmaIt = mismatchTech.NMOSDev.MismatchSigmaBeta(w5, l5)
+	return sigmaK6, sigmaIt
 }
 
 // ReportedPoint converts a minimized objective vector (power, −CL) into the

@@ -11,6 +11,11 @@
 //   - a fixed sample table (common random numbers) is shared by every
 //     design evaluated by one estimator, so the yield landscape seen by the
 //     GA is deterministic and smooth rather than re-randomized per call.
+//
+// The same table feeds both evaluation paths: the scalar estimator below
+// (RobustnessWithDesign, the reference) and the sizing layer's lane-major
+// batch path, which reads it through Sample to evaluate a whole population
+// sample by sample.
 package yield
 
 import (
@@ -41,6 +46,11 @@ func NewEstimator(seed int64, n int) *Estimator {
 
 // Samples returns the number of Monte-Carlo points per estimate.
 func (e *Estimator) Samples() int { return len(e.z) }
+
+// Sample returns a copy of stored point k's z-vector (0 <= k < Samples()),
+// the same vector RobustnessWithDesign hands to Tech.Perturb and the
+// design-perturbation hook.
+func (e *Estimator) Sample(k int) [Dims]float64 { return [Dims]float64(e.z[k]) }
 
 // Robustness evaluates the design at every stored process perturbation of
 // the base (typical) technology and returns the fraction that satisfies

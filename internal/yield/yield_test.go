@@ -132,3 +132,24 @@ func TestDifferentSeedsDifferentTables(t *testing.T) {
 		t.Fatal("three different seeds giving identical marginal yields is suspicious")
 	}
 }
+
+func TestSampleMatchesEstimatorTable(t *testing.T) {
+	// Sample must hand out exactly the z-vectors RobustnessWithDesign
+	// evaluates, in the same order.
+	tech := process.Default018()
+	sys := scint.DefaultSystem(tech.VDD)
+	e := NewEstimator(3, 6)
+	var seen [][]float64
+	e.RobustnessWithDesign(&tech, refDesign(), sys, func(d scint.Design, z []float64) scint.Design {
+		seen = append(seen, append([]float64(nil), z...))
+		return d
+	}, func(*scint.Perf) bool { return true })
+	if len(seen) != e.Samples() {
+		t.Fatalf("estimator evaluated %d samples, Samples() = %d", len(seen), e.Samples())
+	}
+	for k, z := range seen {
+		if got := e.Sample(k); got != [Dims]float64(z) {
+			t.Fatalf("Sample(%d) = %v, estimator used %v", k, got, z)
+		}
+	}
+}
