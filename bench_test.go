@@ -13,6 +13,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -214,6 +215,32 @@ func BenchmarkCircuitEvaluateBatchRobust(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prob.EvaluateBatch(xs, out)
+	}
+}
+
+// BenchmarkCircuitEvaluateBatchRobustWidth is BenchmarkCircuitEvaluateBatchRobust
+// at several batch widths, reporting the cost per call and per lane: the
+// curve behind the pooled evaluators' sub-batch floor (ga.EvaluateWith).
+// The lane engine's per-call work (plane set-up, every secant step over
+// the padded chunks) is shared by the lanes of a call, so a call of one
+// design costs 60-80% as much as a call of eight, and narrow batches pay
+// more per design.
+func BenchmarkCircuitEvaluateBatchRobustWidth(b *testing.B) {
+	for _, n := range []int{1, 8, 13, 25, 50, 100} {
+		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
+			prob := sizing.New(process.Default018(), sizing.PaperSpec(),
+				sizing.WithRobustness(yield.NewEstimator(5, 8)))
+			xs := nearFeasibleDesigns(1, n)
+			out := make([]objective.Result, n)
+			prob.EvaluateBatch(xs, out) // warm scratch + result buffers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prob.EvaluateBatch(xs, out)
+			}
+			us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+			b.ReportMetric(us, "us/call")
+			b.ReportMetric(us/float64(n), "us/lane")
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package ga
 
-import (
-	"sync"
-
-	"sacga/internal/objective"
-)
+import "sacga/internal/objective"
 
 // evaluateBatch runs the population through a BatchProblem's fast path:
 // gene-vector views and result slots come from a recycled scratch arena,
@@ -48,31 +44,13 @@ func (sc *evalScratch) ensure(n int) {
 	sc.res = sc.res[:n]
 }
 
-// evalPool recycles evaluation scratch across calls and pool workers. A
-// mutex-guarded free list (not a sync.Pool) so warmed buffers survive
-// garbage collections and the steady state stays allocation-free.
-var evalPool struct {
-	mu   sync.Mutex
-	free []*evalScratch
-}
+// evalPool recycles evaluation scratch across calls and pool workers.
+var evalPool freeList[evalScratch]
 
 func getEvalScratch(n int) *evalScratch {
-	evalPool.mu.Lock()
-	var sc *evalScratch
-	if k := len(evalPool.free); k > 0 {
-		sc = evalPool.free[k-1]
-		evalPool.free = evalPool.free[:k-1]
-	}
-	evalPool.mu.Unlock()
-	if sc == nil {
-		sc = &evalScratch{}
-	}
+	sc := evalPool.get()
 	sc.ensure(n)
 	return sc
 }
 
-func putEvalScratch(sc *evalScratch) {
-	evalPool.mu.Lock()
-	evalPool.free = append(evalPool.free, sc)
-	evalPool.mu.Unlock()
-}
+func putEvalScratch(sc *evalScratch) { evalPool.put(sc) }

@@ -3,7 +3,6 @@ package ga
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -25,47 +24,38 @@ import (
 // *objective.EvalError describing the quarantined individuals otherwise.
 func (p Population) TryEvaluate(prob objective.Problem) error {
 	fs := getFaultSet()
-	if bp, ok := prob.(objective.BatchProblem); ok {
-		p.tryEvaluateBatch(bp, 0, fs)
-	} else {
-		for i, ind := range p {
-			ind.tryEval(prob, i, fs)
-		}
-	}
+	p.tryEvaluate(prob, 0, fs)
 	return finishFaults(fs)
 }
 
-// TryEvaluateWith is EvaluateWith with fault isolation — same pool and
-// worker semantics, same bit-identical parallel/sequential/batch/scalar
+// TryEvaluateWith is EvaluateWith with fault isolation: the same pool and
+// worker semantics and the same dispatch rule (contiguous sub-batches, at
+// most one per worker and none narrower than minSubBatch, so the lane
+// engine sees wide batches; a population too small for two stays on the
+// caller), the same bit-identical parallel/sequential/batch/scalar
 // contract, plus quarantine instead of a crash when the problem panics or
 // returns non-finite results.
 func (p Population) TryEvaluateWith(prob objective.Problem, pool *Pool, workers int) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(p) {
-		workers = len(p)
-	}
-	if workers <= 1 || len(p) < minParallelEval {
+	nb := subBatches(len(p), workers)
+	if nb == 1 {
 		return p.TryEvaluate(prob)
 	}
-	if pool == nil {
-		pool = SharedPool()
-	}
 	fs := getFaultSet()
-	if bp, ok := prob.(objective.BatchProblem); ok {
-		nb := workers * 4 // sub-batches per job: steals' worth of slack
-		if nb > len(p) {
-			nb = len(p)
-		}
-		pool.RunLimit(nb, workers, func(b int) {
-			lo, hi := b*len(p)/nb, (b+1)*len(p)/nb
-			p[lo:hi].tryEvaluateBatch(bp, lo, fs)
-		})
-		return finishFaults(fs)
-	}
-	pool.RunLimit(len(p), workers, func(i int) { p[i].tryEval(prob, i, fs) })
+	p.dispatch(prob, pool, nb, fs)
 	return finishFaults(fs)
+}
+
+// tryEvaluate is TryEvaluate's body on p, recording faults into fs. base
+// is p's offset within the enclosing population, so fault indices stay
+// population-global no matter how the population was sub-divided.
+func (p Population) tryEvaluate(prob objective.Problem, base int, fs *faultSet) {
+	if bp, ok := prob.(objective.BatchProblem); ok {
+		p.tryEvaluateBatch(bp, base, fs)
+		return
+	}
+	for i, ind := range p {
+		ind.tryEval(prob, base+i, fs)
+	}
 }
 
 // tryEval evaluates one individual through the recovered scalar path;
@@ -93,9 +83,8 @@ func (ind *Individual) evalRecover(prob objective.Problem) (err error) {
 	return nil
 }
 
-// tryEvaluateBatch is evaluateBatch with fault isolation. base is p's
-// offset within the enclosing population, so fault indices stay
-// population-global no matter how the batch was sub-divided.
+// tryEvaluateBatch is evaluateBatch with fault isolation; base is as in
+// tryEvaluate.
 func (p Population) tryEvaluateBatch(bp objective.BatchProblem, base int, fs *faultSet) {
 	n := len(p)
 	if n == 0 {
@@ -218,24 +207,9 @@ func (fs *faultSet) error() error {
 
 // faultSetPool recycles collectors so the no-fault fast path stays
 // allocation-free at steady state (same shape as the eval scratch pool).
-var faultSetPool struct {
-	mu   sync.Mutex
-	free []*faultSet
-}
+var faultSetPool freeList[faultSet]
 
-func getFaultSet() *faultSet {
-	faultSetPool.mu.Lock()
-	var fs *faultSet
-	if k := len(faultSetPool.free); k > 0 {
-		fs = faultSetPool.free[k-1]
-		faultSetPool.free = faultSetPool.free[:k-1]
-	}
-	faultSetPool.mu.Unlock()
-	if fs == nil {
-		fs = &faultSet{}
-	}
-	return fs
-}
+func getFaultSet() *faultSet { return faultSetPool.get() }
 
 func finishFaults(fs *faultSet) error {
 	err := fs.error()
@@ -243,8 +217,6 @@ func finishFaults(fs *faultSet) error {
 		fs.faults[i] = faultRec{} // do not retain error values
 	}
 	fs.faults = fs.faults[:0]
-	faultSetPool.mu.Lock()
-	faultSetPool.free = append(faultSetPool.free, fs)
-	faultSetPool.mu.Unlock()
+	faultSetPool.put(fs)
 	return err
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -11,18 +12,25 @@ type stubEngine struct{ Engine }
 
 type stubParams struct{ Knob int }
 
+// registryRuns numbers the registry tests' runs: Register panics on a
+// duplicate name, so each run (go test -count=N) registers its own names.
+var registryRuns atomic.Int64
+
 func TestRegisteredListsExtensionTypes(t *testing.T) {
-	Register("registry-test-ext", func() Engine { return stubEngine{} })
-	Register("registry-test-plain", func() Engine { return stubEngine{} })
-	RegisterExtension("registry-test-ext", func() any { return new(stubParams) })
+	run := registryRuns.Add(1)
+	extName := fmt.Sprintf("registry-test-ext-%d", run)
+	plainName := fmt.Sprintf("registry-test-plain-%d", run)
+	Register(extName, func() Engine { return stubEngine{} })
+	Register(plainName, func() Engine { return stubEngine{} })
+	RegisterExtension(extName, func() any { return new(stubParams) })
 
 	var withExt, plain *EngineInfo
 	infos := Registered()
 	for i := range infos {
 		switch infos[i].Name {
-		case "registry-test-ext":
+		case extName:
 			withExt = &infos[i]
-		case "registry-test-plain":
+		case plainName:
 			plain = &infos[i]
 		}
 	}
@@ -41,19 +49,19 @@ func TestRegisteredListsExtensionTypes(t *testing.T) {
 		}
 	}
 
-	if extra, ok := NewExtra("registry-test-ext"); !ok {
+	if extra, ok := NewExtra(extName); !ok {
 		t.Error("NewExtra must find the registered extension")
 	} else if _, isParams := extra.(*stubParams); !isParams {
 		t.Errorf("NewExtra returned %T, want *stubParams", extra)
 	}
 	// Each call must mint a fresh value: decoding one request's params into
 	// a shared prototype would leak state between jobs.
-	a, _ := NewExtra("registry-test-ext")
-	b, _ := NewExtra("registry-test-ext")
+	a, _ := NewExtra(extName)
+	b, _ := NewExtra(extName)
 	if a.(*stubParams) == b.(*stubParams) {
 		t.Error("NewExtra returned a shared value")
 	}
-	if _, ok := NewExtra("registry-test-plain"); ok {
+	if _, ok := NewExtra(plainName); ok {
 		t.Error("NewExtra must report no extension for a plain engine")
 	}
 }
@@ -62,6 +70,7 @@ func TestRegisteredListsExtensionTypes(t *testing.T) {
 // the admission path mints extension values; everything behind registryMu
 // must be race-free (run under -race in CI).
 func TestRegistryConcurrentAccess(t *testing.T) {
+	run := registryRuns.Add(1)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -83,8 +92,9 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 					}
 				case 4:
 					if i == 4 { // one unique registration per goroutine
-						Register(fmt.Sprintf("registry-conc-%d-%d", g, i), func() Engine { return stubEngine{} })
-						RegisterExtension(fmt.Sprintf("registry-conc-%d-%d", g, i), func() any { return new(stubParams) })
+						name := fmt.Sprintf("registry-conc-%d-%d", run, g)
+						Register(name, func() Engine { return stubEngine{} })
+						RegisterExtension(name, func() any { return new(stubParams) })
 					}
 				}
 			}
