@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
@@ -61,10 +60,13 @@ func main() {
 	fmt.Printf("best swept partition count: m=%d (HV %.2f)\n\n", bestM, bestHV)
 
 	prob := sizing.New(tech, sizing.PaperSpec())
-	res, err := mesacga.Run(prob, mesacga.Config{
-		PopSize: pop, Schedule: mesacga.DefaultSchedule(),
-		PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
-		GentMax: 150, Span: iters / 7, Seed: 9, Workers: runtime.NumCPU(),
+	res, err := search.Run(context.Background(), new(mesacga.Engine), prob, search.Options{
+		PopSize: pop, Seed: 9,
+		Extra: &mesacga.Params{
+			Schedule:           mesacga.DefaultSchedule(),
+			PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
+			GentMax: 150, Span: iters / 7,
+		},
 	})
 	if err != nil {
 		log.Fatalf("mesacga: %v", err)

@@ -13,11 +13,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"runtime"
 	"sort"
 
 	"sacga/internal/dsp"
@@ -25,6 +25,7 @@ import (
 	"sacga/internal/mesacga"
 	"sacga/internal/process"
 	"sacga/internal/sdm"
+	"sacga/internal/search"
 	"sacga/internal/sizing"
 )
 
@@ -40,10 +41,13 @@ func main() {
 	clLo, clHi := sizing.ObjectiveRangeCL()
 
 	fmt.Printf("step 1: explore the design surface (MESACGA, %d iterations)\n", iters)
-	res, err := mesacga.Run(prob, mesacga.Config{
-		PopSize: pop, Schedule: mesacga.DefaultSchedule(),
-		PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
-		GentMax: 120, Span: iters / 7, Seed: 11, Workers: runtime.NumCPU(),
+	res, err := search.Run(context.Background(), new(mesacga.Engine), prob, search.Options{
+		PopSize: pop, Seed: 11,
+		Extra: &mesacga.Params{
+			Schedule:           mesacga.DefaultSchedule(),
+			PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
+			GentMax: 120, Span: iters / 7,
+		},
 	})
 	if err != nil {
 		log.Fatalf("mesacga: %v", err)

@@ -11,15 +11,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/mesacga"
 	"sacga/internal/process"
+	"sacga/internal/search"
 	"sacga/internal/sizing"
 	"sacga/internal/yield"
 )
@@ -39,10 +40,13 @@ func main() {
 		spec := ladder[grade-1]
 		prob := sizing.New(tech, spec,
 			sizing.WithRobustness(yield.NewEstimator(1, 8)))
-		res, err := mesacga.Run(prob, mesacga.Config{
-			PopSize: pop, Schedule: mesacga.DefaultSchedule(),
-			PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
-			GentMax: 120, Span: iters / 7, Seed: 5, Workers: runtime.NumCPU(),
+		res, err := search.Run(context.Background(), new(mesacga.Engine), prob, search.Options{
+			PopSize: pop, Seed: 5,
+			Extra: &mesacga.Params{
+				Schedule:           mesacga.DefaultSchedule(),
+				PartitionObjective: 1, PartitionLo: clLo, PartitionHi: clHi,
+				GentMax: 120, Span: iters / 7,
+			},
 		})
 		if err != nil {
 			log.Fatalf("mesacga: %v", err)

@@ -6,6 +6,7 @@ import (
 	"sacga/internal/islands"
 	"sacga/internal/objective"
 	"sacga/internal/sacga"
+	"sacga/internal/search"
 	"sacga/internal/sizing"
 	"sacga/internal/stats"
 )
@@ -55,7 +56,7 @@ func Ablation(c Config) (*Report, error) {
 		case "local-only":
 			results[i] = c.runLocalOnly(spec, 8, total, seed)
 		case "instant-global":
-			results[i] = c.runSACGAShaped(spec, 8, total, seed, instantGlobalShape())
+			results[i] = c.runSACGAShaped("instant-global", spec, 8, total, seed, instantGlobalShape())
 		case "sacga":
 			results[i] = c.runSACGA(spec, 8, total, seed)
 		case "islands":
@@ -97,54 +98,19 @@ func (c *Config) runLocalOnly(spec sizing.Spec, m, total int, seed int64) runOut
 	prob := objective.NewCounter(c.problem(spec))
 	clLo, clHi := sizing.ObjectiveRangeCL()
 	start := time.Now()
-	res, err := sacga.RunLocalOnly(prob, sacga.Config{
-		PopSize:            c.PopSize,
-		Partitions:         m,
-		PartitionObjective: 1,
-		PartitionLo:        clLo,
-		PartitionHi:        clHi,
-		Seed:               seed,
-	}, total)
-	if res == nil {
-		return runOut{algo: "local-only", err: err}
-	}
-	out := digest("local-only", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
-}
-
-// runSACGAShaped is runSACGA with an explicit participation shape.
-func (c *Config) runSACGAShaped(spec sizing.Spec, m, total int, seed int64, shape *sacga.Shape) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	gentMax := min(c.iters(200), total/4+1)
-	start := time.Now()
-	e, err := sacga.NewEngine(prob, sacga.Config{
-		PopSize:            c.PopSize,
-		Partitions:         m,
-		PartitionObjective: 1,
-		PartitionLo:        clLo,
-		PartitionHi:        clHi,
-		GentMax:            gentMax,
-		Shape:              shape,
-		Seed:               seed,
+	res, err := run(new(sacga.Engine), prob, search.Options{
+		PopSize:     c.PopSize,
+		Generations: total,
+		Seed:        seed,
+		Extra: &sacga.Params{
+			Partitions:         m,
+			PartitionObjective: 1,
+			PartitionLo:        clLo,
+			PartitionHi:        clHi,
+			LocalOnly:          true,
+		},
 	})
-	if e == nil {
-		return runOut{algo: "instant-global", err: err}
-	}
-	gent, phaseErr := e.PhaseI(gentMax)
-	if err == nil {
-		err = phaseErr
-	}
-	e.MarkDead()
-	span := total - gent
-	if span < 1 {
-		span = 1
-	}
-	if phase2Err := e.PhaseII(span); err == nil {
-		err = phase2Err
-	}
-	out := digest("instant-global", e.Front(), prob.Count(), time.Since(start), gent)
+	out := digest("local-only", res.Front, prob.Count(), time.Since(start), 0)
 	out.err = err
 	return out
 }
@@ -159,17 +125,17 @@ func (c *Config) runIslands(spec sizing.Spec, total int, seed int64) runOut {
 		size = 4
 	}
 	start := time.Now()
-	res, err := islands.Run(prob, islands.Config{
-		Islands:        nIslands,
-		IslandSize:     size,
-		Generations:    total,
-		MigrationEvery: 10,
-		Migrants:       2,
-		Seed:           seed,
+	res, err := run(new(islands.Engine), prob, search.Options{
+		PopSize:     nIslands * size,
+		Generations: total,
+		Seed:        seed,
+		Extra: &islands.Params{
+			Islands:        nIslands,
+			IslandSize:     size,
+			MigrationEvery: 10,
+			Migrants:       2,
+		},
 	})
-	if res == nil {
-		return runOut{algo: "islands", err: err}
-	}
 	out := digest("islands", res.Front, prob.Count(), time.Since(start), 0)
 	out.err = err
 	return out

@@ -272,6 +272,12 @@ func (c *Config) runTPG(spec sizing.Spec, total int, seed int64) runOut {
 // II consumes the remainder (the engine's derived-span mode), keeping
 // evaluation budgets comparable with TPG.
 func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
+	return c.runSACGAShaped("SACGA", spec, m, total, seed, nil)
+}
+
+// runSACGAShaped is runSACGA with an explicit participation shape (nil
+// selects the default) and the label its digest carries.
+func (c *Config) runSACGAShaped(algo string, spec sizing.Spec, m, total int, seed int64, shape *sacga.Shape) runOut {
 	prob := objective.NewCounter(c.problem(spec))
 	clLo, clHi := sizing.ObjectiveRangeCL()
 	gentMax := min(c.iters(200), total/4+1)
@@ -287,16 +293,17 @@ func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
 			PartitionLo:        clLo,
 			PartitionHi:        clHi,
 			GentMax:            gentMax,
+			Shape:              shape,
 		},
 	})
-	out := digest("SACGA", res.Front, prob.Count(), time.Since(start), eng.GentUsed())
+	out := digest(algo, res.Front, prob.Count(), time.Since(start), eng.GentUsed())
 	out.err = err
 	return out
 }
 
 // runMESACGA runs MESACGA with the given schedule; the post-phase-I budget
 // is split evenly across phases (the engine's derived-span mode).
-func (c *Config) runMESACGA(spec sizing.Spec, schedule []int, total int, seed int64) (runOut, *mesacga.Result) {
+func (c *Config) runMESACGA(spec sizing.Spec, schedule []int, total int, seed int64) runOut {
 	prob := objective.NewCounter(c.problem(spec))
 	clLo, clHi := sizing.ObjectiveRangeCL()
 	gentMax := min(c.iters(200), total/4+1)
@@ -316,12 +323,13 @@ func (c *Config) runMESACGA(spec sizing.Spec, schedule []int, total int, seed in
 	})
 	out := digest("MESACGA", res.Front, prob.Count(), time.Since(start), eng.GentUsed())
 	out.err = err
-	return out, eng.Result()
+	return out
 }
 
 // runMESACGASpanned runs MESACGA with an exact per-phase span (fig. 10's
-// x-parameter) instead of a total budget.
-func (c *Config) runMESACGASpanned(spec sizing.Spec, schedule []int, span int, seed int64) (*mesacga.Result, error) {
+// x-parameter) instead of a total budget, returning the global front
+// recorded at the end of each phase.
+func (c *Config) runMESACGASpanned(spec sizing.Spec, schedule []int, span int, seed int64) ([]ga.Population, error) {
 	prob := objective.NewCounter(c.problem(spec))
 	clLo, clHi := sizing.ObjectiveRangeCL()
 	eng := new(mesacga.Engine)
@@ -337,7 +345,7 @@ func (c *Config) runMESACGASpanned(spec sizing.Spec, schedule []int, span int, s
 			Span:               span,
 		},
 	})
-	return eng.Result(), err
+	return eng.PhaseFronts(), err
 }
 
 // parallelRuns executes n replicate jobs across the shared worker pool,

@@ -214,7 +214,7 @@ func Fig8(c Config) (*Report, error) {
 		case 1:
 			outs[i] = c.runSACGA(sizing.PaperSpec(), 8, total, seed)
 		default:
-			outs[i], _ = c.runMESACGA(sizing.PaperSpec(), nil, total, seed)
+			outs[i] = c.runMESACGA(sizing.PaperSpec(), nil, total, seed)
 		}
 	})
 	if err := runsErr(outs); err != nil {
@@ -331,14 +331,11 @@ func Fig10(c Config) (*Report, error) {
 	c.parallelRuns(len(jobs), func(i int) {
 		j := jobs[i]
 		// The span is the figure's x-parameter: pass it exactly (the
-		// TotalBudget mode used elsewhere would stretch it when phase I
+		// derived-span mode used elsewhere would stretch it when phase I
 		// exits early).
-		res, err := c.runMESACGASpanned(sizing.PaperSpec(), schedule, c.iters(spans[j.si]), c.Seed+int64(j.seed))
+		fronts, err := c.runMESACGASpanned(sizing.PaperSpec(), schedule, c.iters(spans[j.si]), c.Seed+int64(j.seed))
 		errs[i] = err
-		if res == nil {
-			return
-		}
-		for p, front := range res.PhaseFronts {
+		for p, front := range fronts {
 			pts := frontPoints(front)
 			phaseHV[j.si][p][j.seed] = hypervolume.PaperMetric(pts) / hvUnit
 		}
@@ -395,7 +392,7 @@ func Fig11(c Config) (*Report, error) {
 		if i%2 == 0 {
 			outs[i] = c.runSACGA(sizing.PaperSpec(), 16, c.iters(1200), seed)
 		} else {
-			outs[i], _ = c.runMESACGA(sizing.PaperSpec(), nil, c.iters(1250), seed)
+			outs[i] = c.runMESACGA(sizing.PaperSpec(), nil, c.iters(1250), seed)
 		}
 	})
 	if err := runsErr(outs); err != nil {

@@ -47,7 +47,7 @@ func Trends(c Config) (*Report, error) {
 		case 1:
 			out = c.runSACGA(specs[j.si], 8, total, c.Seed+int64(j.si))
 		default:
-			out, _ = c.runMESACGA(specs[j.si], nil, total, c.Seed+int64(j.si))
+			out = c.runMESACGA(specs[j.si], nil, total, c.Seed+int64(j.si))
 		}
 		results[j.si][j.ai] = cell{hv: out.hvCover, wall: out.wall.Seconds()}
 		errs[i] = out.err

@@ -13,13 +13,11 @@
 // worst residents. The ablation experiment uses this as a comparator for
 // SACGA's single-population alternative.
 //
-// The optimizer is exposed two ways: the step-wise Engine implementing
-// search.Engine (registered as "islands"), and the legacy Run entry point,
-// now a thin wrapper over search.Run.
+// The optimizer is the step-wise Engine implementing search.Engine
+// (registered as "islands"); drive it with search.Run or search.NewDriver.
 package islands
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 
@@ -34,42 +32,6 @@ func init() {
 	search.Register("islands", func() search.Engine { return new(Engine) })
 	search.RegisterExtension("islands", func() any { return new(Params) })
 	gob.Register(&Snapshot{}) // so Checkpoint.State round-trips through encoding/gob
-}
-
-// Config holds the island-model hyperparameters — the legacy configuration
-// surface, mapped onto search.Options + Params by Run.
-type Config struct {
-	// Islands is the number of subpopulations on the migration ring.
-	Islands int
-	// IslandSize is the population per island.
-	IslandSize int
-	// Generations is the total iteration count.
-	Generations int
-	// MigrationEvery is the period (in generations) between migrations;
-	// <= 0 disables migration entirely (fully isolated islands).
-	MigrationEvery int
-	// Migrants is how many individuals each island emits per migration.
-	Migrants int
-	// Ops are the variation operators (zero value → defaults).
-	Ops ga.Operators
-	// Seed drives all randomness.
-	Seed int64
-	// Observer, when non-nil, sees the pooled population each generation.
-	// The callback must not retain pooled or its members: discarded
-	// individuals' buffers are recycled into later generations' offspring.
-	Observer func(gen int, pooled ga.Population)
-	// Workers parallelizes objective evaluation within each island: 0
-	// selects NumCPU (matching the other engines), 1 forces the sequential
-	// path. Results are bit-identical either way.
-	Workers int
-	// Pool, when non-nil, supplies the persistent evaluation worker pool;
-	// nil selects the process-wide shared pool.
-	Pool *ga.Pool
-	// Initial seeds the islands (cloned, dealt to the islands in sequential
-	// blocks of IslandSize; missing individuals are filled with uniform
-	// random samples). The hybrid relay driver hands a finished engine's
-	// population across through this field.
-	Initial ga.Population
 }
 
 // Params is the island-model extension struct carried by
@@ -91,80 +53,37 @@ type Params struct {
 	Migrants int
 }
 
-// Result of an island-model run.
-type Result struct {
-	// Final is the pooled final population across all islands.
-	Final ga.Population
-	// Front is the globally non-dominated subset of Final.
-	Front ga.Population
-	// Generations executed.
-	Generations int
-}
-
-func (c *Config) normalize() {
-	o := search.Options{PopSize: 1, Generations: c.Generations, Ops: c.Ops}
-	o.Normalize()
-	c.Generations, c.Ops = o.Generations, o.Ops
-	if c.Islands <= 0 {
-		c.Islands = 4
+// normalize applies the island-model defaults in place, deriving IslandSize
+// from popSize (the normalized Options.PopSize) when it is unset.
+func (p *Params) normalize(popSize int) {
+	if p.Islands <= 0 {
+		p.Islands = 4
 	}
-	if c.IslandSize <= 0 {
-		c.IslandSize = 25
+	if p.IslandSize <= 0 {
+		p.IslandSize = max(popSize/p.Islands, 2)
 	}
-	if c.IslandSize%2 == 1 {
-		c.IslandSize++
+	if p.IslandSize%2 == 1 {
+		p.IslandSize++
 	}
-	if c.MigrationEvery == 0 {
-		c.MigrationEvery = 10
+	if p.MigrationEvery == 0 {
+		p.MigrationEvery = 10
 	}
-	if c.Migrants <= 0 {
-		c.Migrants = 2
+	if p.Migrants <= 0 {
+		p.Migrants = 2
 	}
-	if c.Migrants > c.IslandSize/2 {
-		c.Migrants = c.IslandSize / 2
+	if p.Migrants > p.IslandSize/2 {
+		p.Migrants = p.IslandSize / 2
 	}
-}
-
-// options maps the legacy Config onto the unified search.Options.
-func (c Config) options() search.Options {
-	return search.Options{
-		PopSize:     c.Islands * c.IslandSize,
-		Generations: c.Generations,
-		Seed:        c.Seed,
-		Ops:         c.Ops,
-		Workers:     c.Workers,
-		Pool:        c.Pool,
-		Observer:    c.Observer,
-		Initial:     c.Initial,
-		Extra: &Params{
-			Islands:        c.Islands,
-			IslandSize:     c.IslandSize,
-			MigrationEvery: c.MigrationEvery,
-			Migrants:       c.Migrants,
-		},
-	}
-}
-
-// Run executes the island-model GA on prob — the legacy entry point, a
-// wrapper over the step-wise engine driven by search.Run.
-func Run(prob objective.Problem, cfg Config) (*Result, error) {
-	cfg.normalize()
-	e := new(Engine)
-	res, err := search.Run(context.Background(), e, prob, cfg.options())
-	if res == nil {
-		return nil, err
-	}
-	return &Result{Final: res.Final, Front: res.Front, Generations: res.Generations}, err
 }
 
 // Engine is the step-wise island-model driver implementing search.Engine.
 // One Step advances every island one (µ+λ) generation and runs the ring
 // migration when due; the final Step pools the islands and ranks the
-// pooled population, so Population() after Done is the ranked global view
-// the legacy Run returned.
+// pooled population, so Population() after Done is the ranked global view.
 type Engine struct {
 	prob   objective.Problem
-	cfg    Config
+	opts   search.Options // normalized
+	params Params         // normalized private copy of Options.Extra
 	budget search.EvalBudget
 	lo, hi []float64
 	gen    int
@@ -193,50 +112,25 @@ type Snapshot struct {
 // Name implements search.Engine.
 func (e *Engine) Name() string { return "islands" }
 
-// configFor maps (Options, Params) to the internal Config, deriving
-// IslandSize from PopSize when the extension leaves it open.
-func configFor(opts search.Options, p *Params) Config {
-	cfg := Config{
-		Islands:        p.Islands,
-		IslandSize:     p.IslandSize,
-		Generations:    opts.Generations,
-		MigrationEvery: p.MigrationEvery,
-		Migrants:       p.Migrants,
-		Ops:            opts.Ops,
-		Seed:           opts.Seed,
-		Observer:       opts.Observer,
-		Workers:        opts.Workers,
-		Pool:           opts.Pool,
-		Initial:        opts.Initial,
-	}
-	if cfg.Islands <= 0 {
-		cfg.Islands = 4
-	}
-	if cfg.IslandSize <= 0 && opts.PopSize > 0 {
-		cfg.IslandSize = opts.PopSize / cfg.Islands
-		if cfg.IslandSize < 2 {
-			cfg.IslandSize = 2
-		}
-	}
-	cfg.normalize()
-	return cfg
-}
-
-// prepare applies the option/problem wiring shared by Init and Restore.
+// prepare applies the option/problem wiring shared by Init and Restore. The
+// extension struct is copied before it is normalized, so the caller's
+// Params stays read-only.
 func (e *Engine) prepare(prob objective.Problem, opts search.Options) error {
 	p, err := search.Extension[Params](opts)
 	if err != nil {
 		return fmt.Errorf("islands: %w", err)
 	}
 	opts.Normalize()
-	e.cfg = configFor(opts, p)
+	e.opts, e.params = opts, *p
+	e.params.normalize(opts.PopSize)
 	e.prob = e.budget.Attach(prob, opts.MaxEvals)
 	e.lo, e.hi = prob.Bounds()
 	e.gen = 0
 	e.finalized = false
-	e.union = make(ga.Population, 0, 2*e.cfg.IslandSize)
-	e.children = make(ga.Population, 0, e.cfg.IslandSize)
-	e.pooled = make(ga.Population, 0, e.cfg.Islands*e.cfg.IslandSize)
+	size := e.params.IslandSize
+	e.union = make(ga.Population, 0, 2*size)
+	e.children = make(ga.Population, 0, size)
+	e.pooled = make(ga.Population, 0, e.params.Islands*size)
 	return nil
 }
 
@@ -246,13 +140,13 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	e.isles = make([]ga.Population, e.cfg.Islands)
-	e.streams = make([]*rng.Stream, e.cfg.Islands)
+	e.isles = make([]ga.Population, e.params.Islands)
+	e.streams = make([]*rng.Stream, e.params.Islands)
 	var evalErr error
 	for k := range e.isles {
-		e.streams[k] = rng.DeriveN(e.cfg.Seed, "island", k)
+		e.streams[k] = rng.DeriveN(e.opts.Seed, "island", k)
 		e.isles[k] = e.seedIsland(k)
-		if err := e.isles[k].TryEvaluateWith(e.prob, e.cfg.Pool, e.cfg.Workers); err != nil && evalErr == nil {
+		if err := e.isles[k].TryEvaluateWith(e.prob, e.opts.Pool, e.opts.Workers); err != nil && evalErr == nil {
 			evalErr = err // first island's fault; later islands still seed
 		}
 		e.isles[k].AssignRanksAndCrowding()
@@ -264,14 +158,14 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 }
 
 // seedIsland builds island k's initial population: its sequential block of
-// Config.Initial (cloned), topped up with uniform random samples from the
+// Options.Initial (cloned), topped up with uniform random samples from the
 // island's own stream. With no Initial the random draws are identical to
 // ga.NewRandomPopulation's.
 func (e *Engine) seedIsland(k int) ga.Population {
-	size := e.cfg.IslandSize
+	size := e.params.IslandSize
 	pop := make(ga.Population, 0, size)
-	for i := k * size; i < (k+1)*size && i < len(e.cfg.Initial); i++ {
-		pop = append(pop, e.cfg.Initial[i].Clone())
+	for i := k * size; i < (k+1)*size && i < len(e.opts.Initial); i++ {
+		pop = append(pop, e.opts.Initial[i].Clone())
 	}
 	for len(pop) < size {
 		pop = append(pop, ga.NewRandom(e.streams[k], e.lo, e.hi))
@@ -288,19 +182,15 @@ func (e *Engine) Step() error {
 	var evalErr error
 	for k := range e.isles {
 		var err error
-		e.isles[k], e.children, e.union, err = step(e.prob, e.isles[k], e.streams[k], e.cfg, e.lo, e.hi,
-			&e.arena, e.children, e.union)
+		e.isles[k], err = e.step(e.isles[k], e.streams[k])
 		if err != nil && evalErr == nil {
 			evalErr = err // keep the first island's fault; the ring still advances
 		}
 	}
-	if e.cfg.MigrationEvery > 0 && (e.gen+1)%e.cfg.MigrationEvery == 0 {
-		migrate(e.isles, e.cfg.Migrants, &e.arena)
+	if e.params.MigrationEvery > 0 && (e.gen+1)%e.params.MigrationEvery == 0 {
+		migrate(e.isles, e.params.Migrants, &e.arena)
 	}
 	e.gen++
-	if e.cfg.Observer != nil {
-		e.cfg.Observer(e.gen-1, e.poolView()) // legacy hook counts from 0
-	}
 	if e.done() {
 		e.finalize()
 	}
@@ -312,7 +202,7 @@ func (e *Engine) Step() error {
 
 // done is Done without the finalized fast path.
 func (e *Engine) done() bool {
-	return e.gen >= e.cfg.Generations || e.budget.Exhausted()
+	return e.gen >= e.opts.Generations || e.budget.Exhausted()
 }
 
 // Done implements search.Engine.
@@ -342,8 +232,8 @@ func (e *Engine) poolView() ga.Population {
 	return e.pooled
 }
 
-// finalize pools the islands and assigns global ranks — the legacy Run's
-// post-loop step, run once when the budget completes.
+// finalize pools the islands and assigns global ranks — the one global
+// competition, run once when the budget completes.
 func (e *Engine) finalize() {
 	e.poolView().AssignRanksAndCrowding()
 	e.finalized = true
@@ -362,7 +252,7 @@ func (e *Engine) Emigrants(k int) ga.Population {
 // worst residents, and every receiving island is re-ranked. Per-island
 // intake is capped at half the island, the overflow ignored.
 func (e *Engine) Immigrate(migrants ga.Population) {
-	if limit := search.MigrantCap(e.cfg.Islands * e.cfg.IslandSize); len(migrants) > limit {
+	if limit := search.MigrantCap(e.params.Islands * e.params.IslandSize); len(migrants) > limit {
 		migrants = migrants[:limit]
 	}
 	incoming := make([]ga.Population, len(e.isles))
@@ -413,13 +303,14 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	if len(sn.Isles) != e.cfg.Islands || len(sn.RNG) != e.cfg.Islands {
-		return fmt.Errorf("islands: checkpoint has %d islands, options configure %d", len(sn.Isles), e.cfg.Islands)
+	n := e.params.Islands
+	if len(sn.Isles) != n || len(sn.RNG) != n {
+		return fmt.Errorf("islands: checkpoint has %d islands, options configure %d", len(sn.Isles), n)
 	}
 	e.budget.RestoreEvals(cp.Evals)
 	e.gen = cp.Gen
-	e.isles = make([]ga.Population, e.cfg.Islands)
-	e.streams = make([]*rng.Stream, e.cfg.Islands)
+	e.isles = make([]ga.Population, n)
+	e.streams = make([]*rng.Stream, n)
 	for k := range e.isles {
 		e.isles[k] = search.UnsnapPopulation(sn.Isles[k])
 		e.streams[k] = rng.FromState(sn.RNG[k])
@@ -431,19 +322,18 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 }
 
 // step advances one island by one (µ+λ) NSGA-II generation through the
-// shared arena, returning the next population and the recycled scratch
-// slices. The survivor slice reuses pop's backing array: the union holds
-// its own copies of the member pointers, so overwriting pop is safe.
-func step(prob objective.Problem, pop ga.Population, s *rng.Stream, cfg Config, lo, hi []float64,
-	arena *ga.Arena, children, union ga.Population) (next, childBuf, unionBuf ga.Population, err error) {
-	size := cfg.IslandSize
-	children = nsga2.MakeChildrenInto(s, pop, cfg.Ops, lo, hi, size, arena, children)
-	err = children.TryEvaluateWith(prob, cfg.Pool, cfg.Workers)
-	union = append(append(union[:0], pop...), children...)
-	arena.AssignRanksAndCrowding(union)
-	next = arena.TruncateRecycle(union, size, pop[:0])
+// shared arena and scratch slices, returning the next population. The
+// survivor slice reuses pop's backing array: the union holds its own
+// copies of the member pointers, so overwriting pop is safe.
+func (e *Engine) step(pop ga.Population, s *rng.Stream) (ga.Population, error) {
+	size, arena := e.params.IslandSize, &e.arena
+	e.children = nsga2.MakeChildrenInto(s, pop, e.opts.Ops, e.lo, e.hi, size, arena, e.children)
+	err := e.children.TryEvaluateWith(e.prob, e.opts.Pool, e.opts.Workers)
+	e.union = append(append(e.union[:0], pop...), e.children...)
+	arena.AssignRanksAndCrowding(e.union)
+	next := arena.TruncateRecycle(e.union, size, pop[:0])
 	arena.AssignRanksAndCrowding(next)
-	return next, children, union, err
+	return next, err
 }
 
 // migrate sends each island's least-crowded front members (clones) to the

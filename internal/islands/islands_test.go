@@ -1,17 +1,19 @@
 package islands
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"sacga/internal/benchfn"
-	"sacga/internal/ga"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
 func TestRunZDT1(t *testing.T) {
-	res := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 20, Generations: 60, Seed: 1,
+	res := runOK(t, benchfn.ZDT1(8), search.Options{
+		Generations: 60, Seed: 1,
+		Extra: &Params{Islands: 4, IslandSize: 20},
 	})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
@@ -30,9 +32,9 @@ func TestRunZDT1(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	cfg := Config{Islands: 3, IslandSize: 12, Generations: 15, Seed: 9}
-	a := runOK(t, benchfn.ZDT1(6), cfg)
-	b := runOK(t, benchfn.ZDT1(6), cfg)
+	opts := search.Options{Generations: 15, Seed: 9, Extra: &Params{Islands: 3, IslandSize: 12}}
+	a := runOK(t, benchfn.ZDT1(6), opts)
+	b := runOK(t, benchfn.ZDT1(6), opts)
 	for i := range a.Final {
 		for k := range a.Final[i].X {
 			if a.Final[i].X[k] != b.Final[i].X[k] {
@@ -47,11 +49,13 @@ func TestIslandsEvolveIndependentlyWithoutMigration(t *testing.T) {
 	// enabled, genetic material spreads. Compare the pooled fronts: the
 	// migrating version should not be worse (on ZDT1 it converges at least
 	// as well), and the runs must differ.
-	iso := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 16, Generations: 40, Seed: 3, MigrationEvery: -1,
+	iso := runOK(t, benchfn.ZDT1(8), search.Options{
+		Generations: 40, Seed: 3,
+		Extra: &Params{Islands: 4, IslandSize: 16, MigrationEvery: -1},
 	})
-	mig := runOK(t, benchfn.ZDT1(8), Config{
-		Islands: 4, IslandSize: 16, Generations: 40, Seed: 3, MigrationEvery: 5,
+	mig := runOK(t, benchfn.ZDT1(8), search.Options{
+		Generations: 40, Seed: 3,
+		Extra: &Params{Islands: 4, IslandSize: 16, MigrationEvery: 5},
 	})
 	same := true
 	for i := range iso.Final {
@@ -67,20 +71,21 @@ func TestIslandsEvolveIndependentlyWithoutMigration(t *testing.T) {
 }
 
 func TestMigrationPreservesPopulationSizes(t *testing.T) {
-	obs := func(gen int, pooled ga.Population) {
-		if len(pooled) != 3*14 {
-			t.Fatalf("pooled size %d at gen %d", len(pooled), gen)
+	obs := search.ObserverFunc(func(f *search.Frame) {
+		if len(f.Pop) != 3*14 {
+			t.Fatalf("pooled size %d at gen %d", len(f.Pop), f.Gen)
 		}
-	}
-	runOK(t, benchfn.ZDT1(6), Config{
-		Islands: 3, IslandSize: 14, Generations: 20, Seed: 4,
-		MigrationEvery: 3, Migrants: 2, Observer: obs,
 	})
+	runOK(t, benchfn.ZDT1(6), search.Options{
+		Generations: 20, Seed: 4,
+		Extra: &Params{Islands: 3, IslandSize: 14, MigrationEvery: 3, Migrants: 2},
+	}, obs)
 }
 
 func TestConstrainedFeasibleFront(t *testing.T) {
-	res := runOK(t, benchfn.Constr(), Config{
-		Islands: 3, IslandSize: 20, Generations: 50, Seed: 5,
+	res := runOK(t, benchfn.Constr(), search.Options{
+		Generations: 50, Seed: 5,
+		Extra: &Params{Islands: 3, IslandSize: 20},
 	})
 	for _, ind := range res.Front {
 		if !ind.Feasible() {
@@ -91,7 +96,7 @@ func TestConstrainedFeasibleFront(t *testing.T) {
 
 func TestEvaluationBudget(t *testing.T) {
 	cnt := objective.NewCounter(benchfn.ZDT1(6))
-	runOK(t, cnt, Config{Islands: 2, IslandSize: 10, Generations: 10, Seed: 6})
+	runOK(t, cnt, search.Options{Generations: 10, Seed: 6, Extra: &Params{Islands: 2, IslandSize: 10}})
 	// init: 2*10; per generation: 2 islands × 10 children.
 	want := int64(20 + 10*20)
 	if cnt.Count() != want {
@@ -100,27 +105,29 @@ func TestEvaluationBudget(t *testing.T) {
 }
 
 func TestNormalizeDefaults(t *testing.T) {
-	var cfg Config
-	cfg.normalize()
-	if cfg.Islands != 4 || cfg.IslandSize != 26 || cfg.MigrationEvery != 10 {
-		t.Fatalf("defaults: %+v", cfg)
+	// The default population of 100 over the default 4 islands gives 25
+	// per island, rounded up to even.
+	var p Params
+	p.normalize(search.DefaultPopSize)
+	if p.Islands != 4 || p.IslandSize != 26 || p.MigrationEvery != 10 {
+		t.Fatalf("defaults: %+v", p)
 	}
 	// Odd island size rounds up; migrant count is capped.
-	cfg = Config{IslandSize: 7, Migrants: 100}
-	cfg.normalize()
-	if cfg.IslandSize != 8 {
-		t.Fatalf("island size %d", cfg.IslandSize)
+	p = Params{IslandSize: 7, Migrants: 100}
+	p.normalize(search.DefaultPopSize)
+	if p.IslandSize != 8 {
+		t.Fatalf("island size %d", p.IslandSize)
 	}
-	if cfg.Migrants > cfg.IslandSize/2 {
-		t.Fatalf("migrants %d exceed half the island", cfg.Migrants)
+	if p.Migrants > p.IslandSize/2 {
+		t.Fatalf("migrants %d exceed half the island", p.Migrants)
 	}
 }
 
-// runOK is Run with faults fatal: the fixtures here never fault, so any
-// returned error is a regression in the legacy wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK drives a fresh engine through search.Run with faults fatal: the
+// fixtures here never fault, so any returned error is a regression.
+func runOK(t *testing.T, prob objective.Problem, opts search.Options, obs ...search.Observer) *search.Result {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	res, err := search.Run(context.Background(), new(Engine), prob, opts, obs...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -7,15 +7,13 @@
 // the cost of one schedule, and trades diversity against convergence
 // through the per-phase span.
 //
-// The optimizer is exposed two ways: the step-wise Engine implementing
-// search.Engine (registered as "mesacga"), and the legacy Run entry point,
-// now a thin wrapper over search.Run. Partition schedules are validated at
-// Init — positive, non-increasing, ending at a single partition — instead
-// of silently misbehaving.
+// The optimizer is the step-wise Engine implementing search.Engine
+// (registered as "mesacga"); drive it with search.Run or search.NewDriver.
+// Partition schedules are validated at Init — positive, non-increasing,
+// ending at a single partition — instead of silently misbehaving.
 package mesacga
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 
@@ -29,53 +27,6 @@ func init() {
 	search.Register("mesacga", func() search.Engine { return new(Engine) })
 	search.RegisterExtension("mesacga", func() any { return new(Params) })
 	gob.Register(&Snapshot{}) // so Checkpoint.State round-trips through encoding/gob
-}
-
-// Config holds the MESACGA hyperparameters — the legacy configuration
-// surface, mapped onto search.Options + Params by Run. All SACGA fields
-// keep their meaning; the partition count comes from Schedule instead.
-type Config struct {
-	// PopSize is the population size.
-	PopSize int
-	// Schedule lists the partition count of each phase, positive and
-	// non-increasing down to 1 (default: the paper's 20, 13, 8, 5, 3, 2,
-	// 1). Run panics on an invalid schedule; use the search.Engine Init
-	// path for a recoverable error.
-	Schedule []int
-	// PartitionObjective / PartitionLo / PartitionHi as in sacga.Config.
-	PartitionObjective       int
-	PartitionLo, PartitionHi float64
-	// GentMax caps the initial pure-local-competition phase.
-	GentMax int
-	// Span is the iteration budget of EACH phase (the paper's diversity vs
-	// convergence control knob).
-	Span int
-	// TotalBudget, when Span is 0, sets the overall iteration budget
-	// instead: the post-phase-I remainder is split evenly across phases,
-	// so runs stay evaluation-comparable with other algorithms even when
-	// phase I terminates early.
-	TotalBudget int
-	// N, Shape, Ops, Pressure, Seed as in sacga.Config.
-	N        int
-	Shape    *sacga.Shape
-	Ops      ga.Operators
-	Pressure float64
-	Seed     int64
-	// Observer is called after every iteration across all phases.
-	Observer func(gen int, pop ga.Population)
-	// PhaseObserver, when non-nil, is called after each phase completes
-	// with the phase index (0-based), its partition count and the
-	// population — the hook fig. 10 uses to trace per-phase hypervolume.
-	// The callback must not retain pop (Clone what it needs): the engine
-	// recycles discarded individuals into later phases' offspring buffers.
-	PhaseObserver func(phase, partitions int, pop ga.Population)
-	// Initial seeds the first population.
-	Initial ga.Population
-	// Workers parallelizes objective evaluation (see sacga.Config.Workers).
-	Workers int
-	// Pool, when non-nil, supplies the persistent evaluation worker pool
-	// (see sacga.Config.Pool).
-	Pool *ga.Pool
 }
 
 // DefaultSchedule is the paper's seven-phase expansion.
@@ -102,82 +53,6 @@ type Params struct {
 	N        int
 	Shape    *sacga.Shape
 	Pressure float64
-	// PhaseObserver as in Config.PhaseObserver.
-	PhaseObserver func(phase, partitions int, pop ga.Population)
-}
-
-// Result of a MESACGA run.
-type Result struct {
-	// Final is the last population; Front its globally non-dominated
-	// subset.
-	Final ga.Population
-	Front ga.Population
-	// GentUsed is the length of the initial pure-local phase.
-	GentUsed int
-	// Generations counts all iterations (gent + len(Schedule)·span).
-	Generations int
-	// PhaseFronts holds the global Pareto front extracted at the end of
-	// each phase (deep copies), for phase-progress analysis.
-	PhaseFronts []ga.Population
-}
-
-// options maps the legacy Config onto search.Options + Params, preserving
-// the legacy span semantics: an explicit Span is pinned; otherwise a
-// TotalBudget is split across phases; otherwise the SACGA default span.
-func (c Config) options() search.Options {
-	p := &Params{
-		Schedule:           c.Schedule,
-		PartitionObjective: c.PartitionObjective,
-		PartitionLo:        c.PartitionLo,
-		PartitionHi:        c.PartitionHi,
-		GentMax:            c.GentMax,
-		Span:               c.Span,
-		N:                  c.N,
-		Shape:              c.Shape,
-		Pressure:           c.Pressure,
-		PhaseObserver:      c.PhaseObserver,
-	}
-	generations := c.TotalBudget
-	if c.Span <= 0 && c.TotalBudget <= 0 {
-		p.Span = sacga.DefaultSpan // legacy: the sacga-normalized span
-	}
-	return search.Options{
-		PopSize:     c.PopSize,
-		Generations: generations,
-		Seed:        c.Seed,
-		Ops:         c.Ops,
-		Initial:     c.Initial,
-		Workers:     c.Workers,
-		Pool:        c.Pool,
-		Observer:    c.Observer,
-		Extra:       p,
-	}
-}
-
-// Run executes MESACGA — the legacy entry point, a wrapper over the
-// step-wise engine driven by search.Run. Invalid configuration (e.g. a bad
-// partition schedule) returns a nil result with the error; an evaluation
-// fault returns the best-so-far result alongside the typed error.
-func Run(prob objective.Problem, cfg Config) (*Result, error) {
-	e := new(Engine)
-	res, err := search.Run(context.Background(), e, prob, cfg.options())
-	if res == nil {
-		return nil, err
-	}
-	return e.Result(), err
-}
-
-// Result assembles the legacy Result view from the engine's current state.
-// Final and Front are live views of engine buffers; PhaseFronts are deep
-// copies.
-func (e *Engine) Result() *Result {
-	return &Result{
-		Final:       e.inner.Population(),
-		Front:       e.inner.Front(),
-		GentUsed:    e.gentUsed,
-		Generations: e.inner.Generation(),
-		PhaseFronts: e.phaseFronts,
-	}
 }
 
 const (
@@ -221,12 +96,14 @@ type Snapshot struct {
 // Name implements search.Engine.
 func (e *Engine) Name() string { return "mesacga" }
 
-// sacgaConfig builds the inner engine's Config for the first phase.
-func (e *Engine) sacgaConfig(opts search.Options, partitions int) sacga.Config {
+// innerOptions builds the inner SACGA engine's options: this engine's
+// normalized options gridded at the first phase's partition count, with no
+// evaluation cap — the cap stays with this engine's own budget.
+func (e *Engine) innerOptions(opts search.Options) search.Options {
 	p := &e.params
-	return sacga.Config{
-		PopSize:            opts.PopSize,
-		Partitions:         partitions,
+	opts.MaxEvals = 0
+	opts.Extra = &sacga.Params{
+		Partitions:         e.schedule[0],
 		PartitionObjective: p.PartitionObjective,
 		PartitionLo:        p.PartitionLo,
 		PartitionHi:        p.PartitionHi,
@@ -234,14 +111,9 @@ func (e *Engine) sacgaConfig(opts search.Options, partitions int) sacga.Config {
 		Span:               p.Span,
 		N:                  p.N,
 		Shape:              p.Shape,
-		Ops:                opts.Ops,
 		Pressure:           p.Pressure,
-		Seed:               opts.Seed,
-		Observer:           opts.Observer,
-		Initial:            opts.Initial,
-		Workers:            opts.Workers,
-		Pool:               opts.Pool,
 	}
+	return opts
 }
 
 // prepare validates and stores the option/extension wiring shared by Init
@@ -271,8 +143,8 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	if err != nil {
 		return err
 	}
-	inner, innerErr := sacga.NewEngine(wrapped, e.sacgaConfig(opts, e.schedule[0]))
-	e.inner = inner
+	e.inner = new(sacga.Engine)
+	innerErr := e.inner.Init(wrapped, e.innerOptions(opts))
 	e.stage, e.phase, e.t, e.span, e.gentUsed = stagePhaseI, 0, 0, 0, 0
 	if innerErr != nil {
 		return fmt.Errorf("mesacga: %w", innerErr)
@@ -282,13 +154,12 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 
 // Step implements search.Engine: one iteration of the current phase. The
 // phase-I exit performs MarkDead and fixes the per-phase span; completing
-// phase p records its front (deep copy), fires the PhaseObserver and
-// re-grids for phase p+1 — exactly the monolithic loop's sequencing.
+// phase p records its front (deep copy) and re-grids for phase p+1.
 func (e *Engine) Step() error {
 	if e.Done() {
 		return nil
 	}
-	gentMax := e.inner.Config().GentMax
+	gentMax := e.inner.Params().GentMax
 	phaseICap := sacga.BoundedGentMax(gentMax, e.totalIters, e.params.Span <= 0)
 	if e.stage == stagePhaseI {
 		if e.t < phaseICap && !e.inner.FeasibleEverywhere() {
@@ -300,7 +171,7 @@ func (e *Engine) Step() error {
 		e.inner.MarkDead()
 		e.stage = stagePhases
 		e.t = 0
-		e.span = e.inner.Config().Span
+		e.span = e.params.Span
 		if e.params.Span <= 0 {
 			e.span = (e.totalIters - e.gentUsed) / len(e.schedule)
 			if e.span < 1 {
@@ -311,11 +182,8 @@ func (e *Engine) Step() error {
 	stepErr := e.inner.StepMixed(e.t, e.span)
 	e.t++
 	if e.t >= e.span {
-		// Phase complete: record its global front, notify, expand.
+		// Phase complete: record its global front, expand.
 		e.phaseFronts = append(e.phaseFronts, e.inner.Front().Clone())
-		if e.params.PhaseObserver != nil {
-			e.params.PhaseObserver(e.phase, e.schedule[e.phase], e.inner.Population())
-		}
 		e.phase++
 		e.t = 0
 		if e.phase < len(e.schedule) {
@@ -389,7 +257,11 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 		return err
 	}
 	e.budget.RestoreEvals(cp.Evals)
-	e.inner = sacga.NewEngineFromSnapshot(wrapped, e.sacgaConfig(opts, e.schedule[0]), sn.Inner)
+	e.inner = new(sacga.Engine)
+	innerCP := &search.Checkpoint{Algo: e.inner.Name(), State: sn.Inner}
+	if err := e.inner.Restore(wrapped, e.innerOptions(opts), innerCP); err != nil {
+		return fmt.Errorf("mesacga: %w", err)
+	}
 	e.stage = sn.Stage
 	e.phase = sn.Phase
 	e.t = sn.T

@@ -1,6 +1,7 @@
 package mesacga
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,31 +9,36 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
-func zdtConfig() Config {
-	return Config{
-		PopSize:            50,
-		Schedule:           []int{8, 4, 2, 1},
-		PartitionObjective: 0,
-		PartitionLo:        0,
-		PartitionHi:        1,
-		GentMax:            10,
-		Span:               25,
-		Seed:               1,
+// zdtOptions runs a four-phase schedule over ZDT1's f1 axis: phase I capped
+// at 10 iterations, then a pinned 25-iteration span per phase.
+func zdtOptions() search.Options {
+	return search.Options{
+		PopSize: 50,
+		Seed:    1,
+		Extra: &Params{
+			Schedule:           []int{8, 4, 2, 1},
+			PartitionObjective: 0,
+			PartitionLo:        0,
+			PartitionHi:        1,
+			GentMax:            10,
+			Span:               25,
+		},
 	}
 }
 
 func TestRunZDT1(t *testing.T) {
-	res := runOK(t, benchfn.ZDT1(8), zdtConfig())
+	e, res := runOK(t, benchfn.ZDT1(8), zdtOptions())
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
-	if len(res.PhaseFronts) != 4 {
-		t.Fatalf("expected 4 phase fronts, got %d", len(res.PhaseFronts))
+	if len(e.PhaseFronts()) != 4 {
+		t.Fatalf("expected 4 phase fronts, got %d", len(e.PhaseFronts()))
 	}
-	if res.Generations != res.GentUsed+4*25 {
-		t.Fatalf("generation accounting: %d vs gent %d + 100", res.Generations, res.GentUsed)
+	if res.Generations != e.GentUsed()+4*25 {
+		t.Fatalf("generation accounting: %d vs gent %d + 100", res.Generations, e.GentUsed())
 	}
 }
 
@@ -50,39 +56,12 @@ func TestDefaultScheduleIsPaper(t *testing.T) {
 }
 
 func TestEmptyScheduleDefaults(t *testing.T) {
-	cfg := zdtConfig()
-	cfg.Schedule = nil
-	cfg.Span = 5
-	res := runOK(t, benchfn.ZDT1(6), cfg)
-	if len(res.PhaseFronts) != 7 {
-		t.Fatalf("nil schedule should use the paper's 7 phases, got %d", len(res.PhaseFronts))
-	}
-}
-
-func TestPhaseObserverCalledInOrder(t *testing.T) {
-	cfg := zdtConfig()
-	var phases []int
-	var parts []int
-	cfg.PhaseObserver = func(phase, partitions int, pop ga.Population) {
-		phases = append(phases, phase)
-		parts = append(parts, partitions)
-		if len(pop) != cfg.PopSize {
-			t.Fatalf("phase observer saw population of %d", len(pop))
-		}
-	}
-	runOK(t, benchfn.ZDT1(6), cfg)
-	if len(phases) != 4 {
-		t.Fatalf("observer called %d times", len(phases))
-	}
-	for i, p := range phases {
-		if p != i {
-			t.Fatalf("phases out of order: %v", phases)
-		}
-	}
-	for i, m := range parts {
-		if m != cfg.Schedule[i] {
-			t.Fatalf("partition counts: %v, want %v", parts, cfg.Schedule)
-		}
+	opts := zdtOptions()
+	p := opts.Extra.(*Params)
+	p.Schedule, p.Span = nil, 5
+	e, _ := runOK(t, benchfn.ZDT1(6), opts)
+	if len(e.PhaseFronts()) != 7 {
+		t.Fatalf("nil schedule should use the paper's 7 phases, got %d", len(e.PhaseFronts()))
 	}
 }
 
@@ -91,7 +70,7 @@ func TestPhaseFrontsGenerallyImprove(t *testing.T) {
 	// toward the ideal) across phases. On ZDT1 we use the reference-point
 	// hypervolume (higher better) and demand the last phase beats the
 	// first.
-	res := runOK(t, benchfn.ZDT1(8), zdtConfig())
+	e, _ := runOK(t, benchfn.ZDT1(8), zdtOptions())
 	ref := hypervolume.Point2{X: 1.1, Y: 10}
 	hv := func(front ga.Population) float64 {
 		pts := make([]hypervolume.Point2, 0, len(front))
@@ -100,37 +79,39 @@ func TestPhaseFrontsGenerallyImprove(t *testing.T) {
 		}
 		return hypervolume.RefPoint2D(pts, ref)
 	}
-	first := hv(res.PhaseFronts[0])
-	last := hv(res.PhaseFronts[len(res.PhaseFronts)-1])
+	fronts := e.PhaseFronts()
+	first := hv(fronts[0])
+	last := hv(fronts[len(fronts)-1])
 	if last <= first {
 		t.Fatalf("front should improve across phases: first %g last %g", first, last)
 	}
 }
 
 func TestTotalBudgetMode(t *testing.T) {
-	// With Span unset and TotalBudget given, the executed iteration count
-	// must land within one schedule-length of the budget, regardless of
-	// when phase I terminates.
-	cfg := zdtConfig()
-	cfg.Span = 0
-	cfg.TotalBudget = 97
-	res := runOK(t, benchfn.ZDT1(6), cfg)
-	if res.Generations > 97 || res.Generations < 97-len(cfg.Schedule) {
+	// With Span unset, the executed iteration count must land within one
+	// schedule-length of Options.Generations, regardless of when phase I
+	// terminates.
+	opts := zdtOptions()
+	p := opts.Extra.(*Params)
+	p.Span = 0
+	opts.Generations = 97
+	e, res := runOK(t, benchfn.ZDT1(6), opts)
+	if res.Generations > 97 || res.Generations < 97-len(p.Schedule) {
 		t.Fatalf("generations %d should approach the 97 budget (gent %d)",
-			res.Generations, res.GentUsed)
+			res.Generations, e.GentUsed())
 	}
 	// Evaluation accounting confirms it end to end.
 	cnt := objective.NewCounter(benchfn.ZDT1(6))
-	res = runOK(t, cnt, cfg)
-	want := int64(cfg.PopSize) * int64(1+res.Generations)
+	_, res = runOK(t, cnt, opts)
+	want := int64(opts.PopSize) * int64(1+res.Generations)
 	if cnt.Count() != want {
 		t.Fatalf("evaluations %d, want %d", cnt.Count(), want)
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := runOK(t, benchfn.ZDT1(6), zdtConfig())
-	b := runOK(t, benchfn.ZDT1(6), zdtConfig())
+	_, a := runOK(t, benchfn.ZDT1(6), zdtOptions())
+	_, b := runOK(t, benchfn.ZDT1(6), zdtOptions())
 	for i := range a.Final {
 		for k := range a.Final[i].X {
 			if a.Final[i].X[k] != b.Final[i].X[k] {
@@ -143,7 +124,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestFinalPhaseSinglePartitionConverges(t *testing.T) {
 	// With the final phase a single partition, MESACGA degenerates to a
 	// global GA at the end; the front should be close to ZDT1's optimum.
-	res := runOK(t, benchfn.ZDT1(8), zdtConfig())
+	_, res := runOK(t, benchfn.ZDT1(8), zdtOptions())
 	worst := 0.0
 	for _, ind := range res.Front {
 		gap := ind.Objectives[1] - (1 - math.Sqrt(ind.Objectives[0]))
@@ -155,9 +136,9 @@ func TestFinalPhaseSinglePartitionConverges(t *testing.T) {
 }
 
 func TestPhaseFrontsAreDeepCopies(t *testing.T) {
-	res := runOK(t, benchfn.ZDT1(6), zdtConfig())
+	e, res := runOK(t, benchfn.ZDT1(6), zdtOptions())
 	// Mutating a phase front must not corrupt the final population.
-	for _, front := range res.PhaseFronts {
+	for _, front := range e.PhaseFronts() {
 		for _, ind := range front {
 			ind.X[0] = 999
 		}
@@ -169,13 +150,14 @@ func TestPhaseFrontsAreDeepCopies(t *testing.T) {
 	}
 }
 
-// runOK is Run with faults fatal: the fixtures here never fault, so any
-// returned error is a regression in the legacy wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK drives a fresh engine through search.Run with faults fatal: the
+// fixtures here never fault, so any returned error is a regression.
+func runOK(t *testing.T, prob objective.Problem, opts search.Options) (*Engine, *search.Result) {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	e := new(Engine)
+	res, err := search.Run(context.Background(), e, prob, opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
+	return e, res
 }

@@ -4,13 +4,11 @@
 // Global competition baseline whose Pareto fronts cluster on the integrator
 // problem (fig. 2).
 //
-// The optimizer is exposed two ways: the step-wise Engine implementing
-// search.Engine (registered as "nsga2"), and the legacy Run entry point,
-// now a thin wrapper over search.Run.
+// The optimizer is the step-wise Engine implementing search.Engine
+// (registered as "nsga2"); drive it with search.Run or search.NewDriver.
 package nsga2
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 
@@ -23,77 +21,6 @@ import (
 func init() {
 	search.Register("nsga2", func() search.Engine { return new(Engine) })
 	gob.Register(&Snapshot{}) // so Checkpoint.State round-trips through encoding/gob
-}
-
-// Config holds the NSGA-II hyperparameters — the legacy configuration
-// surface, mapped 1:1 onto search.Options by Run.
-type Config struct {
-	// PopSize is the population size (even; odd values are rounded up).
-	PopSize int
-	// Generations is the number of iterations to run.
-	Generations int
-	// Ops are the variation operators; zero value is replaced by
-	// ga.DefaultOperators.
-	Ops ga.Operators
-	// Seed seeds all randomness of the run.
-	Seed int64
-	// Observer, when non-nil, is called after every generation with the
-	// current parent population. The callback must not retain pop.
-	Observer func(gen int, pop ga.Population)
-	// Initial, when non-nil, seeds the initial population (cloned); missing
-	// individuals are filled with uniform random samples.
-	Initial ga.Population
-	// Workers parallelizes objective evaluation: 0 selects NumCPU, 1
-	// forces the sequential path. Results are bit-identical either way.
-	Workers int
-	// Pool, when non-nil, supplies the persistent worker pool used for
-	// evaluation; nil selects the process-wide shared pool.
-	Pool *ga.Pool
-}
-
-// Result is the outcome of a run.
-type Result struct {
-	// Final is the last parent population, ranked.
-	Final ga.Population
-	// Front is the constrained non-dominated subset of Final.
-	Front ga.Population
-	// Generations actually executed.
-	Generations int
-}
-
-// options maps the legacy Config onto the unified search.Options.
-func (c Config) options() search.Options {
-	return search.Options{
-		PopSize:     c.PopSize,
-		Generations: c.Generations,
-		Seed:        c.Seed,
-		Ops:         c.Ops,
-		Initial:     c.Initial,
-		Workers:     c.Workers,
-		Pool:        c.Pool,
-		Observer:    c.Observer,
-	}
-}
-
-func (c *Config) normalize() {
-	o := c.options()
-	o.Normalize()
-	c.PopSize, c.Generations, c.Ops = o.PopSize, o.Generations, o.Ops
-	if c.PopSize%2 == 1 {
-		c.PopSize++
-	}
-}
-
-// Run executes NSGA-II on prob — the legacy entry point, a wrapper over
-// the step-wise engine driven by search.Run. On an evaluation fault the
-// best-so-far result is returned alongside the typed error.
-func Run(prob objective.Problem, cfg Config) (*Result, error) {
-	eng := new(Engine)
-	res, err := search.Run(context.Background(), eng, prob, cfg.options())
-	if res == nil {
-		return nil, err
-	}
-	return &Result{Final: res.Final, Front: res.Front, Generations: res.Generations}, err
 }
 
 // Engine is the step-wise NSGA-II driver implementing search.Engine. The
@@ -186,9 +113,6 @@ func (e *Engine) Step() error {
 		ind.Age++
 	}
 	e.gen++
-	if cfg.Observer != nil {
-		cfg.Observer(e.gen-1, e.pop) // legacy hook counts generations from 0
-	}
 	if evalErr != nil {
 		// The generation completed — quarantined children simply lost the
 		// selection — so the engine stays valid; the error tells the driver

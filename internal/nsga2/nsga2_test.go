@@ -1,6 +1,7 @@
 package nsga2
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
 	"sacga/internal/rng"
+	"sacga/internal/search"
 )
 
 func TestRunZDT1Converges(t *testing.T) {
 	prob := objective.NewCounter(benchfn.ZDT1(10))
-	res := runOK(t, prob, Config{PopSize: 60, Generations: 120, Seed: 1})
+	res := runOK(t, prob, search.Options{PopSize: 60, Generations: 120, Seed: 1})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
@@ -36,8 +38,8 @@ func TestRunZDT1Converges(t *testing.T) {
 }
 
 func TestRunDeterministicForSeed(t *testing.T) {
-	a := runOK(t, benchfn.ZDT1(6), Config{PopSize: 20, Generations: 10, Seed: 7})
-	b := runOK(t, benchfn.ZDT1(6), Config{PopSize: 20, Generations: 10, Seed: 7})
+	a := runOK(t, benchfn.ZDT1(6), search.Options{PopSize: 20, Generations: 10, Seed: 7})
+	b := runOK(t, benchfn.ZDT1(6), search.Options{PopSize: 20, Generations: 10, Seed: 7})
 	if len(a.Final) != len(b.Final) {
 		t.Fatal("population sizes differ")
 	}
@@ -48,7 +50,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 			}
 		}
 	}
-	c := runOK(t, benchfn.ZDT1(6), Config{PopSize: 20, Generations: 10, Seed: 8})
+	c := runOK(t, benchfn.ZDT1(6), search.Options{PopSize: 20, Generations: 10, Seed: 8})
 	same := true
 	for i := range a.Final {
 		for k := range a.Final[i].X {
@@ -63,7 +65,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 }
 
 func TestRunConstrainedFeasibleFront(t *testing.T) {
-	res := runOK(t, benchfn.Constr(), Config{PopSize: 60, Generations: 80, Seed: 3})
+	res := runOK(t, benchfn.Constr(), search.Options{PopSize: 60, Generations: 80, Seed: 3})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
@@ -77,28 +79,28 @@ func TestRunConstrainedFeasibleFront(t *testing.T) {
 func TestHypervolumeImprovesOverGenerations(t *testing.T) {
 	ref := hypervolume.Point2{X: 2, Y: 10}
 	var early, late float64
-	obs := func(gen int, pop ga.Population) {
-		front := pop.FirstFront()
+	obs := search.ObserverFunc(func(f *search.Frame) {
+		front := f.Pop.FirstFront()
 		pts := make([]hypervolume.Point2, len(front))
 		for i, ind := range front {
 			pts[i] = hypervolume.Point2{X: ind.Objectives[0], Y: ind.Objectives[1]}
 		}
 		hv := hypervolume.RefPoint2D(pts, ref)
-		if gen == 5 {
+		if f.Gen == 6 {
 			early = hv
 		}
-		if gen == 79 {
+		if f.Gen == 80 {
 			late = hv
 		}
-	}
-	runOK(t, benchfn.ZDT1(10), Config{PopSize: 40, Generations: 80, Seed: 5, Observer: obs})
+	})
+	runOK(t, benchfn.ZDT1(10), search.Options{PopSize: 40, Generations: 80, Seed: 5}, obs)
 	if late <= early {
 		t.Fatalf("hypervolume did not improve: early %g late %g", early, late)
 	}
 }
 
 func TestConfigNormalization(t *testing.T) {
-	res := runOK(t, benchfn.Schaffer(), Config{PopSize: 11, Generations: 5, Seed: 1})
+	res := runOK(t, benchfn.Schaffer(), search.Options{PopSize: 11, Generations: 5, Seed: 1})
 	if len(res.Final) != 12 {
 		t.Fatalf("odd pop size should round up to 12, got %d", len(res.Final))
 	}
@@ -111,7 +113,7 @@ func TestInitialPopulationSeeding(t *testing.T) {
 	for i := range seed {
 		seed[i] = &ga.Individual{X: []float64{1.0}}
 	}
-	res := runOK(t, benchfn.Schaffer(), Config{PopSize: 8, Generations: 1, Seed: 2, Initial: seed})
+	res := runOK(t, benchfn.Schaffer(), search.Options{PopSize: 8, Generations: 1, Seed: 2, Initial: seed})
 	if len(res.Final) != 8 {
 		t.Fatalf("final size %d", len(res.Final))
 	}
@@ -120,18 +122,18 @@ func TestInitialPopulationSeeding(t *testing.T) {
 func TestMakeChildrenCount(t *testing.T) {
 	prob := benchfn.ZDT1(5)
 	lo, hi := prob.Bounds()
-	res := runOK(t, prob, Config{PopSize: 10, Generations: 1, Seed: 9})
+	res := runOK(t, prob, search.Options{PopSize: 10, Generations: 1, Seed: 9})
 	kids := MakeChildren(rng.New(4), res.Final, ga.DefaultOperators(), lo, hi, 7)
 	if len(kids) != 7 {
 		t.Fatalf("MakeChildren returned %d, want 7", len(kids))
 	}
 }
 
-// runOK is Run with faults fatal: the fixtures here never fault, so any
-// returned error is a regression in the legacy wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK is search.Run on a fresh engine with faults fatal: the fixtures
+// here never fault, so any returned error is a regression.
+func runOK(t *testing.T, prob objective.Problem, opts search.Options, obs ...search.Observer) *search.Result {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	res, err := search.Run(context.Background(), new(Engine), prob, opts, obs...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

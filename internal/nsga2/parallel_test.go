@@ -7,6 +7,7 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/process"
+	"sacga/internal/search"
 	"sacga/internal/sizing"
 )
 
@@ -24,11 +25,11 @@ func frontHV(front ga.Population) float64 {
 // contract: Workers > 1 (pooled evaluation) must reproduce the sequential
 // run exactly — same decision vectors, same objectives, same metric.
 func TestParallelEvaluationBitIdentical(t *testing.T) {
-	cfg := Config{PopSize: 40, Generations: 30, Seed: 11}
-	seq := runOK(t, benchfn.ZDT1(8), cfg)
+	opts := search.Options{PopSize: 40, Generations: 30, Seed: 11}
+	seq := runOK(t, benchfn.ZDT1(8), opts)
 
-	cfg.Workers = 8
-	par := runOK(t, benchfn.ZDT1(8), cfg)
+	opts.Workers = 8
+	par := runOK(t, benchfn.ZDT1(8), opts)
 
 	if len(seq.Front) != len(par.Front) {
 		t.Fatalf("front sizes differ: %d vs %d", len(seq.Front), len(par.Front))
@@ -57,12 +58,12 @@ func TestPrivatePoolMatchesSharedPool(t *testing.T) {
 	pool := ga.NewPool(3)
 	defer pool.Close()
 
-	cfg := Config{PopSize: 40, Generations: 20, Seed: 13}
-	seq := runOK(t, benchfn.ZDT1(6), cfg)
+	opts := search.Options{PopSize: 40, Generations: 20, Seed: 13}
+	seq := runOK(t, benchfn.ZDT1(6), opts)
 
-	cfg.Workers = 3
-	cfg.Pool = pool
-	private := runOK(t, benchfn.ZDT1(6), cfg)
+	opts.Workers = 3
+	opts.Pool = pool
+	private := runOK(t, benchfn.ZDT1(6), opts)
 
 	if frontHV(seq.Front) != frontHV(private.Front) {
 		t.Fatal("private-pool run diverged from sequential run")
@@ -75,11 +76,11 @@ func TestPrivatePoolMatchesSharedPool(t *testing.T) {
 // bit-for-bit.
 func TestBatchProblemEngineDeterminism(t *testing.T) {
 	prob := sizing.New(process.Default018(), sizing.PaperSpec())
-	cfg := Config{PopSize: 26, Generations: 6, Seed: 17, Workers: 1}
-	seq := runOK(t, prob, cfg)
+	opts := search.Options{PopSize: 26, Generations: 6, Seed: 17, Workers: 1}
+	seq := runOK(t, prob, opts)
 
-	cfg.Workers = 5
-	par := runOK(t, prob, cfg)
+	opts.Workers = 5
+	par := runOK(t, prob, opts)
 
 	for i := range seq.Final {
 		for d := range seq.Final[i].X {

@@ -20,11 +20,11 @@ func zdtFrontHV(front ga.Population) float64 {
 // pooled evaluation (Workers > 1) must reproduce the sequential run exactly
 // — the annealed competition consumes the same random streams either way.
 func TestParallelEvaluationBitIdentical(t *testing.T) {
-	cfg := zdtConfig(40, 5)
-	seq := runOK(t, benchfn.ZDT1(8), cfg)
+	opts := zdtOptions(40, 5)
+	_, seq := runOK(t, benchfn.ZDT1(8), opts)
 
-	cfg.Workers = 8
-	par := runOK(t, benchfn.ZDT1(8), cfg)
+	opts.Workers = 8
+	_, par := runOK(t, benchfn.ZDT1(8), opts)
 
 	if len(seq.Final) != len(par.Final) {
 		t.Fatalf("population sizes differ: %d vs %d", len(seq.Final), len(par.Final))
@@ -52,12 +52,12 @@ func TestPrivatePoolBitIdentical(t *testing.T) {
 	pool := ga.NewPool(4)
 	defer pool.Close()
 
-	cfg := zdtConfig(40, 5)
-	seq := runOK(t, benchfn.ZDT1(6), cfg)
+	opts := zdtOptions(40, 5)
+	_, seq := runOK(t, benchfn.ZDT1(6), opts)
 
-	cfg.Workers = 4
-	cfg.Pool = pool
-	par := runOK(t, benchfn.ZDT1(6), cfg)
+	opts.Workers = 4
+	opts.Pool = pool
+	_, par := runOK(t, benchfn.ZDT1(6), opts)
 
 	if zdtFrontHV(seq.Front) != zdtFrontHV(par.Front) {
 		t.Fatal("private-pool run diverged from sequential run")
@@ -70,15 +70,11 @@ func TestPrivatePoolBitIdentical(t *testing.T) {
 // warm.
 func TestKernelsSteadyStateZeroAlloc(t *testing.T) {
 	prob := benchfn.ZDT1(8)
-	e := newEngineOK(t, prob, zdtConfig(60, 6))
+	e := initOK(t, prob, zdtOptions(60, 6))
 	// Warm every buffer with a few full iterations (children, union,
 	// double-buffered populations, group-by, sorter adjacency).
-	if _, err := e.PhaseI(3); err != nil {
-		t.Fatalf("PhaseI: %v", err)
-	}
-	if err := e.PhaseII(3); err != nil {
-		t.Fatalf("PhaseII: %v", err)
-	}
+	stepsOK(t, e.StepLocal, 3)
+	stepsOK(t, e.StepMixed, 3)
 
 	union := append(append(ga.Population{}, e.pop...), e.pop.Clone()...)
 	e.assign(union)

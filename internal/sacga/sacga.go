@@ -31,7 +31,6 @@
 package sacga
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -53,76 +52,12 @@ func init() {
 // individual in the revised-rank ordering.
 const deadRankOffset = 1 << 20
 
-// Default phase budgets applied by Config/Params normalization.
-const (
-	// DefaultGentMax caps phase I when unset.
-	DefaultGentMax = 200
-	// DefaultSpan is the phase-II length when neither a span nor a total
-	// generation budget pins it.
-	DefaultSpan = 600
-)
-
-// Config holds the SACGA hyperparameters.
-type Config struct {
-	// PopSize is the population size.
-	PopSize int
-	// Partitions is m, the number of equal partitions of the objective axis.
-	Partitions int
-	// PartitionObjective selects the partitioned (minimized) objective axis;
-	// PartitionLo/Hi bound it. For the integrator problem: objective 1,
-	// [−CLMax, −CLMin].
-	PartitionObjective       int
-	PartitionLo, PartitionHi float64
-	// GentMax caps phase I (pure local competition).
-	GentMax int
-	// Span is the number of phase-II iterations (the annealing length).
-	Span int
-	// N is the desired number of globally superior solutions per partition
-	// (the n of eqn. 2).
-	N int
-	// Shape are the eqn. 2–4 constants; nil selects DefaultShape(N).
-	Shape *Shape
-	// Ops are the variation operators (zero value → ga.DefaultOperators).
-	Ops ga.Operators
-	// Pressure is the linear-ranking selection pressure of the global
-	// mating pool (default 1.8).
-	Pressure float64
-	// Seed drives all randomness.
-	Seed int64
-	// Observer, when non-nil, is called after every iteration (phase I and
-	// II) with the current population. The callback must not retain pop:
-	// the engine recycles population buffers across iterations.
-	Observer func(gen int, pop ga.Population)
-	// Initial seeds the population (cloned; filled up with random points).
-	Initial ga.Population
-	// Workers parallelizes objective evaluation: 0 selects NumCPU, 1
-	// forces the sequential path. Results are bit-identical either way.
-	Workers int
-	// Pool, when non-nil, supplies the persistent worker pool used for
-	// evaluation; nil selects the process-wide shared pool.
-	Pool *ga.Pool
-}
-
-// Result of a SACGA run.
-type Result struct {
-	// Final is the last population. It is a live view of the engine's
-	// buffers: valid indefinitely after Run/RunLocalOnly, but invalidated
-	// by driving the same Engine further (Clone it first in that case).
-	Final ga.Population
-	// Front is the globally non-dominated subset of Final (the one global
-	// competition performed at the end).
-	Front ga.Population
-	// GentUsed is the number of iterations phase I consumed.
-	GentUsed int
-	// Generations is the total number of iterations executed.
-	Generations int
-	// Live flags which partitions survived phase I.
-	Live []bool
-}
+// DefaultGentMax caps phase I when Params.GentMax is unset.
+const DefaultGentMax = 200
 
 // Params is the SACGA extension struct carried by search.Options.Extra:
 // the algorithm-specific knobs, with the common hyperparameters (PopSize,
-// Generations, Seed, Ops, Workers, Pool, Initial, Observer) coming from
+// Generations, Seed, Ops, Workers, Pool, Initial) coming from
 // search.Options itself. The zero value selects the defaults.
 type Params struct {
 	// Partitions is m, the number of equal partitions of the objective
@@ -134,8 +69,8 @@ type Params struct {
 	PartitionLo, PartitionHi float64
 	// GentMax caps phase I (default 200).
 	GentMax int
-	// Span, when > 0, pins the phase-II length exactly (the legacy Run
-	// semantics). When 0, phase II consumes the remainder of
+	// Span, when > 0, pins the phase-II length exactly, however long
+	// phase I ran. When 0, phase II consumes the remainder of
 	// Options.Generations after phase I — max(1, Generations-gentUsed) —
 	// which keeps runs evaluation-comparable across algorithms, the way
 	// the paper's budget-matched comparisons are set up.
@@ -154,125 +89,52 @@ type Params struct {
 	LocalOnly bool
 }
 
-func (c *Config) normalize(nobj int) {
-	// Shared defaulting lives in search.Options; only the SACGA-specific
-	// knobs are normalized here.
-	o := search.Options{PopSize: c.PopSize, Generations: 1, Ops: c.Ops}
-	o.Normalize()
-	c.PopSize, c.Ops = o.PopSize, o.Ops
-	if c.Partitions <= 0 {
-		c.Partitions = 8
+// normalize applies the SACGA defaults in place. Span is left as given:
+// 0 selects the derived phase-II length.
+func (p *Params) normalize(nobj int) {
+	if p.Partitions <= 0 {
+		p.Partitions = 8
 	}
-	if c.PartitionObjective < 0 || c.PartitionObjective >= nobj {
-		c.PartitionObjective = nobj - 1
+	if p.PartitionObjective < 0 || p.PartitionObjective >= nobj {
+		p.PartitionObjective = nobj - 1
 	}
-	if c.GentMax <= 0 {
-		c.GentMax = DefaultGentMax
+	if p.GentMax <= 0 {
+		p.GentMax = DefaultGentMax
 	}
-	if c.Span <= 0 {
-		c.Span = DefaultSpan
+	if p.N <= 0 {
+		p.N = 5
 	}
-	if c.N <= 0 {
-		c.N = 5
+	if p.Shape == nil {
+		s := DefaultShape(p.N)
+		p.Shape = &s
 	}
-	if c.Shape == nil {
-		s := DefaultShape(c.N)
-		c.Shape = &s
-	}
-	if c.Pressure <= 1 || c.Pressure > 2 {
-		c.Pressure = 1.8
+	if p.Pressure <= 1 || p.Pressure > 2 {
+		p.Pressure = 1.8
 	}
 }
 
-// options maps a normalized legacy Config onto the unified search.Options.
-// The normalized Span is pinned explicitly, preserving the legacy "full
-// Span regardless of phase-I length" semantics.
-func (c Config) options() search.Options {
-	return search.Options{
-		PopSize:     c.PopSize,
-		Generations: c.GentMax + c.Span,
-		Seed:        c.Seed,
-		Ops:         c.Ops,
-		Initial:     c.Initial,
-		Workers:     c.Workers,
-		Pool:        c.Pool,
-		Observer:    c.Observer,
-		Extra: &Params{
-			Partitions:         c.Partitions,
-			PartitionObjective: c.PartitionObjective,
-			PartitionLo:        c.PartitionLo,
-			PartitionHi:        c.PartitionHi,
-			GentMax:            c.GentMax,
-			Span:               c.Span,
-			N:                  c.N,
-			Shape:              c.Shape,
-			Pressure:           c.Pressure,
-		},
-	}
-}
-
-// Run executes SACGA: phase I until feasibility coverage (bounded by
-// GentMax), then Span iterations of annealed mixed competition. It is the
-// legacy entry point, a wrapper over the step-wise engine driven by
-// search.Run.
-func Run(prob objective.Problem, cfg Config) (*Result, error) {
-	cfg.normalize(prob.NumObjectives())
-	e := new(Engine)
-	res, err := search.Run(context.Background(), e, prob, cfg.options())
-	if res == nil {
-		return nil, err
-	}
-	return e.result(e.gentUsed), err
-}
-
-// RunLocalOnly is the paper's §4.3 ablation: local competition for the
-// whole budget, with one global competition at the end to extract the
-// Pareto front. Dead partitions are never discarded (there is no phase
-// boundary). A wrapper over the engine's Params.LocalOnly mode.
-func RunLocalOnly(prob objective.Problem, cfg Config, generations int) (*Result, error) {
-	cfg.normalize(prob.NumObjectives())
-	if generations <= 0 {
-		e, err := NewEngine(prob, cfg)
-		if e == nil {
-			return nil, err
-		}
-		return e.result(generations), err
-	}
-	opts := cfg.options()
-	opts.Generations = generations
-	opts.Extra.(*Params).LocalOnly = true
-	e := new(Engine)
-	res, err := search.Run(context.Background(), e, prob, opts)
-	if res == nil {
-		return nil, err
-	}
-	return e.result(e.gen), err
-}
-
-// Engine exposes SACGA's phases so MESACGA can drive them with an expanding
-// partition schedule, and implements the step-wise search.Engine interface
-// (registered as "sacga"). Construct with NewEngine, or with new(Engine)
-// followed by Init/Restore; the zero value before either is unusable.
+// Engine is the step-wise SACGA driver implementing search.Engine
+// (registered as "sacga"). It also exposes the phase primitives — StepLocal,
+// StepMixed, MarkDead, Regrid — that MESACGA drives with an expanding
+// partition schedule. The zero value is ready for Init (or Restore).
 type Engine struct {
-	prob objective.Problem
-	cfg  Config
-	s    *rng.Stream
-	grid Grid
-	pop  ga.Population
-	dead []bool
-	gen  int // global iteration counter (for Observer)
+	prob   objective.Problem
+	opts   search.Options // normalized
+	params Params         // normalized private copy of Options.Extra
+	s      *rng.Stream
+	grid   Grid
+	pop    ga.Population
+	dead   []bool
+	gen    int // global iteration counter
 
 	// Step-wise driver state (search.Engine). stage walks phase I → II;
 	// the phase transition (MarkDead + span derivation) folds into the
 	// Step that crosses it, so one Step is always one iteration.
-	budget     search.EvalBudget
-	stage      int  // stagePhaseI or stagePhaseII
-	t          int  // iteration index within the current stage
-	span       int  // phase-II length, fixed at the transition
-	gentUsed   int  // iterations phase I consumed
-	totalIters int  // Options.Generations (span derivation, LocalOnly)
-	deriveSpan bool // Params.Span == 0: span = Generations - gentUsed
-	localOnly  bool // §4.3 ablation: no phase II, no discarding
+	budget   search.EvalBudget
+	stage    int // stagePhaseI or stagePhaseII
+	t        int // iteration index within the current stage
+	span     int // phase-II length, fixed at the transition
+	gentUsed int // iterations phase I consumed
 
 	// Steady-state scratch. The per-generation kernels (partition group-by,
 	// local/global non-dominated sorts, rank revision, environmental
@@ -295,71 +157,6 @@ type Engine struct {
 	childBuf     ga.Population   // iterate: offspring
 }
 
-// NewEngine initializes the population and partition grid. On an
-// evaluation fault the engine is still returned fully initialized — the
-// failed individuals quarantined — alongside the typed error.
-func NewEngine(prob objective.Problem, cfg Config) (*Engine, error) {
-	e := new(Engine)
-	err := e.start(prob, cfg, 0)
-	e.totalIters = cfg.GentMax + cfg.Span
-	return e, err
-}
-
-// start is the construction core shared by NewEngine and Init: normalize,
-// wire the evaluation budget, build the grid, seed and evaluate the
-// initial population, and reset the step machine. An evaluation fault
-// quarantines the failed individuals and is returned after the engine is
-// fully initialized.
-func (e *Engine) start(prob objective.Problem, cfg Config, maxEvals int64) error {
-	cfg.normalize(prob.NumObjectives())
-	e.cfg = cfg
-	e.prob = e.budget.Attach(prob, maxEvals)
-	e.s = rng.Derive(cfg.Seed, "sacga")
-	e.stage, e.t, e.span, e.gentUsed, e.gen = stagePhaseI, 0, 0, 0, 0
-	e.grid = NewGrid(cfg.PartitionObjective, cfg.PartitionLo, cfg.PartitionHi, cfg.Partitions)
-	e.dead = make([]bool, e.grid.M)
-	lo, hi := prob.Bounds()
-	e.pop = make(ga.Population, 0, cfg.PopSize)
-	for _, ind := range cfg.Initial {
-		if len(e.pop) == cfg.PopSize {
-			break
-		}
-		e.pop = append(e.pop, ind.Clone())
-	}
-	for len(e.pop) < cfg.PopSize {
-		e.pop = append(e.pop, ga.NewRandom(e.s, lo, hi))
-	}
-	evalErr := e.pop.TryEvaluateWith(e.prob, cfg.Pool, cfg.Workers)
-	e.assign(e.pop)
-	e.localRanks(e.pop)
-	if evalErr != nil {
-		return fmt.Errorf("sacga: %w", evalErr)
-	}
-	return nil
-}
-
-// configFor maps (Options, Params) to the internal Config.
-func configFor(opts search.Options, p *Params) Config {
-	return Config{
-		PopSize:            opts.PopSize,
-		Partitions:         p.Partitions,
-		PartitionObjective: p.PartitionObjective,
-		PartitionLo:        p.PartitionLo,
-		PartitionHi:        p.PartitionHi,
-		GentMax:            p.GentMax,
-		Span:               p.Span,
-		N:                  p.N,
-		Shape:              p.Shape,
-		Ops:                opts.Ops,
-		Pressure:           p.Pressure,
-		Seed:               opts.Seed,
-		Observer:           opts.Observer,
-		Initial:            opts.Initial,
-		Workers:            opts.Workers,
-		Pool:               opts.Pool,
-	}
-}
-
 const (
 	stagePhaseI = iota
 	stagePhaseII
@@ -368,39 +165,74 @@ const (
 // Name implements search.Engine.
 func (e *Engine) Name() string { return "sacga" }
 
-// Init implements search.Engine. Options.Extra may carry a *Params; nil
-// selects the defaults (8 partitions over [PartitionLo,PartitionHi] = [0,0]
-// is almost never what a caller wants, so Extra is nil only in tests).
-func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
+// prepare applies the option/problem wiring shared by Init and Restore. The
+// extension struct is copied before it is normalized: schedulers hand one
+// Params pointer to every replica, so it must stay read-only here.
+func (e *Engine) prepare(prob objective.Problem, opts search.Options) error {
 	p, err := search.Extension[Params](opts)
 	if err != nil {
 		return fmt.Errorf("sacga: %w", err)
 	}
 	opts.Normalize()
-	err = e.start(prob, configFor(opts, p), opts.MaxEvals)
-	e.totalIters = opts.Generations
-	e.deriveSpan = p.Span <= 0
-	e.localOnly = p.LocalOnly
-	return err
+	e.opts, e.params = opts, *p
+	e.params.normalize(prob.NumObjectives())
+	e.prob = e.budget.Attach(prob, opts.MaxEvals)
+	return nil
+}
+
+// Init implements search.Engine: it builds the partition grid, then seeds,
+// evaluates and locally ranks the initial population. Options.Extra may
+// carry a *Params; nil selects the defaults (8 partitions over
+// [PartitionLo,PartitionHi] = [0,0] is almost never what a caller wants,
+// so Extra is nil only in tests). An evaluation fault quarantines the
+// failed individuals and is returned after the engine is fully
+// initialized.
+func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
+	if err := e.prepare(prob, opts); err != nil {
+		return err
+	}
+	o, p := &e.opts, &e.params
+	e.s = rng.Derive(o.Seed, "sacga")
+	e.stage, e.t, e.span, e.gentUsed, e.gen = stagePhaseI, 0, 0, 0, 0
+	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, p.Partitions)
+	e.dead = make([]bool, e.grid.M)
+	lo, hi := prob.Bounds()
+	e.pop = make(ga.Population, 0, o.PopSize)
+	for _, ind := range o.Initial {
+		if len(e.pop) == o.PopSize {
+			break
+		}
+		e.pop = append(e.pop, ind.Clone())
+	}
+	for len(e.pop) < o.PopSize {
+		e.pop = append(e.pop, ga.NewRandom(e.s, lo, hi))
+	}
+	evalErr := e.pop.TryEvaluateWith(e.prob, o.Pool, o.Workers)
+	e.assign(e.pop)
+	e.localRanks(e.pop)
+	if evalErr != nil {
+		return fmt.Errorf("sacga: %w", evalErr)
+	}
+	return nil
 }
 
 // Step implements search.Engine: one SACGA iteration. In phase I it first
 // checks the phase-exit condition (full feasibility coverage or GentMax)
 // and, when met, performs the transition — MarkDead and the span
-// derivation — before running the first phase-II iteration, exactly as the
-// monolithic loop did.
+// derivation — before running the first phase-II iteration, so one Step
+// is always one iteration.
 func (e *Engine) Step() error {
 	if e.Done() {
 		return nil
 	}
-	if e.localOnly {
-		err := e.iterate(e.t, e.totalIters, true)
+	if e.params.LocalOnly {
+		err := e.iterate(e.t, e.opts.Generations, true)
 		e.t++
 		return err
 	}
 	if e.stage == stagePhaseI {
 		if e.t < e.phaseICap() && !e.allPartitionsFeasible() {
-			err := e.iterate(e.t, e.cfg.GentMax, true)
+			err := e.iterate(e.t, e.params.GentMax, true)
 			e.t++
 			return err
 		}
@@ -408,9 +240,9 @@ func (e *Engine) Step() error {
 		e.MarkDead()
 		e.stage = stagePhaseII
 		e.t = 0
-		e.span = e.cfg.Span
-		if e.deriveSpan {
-			e.span = e.totalIters - e.gentUsed
+		e.span = e.params.Span
+		if e.params.Span <= 0 {
+			e.span = e.opts.Generations - e.gentUsed
 			if e.span < 1 {
 				e.span = 1
 			}
@@ -425,8 +257,8 @@ func (e *Engine) Step() error {
 // MESACGA step machines: GentMax bounds phase I, additionally clipped to
 // the total generation budget in derived-span mode — a never-feasible
 // problem must not let phase I silently run GentMax generations past a
-// smaller Options.Generations. Pinned-span runs keep the legacy semantics
-// (GentMax alone bounds phase I, the span runs in full regardless).
+// smaller Options.Generations. In pinned-span runs GentMax alone bounds
+// phase I, and the span runs in full regardless.
 func BoundedGentMax(gentMax, totalIters int, derivedSpan bool) int {
 	if derivedSpan && totalIters < gentMax {
 		return totalIters
@@ -435,7 +267,7 @@ func BoundedGentMax(gentMax, totalIters int, derivedSpan bool) int {
 }
 
 func (e *Engine) phaseICap() int {
-	return BoundedGentMax(e.cfg.GentMax, e.totalIters, e.deriveSpan)
+	return BoundedGentMax(e.params.GentMax, e.opts.Generations, e.params.Span <= 0)
 }
 
 // Done implements search.Engine.
@@ -443,8 +275,8 @@ func (e *Engine) Done() bool {
 	if e.budget.Exhausted() {
 		return true
 	}
-	if e.localOnly {
-		return e.t >= e.totalIters
+	if e.params.LocalOnly {
+		return e.t >= e.opts.Generations
 	}
 	return e.stage == stagePhaseII && e.t >= e.span
 }
@@ -493,29 +325,18 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // restoreSnapshot rebuilds engine state from a snapshot. The caller must
-// have prepared cfg/budget/prob (start's bookkeeping half) first.
+// have run prepare first.
 func (e *Engine) restoreSnapshot(sn *Snapshot) {
 	e.s = rng.FromState(sn.RNG)
 	e.pop = search.UnsnapPopulation(sn.Pop)
 	e.dead = append([]bool(nil), sn.Dead...)
-	e.grid = NewGrid(e.cfg.PartitionObjective, e.cfg.PartitionLo, e.cfg.PartitionHi, sn.Partitions)
+	p := &e.params
+	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, sn.Partitions)
 	e.gen = sn.Gen
 	e.stage = sn.Stage
 	e.t = sn.T
 	e.span = sn.Span
 	e.gentUsed = sn.GentUsed
-}
-
-// NewEngineFromSnapshot rebuilds an engine from a Snapshot under the same
-// problem and Config the original was started with, without re-evaluating
-// anything. The MESACGA restore path uses it to resurrect its inner engine.
-func NewEngineFromSnapshot(prob objective.Problem, cfg Config, sn *Snapshot) *Engine {
-	e := new(Engine)
-	cfg.normalize(prob.NumObjectives())
-	e.cfg = cfg
-	e.prob = e.budget.Attach(prob, 0)
-	e.restoreSnapshot(sn)
-	return e
 }
 
 // Checkpoint implements search.Engine.
@@ -532,19 +353,10 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	if !ok {
 		return fmt.Errorf("sacga: checkpoint state is %T, want *sacga.Snapshot", cp.State)
 	}
-	p, err := search.Extension[Params](opts)
-	if err != nil {
-		return fmt.Errorf("sacga: %w", err)
+	if err := e.prepare(prob, opts); err != nil {
+		return err
 	}
-	opts.Normalize()
-	cfg := configFor(opts, p)
-	cfg.normalize(prob.NumObjectives())
-	e.cfg = cfg
-	e.prob = e.budget.Attach(prob, opts.MaxEvals)
 	e.budget.RestoreEvals(cp.Evals)
-	e.totalIters = opts.Generations
-	e.deriveSpan = p.Span <= 0
-	e.localOnly = p.LocalOnly
 	e.restoreSnapshot(sn)
 	return nil
 }
@@ -594,12 +406,12 @@ func (e *Engine) FeasibleEverywhere() bool { return e.allPartitionsFeasible() }
 
 // Population returns the current population — a live view, not a copy.
 // The engine recycles population buffers across iterations, so the view is
-// invalidated by any further PhaseI/PhaseII/iterate call; Clone it to keep
-// a snapshot.
+// invalidated by any further Step/StepLocal/StepMixed call; Clone it to
+// keep a snapshot.
 func (e *Engine) Population() ga.Population { return e.pop }
 
-// Config returns the normalized configuration.
-func (e *Engine) Config() Config { return e.cfg }
+// Params returns the normalized extension parameters.
+func (e *Engine) Params() Params { return e.params }
 
 // Grid returns the active partition grid.
 func (e *Engine) Grid() Grid { return e.grid }
@@ -608,21 +420,6 @@ func (e *Engine) Grid() Grid { return e.grid }
 // population — the paper's "Global Competition performed once on the entire
 // population".
 func (e *Engine) Front() ga.Population { return e.pop.FirstFront() }
-
-// PhaseI runs pure local competition until every partition holds a
-// feasible solution or maxIters is exhausted; it returns the iterations
-// used.
-func (e *Engine) PhaseI(maxIters int) (int, error) {
-	for t := 0; t < maxIters; t++ {
-		if e.allPartitionsFeasible() {
-			return t, nil
-		}
-		if err := e.iterate(t, maxIters, true); err != nil {
-			return t + 1, err
-		}
-	}
-	return maxIters, nil
-}
 
 // MarkDead discards partitions without a constraint-satisfying solution —
 // the paper's post-phase-I cleanup ("partitions with no
@@ -641,7 +438,8 @@ func (e *Engine) MarkDead() {
 // a partition is live if any population member inside it is feasible OR the
 // whole population is still infeasible (no information yet).
 func (e *Engine) Regrid(m int) {
-	e.grid = NewGrid(e.cfg.PartitionObjective, e.cfg.PartitionLo, e.cfg.PartitionHi, m)
+	p := &e.params
+	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, m)
 	e.dead = make([]bool, m)
 	e.assign(e.pop)
 	if e.pop.FeasibleCount() > 0 {
@@ -656,31 +454,6 @@ func (e *Engine) Regrid(m int) {
 		e.infeasibleFallbackCheck()
 	}
 	e.localRanks(e.pop)
-}
-
-// PhaseII runs span iterations of annealed mixed competition, stopping
-// early on an evaluation fault (the faulting iteration completes first).
-func (e *Engine) PhaseII(span int) error {
-	for t := 0; t < span; t++ {
-		if err := e.iterate(t, span, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Engine) result(gent int) *Result {
-	live := make([]bool, len(e.dead))
-	for k, d := range e.dead {
-		live[k] = !d
-	}
-	return &Result{
-		Final:       e.pop,
-		Front:       e.Front(),
-		GentUsed:    gent,
-		Generations: e.gen,
-		Live:        live,
-	}
 }
 
 // assign writes partition indices from current objective values.
@@ -788,34 +561,34 @@ func (e *Engine) localRanks(pop ga.Population) {
 // participation unless pureLocal) and quota-based environmental selection
 // on the (µ+λ) union. t/span position the annealing schedule. An
 // evaluation fault quarantines the failed offspring; the iteration —
-// revision, selection, observer — still completes before the error is
+// revision and selection — still completes before the error is
 // returned, so the engine is valid at every return.
 func (e *Engine) iterate(t, span int, pureLocal bool) error {
 	lo, hi := e.prob.Bounds()
-	cfg := &e.cfg
+	o := &e.opts
 
 	// Global mating pool: rank-based selection over the entire population
 	// using the current (revised) ranks; global crossover and mutation into
 	// arena-recycled offspring buffers (the individuals the previous
 	// environmental selection discarded).
-	e.sel.Reset(e.pop, cfg.Pressure)
+	e.sel.Reset(e.pop, e.params.Pressure)
 	children := e.childBuf[:0]
-	for len(children) < cfg.PopSize {
+	for len(children) < o.PopSize {
 		p1 := e.sel.Pick(e.s)
 		p2 := e.sel.Pick(e.s)
 		c1, c2 := e.arena.Offspring(), e.arena.Offspring()
-		cfg.Ops.CrossoverInto(e.s, p1, p2, c1, c2, lo, hi)
-		cfg.Ops.Mutate(e.s, c1, lo, hi)
-		cfg.Ops.Mutate(e.s, c2, lo, hi)
+		o.Ops.CrossoverInto(e.s, p1, p2, c1, c2, lo, hi)
+		o.Ops.Mutate(e.s, c1, lo, hi)
+		o.Ops.Mutate(e.s, c2, lo, hi)
 		children = append(children, c1)
-		if len(children) < cfg.PopSize {
+		if len(children) < o.PopSize {
 			children = append(children, c2)
 		} else {
 			e.arena.Recycle(c2) // odd PopSize: return the dangling buffer
 		}
 	}
 	e.childBuf = children
-	evalErr := children.TryEvaluateWith(e.prob, cfg.Pool, cfg.Workers)
+	evalErr := children.TryEvaluateWith(e.prob, o.Pool, o.Workers)
 
 	union := append(append(e.unionBuf[:0], e.pop...), children...)
 	e.unionBuf = union
@@ -831,9 +604,6 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 		ind.Age++
 	}
 	e.gen++
-	if cfg.Observer != nil {
-		cfg.Observer(e.gen, e.pop)
-	}
 	if evalErr != nil {
 		return fmt.Errorf("sacga: %w", evalErr)
 	}
@@ -845,7 +615,7 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 // i = 1..mp and join with probability eqn. (3); participants' ranks (and
 // crowding) are replaced by their global values.
 func (e *Engine) reviseRanks(union ga.Population, t, span int) {
-	cfg := &e.cfg
+	p := &e.params
 	// The group-by computed by localRanks(union) is still valid: partitions
 	// have not changed since. Visit partitions in index order (a map here
 	// would leak nondeterminism into the shuffle stream); within a
@@ -865,8 +635,7 @@ func (e *Engine) reviseRanks(union ga.Population, t, span int) {
 		}
 		e.s.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		for j, i := range idx {
-			p := cfg.Shape.Probability(j+1, cfg.N, t, span)
-			if e.s.Bool(p) {
+			if e.s.Bool(p.Shape.Probability(j+1, p.N, t, span)) {
 				participants = append(participants, i)
 			}
 		}
@@ -890,7 +659,7 @@ func (e *Engine) reviseRanks(union ga.Population, t, span int) {
 // partition retains up to its quota in revised-rank order, then spare
 // capacity is refilled from the remaining individuals globally.
 func (e *Engine) environmentalSelect(union ga.Population) ga.Population {
-	cfg := &e.cfg
+	popSize := e.opts.PopSize
 	live := 0
 	for k := 0; k < e.grid.M; k++ {
 		if !e.dead[k] {
@@ -900,8 +669,8 @@ func (e *Engine) environmentalSelect(union ga.Population) ga.Population {
 	if live == 0 {
 		live = 1
 	}
-	quota := cfg.PopSize / live
-	extra := cfg.PopSize % live
+	quota := popSize / live
+	extra := popSize % live
 
 	// The group-by from localRanks(union) is still valid; segments are
 	// sorted in place, which is fine because the grouping is rebuilt on the
@@ -934,7 +703,7 @@ func (e *Engine) environmentalSelect(union ga.Population) ga.Population {
 			taken[i] = true
 		}
 	}
-	if len(out) < cfg.PopSize {
+	if len(out) < popSize {
 		rest := e.rest[:0]
 		for i := range union {
 			if !taken[i] {
@@ -944,15 +713,15 @@ func (e *Engine) environmentalSelect(union ga.Population) ga.Population {
 		e.rest = rest
 		e.arena.SortIndicesByCrowdedComparison(union, rest)
 		for _, i := range rest {
-			if len(out) == cfg.PopSize {
+			if len(out) == popSize {
 				break
 			}
 			out = append(out, union[i])
 			taken[i] = true
 		}
 	}
-	if len(out) > cfg.PopSize {
-		out = out[:cfg.PopSize]
+	if len(out) > popSize {
+		out = out[:popSize]
 	}
 	// Union members that survived neither the quota pass nor the global
 	// refill are dead: recycle their buffers as the next iteration's

@@ -1,6 +1,7 @@
 package sacga
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,24 +9,28 @@ import (
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
+	"sacga/internal/search"
 )
 
-// zdtConfig partitions ZDT1's f2 axis.
-func zdtConfig(pop, m int) Config {
-	return Config{
-		PopSize:            pop,
-		Partitions:         m,
-		PartitionObjective: 0,
-		PartitionLo:        0,
-		PartitionHi:        1,
-		GentMax:            20,
-		Span:               80,
-		Seed:               1,
+// zdtOptions partitions ZDT1's f1 axis: phase I capped at 20 iterations,
+// then a pinned 80-iteration span.
+func zdtOptions(pop, m int) search.Options {
+	return search.Options{
+		PopSize: pop,
+		Seed:    1,
+		Extra: &Params{
+			Partitions:         m,
+			PartitionObjective: 0,
+			PartitionLo:        0,
+			PartitionHi:        1,
+			GentMax:            20,
+			Span:               80,
+		},
 	}
 }
 
 func TestRunZDT1ProducesSpreadFront(t *testing.T) {
-	res := runOK(t, benchfn.ZDT1(8), zdtConfig(60, 6))
+	_, res := runOK(t, benchfn.ZDT1(8), zdtOptions(60, 6))
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
@@ -51,8 +56,8 @@ func TestRunZDT1ProducesSpreadFront(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := runOK(t, benchfn.ZDT1(6), zdtConfig(30, 4))
-	b := runOK(t, benchfn.ZDT1(6), zdtConfig(30, 4))
+	_, a := runOK(t, benchfn.ZDT1(6), zdtOptions(30, 4))
+	_, b := runOK(t, benchfn.ZDT1(6), zdtOptions(30, 4))
 	if len(a.Final) != len(b.Final) {
 		t.Fatal("sizes differ")
 	}
@@ -68,34 +73,33 @@ func TestRunDeterministic(t *testing.T) {
 func TestPhaseIEndsEarlyWhenFeasibleEverywhere(t *testing.T) {
 	// ZDT1 is unconstrained: every partition is "feasible" as soon as it
 	// is occupied, so phase I should terminate almost immediately.
-	res := runOK(t, benchfn.ZDT1(6), zdtConfig(40, 4))
-	if res.GentUsed > 10 {
-		t.Fatalf("unconstrained phase I used %d iterations", res.GentUsed)
+	e, _ := runOK(t, benchfn.ZDT1(6), zdtOptions(40, 4))
+	if e.GentUsed() > 10 {
+		t.Fatalf("unconstrained phase I used %d iterations", e.GentUsed())
 	}
 }
 
 func TestPopulationSizeStable(t *testing.T) {
-	cfg := zdtConfig(50, 5)
-	cfg.Observer = func(gen int, pop ga.Population) {
-		if len(pop) != 50 {
-			t.Fatalf("population size drifted to %d at gen %d", len(pop), gen)
+	runOK(t, benchfn.ZDT1(6), zdtOptions(50, 5), search.ObserverFunc(func(f *search.Frame) {
+		if len(f.Pop) != 50 {
+			t.Fatalf("population size drifted to %d at gen %d", len(f.Pop), f.Gen)
 		}
-	}
-	runOK(t, benchfn.ZDT1(6), cfg)
+	}))
 }
 
 func TestConstrainedProblemFeasibleFront(t *testing.T) {
-	cfg := Config{
-		PopSize:            40,
-		Partitions:         5,
-		PartitionObjective: 0,
-		PartitionLo:        0.1,
-		PartitionHi:        1,
-		GentMax:            30,
-		Span:               60,
-		Seed:               3,
-	}
-	res := runOK(t, benchfn.Constr(), cfg)
+	_, res := runOK(t, benchfn.Constr(), search.Options{
+		PopSize: 40,
+		Seed:    3,
+		Extra: &Params{
+			Partitions:         5,
+			PartitionObjective: 0,
+			PartitionLo:        0.1,
+			PartitionHi:        1,
+			GentMax:            30,
+			Span:               60,
+		},
+	})
 	if len(res.Front) == 0 {
 		t.Fatal("empty front")
 	}
@@ -110,27 +114,28 @@ func TestDeadPartitionsMarked(t *testing.T) {
 	// CONSTR's feasible f1 range is [0.39, 1] (f1 = x1 >= 0.39 needed for
 	// g1, g2): partitions covering f1 < 0.39 can never hold feasible
 	// points and must be discarded after phase I.
-	cfg := Config{
-		PopSize:            60,
-		Partitions:         10,
-		PartitionObjective: 0,
-		PartitionLo:        0.1,
-		PartitionHi:        1.0,
-		GentMax:            25,
-		Span:               30,
-		Seed:               5,
-	}
-	res := runOK(t, benchfn.Constr(), cfg)
-	if len(res.Live) != 10 {
-		t.Fatalf("live flags length %d", len(res.Live))
+	e, _ := runOK(t, benchfn.Constr(), search.Options{
+		PopSize: 60,
+		Seed:    5,
+		Extra: &Params{
+			Partitions:         10,
+			PartitionObjective: 0,
+			PartitionLo:        0.1,
+			PartitionHi:        1.0,
+			GentMax:            25,
+			Span:               30,
+		},
+	})
+	if len(e.dead) != 10 {
+		t.Fatalf("liveness flags length %d", len(e.dead))
 	}
 	// CONSTR is feasible only for f1 = x1 >= 7/18 ≈ 0.389: partition 0
 	// ([0.1, 0.19)) can never hold a feasible point and must die; the top
 	// partition ([0.91, 1.0]) is comfortably feasible and must live.
-	if res.Live[0] {
+	if !e.dead[0] {
 		t.Fatal("partition 0 covers an infeasible region and should be discarded")
 	}
-	if !res.Live[9] {
+	if e.dead[9] {
 		t.Fatal("the top partition is feasible and must stay live")
 	}
 }
@@ -151,9 +156,11 @@ func TestRunLocalOnlyKeepsDiversity(t *testing.T) {
 		}
 		return hypervolume.RefPoint2D(pts, ref)
 	}
-	cfg := zdtConfig(60, 6)
-	local := runLocalOnlyOK(t, prob, cfg, 100)
-	full := runOK(t, prob, cfg)
+	localOpts := zdtOptions(60, 6)
+	localOpts.Generations = 100
+	localOpts.Extra.(*Params).LocalOnly = true
+	_, local := runOK(t, prob, localOpts)
+	_, full := runOK(t, prob, zdtOptions(60, 6))
 	if len(local.Front) == 0 {
 		t.Fatal("local-only produced empty front")
 	}
@@ -172,13 +179,11 @@ func TestRunLocalOnlyKeepsDiversity(t *testing.T) {
 }
 
 func TestEngineRegrid(t *testing.T) {
-	e := newEngineOK(t, benchfn.ZDT1(6), zdtConfig(40, 8))
+	e := initOK(t, benchfn.ZDT1(6), zdtOptions(40, 8))
 	if e.Grid().M != 8 {
 		t.Fatal("initial grid")
 	}
-	if _, err := e.PhaseI(5); err != nil {
-		t.Fatalf("PhaseI: %v", err)
-	}
+	stepsOK(t, e.StepLocal, 5)
 	e.Regrid(3)
 	if e.Grid().M != 3 {
 		t.Fatal("regrid did not take")
@@ -188,16 +193,14 @@ func TestEngineRegrid(t *testing.T) {
 			t.Fatalf("individual in partition %d after regrid to 3", ind.Partition)
 		}
 	}
-	if err := e.PhaseII(10); err != nil {
-		t.Fatalf("PhaseII: %v", err)
-	}
+	stepsOK(t, e.StepMixed, 10)
 	if len(e.Population()) != 40 {
 		t.Fatalf("population size %d after regrid+phaseII", len(e.Population()))
 	}
 }
 
 func TestFrontIsGloballyNondominated(t *testing.T) {
-	res := runOK(t, benchfn.ZDT3(8), zdtConfig(50, 5))
+	_, res := runOK(t, benchfn.ZDT3(8), zdtOptions(50, 5))
 	front := res.Front
 	for i := range front {
 		for j := range front {
@@ -226,19 +229,22 @@ func dominates(a, b []float64) bool {
 }
 
 func TestConfigNormalization(t *testing.T) {
-	var cfg Config
-	cfg.normalize(2)
-	if cfg.PopSize != 100 || cfg.Partitions != 8 || cfg.N != 5 {
-		t.Fatalf("defaults: %+v", cfg)
+	var p Params
+	p.normalize(2)
+	if p.Partitions != 8 || p.N != 5 || p.GentMax != DefaultGentMax {
+		t.Fatalf("defaults: %+v", p)
 	}
-	if cfg.Shape == nil {
+	if p.Span != 0 {
+		t.Fatalf("span must stay 0 (derived), got %d", p.Span)
+	}
+	if p.Shape == nil {
 		t.Fatal("shape must default")
 	}
-	if cfg.Pressure != 1.8 {
+	if p.Pressure != 1.8 {
 		t.Fatal("pressure default")
 	}
 	// An out-of-range partition objective clamps to the last objective.
-	bad := Config{PartitionObjective: 7}
+	bad := Params{PartitionObjective: 7}
 	bad.normalize(2)
 	if bad.PartitionObjective != 1 {
 		t.Fatalf("out-of-range partition objective should clamp to 1, got %d",
@@ -248,11 +254,11 @@ func TestConfigNormalization(t *testing.T) {
 
 func TestObserverSeesBothPhases(t *testing.T) {
 	gens := 0
-	cfg := zdtConfig(30, 4)
-	cfg.GentMax = 5
-	cfg.Span = 20
-	cfg.Observer = func(gen int, pop ga.Population) { gens = gen }
-	res := runOK(t, benchfn.Constr(), wrapConstrRange(cfg))
+	opts := zdtOptions(30, 4)
+	p := opts.Extra.(*Params)
+	p.GentMax, p.Span = 5, 20
+	p.PartitionLo, p.PartitionHi = 0.1, 1.0
+	_, res := runOK(t, benchfn.Constr(), opts, search.ObserverFunc(func(f *search.Frame) { gens = f.Gen }))
 	if gens != res.Generations {
 		t.Fatalf("observer saw %d generations, result says %d", gens, res.Generations)
 	}
@@ -261,20 +267,14 @@ func TestObserverSeesBothPhases(t *testing.T) {
 	}
 }
 
-func wrapConstrRange(cfg Config) Config {
-	cfg.PartitionLo, cfg.PartitionHi = 0.1, 1.0
-	cfg.PartitionObjective = 0
-	return cfg
-}
-
 func TestInitialPopulationSeeding(t *testing.T) {
 	seedPop := make(ga.Population, 5)
 	for i := range seedPop {
 		seedPop[i] = &ga.Individual{X: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}}
 	}
-	cfg := zdtConfig(20, 4)
-	cfg.Initial = seedPop
-	res := runOK(t, benchfn.ZDT1(6), cfg)
+	opts := zdtOptions(20, 4)
+	opts.Initial = seedPop
+	_, res := runOK(t, benchfn.ZDT1(6), opts)
 	if len(res.Final) != 20 {
 		t.Fatalf("final size %d", len(res.Final))
 	}
@@ -296,7 +296,7 @@ func (degenerateProblem) Evaluate(x []float64) objective.Result {
 }
 
 func TestDegenerateProblemDoesNotPanic(t *testing.T) {
-	res := runOK(t, degenerateProblem{}, zdtConfig(30, 6))
+	_, res := runOK(t, degenerateProblem{}, zdtOptions(30, 6))
 	if len(res.Final) != 30 {
 		t.Fatalf("population size %d", len(res.Final))
 	}
@@ -325,16 +325,16 @@ func (hostileProblem) Evaluate(x []float64) objective.Result {
 }
 
 func TestFullyInfeasibleProblemSurvives(t *testing.T) {
-	cfg := zdtConfig(24, 4)
-	cfg.GentMax = 8
-	cfg.Span = 12
-	res := runOK(t, hostileProblem{}, cfg)
+	opts := zdtOptions(24, 4)
+	p := opts.Extra.(*Params)
+	p.GentMax, p.Span = 8, 12
+	e, res := runOK(t, hostileProblem{}, opts)
 	if len(res.Final) != 24 {
 		t.Fatalf("population size %d", len(res.Final))
 	}
 	live := 0
-	for _, ok := range res.Live {
-		if ok {
+	for _, dead := range e.dead {
+		if !dead {
 			live++
 		}
 	}
@@ -349,42 +349,45 @@ func TestFullyInfeasibleProblemSurvives(t *testing.T) {
 func TestEvaluationBudget(t *testing.T) {
 	// Evaluations = initial pop + one offspring population per iteration.
 	cnt := objective.NewCounter(benchfn.ZDT1(6))
-	cfg := zdtConfig(30, 4)
-	cfg.GentMax = 10
-	cfg.Span = 15
-	res := runOK(t, cnt, cfg)
+	opts := zdtOptions(30, 4)
+	p := opts.Extra.(*Params)
+	p.GentMax, p.Span = 10, 15
+	_, res := runOK(t, cnt, opts)
 	want := int64(30 + 30*res.Generations)
 	if cnt.Count() != want {
 		t.Fatalf("evaluations = %d, want %d (gens=%d)", cnt.Count(), want, res.Generations)
 	}
 }
 
-// runOK, runLocalOnlyOK and newEngineOK wrap the legacy entry points with
-// faults fatal: the fixtures here never fault, so any returned error is a
-// regression in the wrapper.
-func runOK(t *testing.T, prob objective.Problem, cfg Config) *Result {
+// runOK drives a fresh engine through search.Run, and initOK only
+// initializes one, with faults fatal: the fixtures here never fault, so any
+// returned error is a regression.
+func runOK(t *testing.T, prob objective.Problem, opts search.Options, obs ...search.Observer) (*Engine, *search.Result) {
 	t.Helper()
-	res, err := Run(prob, cfg)
+	e := new(Engine)
+	res, err := search.Run(context.Background(), e, prob, opts, obs...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res
+	return e, res
 }
 
-func runLocalOnlyOK(t *testing.T, prob objective.Problem, cfg Config, gens int) *Result {
+func initOK(t *testing.T, prob objective.Problem, opts search.Options) *Engine {
 	t.Helper()
-	res, err := RunLocalOnly(prob, cfg, gens)
-	if err != nil {
-		t.Fatalf("RunLocalOnly: %v", err)
-	}
-	return res
-}
-
-func newEngineOK(t *testing.T, prob objective.Problem, cfg Config) *Engine {
-	t.Helper()
-	e, err := NewEngine(prob, cfg)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+	e := new(Engine)
+	if err := e.Init(prob, opts); err != nil {
+		t.Fatalf("Init: %v", err)
 	}
 	return e
+}
+
+// stepsOK runs n iterations of one phase primitive (StepLocal or
+// StepMixed) at annealing positions 0..n-1 of an n-iteration span.
+func stepsOK(t *testing.T, step func(t, span int) error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := step(i, n); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+	}
 }

@@ -288,9 +288,6 @@ func (e *ParallelIslands) Step() error {
 	if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
 		e.migrate()
 	}
-	if e.opts.Observer != nil {
-		e.opts.Observer(e.epoch, e.poolView())
-	}
 	if e.done() {
 		e.finalize()
 		return e.reps.TakeErr(e.Name())

@@ -246,9 +246,6 @@ func (e *Portfolio) Step() error {
 	}
 	e.epoch++
 	e.rescore()
-	if e.opts.Observer != nil {
-		e.opts.Observer(e.epoch, e.poolView())
-	}
 	if e.done() {
 		e.finalize()
 		return e.reps.TakeErr(e.Name())

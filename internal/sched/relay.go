@@ -173,9 +173,6 @@ func (e *Relay) Step() error {
 	if err := e.inner.Step(); err != nil {
 		return fmt.Errorf("sched: relay leg %d (%s): %w", e.leg, e.legs[e.leg].Algo, err)
 	}
-	if e.opts.Observer != nil {
-		e.opts.Observer(e.Generation(), e.inner.Population())
-	}
 	return nil
 }
 

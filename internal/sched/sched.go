@@ -67,9 +67,9 @@ const (
 
 // childOptions builds the options handed to one child engine: the shared
 // hyperparameters pass through; the seed is derived per child so replicas
-// explore independently; the observer and the evaluation cap stay with the
-// scheduler (children must never consult the shared live counter — see the
-// package determinism contract).
+// explore independently; the evaluation cap and the step watchdog stay with
+// the scheduler (children must never consult the shared live counter — see
+// the package determinism contract).
 func childOptions(opts search.Options, popSize, generations int, label string, n int, extra any, initial ga.Population) search.Options {
 	return search.Options{
 		PopSize:     popSize,

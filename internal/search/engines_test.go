@@ -1,5 +1,4 @@
-// Cross-engine property tests of the unified driver API: every algorithm's
-// legacy Run entry point against the step-wise loop, checkpoint/resume
+// Cross-engine property tests of the unified driver API: checkpoint/resume
 // determinism, the uniform evaluation budget, cancellation and the
 // zero-allocation driver overhead.
 package search_test
@@ -22,17 +21,15 @@ import (
 	"sacga/internal/search"
 )
 
-// engineCase describes one algorithm: how to build its unified options and
-// how to run its legacy entry point with the equivalent configuration.
+// engineCase describes one algorithm configuration under test.
 type engineCase struct {
 	name  string // registry name
 	label string // test label (distinguishes sacga variants)
 	// prob builds the test problem: the constrained Constr benchmark for
 	// the partitioned algorithms (so phase I genuinely runs) and ZDT1
 	// elsewhere.
-	prob   func() objective.Problem
-	opts   func() search.Options
-	legacy func(prob objective.Problem) (final, front ga.Population)
+	prob func() objective.Problem
+	opts func() search.Options
 	// checkpointGens are the generations the resume property is probed at,
 	// chosen to land in different phases of the algorithm.
 	checkpointGens []int
@@ -50,13 +47,6 @@ func cases() []engineCase {
 			opts: func() search.Options {
 				return search.Options{PopSize: 20, Generations: 12, Seed: 3}
 			},
-			legacy: func(prob objective.Problem) (ga.Population, ga.Population) {
-				res, err := nsga2.Run(prob, nsga2.Config{PopSize: 20, Generations: 12, Seed: 3})
-				if err != nil {
-					panic(err)
-				}
-				return res.Final, res.Front
-			},
 			checkpointGens: []int{1, 6, 11},
 			perGen:         20,
 		},
@@ -73,16 +63,6 @@ func cases() []engineCase {
 						GentMax: 4, Span: 9,
 					},
 				}
-			},
-			legacy: func(prob objective.Problem) (ga.Population, ga.Population) {
-				res, err := sacga.Run(prob, sacga.Config{
-					PopSize: 24, Partitions: 4, PartitionObjective: 0,
-					PartitionLo: 0.1, PartitionHi: 1, GentMax: 4, Span: 9, Seed: 5,
-				})
-				if err != nil {
-					panic(err)
-				}
-				return res.Final, res.Front
 			},
 			// Phase I (or just after), the transition region, and deep in
 			// phase II; the span-9 tail guarantees all three exist.
@@ -102,16 +82,6 @@ func cases() []engineCase {
 					},
 				}
 			},
-			legacy: func(prob objective.Problem) (ga.Population, ga.Population) {
-				res, err := sacga.RunLocalOnly(prob, sacga.Config{
-					PopSize: 20, Partitions: 4, PartitionObjective: 0,
-					PartitionLo: 0, PartitionHi: 1, Seed: 9,
-				}, 10)
-				if err != nil {
-					panic(err)
-				}
-				return res.Final, res.Front
-			},
 			checkpointGens: []int{3, 8},
 			perGen:         20,
 		},
@@ -129,16 +99,6 @@ func cases() []engineCase {
 					},
 				}
 			},
-			legacy: func(prob objective.Problem) (ga.Population, ga.Population) {
-				res, err := mesacga.Run(prob, mesacga.Config{
-					PopSize: 20, Schedule: []int{4, 2, 1}, PartitionObjective: 0,
-					PartitionLo: 0.1, PartitionHi: 1, GentMax: 4, Span: 3, Seed: 7,
-				})
-				if err != nil {
-					panic(err)
-				}
-				return res.Final, res.Front
-			},
 			// Phase I (or just after), mid-schedule, and the final
 			// single-partition phase; total = gent + 9 ≥ 9 generations.
 			checkpointGens: []int{2, 5, 8},
@@ -155,16 +115,6 @@ func cases() []engineCase {
 						Islands: 3, IslandSize: 8, MigrationEvery: 3, Migrants: 2,
 					},
 				}
-			},
-			legacy: func(prob objective.Problem) (ga.Population, ga.Population) {
-				res, err := islands.Run(prob, islands.Config{
-					Islands: 3, IslandSize: 8, Generations: 10,
-					MigrationEvery: 3, Migrants: 2, Seed: 11,
-				})
-				if err != nil {
-					panic(err)
-				}
-				return res.Final, res.Front
 			},
 			// Mid-run, immediately after a migration, and one before done.
 			checkpointGens: []int{3, 6, 9},
@@ -205,35 +155,7 @@ func popsIdentical(t *testing.T, what string, a, b ga.Population) {
 	}
 }
 
-// TestLegacyVsStepLoop pins the acceptance criterion: for every algorithm,
-// the legacy Run entry point and a manual Init/Step/Done loop over the
-// registry-selected engine produce bit-identical final populations and
-// fronts.
-func TestLegacyVsStepLoop(t *testing.T) {
-	for _, tc := range cases() {
-		t.Run(tc.label, func(t *testing.T) {
-			prob := tc.prob()
-			legacyFinal, legacyFront := tc.legacy(prob)
-
-			eng, err := search.New(tc.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Init(prob, tc.opts()); err != nil {
-				t.Fatal(err)
-			}
-			for !eng.Done() {
-				if err := eng.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			popsIdentical(t, "final", legacyFinal, eng.Population())
-			popsIdentical(t, "front", legacyFront, eng.Population().FirstFront())
-		})
-	}
-}
-
-// TestCheckpointResume pins the second acceptance criterion: Checkpoint at
+// TestCheckpointResume pins the resume contract: Checkpoint at
 // generation k, Restore on a fresh engine, run to the end — bit-identical
 // to the uninterrupted run, at every probed k and for every algorithm.
 func TestCheckpointResume(t *testing.T) {

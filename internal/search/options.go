@@ -8,9 +8,9 @@ import (
 	"sacga/internal/objective"
 )
 
-// Default values applied by Options.Normalize — the one place the defaults
-// formerly duplicated across the four per-algorithm Config.normalize
-// implementations now live.
+// Default values applied by Options.Normalize — the one place the shared
+// defaults live; each extension struct's normalize adds only its
+// algorithm-specific ones.
 const (
 	DefaultPopSize     = 100
 	DefaultGenerations = 250
@@ -27,8 +27,8 @@ type Options struct {
 	PopSize int
 	// Generations is the total iteration budget (default 250). For sacga
 	// it bounds phase I + phase II together when the extension struct does
-	// not pin the phase lengths; for mesacga it is the TotalBudget unless
-	// the extension pins a per-phase span.
+	// not pin the phase lengths; for mesacga it is the budget phase I and
+	// the phases share unless the extension pins a per-phase span.
 	Generations int
 	// MaxEvals, when > 0, caps the number of objective evaluations. The
 	// cap is enforced through an objective.Counter wrapped around the
@@ -55,14 +55,6 @@ type Options struct {
 	// problems expose no interruption hook are abandoned on expiry — the
 	// run ends with best-so-far results from the last completed generation.
 	StepTimeout time.Duration
-	// Observer, when non-nil, is invoked by the engine itself after every
-	// generation — the legacy per-algorithm hook, preserved so the old
-	// Config.Observer fields keep working, INCLUDING each engine's legacy
-	// generation numbering: nsga2 and islands count from 0, sacga and
-	// mesacga from 1. New code should prefer the Observer values passed to
-	// Run, which see the uniform 1-based Frame.Gen plus evaluation counts,
-	// and compose. The callback must not retain pop.
-	Observer func(gen int, pop ga.Population)
 	// Extra carries the per-algorithm extension struct (e.g.
 	// *sacga.Params). nil selects that algorithm's defaults.
 	Extra any

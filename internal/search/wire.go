@@ -3,7 +3,7 @@ package search
 // JobOptions is the wire-facing projection of Options: the JSON-encodable
 // subset a remote caller may set, which is exactly the result-determining
 // subset. Everything else in Options is either process-local machinery
-// (Pool, Observer, StepTimeout), a performance knob that never changes
+// (Pool, StepTimeout), a performance knob that never changes
 // results (Workers — bit-identical at any parallelism), or not expressible
 // in a wire request (Initial, Ops — jobs always run the default operators,
 // the way every paper experiment does).

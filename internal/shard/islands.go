@@ -357,13 +357,6 @@ func (e *Islands) Step() error {
 			return err
 		}
 	}
-	if e.opts.Observer != nil {
-		pop, err := e.poolView()
-		if err != nil {
-			return err
-		}
-		e.opts.Observer(e.epoch, pop)
-	}
 	if e.done() {
 		if err := e.finalize(); err != nil {
 			return err

@@ -97,8 +97,8 @@ type Heartbeat struct {
 // WireOptions is the gob-safe projection of search.Options: the fields a
 // replica needs, minus the ones that must not cross a process boundary —
 // MaxEvals (the budget belongs to the coordinator; children never consult
-// the shared counter), Observer and Pool (process-local), StepTimeout (the
-// coordinator's lease replaces the in-process watchdog).
+// the shared counter), Pool (process-local), StepTimeout (the coordinator's
+// lease replaces the in-process watchdog).
 //
 // Extra rides as an interface: a non-nil extension struct's concrete type
 // must be gob-registered in BOTH processes (register it from an init in
