@@ -321,5 +321,9 @@ func TestIslandsPoisonedCheckpointRoundTrip(t *testing.T) {
 	if len(res.Final) != 16 {
 		t.Fatalf("resumed pooled population has %d individuals, want 16", len(res.Final))
 	}
+	// The budget carries the poisoned replica's count across the resume.
+	if res.Evals != eng.Evals() {
+		t.Fatalf("resumed run evals %d, original %d", res.Evals, eng.Evals())
+	}
 	popsIdentical(t, "poisoned checkpoint round trip", eng.Population(), res.Final)
 }

@@ -30,12 +30,19 @@ type Spec struct {
 	// (1..20); 0 selects the paper's spec. Ignored for benchmarks.
 	Grade int `json:"grade,omitempty"`
 	// Robust is the integrator's Monte-Carlo robustness sample count
-	// (0 disables the robustness constraint). Ignored for benchmarks.
+	// (0 disables the robustness constraint; at most MaxRobust). Ignored
+	// for benchmarks.
 	Robust int `json:"robust,omitempty"`
 	// Seed seeds the robustness estimator's corner draws. A run's Options
 	// seed and its problem seed are conventionally the same value.
 	Seed int64 `json:"seed,omitempty"`
 }
+
+// MaxRobust is the largest Spec.Robust that Build accepts. The estimator
+// draws every sample up front, about 600 B each, before any job guardrail
+// runs, so an untrusted spec must not choose the count freely. The cap is
+// 128 times the 8 samples the figures use.
+const MaxRobust = 1024
 
 // Build constructs the problem. circuit reports whether it is the analog
 // sizing problem (front ends use it to pick projections and partition
@@ -43,6 +50,9 @@ type Spec struct {
 // whose evaluations are bit-identical — the property the shard workers and
 // the job server's restart recovery both rest on.
 func (s Spec) Build() (prob objective.Problem, circuit bool, err error) {
+	if s.Robust < 0 || s.Robust > MaxRobust {
+		return nil, false, fmt.Errorf("probspec: robust %d outside 0..%d", s.Robust, MaxRobust)
+	}
 	if s.Name == "integrator" {
 		spec := sizing.PaperSpec()
 		if s.Grade >= 1 && s.Grade <= 20 {

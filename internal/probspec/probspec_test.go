@@ -40,6 +40,14 @@ func TestBuild(t *testing.T) {
 	if _, _, err := (Spec{Name: "integrator", Grade: 21}).Build(); err == nil {
 		t.Error("grade out of range must fail")
 	}
+	for _, robust := range []int{-1, MaxRobust + 1, 10_000_000} {
+		if _, _, err := (Spec{Name: "integrator", Robust: robust}).Build(); err == nil {
+			t.Errorf("robust %d must fail", robust)
+		}
+	}
+	if _, _, err := (Spec{Name: "integrator", Robust: MaxRobust}).Build(); err != nil {
+		t.Errorf("robust %d must build: %v", MaxRobust, err)
+	}
 
 	// Equal specs must evaluate bit-identically — the recovery contract.
 	a, _, _ := Spec{Name: "integrator", Robust: 4, Seed: 9}.Build()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"sacga/internal/ga"
 	"sacga/internal/objective"
 	"sacga/internal/search"
 )
@@ -45,15 +46,11 @@ type replicaFailure struct {
 	poisoned bool
 }
 
-// ReplicaSet tracks which child engines a scheduler still trusts. A dead
+// replicaSet tracks which child engines a scheduler still trusts. A dead
 // replica is no longer stepped but its last-good population remains in the
 // pooled view; a poisoned replica (watchdog abandonment — a runaway step
-// may still be writing its buffers) is excluded from everything. Exported
-// so the cross-process shard coordinator degrades with exactly the same
-// bookkeeping as the in-process schedulers (process isolation means its
-// replicas are only ever dead, never poisoned — a runaway worker cannot
-// touch the coordinator-held state).
-type ReplicaSet struct {
+// may still be writing its buffers) is excluded from everything.
+type replicaSet struct {
 	dead     []bool
 	poisoned []bool
 	dropped  []int
@@ -61,8 +58,8 @@ type ReplicaSet struct {
 	reported bool
 }
 
-// Reset initializes the set with n live replicas.
-func (r *ReplicaSet) Reset(n int) {
+// reset initializes the set with n live replicas.
+func (r *replicaSet) reset(n int) {
 	r.dead = make([]bool, n)
 	r.poisoned = make([]bool, n)
 	r.dropped = nil
@@ -70,9 +67,9 @@ func (r *ReplicaSet) Reset(n int) {
 	r.reported = false
 }
 
-// Drop retires replica i. Call at the epoch barrier in replica-index
+// drop retires replica i. Call at the epoch barrier in replica-index
 // order, so Dropped is deterministic at any worker count.
-func (r *ReplicaSet) Drop(i int, err error, poisoned bool) {
+func (r *replicaSet) drop(i int, err error, poisoned bool) {
 	if r.dead[i] {
 		return
 	}
@@ -82,20 +79,8 @@ func (r *ReplicaSet) Drop(i int, err error, poisoned bool) {
 	r.errs = append(r.errs, err)
 }
 
-// Dead reports whether replica i has been dropped.
-func (r *ReplicaSet) Dead(i int) bool { return r.dead[i] }
-
-// Poisoned reports whether replica i was dropped with poisoned state.
-func (r *ReplicaSet) Poisoned(i int) bool { return r.poisoned[i] }
-
-// DeadFlags returns a copy of the per-replica dead flags (snapshot form).
-func (r *ReplicaSet) DeadFlags() []bool { return append([]bool(nil), r.dead...) }
-
-// PoisonedFlags returns a copy of the per-replica poisoned flags.
-func (r *ReplicaSet) PoisonedFlags() []bool { return append([]bool(nil), r.poisoned...) }
-
-// AllDead reports whether no replica survives.
-func (r *ReplicaSet) AllDead() bool {
+// allDead reports whether no replica survives.
+func (r *replicaSet) allDead() bool {
 	for _, d := range r.dead {
 		if !d {
 			return false
@@ -104,9 +89,9 @@ func (r *ReplicaSet) AllDead() bool {
 	return len(r.dead) > 0
 }
 
-// TakeErr builds the run's ReplicaError, once: later calls return nil so a
+// takeErr builds the run's ReplicaError, once: later calls return nil so a
 // finalized scheduler does not re-report on subsequent (no-op) Steps.
-func (r *ReplicaSet) TakeErr(scheduler string) error {
+func (r *replicaSet) takeErr(scheduler string) error {
 	if r.reported || len(r.dropped) == 0 {
 		return nil
 	}
@@ -115,15 +100,15 @@ func (r *ReplicaSet) TakeErr(scheduler string) error {
 		Scheduler: scheduler,
 		Dropped:   append([]int(nil), r.dropped...),
 		Errs:      append([]error(nil), r.errs...),
-		AllDead:   r.AllDead(),
+		AllDead:   r.allDead(),
 	}
 }
 
-// RestoreState rebuilds the liveness state from a checkpoint. nil dead (a
+// restore rebuilds the liveness state from a checkpoint. nil dead (a
 // pre-fault-tolerance snapshot) means all replicas alive. Dropped causes are
 // not persisted; a placeholder keeps the final report well-formed.
-func (r *ReplicaSet) RestoreState(n int, dead, poisoned []bool) {
-	r.Reset(n)
+func (r *replicaSet) restore(n int, dead, poisoned []bool) {
+	r.reset(n)
 	if dead == nil {
 		return
 	}
@@ -137,13 +122,26 @@ func (r *ReplicaSet) RestoreState(n int, dead, poisoned []bool) {
 	}
 }
 
+// pool rebuilds dst as the concatenated view of every engine's population,
+// in engine-index order (pooling order is part of the determinism
+// contract). Poisoned engines are skipped — their buffers may still be
+// written by a runaway step — while dead-but-valid ones contribute their
+// last-good generation.
+func (r *replicaSet) pool(dst ga.Population, engines []search.Engine) ga.Population {
+	dst = dst[:0]
+	for i, eng := range engines {
+		if !r.poisoned[i] {
+			dst = append(dst, eng.Population()...)
+		}
+	}
+	return dst
+}
+
 // poisonedAlgo marks a poisoned replica's placeholder entry in a composite
 // snapshot. gob rejects nil pointers inside slices, so the unusable state is
-// stood in for by an empty checkpoint; Restore never reads the entry (the
+// stood in for by an empty checkpoint; Restore reads at most its Evals (the
 // replica stays dropped).
 const poisonedAlgo = "sched/poisoned"
-
-func poisonedPlaceholder() *search.Checkpoint { return &search.Checkpoint{Algo: poisonedAlgo} }
 
 // StepWithRetry advances one engine under the scheduler's shared fault
 // policy: a failing Step is retried up to `retries` more times, sleeping

@@ -58,9 +58,8 @@ type IslandsParams struct {
 	// stepping. Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing replica Step gets
-	// before the replica is dropped at the epoch barrier (default 2).
-	// Negative disables the fault-tolerance layer entirely: the first
-	// replica error aborts the epoch, the pre-fault-tolerant behavior.
+	// before the replica is dropped at the epoch barrier (default 2,
+	// negative = none).
 	StepRetries int
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt; 0 retries immediately. Sleeping never affects determinism —
@@ -101,18 +100,22 @@ func (p *IslandsParams) normalize() {
 //
 // It implements search.Engine (registered as "parallel-islands") and is
 // bit-identical to sequential round-robin stepping at any StepWorkers and
-// GOMAXPROCS setting.
+// GOMAXPROCS setting. The cross-process shard coordinator runs this same
+// loop over remote replicas (see Ensemble).
 type ParallelIslands struct {
-	prob    objective.Problem
+	name    string                                         // Ensemble's engine name; "" = parallel-islands
+	ext     *IslandsParams                                 // Ensemble's params; nil reads Options.Extra
+	wrap    func(i int, local search.Engine) search.Engine // Ensemble's replica wrapper
 	opts    search.Options
 	p       IslandsParams
-	budget  search.EvalBudget
 	engines []search.Engine
 	probs   []objective.Problem // per-replica counters over prob (own accounting)
+	counts  []int64             // each replica's Evals(), read at the last barrier
+	evals   int64               // the sum of counts: the ensemble's budget
 	epoch   int
 	pooled  ga.Population
 	final   bool
-	reps    ReplicaSet
+	reps    replicaSet
 	fails   []replicaFailure // per-epoch scratch, index-addressed
 	livebuf []int            // scratch for liveIndices
 }
@@ -121,7 +124,7 @@ type ParallelIslands struct {
 // checkpoint, in replica order. Dead/Poisoned record the fault-tolerance
 // state (nil in pre-fault-tolerance snapshots means all replicas alive);
 // Inner holds an empty placeholder for poisoned replicas, whose state was
-// unrecoverable.
+// unrecoverable, carrying only the replica's last evaluation count.
 type IslandsSnapshot struct {
 	Inner    []*search.Checkpoint
 	Dead     []bool
@@ -129,53 +132,76 @@ type IslandsSnapshot struct {
 }
 
 // Name implements search.Engine.
-func (e *ParallelIslands) Name() string { return NameParallelIslands }
+func (e *ParallelIslands) Name() string {
+	if e.name != "" {
+		return e.name
+	}
+	return NameParallelIslands
+}
+
+// Ensemble runs this loop as the engine called name, for an engine built
+// on it: Init and Restore take their parameters from p instead of
+// Options.Extra, and each replica engine is passed through wrap once the
+// migration check has accepted it, before it is initialized or restored.
+// The cross-process shard coordinator wraps every replica in one whose
+// generations run in a worker process.
+func (e *ParallelIslands) Ensemble(name string, p IslandsParams, wrap func(i int, local search.Engine) search.Engine) {
+	e.name, e.ext, e.wrap = name, &p, wrap
+}
+
+// errorf prefixes an error with the package and this engine's name.
+func (e *ParallelIslands) errorf(format string, args ...any) error {
+	return fmt.Errorf("sched: "+e.Name()+": "+format, args...)
+}
 
 // prepare applies the option/problem wiring shared by Init and Restore and
 // constructs the (uninitialized) replica engines.
 func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) error {
-	p, err := search.Extension[IslandsParams](opts)
-	if err != nil {
-		return fmt.Errorf("sched: parallel-islands: %w", err)
+	p := e.ext
+	if p == nil {
+		var err error
+		if p, err = search.Extension[IslandsParams](opts); err != nil {
+			return e.errorf("%w", err)
+		}
 	}
 	opts.Normalize()
 	e.p = *p
 	e.p.normalize()
 	e.opts = opts
-	e.prob = e.budget.Attach(prob, opts.MaxEvals)
-	e.epoch = 0
-	e.final = false
-	e.engines = make([]search.Engine, e.p.Replicas)
-	e.probs = make([]objective.Problem, e.p.Replicas)
+	e.epoch, e.evals, e.final = 0, 0, false
+	n := e.p.Replicas
+	e.engines = make([]search.Engine, n)
+	e.probs = make([]objective.Problem, n)
+	e.counts = make([]int64, n)
 	for i := range e.engines {
 		eng, err := search.New(e.p.Algo)
 		if err != nil {
-			return fmt.Errorf("sched: parallel-islands: %w", err)
+			return e.errorf("%w", err)
 		}
 		if e.p.MigrationEvery > 0 {
 			if _, ok := eng.(search.Migrator); !ok {
-				return fmt.Errorf("sched: parallel-islands: engine %q does not support migration (search.Migrator); set MigrationEvery < 0 to run isolated replicas", e.p.Algo)
+				return e.errorf("engine %q does not support migration (search.Migrator); set MigrationEvery < 0 to run isolated replicas", e.p.Algo)
 			}
 		}
+		if e.wrap != nil {
+			eng = e.wrap(i, eng)
+		}
 		e.engines[i] = eng
-		e.probs[i] = childProblem(e.prob)
+		e.probs[i] = childProblem(prob)
 	}
 	e.pooled = make(ga.Population, 0, e.opts.PopSize)
-	e.reps.Reset(e.p.Replicas)
-	e.fails = make([]replicaFailure, e.p.Replicas)
+	e.reps.reset(n)
+	e.fails = make([]replicaFailure, n)
 	return nil
 }
 
-// ReplicaShares splits popSize across n replicas so the shares sum EXACTLY
+// replicaShares splits popSize across n replicas so the shares sum EXACTLY
 // to popSize — the ensemble must stay budget-matched with a single engine
 // at the same population. Shares are dealt in pairs (largest first) so at
 // most one share is odd: engines that round odd populations up (nsga2)
 // then inflate the total by at most 1, the same guarantee a single such
-// engine gives. Tiny populations floor at 2 per replica. Exported so the
-// cross-process shard coordinator splits populations identically to the
-// in-process scheduler — the determinism contract between the two rests
-// on byte-equal replica configurations.
-func ReplicaShares(popSize, n int) []int {
+// engine gives. Tiny populations floor at 2 per replica.
+func replicaShares(popSize, n int) []int {
 	shares := make([]int, n)
 	pairs := popSize / 2
 	for i := range shares {
@@ -195,19 +221,17 @@ func ReplicaShares(popSize, n int) []int {
 	return shares
 }
 
-// ReplicaLabel is the rng.ChildSeed label every replica ensemble derives
-// its per-replica identities from. Shared by ParallelIslands and the
-// cross-process shard coordinator: a replica's seed must not depend on
-// which runtime steps it.
+// ReplicaLabel is the rng.ChildSeed label replica i's seed is derived
+// under, so a test can name the replica it targets by its seed.
 const ReplicaLabel = "sched/replica"
 
 // ReplicaOptions builds replica i's options for an n-replica ensemble over
 // opts: its share of the total population, the matching block of
 // Options.Initial, a per-replica derived seed, and the shared knobs.
-// Exported for the shard coordinator, which must configure worker-side
-// replicas byte-identically to the in-process scheduler.
+// Exported so a tool that inspects an ensemble's replica checkpoints can
+// rebuild the configuration each replica ran under.
 func ReplicaOptions(opts search.Options, n, i int, extra any) search.Options {
-	shares := ReplicaShares(opts.PopSize, n)
+	shares := replicaShares(opts.PopSize, n)
 	lo := 0
 	for k := 0; k < i; k++ {
 		lo += shares[k]
@@ -232,57 +256,48 @@ func (e *ParallelIslands) Init(prob objective.Problem, opts search.Options) erro
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	return runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
+	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
 		return e.engines[i].Init(e.probs[i], e.replicaOptions(i))
-	})
+	}); err != nil {
+		return err
+	}
+	e.tally()
+	return nil
 }
 
 // Step implements search.Engine: one epoch — every live replica advances
 // one generation concurrently, then migration runs at the epoch barrier
 // when due, in replica-index order.
 //
-// Replica faults degrade the ensemble instead of aborting it (unless
-// StepRetries is negative): a replica whose Step keeps failing after the
-// retry budget is dropped at the epoch barrier, in replica-index order, and
-// the remaining replicas finish the run bit-identically to a run configured
-// without the dropped replica's steps. The accumulated *ReplicaError is
-// returned by the finalizing Step, alongside the valid pooled Result — or
-// immediately, when no replica survives.
+// Replica faults degrade the ensemble instead of aborting it: a replica
+// whose Step keeps failing after the retry budget is dropped at the epoch
+// barrier, in replica-index order, and the remaining replicas finish the
+// run bit-identically to a run configured without the dropped replica's
+// steps. The accumulated *ReplicaError is returned by the finalizing Step,
+// alongside the valid pooled Result — or immediately, when no replica
+// survives.
 func (e *ParallelIslands) Step() error {
 	if e.Done() {
 		return nil
 	}
-	if e.p.StepRetries < 0 {
-		err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			if e.engines[i].Done() {
-				return nil
-			}
-			return e.engines[i].Step()
-		})
-		if err != nil {
-			return fmt.Errorf("sched: parallel-islands: %w", err)
-		}
-	} else {
-		for i := range e.fails {
-			e.fails[i] = replicaFailure{}
-		}
-		runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			if e.reps.dead[i] || e.engines[i].Done() {
-				return nil
-			}
-			err, poisoned := StepWithRetry(e.engines[i], e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-			e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
+	clear(e.fails)
+	runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
+		if e.reps.dead[i] || e.engines[i].Done() {
 			return nil
-		})
-		for i, f := range e.fails { // epoch barrier: drops in replica-index order
-			if f.err != nil {
-				e.reps.Drop(i, f.err, f.poisoned)
-			}
 		}
-		if e.reps.AllDead() {
-			e.finalize()
-			return e.reps.TakeErr(e.Name())
+		err, poisoned := StepWithRetry(e.engines[i], e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
+		e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
+		return nil
+	})
+	for i, f := range e.fails { // epoch barrier: drops in replica-index order
+		if f.err != nil {
+			e.reps.drop(i, f.err, f.poisoned)
 		}
+	}
+	e.tally()
+	if e.reps.allDead() {
+		e.finalize()
+		return e.reps.takeErr(e.Name())
 	}
 	e.epoch++
 	if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
@@ -290,9 +305,22 @@ func (e *ParallelIslands) Step() error {
 	}
 	if e.done() {
 		e.finalize()
-		return e.reps.TakeErr(e.Name())
+		return e.reps.takeErr(e.Name())
 	}
 	return nil
+}
+
+// tally reads every replica's own evaluation count at the barrier; their
+// sum is the ensemble's budget. A poisoned replica keeps the count it had
+// before its abandoned step: its state belongs to the runaway step.
+func (e *ParallelIslands) tally() {
+	e.evals = 0
+	for i, eng := range e.engines {
+		if !e.reps.poisoned[i] {
+			e.counts[i] = eng.Evals()
+		}
+		e.evals += e.counts[i]
+	}
 }
 
 // liveIndices returns the indices of replicas still being stepped, in
@@ -307,59 +335,51 @@ func (e *ParallelIslands) liveIndices() []int {
 	return e.livebuf
 }
 
-// Migrate performs one deterministic exchange over engines[live[k]]: all
+// migrate performs one deterministic exchange over the live replicas: all
 // emigrants are selected (as clones) before any immigration, so the
 // exchange is simultaneous and order-independent; destinations are then
 // served in replica-index order. Dropped replicas fall out of the ring (or
 // star) — the topology contracts over the survivors, in index order, so the
-// exchange stays deterministic at any worker count. Every listed engine
-// must implement search.Migrator. Exported so the shard coordinator applies
-// the identical exchange to its restored replica mirrors.
-func Migrate(engines []search.Engine, live []int, topology Topology, migrants int) {
+// exchange stays deterministic at any worker count.
+func (e *ParallelIslands) migrate() {
+	live := e.liveIndices()
 	n := len(live)
 	if n < 2 {
 		return
 	}
-	if topology == Star {
-		hub := engines[live[0]].(search.Migrator)
-		broadcast := hub.Emigrants(migrants)
+	mig := func(k int) search.Migrator { return e.engines[live[k]].(search.Migrator) }
+	if e.p.Topology == Star {
+		hub := mig(0)
+		broadcast := hub.Emigrants(e.p.Migrants)
 		var inbound ga.Population
 		for k := 1; k < n; k++ {
-			inbound = append(inbound, engines[live[k]].(search.Migrator).Emigrants(migrants)...)
+			inbound = append(inbound, mig(k).Emigrants(e.p.Migrants)...)
 		}
 		hub.Immigrate(inbound)
 		for k := 1; k < n; k++ {
 			// Each leaf takes its own clones of the hub's elite; a shared
 			// individual across engines would alias mutable state.
-			engines[live[k]].(search.Migrator).Immigrate(broadcast.Clone())
+			mig(k).Immigrate(broadcast.Clone())
 		}
 		return
 	}
 	outbound := make([]ga.Population, n)
-	for k := 0; k < n; k++ {
-		outbound[k] = engines[live[k]].(search.Migrator).Emigrants(migrants)
+	for k := range outbound {
+		outbound[k] = mig(k).Emigrants(e.p.Migrants)
 	}
-	for k := 0; k < n; k++ {
-		engines[live[(k+1)%n]].(search.Migrator).Immigrate(outbound[k])
+	for k := range outbound {
+		mig((k + 1) % n).Immigrate(outbound[k])
 	}
-}
-
-// migrate runs one exchange over this scheduler's live replicas.
-func (e *ParallelIslands) migrate() {
-	Migrate(e.engines, e.liveIndices(), e.p.Topology, e.p.Migrants)
 }
 
 // done is Done without the finalized fast path: the budget is exhausted or
 // every replica still alive has completed (all-dead finalizes in Step).
 func (e *ParallelIslands) done() bool {
-	if e.budget.Exhausted() {
+	if e.opts.MaxEvals > 0 && e.evals >= e.opts.MaxEvals {
 		return true
 	}
 	for i, eng := range e.engines {
-		if e.reps.dead[i] {
-			continue
-		}
-		if !eng.Done() {
+		if !e.reps.dead[i] && !eng.Done() {
 			return false
 		}
 	}
@@ -374,8 +394,8 @@ func (e *ParallelIslands) Done() bool { return e.final || e.done() }
 func (e *ParallelIslands) Generation() int { return e.epoch }
 
 // Evals implements search.Engine: evaluations consumed across every
-// replica, counted once by the scheduler's shared budget.
-func (e *ParallelIslands) Evals() int64 { return e.budget.Evals() }
+// replica, as tallied at the last epoch barrier.
+func (e *ParallelIslands) Evals() int64 { return e.evals }
 
 // Population implements search.Engine: the pooled view across replicas,
 // globally ranked once the run is done. Invalidated by Step.
@@ -387,7 +407,7 @@ func (e *ParallelIslands) Population() ga.Population {
 }
 
 func (e *ParallelIslands) poolView() ga.Population {
-	e.pooled = PoolPopulations(e.pooled, e.engines, e.reps.poisoned)
+	e.pooled = e.reps.pool(e.pooled, e.engines)
 	return e.pooled
 }
 
@@ -400,7 +420,8 @@ func (e *ParallelIslands) finalize() {
 
 // Checkpoint implements search.Engine: a composite snapshot of every
 // usable replica's checkpoint, plus the liveness state. Poisoned replicas
-// snapshot as empty placeholders — their state belongs to a runaway step.
+// snapshot as placeholders holding only their last evaluation count —
+// their state belongs to a runaway step.
 func (e *ParallelIslands) Checkpoint() *search.Checkpoint {
 	sn := &IslandsSnapshot{
 		Inner:    make([]*search.Checkpoint, len(e.engines)),
@@ -409,40 +430,41 @@ func (e *ParallelIslands) Checkpoint() *search.Checkpoint {
 	}
 	for i, eng := range e.engines {
 		if e.reps.poisoned[i] {
-			sn.Inner[i] = poisonedPlaceholder()
+			sn.Inner[i] = &search.Checkpoint{Algo: poisonedAlgo, Evals: e.counts[i]}
 			continue
 		}
 		sn.Inner[i] = eng.Checkpoint()
 	}
-	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.Evals(), State: sn}
+	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
 
 // Restore implements search.Engine.
 func (e *ParallelIslands) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
 	if cp.Algo != e.Name() {
-		return fmt.Errorf("sched: parallel-islands: checkpoint is for %q", cp.Algo)
+		return e.errorf("checkpoint is for %q", cp.Algo)
 	}
 	sn, ok := cp.State.(*IslandsSnapshot)
 	if !ok {
-		return fmt.Errorf("sched: parallel-islands: checkpoint state is %T, want *sched.IslandsSnapshot", cp.State)
+		return e.errorf("checkpoint state is %T, want *sched.IslandsSnapshot", cp.State)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
 	if len(sn.Inner) != len(e.engines) {
-		return fmt.Errorf("sched: parallel-islands: checkpoint has %d replicas, options configure %d", len(sn.Inner), len(e.engines))
+		return e.errorf("checkpoint has %d replicas, options configure %d", len(sn.Inner), len(e.engines))
 	}
-	e.budget.RestoreEvals(cp.Evals)
 	e.epoch = cp.Gen
-	e.reps.RestoreState(len(e.engines), sn.Dead, sn.Poisoned)
+	e.reps.restore(len(e.engines), sn.Dead, sn.Poisoned)
 	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
 		if e.reps.poisoned[i] {
-			return nil // unrecoverable: stays dropped, contributes nothing
+			e.counts[i] = sn.Inner[i].Evals // unrecoverable: stays dropped, keeps its count
+			return nil
 		}
 		return e.engines[i].Restore(e.probs[i], e.replicaOptions(i), sn.Inner[i])
 	}); err != nil {
-		return fmt.Errorf("sched: parallel-islands: %w", err)
+		return e.errorf("%w", err)
 	}
+	e.tally()
 	if e.done() {
 		e.finalize()
 	}

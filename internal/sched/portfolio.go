@@ -44,9 +44,8 @@ type PortfolioParams struct {
 	// Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing member generation
-	// gets before the member is dropped at the epoch barrier (default 2).
-	// Negative disables the fault-tolerance layer entirely: the first
-	// member error aborts the epoch, the pre-fault-tolerant behavior.
+	// gets before the member is dropped at the epoch barrier (default 2,
+	// negative = none).
 	StepRetries int
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt; 0 retries immediately.
@@ -99,7 +98,7 @@ type Portfolio struct {
 	best    int // previous epoch's best member; -1 before the first scoring
 	pooled  ga.Population
 	final   bool
-	reps    ReplicaSet
+	reps    replicaSet
 	fails   []replicaFailure // per-epoch scratch, index-addressed
 
 	calc hypervolume.Calc
@@ -152,7 +151,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 	}
 	e.scores = make([]float64, len(e.engines))
 	e.pooled = make(ga.Population, 0, len(e.engines)*opts.PopSize)
-	e.reps.Reset(len(e.engines))
+	e.reps.reset(len(e.engines))
 	e.fails = make([]replicaFailure, len(e.engines))
 	return nil
 }
@@ -182,9 +181,9 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 // Step implements search.Engine: one epoch — every live member advances
 // its allocation concurrently, then the barrier rescores the race.
 //
-// Member faults degrade the race instead of aborting it (unless
-// StepRetries is negative): a member whose generation keeps failing after
-// the retry budget is dropped at the epoch barrier, in member-index order;
+// Member faults degrade the race instead of aborting it: a member whose
+// generation keeps failing after the retry budget is dropped at the epoch
+// barrier, in member-index order;
 // its last-good population still competes in the final pooled front (unless
 // the watchdog abandoned it mid-step) but it receives no further budget and
 // never holds the boost. The accumulated *ReplicaError is returned by the
@@ -195,60 +194,39 @@ func (e *Portfolio) Step() error {
 		return nil
 	}
 	base, boost, best := e.p.EpochGens, e.p.Boost, e.best
-	if e.p.StepRetries < 0 {
-		err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			eng := e.engines[i]
-			alloc := base
-			if i == best {
-				alloc += boost
-			}
-			for g := 0; g < alloc && !eng.Done(); g++ {
-				if err := eng.Step(); err != nil {
-					return err
-				}
-			}
+	clear(e.fails)
+	runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
+		eng := e.engines[i]
+		if e.reps.dead[i] {
 			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("sched: portfolio: %w", err)
 		}
-	} else {
-		for i := range e.fails {
-			e.fails[i] = replicaFailure{}
+		alloc := base
+		if i == best {
+			alloc += boost
 		}
-		runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-			eng := e.engines[i]
-			if e.reps.dead[i] {
+		for g := 0; g < alloc && !eng.Done(); g++ {
+			err, poisoned := StepWithRetry(eng, e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
+			if err != nil {
+				e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
 				return nil
 			}
-			alloc := base
-			if i == best {
-				alloc += boost
-			}
-			for g := 0; g < alloc && !eng.Done(); g++ {
-				err, poisoned := StepWithRetry(eng, e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-				if err != nil {
-					e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
-					return nil
-				}
-			}
-			return nil
-		})
-		for i, f := range e.fails { // epoch barrier: drops in member-index order
-			if f.err != nil {
-				e.reps.Drop(i, f.err, f.poisoned)
-			}
 		}
-		if e.reps.AllDead() {
-			e.finalize()
-			return e.reps.TakeErr(e.Name())
+		return nil
+	})
+	for i, f := range e.fails { // epoch barrier: drops in member-index order
+		if f.err != nil {
+			e.reps.drop(i, f.err, f.poisoned)
 		}
+	}
+	if e.reps.allDead() {
+		e.finalize()
+		return e.reps.takeErr(e.Name())
 	}
 	e.epoch++
 	e.rescore()
 	if e.done() {
 		e.finalize()
-		return e.reps.TakeErr(e.Name())
+		return e.reps.takeErr(e.Name())
 	}
 	return nil
 }
@@ -337,7 +315,7 @@ func (e *Portfolio) Population() ga.Population {
 }
 
 func (e *Portfolio) poolView() ga.Population {
-	e.pooled = PoolPopulations(e.pooled, e.engines, e.reps.poisoned)
+	e.pooled = e.reps.pool(e.pooled, e.engines)
 	return e.pooled
 }
 
@@ -360,7 +338,7 @@ func (e *Portfolio) Checkpoint() *search.Checkpoint {
 	}
 	for i, eng := range e.engines {
 		if e.reps.poisoned[i] {
-			sn.Inner[i] = poisonedPlaceholder()
+			sn.Inner[i] = &search.Checkpoint{Algo: poisonedAlgo}
 			continue
 		}
 		sn.Inner[i] = eng.Checkpoint()
@@ -396,7 +374,7 @@ func (e *Portfolio) Restore(prob objective.Problem, opts search.Options, cp *sea
 	e.epoch = sn.Epoch
 	e.best = sn.Best
 	copy(e.scores, sn.Scores)
-	e.reps.RestoreState(len(e.engines), sn.Dead, sn.Poisoned)
+	e.reps.restore(len(e.engines), sn.Dead, sn.Poisoned)
 	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
 		if e.reps.poisoned[i] {
 			return nil // unrecoverable: stays dropped, contributes nothing

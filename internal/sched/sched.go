@@ -38,12 +38,15 @@
 //
 // # Budget
 //
-// Options.MaxEvals caps the whole ensemble: the scheduler wraps the
-// problem in one objective.Counter shared by every child engine and stops
-// at the first epoch boundary at or past the cap. The stop rule is
-// therefore "within one epoch" (one generation per concurrently-stepped
-// engine), the multi-engine analogue of the single-engine "within one
-// generation" contract.
+// Options.MaxEvals caps the whole ensemble, and the scheduler stops at the
+// first epoch boundary at or past the cap. The stop rule is therefore
+// "within one epoch" (one generation per concurrently-stepped engine), the
+// multi-engine analogue of the single-engine "within one generation"
+// contract. ParallelIslands counts the ensemble as the sum of every
+// replica's own Evals(), read at the epoch barrier — the only count a
+// replica stepped in another process can give; a poisoned replica keeps
+// the count it had before its abandoned step. Relay and Portfolio wrap the
+// problem in one objective.Counter shared by every child engine.
 package sched
 
 import (
@@ -147,32 +150,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// allDone reports whether every child engine has completed its budget.
-func allDone(engines []search.Engine) bool {
-	for _, eng := range engines {
-		if !eng.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// PoolPopulations rebuilds dst as the concatenated live view of every
-// child population, in engine-index order. Poisoned engines are skipped —
-// their buffers may still be written by a runaway step — while
-// dead-but-valid replicas contribute their last-good generation. A nil
-// poisoned slice pools every engine (the shard coordinator's case: process
-// isolation means no replica state is ever poisoned). Exported so pooling
-// order — part of the determinism contract — has exactly one definition.
-func PoolPopulations(dst ga.Population, engines []search.Engine, poisoned []bool) ga.Population {
-	dst = dst[:0]
-	for i, eng := range engines {
-		if poisoned != nil && poisoned[i] {
-			continue
-		}
-		dst = append(dst, eng.Population()...)
-	}
-	return dst
 }

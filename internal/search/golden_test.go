@@ -106,6 +106,13 @@ func TestGoldenFronts(t *testing.T) {
 				Replicas: 3, MigrationEvery: 3, StepWorkers: 1,
 			}},
 			"8891da72051a2f3c"},
+		// MaxEvals stops this ensemble at epoch 6 of 10, a migration epoch
+		// whose exchange the stop skips: the digest pins the budget rule.
+		{"parallel-islands-budget", sched.NameParallelIslands, testProblem,
+			search.Options{PopSize: 40, Generations: 10, Seed: 13, MaxEvals: 270, Extra: &sched.IslandsParams{
+				Replicas: 3, MigrationEvery: 3, StepWorkers: 1,
+			}},
+			"ed09734e20f6dd52"},
 		{"relay", sched.NameRelay, constrProblem,
 			search.Options{PopSize: 24, Generations: 16, Seed: 17, Extra: &sched.RelayParams{Legs: []sched.Leg{
 				{Algo: "nsga2", Generations: 4},

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -341,6 +344,25 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 	if got := len(s.Jobs()); got != 0 {
 		t.Fatalf("rejected submissions leaked %d jobs into the table", got)
+	}
+}
+
+// TestAdmissionRejectsHugeRobustCheaply: a submission asking for 10^7
+// robustness samples is a 400, rejected before anything sized by the count
+// is built (at about 600 B per sample, that would be 6 GB).
+func TestAdmissionRejectsHugeRobustCheaply(t *testing.T) {
+	h := newTestServer(t, Config{Slots: 1}).Handler()
+	body := `{"problem":{"name":"integrator","robust":10000000},"engine":"nsga2"}`
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejecting the request allocated %d bytes, want under 1 MB", d)
 	}
 }
 

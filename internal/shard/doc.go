@@ -4,6 +4,14 @@
 // worker count, with or without transient worker deaths, the pooled
 // result is bit-identical to the in-process scheduler.
 //
+// The coordinator is that scheduler: Islands embeds sched.ParallelIslands
+// and runs its epoch loop (barrier, drops, migration, budget, pooling,
+// checkpoints) over remote replicas, through the loop's Ensemble seam. A
+// remote replica is what this package adds: a search.Engine whose Init
+// and Step are requests to a worker, driven through a retry ladder, and
+// whose Population, Done, Evals and migration calls are answered by a
+// local mirror engine restored from the last reply.
+//
 // The design rests on one invariant: workers are STATELESS between epochs.
 // The coordinator owns every replica's state as a sealed checkpoint (the
 // search.SaveCheckpoint byte format, CRC footer included) and ships it to
@@ -22,7 +30,8 @@
 // among them; the determinism contract is transport-independent, because
 // a stateless request replays identically over any byte stream.
 //
-// Failure handling mirrors PR 7's in-process layer, one level up:
+// Failure handling mirrors the in-process fault-tolerance layer, one level
+// up:
 //
 //   - lease expiry (per-epoch deadline) and missed heartbeats kill the
 //     connection and respawn-or-redial the worker — the process analogue
@@ -31,9 +40,9 @@
 //     poisoned state class;
 //   - failed attempts retry with doubling backoff, re-dispatching the last
 //     authoritative checkpoint — against whichever pool worker is healthy;
-//   - a replica whose retry budget is exhausted is dropped at the epoch
-//     barrier in replica-index order, exactly like the in-process
-//     scheduler's drops, accumulating into *sched.ReplicaError;
+//   - a replica whose retry budget is exhausted is dropped by the loop's
+//     own epoch barrier, in replica-index order, accumulating into
+//     *sched.ReplicaError;
 //   - corrupt or torn frames — and corrupt checkpoints inside them —
 //     surface as typed *search.CorruptError, never a gob panic; a
 //     coordinator/worker binary mismatch is a typed *fleet.VersionError

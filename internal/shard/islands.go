@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sacga/internal/fleet"
@@ -26,9 +24,8 @@ func init() {
 // Params is the Islands extension struct carried by search.Options.Extra.
 // The replica-ensemble knobs (Replicas, Algo, Extra, MigrationEvery,
 // Migrants, Topology) mean exactly what they mean on sched.IslandsParams —
-// the coordinator derives every replica's configuration with
-// sched.ReplicaOptions, so a sharded run and an in-process run configured
-// alike produce bit-identical results.
+// the coordinator hands them to the same replica loop — so a sharded run
+// and an in-process run configured alike produce bit-identical results.
 type Params struct {
 	// Replicas is the number of engine replicas (default 4).
 	Replicas int
@@ -40,10 +37,10 @@ type Params struct {
 	// the Request); nil selects the algorithm's defaults.
 	Extra any
 	// MigrationEvery is the number of epochs between migration exchanges;
-	// 0 selects the default (10), negative disables migration. Migration
-	// runs ON THE COORDINATOR, against restored replica mirrors, at the
-	// epoch barrier in replica-index order — identical to the in-process
-	// scheduler.
+	// 0 selects the default (10), negative disables migration (and with
+	// it the search.Migrator requirement on Algo). Migration runs ON THE
+	// COORDINATOR, against restored replica mirrors, at the epoch barrier
+	// in replica-index order — identical to the in-process scheduler.
 	MigrationEvery int
 	// Migrants is how many individuals each replica emits per exchange
 	// (default 2).
@@ -171,48 +168,26 @@ func (p *Params) normalize() error {
 	return nil
 }
 
-// Islands shards a sched.ParallelIslands-shaped replica ensemble across
-// worker OS processes. It implements search.Engine (registered as
-// "sharded-islands"): one Step is one epoch — every live replica advances
-// one generation in some worker process — with migration, pooling, budget
-// enforcement and degradation applied by the coordinator at the epoch
-// barrier, in replica-index order.
+// Islands shards a sched.ParallelIslands replica ensemble across worker
+// OS processes. It implements search.Engine (registered as
+// "sharded-islands") by running ParallelIslands' own epoch loop — the
+// barrier, drops, migration, budget, pooling and checkpoints are that
+// loop's — over remote replicas: each replica generation runs in some
+// worker process, and the replica's state stays on the coordinator as a
+// sealed checkpoint plus a local mirror engine restored from it.
 //
-// The coordinator is the single source of truth: it holds every replica's
-// state as a sealed checkpoint (authoritative bytes, in the
-// search.SaveCheckpoint format) plus the ensemble accounting. Workers are
-// stateless executors. See the package comment for the fault model; the
-// determinism contract is property-tested against the in-process scheduler
-// in this package's chaos suite.
+// The coordinator is the single source of truth; workers are stateless
+// executors. See the package comment for the fault model; the determinism
+// contract is property-tested against the in-process scheduler in this
+// package's chaos suite.
 //
 // An Islands engine owns OS processes; call Close (or drive it to Done,
 // which closes them implicitly) to reap the workers.
 type Islands struct {
-	prob objective.Problem
-	opts search.Options
-	p    Params
+	sched.ParallelIslands
+	p Params
 
-	// Authoritative per-replica state: sealed bytes, the decoded form
-	// (replaced wholesale on adoption, never mutated), cumulative
-	// evaluation counts, and generation-budget completion.
-	ckpts   [][]byte
-	cps     []*search.Checkpoint
-	evals   []int64
-	repDone []bool
-
-	epoch int
-	reps  sched.ReplicaSet
-
-	// Mirrors are in-process replica engines restored on demand from the
-	// authoritative checkpoints — the coordinator's window into replica
-	// populations for migration, pooling and observation. Never stepped.
-	mirrors      []search.Engine
-	mirrorsFresh bool
-
-	pooled ga.Population
-	final  bool
-
-	// pool is where step dispatch draws worker connections from. Owned
+	// pool is where replica requests draw worker connections from. Owned
 	// (built from WorkerArgv/Workers and closed with the engine) unless
 	// Params.Pool supplied a shared one.
 	pool     *fleet.Pool
@@ -220,29 +195,16 @@ type Islands struct {
 	closed   bool
 }
 
-// stepResult is one replica's dispatch outcome for an epoch, written by
-// index from the slot goroutines and consumed at the barrier.
-type stepResult struct {
-	err error // nil on success; the drop cause otherwise
-	// Latest adopted state — set on success, and on failures whose
-	// attempts completed generations under quarantine (the coordinator
-	// keeps a dropped replica's final valid state, like the in-process
-	// scheduler keeps a dead replica's engine).
-	ckpt []byte
-	cp   *search.Checkpoint
-	done bool
-}
-
 // Name implements search.Engine.
 func (e *Islands) Name() string { return NameShardedIslands }
 
-// prepare applies the option/problem wiring shared by Init and Restore.
-func (e *Islands) prepare(prob objective.Problem, opts search.Options) error {
+// prepare applies the option wiring shared by Init and Restore and points
+// the embedded loop at remote replicas.
+func (e *Islands) prepare(opts search.Options) error {
 	p, err := search.Extension[Params](opts)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	opts.Normalize()
 	e.p = *p
 	if err := e.p.normalize(); err != nil {
 		return err
@@ -250,173 +212,172 @@ func (e *Islands) prepare(prob objective.Problem, opts search.Options) error {
 	if e.p.Pool == nil && len(e.p.WorkerArgv) == 0 && len(e.p.Workers) == 0 {
 		return fmt.Errorf("shard: a worker source is required: Params.WorkerArgv (child processes), Params.Workers (TCP daemons) or Params.Pool (shared fleet)")
 	}
-	e.opts = opts
-	e.prob = prob
-	e.epoch = 0
-	e.final = false
 	e.closed = false
-	n := e.p.Replicas
-	e.ckpts = make([][]byte, n)
-	e.cps = make([]*search.Checkpoint, n)
-	e.evals = make([]int64, n)
-	e.repDone = make([]bool, n)
-	e.reps.Reset(n)
-	e.mirrors = nil
-	e.mirrorsFresh = false
-	e.pooled = make(ga.Population, 0, e.opts.PopSize)
 	if e.p.Pool != nil {
 		e.pool, e.ownsPool = e.p.Pool, false
-		return nil
-	}
-	// Build the run's own pool: Procs child-process slots (when a worker
-	// command line is configured) plus one slot per TCP daemon address.
-	hello := fleet.HandshakeConfig{Problem: e.p.Spec}
-	var transports []fleet.Transport
-	if len(e.p.WorkerArgv) > 0 {
-		for s := 0; s < e.p.Procs; s++ {
-			transports = append(transports, &fleet.ProcTransport{
-				Argv:  e.p.WorkerArgv,
-				Env:   e.p.WorkerEnv,
-				Grace: e.p.ShutdownGrace,
-				Hello: hello,
-			})
+	} else {
+		// Build the run's own pool: Procs child-process slots (when a
+		// worker command line is configured) plus one slot per TCP daemon
+		// address.
+		hello := fleet.HandshakeConfig{Problem: e.p.Spec}
+		var transports []fleet.Transport
+		if len(e.p.WorkerArgv) > 0 {
+			for s := 0; s < e.p.Procs; s++ {
+				transports = append(transports, &fleet.ProcTransport{
+					Argv:  e.p.WorkerArgv,
+					Env:   e.p.WorkerEnv,
+					Grace: e.p.ShutdownGrace,
+					Hello: hello,
+				})
+			}
 		}
+		for _, addr := range e.p.Workers {
+			transports = append(transports, &fleet.TCPTransport{Address: addr, Hello: hello})
+		}
+		e.pool, e.ownsPool = fleet.NewPool(transports...), true
 	}
-	for _, addr := range e.p.Workers {
-		transports = append(transports, &fleet.TCPTransport{Address: addr, Hello: hello})
-	}
-	e.pool, e.ownsPool = fleet.NewPool(transports...), true
+	// Retries, backoff and leases belong to the remote replica's request
+	// ladder, so the loop neither retries nor guards a replica step; it
+	// steps as many replicas at once as the pool has workers.
+	e.Ensemble(NameShardedIslands, sched.IslandsParams{
+		Replicas: e.p.Replicas, Algo: e.p.Algo, Extra: e.p.Extra,
+		MigrationEvery: e.p.MigrationEvery, Migrants: e.p.Migrants, Topology: e.p.Topology,
+		StepWorkers: e.pool.Size(), StepRetries: -1,
+	}, func(i int, local search.Engine) search.Engine {
+		return &remote{Engine: local, c: e, i: i}
+	})
 	return nil
-}
-
-// replicaOptions derives replica i's configuration — the same call the
-// in-process scheduler makes, which is what the bit-identity rests on.
-func (e *Islands) replicaOptions(i int) search.Options {
-	return sched.ReplicaOptions(e.opts, e.p.Replicas, i, e.p.Extra)
 }
 
 // Init implements search.Engine: every replica's generation-zero state is
 // created in a worker process. Unlike Step, replica failures here are
-// fatal (after transport retries) — matching the in-process scheduler,
-// whose Init aborts on the first replica error.
+// fatal (after transport retries), as in the in-process scheduler.
 func (e *Islands) Init(prob objective.Problem, opts search.Options) error {
-	if err := e.prepare(prob, opts); err != nil {
+	if err := e.prepare(opts); err != nil {
 		return err
 	}
-	results := e.dispatch(true)
-	for i := range results {
-		if results[i].err != nil {
-			e.Close()
-			return fmt.Errorf("shard: replica %d init: %w", i, results[i].err)
-		}
-		e.adopt(i, &results[i])
+	return e.settle(e.ParallelIslands.Init(prob, opts))
+}
+
+// Step implements search.Engine: one epoch of the embedded loop.
+func (e *Islands) Step() error { return e.settle(e.ParallelIslands.Step()) }
+
+// Restore implements search.Engine. The snapshot is a
+// sched.IslandsSnapshot under this engine's name, so sharded runs
+// checkpoint and resume with the standard persistence layer.
+func (e *Islands) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
+	if err := e.prepare(opts); err != nil {
+		return err
 	}
+	return e.settle(e.ParallelIslands.Restore(prob, opts, cp))
+}
+
+// settle reaps the workers once the run has failed or finished.
+func (e *Islands) settle(err error) error {
+	if err != nil || e.Done() {
+		e.Close()
+	}
+	return err
+}
+
+// remote is one replica of a sharded ensemble, as the embedded loop sees
+// it: a search.Engine and search.Migrator whose generations run in worker
+// processes. The embedded engine is the local mirror, restored from the
+// last adopted checkpoint and never stepped; it answers Done, Evals,
+// Generation, Population and the migration calls. Each remote touches only
+// its own fields, so the loop may step replicas concurrently.
+type remote struct {
+	search.Engine
+	c    *Islands
+	i    int
+	prob objective.Problem // the mirror's problem: a restore never evaluates
+	opts search.Options
+	ckpt []byte             // the sealed state the next request ships; nil until sealed
+	cp   *search.Checkpoint // the authoritative state
+}
+
+// Init implements search.Engine: the replica's generation zero is created
+// in a worker process.
+func (r *remote) Init(prob objective.Problem, opts search.Options) error {
+	r.prob, r.opts = prob, opts
+	return r.request(true)
+}
+
+// Step implements search.Engine: one generation, in a worker process.
+func (r *remote) Step() error { return r.request(false) }
+
+// Restore implements search.Engine: cp becomes the authoritative state.
+func (r *remote) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
+	r.prob, r.opts = prob, opts
+	return r.adopt(nil, cp)
+}
+
+// Checkpoint implements search.Engine: the authoritative state, as
+// adopted (never mutated; replaced wholesale).
+func (r *remote) Checkpoint() *search.Checkpoint { return r.cp }
+
+// Emigrants implements search.Migrator on the mirror.
+func (r *remote) Emigrants(k int) ga.Population { return r.Engine.(search.Migrator).Emigrants(k) }
+
+// Immigrate implements search.Migrator: the migrants join the mirror, and
+// the mirror's checkpoint becomes the state the next request ships.
+func (r *remote) Immigrate(migrants ga.Population) {
+	r.Engine.(search.Migrator).Immigrate(migrants)
+	r.cp, r.ckpt = r.Engine.Checkpoint(), nil
+}
+
+// adopt installs cp (sealed as ckpt, or unsealed when ckpt is nil) as the
+// authoritative state and restores a fresh mirror from it.
+func (r *remote) adopt(ckpt []byte, cp *search.Checkpoint) error {
+	mirror, err := search.New(r.c.p.Algo)
+	if err != nil {
+		return fmt.Errorf("shard: %w", err)
+	}
+	if err := mirror.Restore(r.prob, r.opts, cp); err != nil {
+		return fmt.Errorf("shard: mirror replica %d: %w", r.i, err)
+	}
+	r.Engine, r.ckpt, r.cp = mirror, ckpt, cp
 	return nil
 }
 
-// adopt installs one replica's new authoritative state.
-func (e *Islands) adopt(i int, r *stepResult) {
-	if r.cp == nil {
-		return
+// request ships one Init or Step request through the retry ladder and
+// adopts the latest state a worker returned, even when the step failed in
+// the end: the loop keeps a dropped replica's last valid state, and pools
+// it, like a dead in-process replica.
+func (r *remote) request(init bool) error {
+	c := r.c
+	req := &Request{
+		Replica:        r.i,
+		Epoch:          c.Generation(),
+		Init:           init,
+		Algo:           c.p.Algo,
+		Spec:           c.p.Spec,
+		Opts:           ToWire(r.opts),
+		HeartbeatEvery: c.p.HeartbeatEvery,
 	}
-	e.ckpts[i] = r.ckpt
-	e.cps[i] = r.cp
-	e.evals[i] = r.cp.Evals
-	e.repDone[i] = r.done
-	e.mirrorsFresh = false
-}
-
-// Step implements search.Engine: one epoch. Every live replica's sealed
-// checkpoint is shipped to a worker, stepped one generation, and shipped
-// back; the barrier then applies drops, migration and the budget check in
-// replica-index order — the same reduction order as the in-process
-// scheduler, so degradation is deterministic at any process count.
-func (e *Islands) Step() error {
-	if e.Done() {
-		return nil
-	}
-	results := e.dispatch(false)
-	for i := range results { // epoch barrier: adoption + drops in replica-index order
-		r := &results[i]
-		if r.cp != nil {
-			e.adopt(i, r)
-		}
-		if r.err != nil {
-			e.reps.Drop(i, r.err, false) // process isolation: never poisoned
-		}
-	}
-	if e.reps.AllDead() {
-		if err := e.finalize(); err != nil {
-			return err
-		}
-		return e.reps.TakeErr(e.Name())
-	}
-	e.epoch++
-	if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
-		if err := e.migrate(); err != nil {
-			return err
-		}
-	}
-	if e.done() {
-		if err := e.finalize(); err != nil {
-			return err
-		}
-		return e.reps.TakeErr(e.Name())
-	}
-	return nil
-}
-
-// dispatch runs one epoch's worth of replica requests across the pool:
-// each dispatch goroutine pulls replica indices from a shared cursor and
-// checks a worker out of the pool per attempt. Results are written by
-// index — which worker executes which replica cannot matter, because
-// workers are stateless. The goroutine count is bounded by the pool size,
-// so a goroutine holding no session never blocks an exclusive pool
-// (shared pools may make it wait its turn — that is the shared budget).
-func (e *Islands) dispatch(init bool) []stepResult {
-	n := e.p.Replicas
-	results := make([]stepResult, n)
-	var live []int
-	for i := 0; i < n; i++ {
-		if init || (!e.reps.Dead(i) && !e.repDone[i]) {
-			live = append(live, i)
-		}
-	}
-	workers := min(e.pool.Size(), len(live))
-	if workers == 0 {
-		return results
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= len(live) {
-				return
+	if !init {
+		if r.ckpt == nil {
+			data, err := search.EncodeCheckpoint(r.cp)
+			if err != nil {
+				return fmt.Errorf("shard: seal replica %d: %w", r.i, err)
 			}
-			i := live[k]
-			results[i] = e.stepReplica(i, init)
+			r.ckpt = data
+		}
+		req.Ckpt = r.ckpt
+	}
+	ckpt, cp, err := r.ladder(req)
+	if cp != nil {
+		if aerr := r.adopt(ckpt, cp); err == nil {
+			err = aerr
 		}
 	}
-	if workers == 1 {
-		run()
-		return results
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for s := 1; s < workers; s++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	return results
+	return err
 }
 
-// stepReplica drives one replica's step to success or retry exhaustion,
-// checking a worker out of the pool for each attempt. The retry ladder,
-// in parity with the in-process sched.StepWithRetry:
+// ladder drives one request to success or retry exhaustion, checking a
+// worker out of the pool for each attempt, and returns the latest state a
+// worker returned (nil when none did). The retry ladder, in parity with the
+// in-process sched.StepWithRetry:
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
 //     expiry, corrupt frame, desynced stream) taint the connection: it is
@@ -433,263 +394,64 @@ func (e *Islands) dispatch(init bool) []stepResult {
 //   - a *fleet.VersionError is permanent by construction — every redial
 //     of the mismatched binary reproduces it — so it fails the replica
 //     without burning the retry budget.
-func (e *Islands) stepReplica(i int, init bool) stepResult {
-	req := &Request{
-		Replica:        i,
-		Epoch:          e.epoch,
-		Init:           init,
-		Algo:           e.p.Algo,
-		Spec:           e.p.Spec,
-		Opts:           ToWire(e.replicaOptions(i)),
-		HeartbeatEvery: e.p.HeartbeatEvery,
-	}
-	if !init {
-		req.Ckpt = e.ckpts[i]
-	}
-	var res stepResult
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > e.p.Retries {
-			res.err = lastErr
-			return res
-		}
-		if attempt > 0 && e.p.RetryBackoff > 0 {
-			time.Sleep(e.p.RetryBackoff << (attempt - 1))
+func (r *remote) ladder(req *Request) (ckpt []byte, cp *search.Checkpoint, err error) {
+	p, init := &r.c.p, req.Init
+	label := fmt.Sprintf("shard: replica %d reply", r.i)
+	for attempt := 0; attempt <= p.Retries; attempt++ {
+		if attempt > 0 && p.RetryBackoff > 0 {
+			time.Sleep(p.RetryBackoff << (attempt - 1))
 		}
 		req.Attempt = attempt
-		sess := e.pool.Acquire()
+		sess := r.c.pool.Acquire()
 		if sess == nil {
-			res.err = fmt.Errorf("shard: replica %d epoch %d: worker pool closed", i, req.Epoch)
-			return res
+			return ckpt, cp, fmt.Errorf("shard: replica %d epoch %d: worker pool closed", r.i, req.Epoch)
 		}
-		link, err := sess.Link() // dial failures are recorded on the worker by the session
-		if err != nil {
+		link, lerr := sess.Link() // dial failures are recorded on the worker by the session
+		if lerr != nil {
 			sess.Release()
 			var ve *fleet.VersionError
-			if errors.As(err, &ve) {
-				res.err = fmt.Errorf("shard: replica %d: %w", i, err)
-				return res
+			if errors.As(lerr, &ve) {
+				return ckpt, cp, fmt.Errorf("shard: replica %d: %w", r.i, lerr)
 			}
-			lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", i, req.Epoch, attempt, err)
+			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", r.i, req.Epoch, attempt, lerr)
 			continue
 		}
-		reply, err := roundTrip(link, req, e.p.EpochDeadline, e.p.HeartbeatTimeout)
-		if err != nil {
-			sess.Fail(err)
+		reply, rerr := roundTrip(link, req, p.EpochDeadline, p.HeartbeatTimeout)
+		if rerr != nil {
+			sess.Fail(rerr)
 			sess.Release()
-			lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", i, req.Epoch, attempt, err)
+			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", r.i, req.Epoch, attempt, rerr)
 			continue
 		}
 		if reply.Err != "" {
 			sess.Served() // an engine fault is the replica's, not the transport's
 			sess.Release()
-			lastErr = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", i, req.Epoch, attempt, reply.Err)
+			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", r.i, req.Epoch, attempt, reply.Err)
 			if len(reply.Ckpt) > 0 {
-				if cp, derr := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d reply", i), reply.Ckpt); derr == nil {
-					res.ckpt, res.cp, res.done = reply.Ckpt, cp, reply.Done
+				if rcp, derr := search.DecodeCheckpoint(label, reply.Ckpt); derr == nil {
+					ckpt, cp = reply.Ckpt, rcp
 					req.Ckpt, req.Init = reply.Ckpt, false // retry from the advanced state
 				}
 			}
 			if init {
-				res.err = lastErr
-				return res
+				return ckpt, cp, err
 			}
 			continue
 		}
-		cp, derr := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d reply", i), reply.Ckpt)
+		rcp, derr := search.DecodeCheckpoint(label, reply.Ckpt)
 		if derr != nil {
 			// The frame CRC passed but the checkpoint inside is corrupt:
 			// do not adopt; the connection is suspect.
 			sess.Fail(derr)
 			sess.Release()
-			lastErr = derr
+			err = derr
 			continue
 		}
 		sess.Served()
 		sess.Release()
-		res.ckpt, res.cp, res.done, res.err = reply.Ckpt, cp, reply.Done, nil
-		return res
+		return reply.Ckpt, rcp, nil
 	}
-}
-
-// migrate refreshes the replica mirrors and runs one deterministic
-// exchange over the live ones — sched.Migrate, the same code the
-// in-process scheduler runs — then reseals the mutated mirrors as the new
-// authoritative checkpoints.
-func (e *Islands) migrate() error {
-	if err := e.refreshMirrors(); err != nil {
-		return err
-	}
-	var live []int
-	for i := 0; i < e.p.Replicas; i++ {
-		if !e.reps.Dead(i) {
-			live = append(live, i)
-		}
-	}
-	sched.Migrate(e.mirrors, live, e.p.Topology, e.p.Migrants)
-	for _, i := range live {
-		cp := e.mirrors[i].Checkpoint()
-		data, err := search.EncodeCheckpoint(cp)
-		if err != nil {
-			return fmt.Errorf("shard: reseal replica %d after migration: %w", i, err)
-		}
-		e.cps[i] = cp
-		e.ckpts[i] = data
-	}
-	return nil
-}
-
-// refreshMirrors rebuilds the in-process replica mirrors from the
-// authoritative checkpoints. Restore never re-evaluates, so mirrors cost
-// no budget; they are rebuilt only when stale and needed (migration,
-// observation, pooling).
-func (e *Islands) refreshMirrors() error {
-	if e.mirrorsFresh {
-		return nil
-	}
-	n := e.p.Replicas
-	e.mirrors = make([]search.Engine, n)
-	for i := 0; i < n; i++ {
-		if e.cps[i] == nil {
-			return fmt.Errorf("shard: replica %d has no checkpoint to mirror", i)
-		}
-		eng, err := search.New(e.p.Algo)
-		if err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		if err := eng.Restore(objective.NewCounter(e.prob), e.replicaOptions(i), e.cps[i]); err != nil {
-			return fmt.Errorf("shard: mirror replica %d: %w", i, err)
-		}
-		e.mirrors[i] = eng
-	}
-	e.mirrorsFresh = true
-	return nil
-}
-
-// poolView refreshes the mirrors and pools them in replica-index order.
-// Dead replicas contribute their last-good generation, like the in-process
-// scheduler's dead-but-valid engines; no replica is ever poisoned here.
-func (e *Islands) poolView() (ga.Population, error) {
-	if err := e.refreshMirrors(); err != nil {
-		return nil, err
-	}
-	e.pooled = sched.PoolPopulations(e.pooled, e.mirrors, nil)
-	return e.pooled, nil
-}
-
-// totalEvals is the ensemble's cumulative evaluation count — the sum of
-// every replica's own counter, identical to the in-process scheduler's
-// shared counter because child evaluations are disjoint.
-func (e *Islands) totalEvals() int64 {
-	var total int64
-	for _, v := range e.evals {
-		total += v
-	}
-	return total
-}
-
-// done reports budget exhaustion or completion of every live replica.
-func (e *Islands) done() bool {
-	if e.opts.MaxEvals > 0 && e.totalEvals() >= e.opts.MaxEvals {
-		return true
-	}
-	for i := 0; i < e.p.Replicas; i++ {
-		if !e.reps.Dead(i) && !e.repDone[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Done implements search.Engine.
-func (e *Islands) Done() bool { return e.final || e.done() }
-
-// Generation implements search.Engine: epochs executed.
-func (e *Islands) Generation() int { return e.epoch }
-
-// Evals implements search.Engine.
-func (e *Islands) Evals() int64 { return e.totalEvals() }
-
-// Population implements search.Engine: the pooled view across replica
-// mirrors, globally ranked once the run is done. Invalidated by Step.
-func (e *Islands) Population() ga.Population {
-	if e.final {
-		return e.pooled
-	}
-	pop, err := e.poolView()
-	if err != nil {
-		return nil
-	}
-	return pop
-}
-
-// finalize pools the mirrors, assigns global ranks — the one pooled global
-// competition — and reaps the worker processes.
-func (e *Islands) finalize() error {
-	pop, err := e.poolView()
-	if err != nil {
-		e.Close()
-		return err
-	}
-	pop.AssignRanksAndCrowding()
-	e.final = true
-	e.Close()
-	return nil
-}
-
-// Checkpoint implements search.Engine: the composite snapshot is a
-// sched.IslandsSnapshot — the same shape as the in-process scheduler's,
-// under this engine's own Algo name — so sharded runs checkpoint and
-// resume with the standard persistence layer.
-func (e *Islands) Checkpoint() *search.Checkpoint {
-	sn := &sched.IslandsSnapshot{
-		Inner:    make([]*search.Checkpoint, e.p.Replicas),
-		Dead:     e.reps.DeadFlags(),
-		Poisoned: e.reps.PoisonedFlags(),
-	}
-	copy(sn.Inner, e.cps)
-	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.totalEvals(), State: sn}
-}
-
-// Restore implements search.Engine.
-func (e *Islands) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("shard: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*sched.IslandsSnapshot)
-	if !ok {
-		return fmt.Errorf("shard: checkpoint state is %T, want *sched.IslandsSnapshot", cp.State)
-	}
-	if err := e.prepare(prob, opts); err != nil {
-		return err
-	}
-	if len(sn.Inner) != e.p.Replicas {
-		return fmt.Errorf("shard: checkpoint has %d replicas, options configure %d", len(sn.Inner), e.p.Replicas)
-	}
-	e.epoch = cp.Gen
-	e.reps.RestoreState(e.p.Replicas, sn.Dead, sn.Poisoned)
-	for i, inner := range sn.Inner {
-		if inner == nil {
-			return fmt.Errorf("shard: checkpoint replica %d is empty", i)
-		}
-		data, err := search.EncodeCheckpoint(inner)
-		if err != nil {
-			return fmt.Errorf("shard: reseal checkpoint replica %d: %w", i, err)
-		}
-		e.cps[i] = inner
-		e.ckpts[i] = data
-		e.evals[i] = inner.Evals
-	}
-	if err := e.refreshMirrors(); err != nil {
-		return err
-	}
-	for i, m := range e.mirrors {
-		e.repDone[i] = m.Done()
-	}
-	if e.done() {
-		return e.finalize()
-	}
-	return nil
+	return ckpt, cp, err
 }
 
 // Close reaps the run's workers: an owned pool is closed (clean

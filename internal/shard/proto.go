@@ -45,9 +45,9 @@ type Request struct {
 	// Spec identifies the problem; the worker rebuilds it through its
 	// WorkerConfig.Build hook. Opaque to this package.
 	Spec string
-	// Opts is the replica's full configuration, pre-derived by the
-	// coordinator with sched.ReplicaOptions so worker-side replicas are
-	// configured byte-identically to in-process ones.
+	// Opts is the replica's full configuration, as the coordinator's
+	// replica loop derived it — the same options an in-process replica
+	// gets, so worker-side replicas are configured byte-identically.
 	Opts WireOptions
 	// HeartbeatEvery, when positive, overrides the worker's configured
 	// heartbeat period for this step (Params.HeartbeatEvery shipped along,

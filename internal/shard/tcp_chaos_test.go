@@ -305,10 +305,16 @@ func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.(*Islands).Close()
-	err = eng.Init(zdt1Prob(t), tcpOpts(daemonAddrs(ds)))
+	opts := tcpOpts(daemonAddrs(ds))
+	opts.Extra.(*Params).RetryBackoff = 10 * time.Second // a retried mismatch would sleep past the bound below
+	start := time.Now()
+	err = eng.Init(zdt1Prob(t), opts)
 	var ve *fleet.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Init took %v to report the mismatch: it burned retries", d)
 	}
 	if ve.Field != "build" || ve.Peer != "deadbeefdeadbeef" {
 		t.Fatalf("mismatch %+v, want build mismatch against the fake fingerprint", ve)
@@ -322,15 +328,20 @@ func TestStdioVersionMismatchFailsFast(t *testing.T) {
 	opts := shardedOpts(t, 2, "")
 	p := opts.Extra.(*Params)
 	p.WorkerEnv = append(p.WorkerEnv, "SHARD_BUILD_FP=deadbeefdeadbeef")
+	p.RetryBackoff = 10 * time.Second // a retried mismatch would sleep past the bound below
 	eng, err := search.New(NameShardedIslands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.(*Islands).Close()
+	start := time.Now()
 	err = eng.Init(zdt1Prob(t), opts)
 	var ve *fleet.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Init took %v to report the mismatch: it burned retries", d)
 	}
 	if ve.Field != "build" {
 		t.Fatalf("mismatch field %q, want build", ve.Field)
