@@ -17,6 +17,7 @@ import (
 	_ "sacga/internal/nsga2" // the engine the chaos scenarios drive
 	"sacga/internal/objective"
 	"sacga/internal/rng"
+	"sacga/internal/sched"
 	"sacga/internal/search"
 )
 
@@ -238,5 +239,43 @@ func TestWatchdogReclaimsHungEvaluation(t *testing.T) {
 	popSane(t, res.Final)
 	if res.Generations < 1 {
 		t.Fatal("run ended before completing any generation")
+	}
+}
+
+// TestSchedulerQuarantinedInitKeepsResult: when evaluation panics
+// quarantine part of a scheduler's initial population, search.Run returns
+// the *objective.EvalError alongside a Result that holds the degraded
+// population and counts every evaluation the problem saw — for a relay,
+// whose first leg is the one quarantined, and for both replica schedulers.
+func TestSchedulerQuarantinedInitKeepsResult(t *testing.T) {
+	cases := []struct {
+		name  string
+		extra any
+	}{
+		{sched.NameRelay, &sched.RelayParams{Legs: []sched.Leg{{Algo: "nsga2", Generations: 3}, {Algo: "nsga2"}}}},
+		{sched.NameParallelIslands, &sched.IslandsParams{Replicas: 2}},
+		{sched.NamePortfolio, &sched.PortfolioParams{Members: []sched.Member{{Algo: "nsga2"}, {Algo: "nsga2"}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prob := objective.NewCounter(fault.Wrap(zdt1(), fault.NewInjector(fault.Config{Seed: 3, PPanic: 0.5})))
+			eng, err := search.New(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := search.Run(context.Background(), eng, prob,
+				search.Options{PopSize: 40, Generations: 6, Seed: 1, Extra: tc.extra})
+			var ee *objective.EvalError
+			if !errors.As(err, &ee) {
+				t.Fatalf("error is %T (%v), want *objective.EvalError", err, err)
+			}
+			if res == nil || len(res.Final) == 0 {
+				t.Fatal("no degraded population alongside the quarantined Init")
+			}
+			popSane(t, res.Final)
+			if res.Evals == 0 || res.Evals != prob.Count() {
+				t.Fatalf("result counts %d evals, the problem saw %d", res.Evals, prob.Count())
+			}
+		})
 	}
 }

@@ -327,3 +327,65 @@ func TestIslandsPoisonedCheckpointRoundTrip(t *testing.T) {
 	}
 	popsIdentical(t, "poisoned checkpoint round trip", eng.Population(), res.Final)
 }
+
+// TestPortfolioPoisonedCheckpointRoundTrip: a member hung under the
+// watchdog is abandoned and poisoned, the race still saves durably with
+// that member's placeholder, and the resumed race finishes without it, on
+// the original's evaluation count, bit-identically to the original.
+func TestPortfolioPoisonedCheckpointRoundTrip(t *testing.T) {
+	opts := search.Options{
+		PopSize: 16, Generations: 8, Seed: 3,
+		Extra: &sched.PortfolioParams{
+			Members: []sched.Member{
+				{Algo: "nsga2"},
+				{Algo: "chaos-replica", Extra: &chaosParams{All: true, Hang: true}},
+			},
+			StepWorkers: 2, StepTimeout: 50 * time.Millisecond,
+		},
+	}
+	eng, err := search.New("portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Init(zdt1(), opts); err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, eng, 3) // member 1 hangs, is abandoned and poisoned at epoch 1
+
+	path := filepath.Join(t.TempDir(), "poisoned-portfolio.ckpt")
+	if err := search.SaveCheckpoint(path, eng.Checkpoint()); err != nil {
+		t.Fatalf("saving a poisoned portfolio snapshot: %v", err)
+	}
+	loaded, err := search.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var origErr error
+	for !eng.Done() {
+		if err := eng.Step(); err != nil {
+			origErr = err
+		}
+	}
+	var origRe *sched.ReplicaError
+	if !errors.As(origErr, &origRe) || len(origRe.Dropped) != 1 || origRe.Dropped[0] != 1 {
+		t.Fatalf("original run error %v, want a *sched.ReplicaError dropping [1]", origErr)
+	}
+
+	resumed, err := search.New("portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := search.Resume(context.Background(), resumed, zdt1(), opts, loaded)
+	var re *sched.ReplicaError
+	if !errors.As(err, &re) || len(re.Dropped) != 1 || re.Dropped[0] != 1 {
+		t.Fatalf("resumed run error %v, want a *sched.ReplicaError dropping [1]", err)
+	}
+	if len(res.Final) != 16 {
+		t.Fatalf("resumed pooled population has %d individuals, want 16", len(res.Final))
+	}
+	if res.Evals != eng.Evals() {
+		t.Fatalf("resumed run evals %d, original %d", res.Evals, eng.Evals())
+	}
+	popsIdentical(t, "poisoned portfolio round trip", eng.Population(), res.Final)
+}

@@ -1,11 +1,9 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"sacga/internal/ga"
 	"sacga/internal/objective"
 	"sacga/internal/search"
 )
@@ -38,110 +36,6 @@ func (e *ReplicaError) Error() string {
 
 // Unwrap exposes the first dropped replica's cause to errors.Is/As.
 func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
-
-// replicaFailure is one replica's outcome for an epoch, written by index
-// from the stepping goroutines and consumed at the barrier.
-type replicaFailure struct {
-	err      error
-	poisoned bool
-}
-
-// replicaSet tracks which child engines a scheduler still trusts. A dead
-// replica is no longer stepped but its last-good population remains in the
-// pooled view; a poisoned replica (watchdog abandonment — a runaway step
-// may still be writing its buffers) is excluded from everything.
-type replicaSet struct {
-	dead     []bool
-	poisoned []bool
-	dropped  []int
-	errs     []error
-	reported bool
-}
-
-// reset initializes the set with n live replicas.
-func (r *replicaSet) reset(n int) {
-	r.dead = make([]bool, n)
-	r.poisoned = make([]bool, n)
-	r.dropped = nil
-	r.errs = nil
-	r.reported = false
-}
-
-// drop retires replica i. Call at the epoch barrier in replica-index
-// order, so Dropped is deterministic at any worker count.
-func (r *replicaSet) drop(i int, err error, poisoned bool) {
-	if r.dead[i] {
-		return
-	}
-	r.dead[i] = true
-	r.poisoned[i] = poisoned
-	r.dropped = append(r.dropped, i)
-	r.errs = append(r.errs, err)
-}
-
-// allDead reports whether no replica survives.
-func (r *replicaSet) allDead() bool {
-	for _, d := range r.dead {
-		if !d {
-			return false
-		}
-	}
-	return len(r.dead) > 0
-}
-
-// takeErr builds the run's ReplicaError, once: later calls return nil so a
-// finalized scheduler does not re-report on subsequent (no-op) Steps.
-func (r *replicaSet) takeErr(scheduler string) error {
-	if r.reported || len(r.dropped) == 0 {
-		return nil
-	}
-	r.reported = true
-	return &ReplicaError{
-		Scheduler: scheduler,
-		Dropped:   append([]int(nil), r.dropped...),
-		Errs:      append([]error(nil), r.errs...),
-		AllDead:   r.allDead(),
-	}
-}
-
-// restore rebuilds the liveness state from a checkpoint. nil dead (a
-// pre-fault-tolerance snapshot) means all replicas alive. Dropped causes are
-// not persisted; a placeholder keeps the final report well-formed.
-func (r *replicaSet) restore(n int, dead, poisoned []bool) {
-	r.reset(n)
-	if dead == nil {
-		return
-	}
-	copy(r.dead, dead)
-	copy(r.poisoned, poisoned)
-	for i, d := range r.dead {
-		if d {
-			r.dropped = append(r.dropped, i)
-			r.errs = append(r.errs, errors.New("dropped before checkpoint"))
-		}
-	}
-}
-
-// pool rebuilds dst as the concatenated view of every engine's population,
-// in engine-index order (pooling order is part of the determinism
-// contract). Poisoned engines are skipped — their buffers may still be
-// written by a runaway step — while dead-but-valid ones contribute their
-// last-good generation.
-func (r *replicaSet) pool(dst ga.Population, engines []search.Engine) ga.Population {
-	dst = dst[:0]
-	for i, eng := range engines {
-		if !r.poisoned[i] {
-			dst = append(dst, eng.Population()...)
-		}
-	}
-	return dst
-}
-
-// poisonedAlgo marks a poisoned replica's placeholder entry in a composite
-// snapshot. gob rejects nil pointers inside slices, so the unusable state is
-// stood in for by an empty checkpoint; Restore reads at most its Evals (the
-// replica stays dropped).
-const poisonedAlgo = "sched/poisoned"
 
 // StepWithRetry advances one engine under the scheduler's shared fault
 // policy: a failing Step is retried up to `retries` more times, sleeping

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/gob"
-	"fmt"
 	"time"
 
 	"sacga/internal/ga"
@@ -103,21 +102,11 @@ func (p *IslandsParams) normalize() {
 // GOMAXPROCS setting. The cross-process shard coordinator runs this same
 // loop over remote replicas (see Ensemble).
 type ParallelIslands struct {
-	name    string                                         // Ensemble's engine name; "" = parallel-islands
+	replicaLoop
 	ext     *IslandsParams                                 // Ensemble's params; nil reads Options.Extra
 	wrap    func(i int, local search.Engine) search.Engine // Ensemble's replica wrapper
-	opts    search.Options
 	p       IslandsParams
-	engines []search.Engine
-	probs   []objective.Problem // per-replica counters over prob (own accounting)
-	counts  []int64             // each replica's Evals(), read at the last barrier
-	evals   int64               // the sum of counts: the ensemble's budget
-	epoch   int
-	pooled  ga.Population
-	final   bool
-	reps    replicaSet
-	fails   []replicaFailure // per-epoch scratch, index-addressed
-	livebuf []int            // scratch for liveIndices
+	livebuf []int // scratch for liveIndices
 }
 
 // IslandsSnapshot is the composite checkpoint payload: every replica's own
@@ -149,14 +138,10 @@ func (e *ParallelIslands) Ensemble(name string, p IslandsParams, wrap func(i int
 	e.name, e.ext, e.wrap = name, &p, wrap
 }
 
-// errorf prefixes an error with the package and this engine's name.
-func (e *ParallelIslands) errorf(format string, args ...any) error {
-	return fmt.Errorf("sched: "+e.Name()+": "+format, args...)
-}
-
 // prepare applies the option/problem wiring shared by Init and Restore and
 // constructs the (uninitialized) replica engines.
 func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) error {
+	e.name = e.Name() // the loop's errors carry it
 	p := e.ext
 	if p == nil {
 		var err error
@@ -164,35 +149,24 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 			return e.errorf("%w", err)
 		}
 	}
-	opts.Normalize()
 	e.p = *p
 	e.p.normalize()
-	e.opts = opts
-	e.epoch, e.evals, e.final = 0, 0, false
-	n := e.p.Replicas
-	e.engines = make([]search.Engine, n)
-	e.probs = make([]objective.Problem, n)
-	e.counts = make([]int64, n)
-	for i := range e.engines {
+	e.workers, e.retries, e.backoff, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout
+	return e.reset(prob, opts, e.p.Replicas, func(i int) (search.Engine, error) {
 		eng, err := search.New(e.p.Algo)
 		if err != nil {
-			return e.errorf("%w", err)
+			return nil, e.errorf("%w", err)
 		}
 		if e.p.MigrationEvery > 0 {
 			if _, ok := eng.(search.Migrator); !ok {
-				return e.errorf("engine %q does not support migration (search.Migrator); set MigrationEvery < 0 to run isolated replicas", e.p.Algo)
+				return nil, e.errorf("engine %q does not support migration (search.Migrator); set MigrationEvery < 0 to run isolated replicas", e.p.Algo)
 			}
 		}
 		if e.wrap != nil {
 			eng = e.wrap(i, eng)
 		}
-		e.engines[i] = eng
-		e.probs[i] = childProblem(prob)
-	}
-	e.pooled = make(ga.Population, 0, e.opts.PopSize)
-	e.reps.reset(n)
-	e.fails = make([]replicaFailure, n)
-	return nil
+		return eng, nil
+	}, e.replicaOptions)
 }
 
 // replicaShares splits popSize across n replicas so the shares sum EXACTLY
@@ -256,13 +230,7 @@ func (e *ParallelIslands) Init(prob objective.Problem, opts search.Options) erro
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		return e.engines[i].Init(e.probs[i], e.replicaOptions(i))
-	}); err != nil {
-		return err
-	}
-	e.tally()
-	return nil
+	return e.init()
 }
 
 // Step implements search.Engine: one epoch — every live replica advances
@@ -277,50 +245,11 @@ func (e *ParallelIslands) Init(prob objective.Problem, opts search.Options) erro
 // alongside the valid pooled Result — or immediately, when no replica
 // survives.
 func (e *ParallelIslands) Step() error {
-	if e.Done() {
-		return nil
-	}
-	clear(e.fails)
-	runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		if e.reps.dead[i] || e.engines[i].Done() {
-			return nil
+	return e.step(func(int) int { return 1 }, func() {
+		if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
+			e.migrate()
 		}
-		err, poisoned := StepWithRetry(e.engines[i], e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-		e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
-		return nil
 	})
-	for i, f := range e.fails { // epoch barrier: drops in replica-index order
-		if f.err != nil {
-			e.reps.drop(i, f.err, f.poisoned)
-		}
-	}
-	e.tally()
-	if e.reps.allDead() {
-		e.finalize()
-		return e.reps.takeErr(e.Name())
-	}
-	e.epoch++
-	if e.p.MigrationEvery > 0 && e.epoch%e.p.MigrationEvery == 0 && !e.done() {
-		e.migrate()
-	}
-	if e.done() {
-		e.finalize()
-		return e.reps.takeErr(e.Name())
-	}
-	return nil
-}
-
-// tally reads every replica's own evaluation count at the barrier; their
-// sum is the ensemble's budget. A poisoned replica keeps the count it had
-// before its abandoned step: its state belongs to the runaway step.
-func (e *ParallelIslands) tally() {
-	e.evals = 0
-	for i, eng := range e.engines {
-		if !e.reps.poisoned[i] {
-			e.counts[i] = eng.Evals()
-		}
-		e.evals += e.counts[i]
-	}
 }
 
 // liveIndices returns the indices of replicas still being stepped, in
@@ -328,7 +257,7 @@ func (e *ParallelIslands) tally() {
 func (e *ParallelIslands) liveIndices() []int {
 	e.livebuf = e.livebuf[:0]
 	for i := range e.engines {
-		if !e.reps.dead[i] {
+		if !e.dead[i] {
 			e.livebuf = append(e.livebuf, i)
 		}
 	}
@@ -372,101 +301,24 @@ func (e *ParallelIslands) migrate() {
 	}
 }
 
-// done is Done without the finalized fast path: the budget is exhausted or
-// every replica still alive has completed (all-dead finalizes in Step).
-func (e *ParallelIslands) done() bool {
-	if e.opts.MaxEvals > 0 && e.evals >= e.opts.MaxEvals {
-		return true
-	}
-	for i, eng := range e.engines {
-		if !e.reps.dead[i] && !eng.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// Done implements search.Engine.
-func (e *ParallelIslands) Done() bool { return e.final || e.done() }
-
-// Generation implements search.Engine: the number of epochs executed (one
-// epoch = one generation per replica).
-func (e *ParallelIslands) Generation() int { return e.epoch }
-
-// Evals implements search.Engine: evaluations consumed across every
-// replica, as tallied at the last epoch barrier.
-func (e *ParallelIslands) Evals() int64 { return e.evals }
-
-// Population implements search.Engine: the pooled view across replicas,
-// globally ranked once the run is done. Invalidated by Step.
-func (e *ParallelIslands) Population() ga.Population {
-	if e.final {
-		return e.pooled
-	}
-	return e.poolView()
-}
-
-func (e *ParallelIslands) poolView() ga.Population {
-	e.pooled = e.reps.pool(e.pooled, e.engines)
-	return e.pooled
-}
-
-// finalize pools the replicas and assigns global ranks — the one pooled
-// global competition, run once when the ensemble completes.
-func (e *ParallelIslands) finalize() {
-	e.poolView().AssignRanksAndCrowding()
-	e.final = true
-}
-
 // Checkpoint implements search.Engine: a composite snapshot of every
 // usable replica's checkpoint, plus the liveness state. Poisoned replicas
 // snapshot as placeholders holding only their last evaluation count —
 // their state belongs to a runaway step.
 func (e *ParallelIslands) Checkpoint() *search.Checkpoint {
-	sn := &IslandsSnapshot{
-		Inner:    make([]*search.Checkpoint, len(e.engines)),
-		Dead:     append([]bool(nil), e.reps.dead...),
-		Poisoned: append([]bool(nil), e.reps.poisoned...),
-	}
-	for i, eng := range e.engines {
-		if e.reps.poisoned[i] {
-			sn.Inner[i] = &search.Checkpoint{Algo: poisonedAlgo, Evals: e.counts[i]}
-			continue
-		}
-		sn.Inner[i] = eng.Checkpoint()
-	}
+	sn := new(IslandsSnapshot)
+	sn.Inner, sn.Dead, sn.Poisoned = e.snapshot()
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
 
 // Restore implements search.Engine.
 func (e *ParallelIslands) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return e.errorf("checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*IslandsSnapshot)
-	if !ok {
-		return e.errorf("checkpoint state is %T, want *sched.IslandsSnapshot", cp.State)
+	sn, err := stateOf[IslandsSnapshot](e.Name(), cp)
+	if err != nil {
+		return err
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	if len(sn.Inner) != len(e.engines) {
-		return e.errorf("checkpoint has %d replicas, options configure %d", len(sn.Inner), len(e.engines))
-	}
-	e.epoch = cp.Gen
-	e.reps.restore(len(e.engines), sn.Dead, sn.Poisoned)
-	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		if e.reps.poisoned[i] {
-			e.counts[i] = sn.Inner[i].Evals // unrecoverable: stays dropped, keeps its count
-			return nil
-		}
-		return e.engines[i].Restore(e.probs[i], e.replicaOptions(i), sn.Inner[i])
-	}); err != nil {
-		return e.errorf("%w", err)
-	}
-	e.tally()
-	if e.done() {
-		e.finalize()
-	}
-	return nil
+	return e.restore(cp.Gen, sn.Inner, sn.Dead, sn.Poisoned)
 }

@@ -83,23 +83,15 @@ func (p *PortfolioParams) normalize() {
 // algorithm is currently winning, deterministically (scores are pure
 // functions of the populations; ties break by member index).
 //
-// It implements search.Engine (registered as "portfolio"). Population() is
-// the pooled view across members, globally ranked once the race completes,
-// so the portfolio's front is the best of every member's front.
+// It implements search.Engine (registered as "portfolio") on the replica
+// loop ParallelIslands runs. Population() is the pooled view across
+// members, globally ranked once the race completes, so the portfolio's
+// front is the best of every member's front.
 type Portfolio struct {
-	prob    objective.Problem
-	opts    search.Options
-	p       PortfolioParams
-	budget  search.EvalBudget
-	engines []search.Engine
-	probs   []objective.Problem // per-member counters over prob (own accounting)
-	epoch   int
-	scores  []float64
-	best    int // previous epoch's best member; -1 before the first scoring
-	pooled  ga.Population
-	final   bool
-	reps    replicaSet
-	fails   []replicaFailure // per-epoch scratch, index-addressed
+	replicaLoop
+	p      PortfolioParams
+	scores []float64
+	best   int // previous epoch's best member; -1 before the first scoring
 
 	calc hypervolume.Calc
 	pts  []hypervolume.Point2
@@ -108,7 +100,8 @@ type Portfolio struct {
 // PortfolioSnapshot is the composite checkpoint payload: every member's
 // checkpoint plus the reallocation state. Dead/Poisoned record the
 // fault-tolerance state (nil in pre-fault-tolerance snapshots means all
-// members alive); Inner holds an empty placeholder for poisoned members.
+// members alive); Inner holds an empty placeholder for poisoned members,
+// carrying only the member's last evaluation count.
 type PortfolioSnapshot struct {
 	Epoch    int
 	Best     int
@@ -124,36 +117,26 @@ func (e *Portfolio) Name() string { return NamePortfolio }
 // prepare applies the option/problem wiring shared by Init and Restore and
 // constructs the (uninitialized) member engines.
 func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
+	e.name = NamePortfolio
 	p, err := search.Extension[PortfolioParams](opts)
 	if err != nil {
-		return fmt.Errorf("sched: portfolio: %w", err)
+		return e.errorf("%w", err)
 	}
 	if len(p.Members) == 0 {
-		return fmt.Errorf("sched: portfolio: PortfolioParams must declare at least one member")
+		return e.errorf("PortfolioParams must declare at least one member")
 	}
-	opts.Normalize()
 	e.p = *p
 	e.p.normalize()
-	e.opts = opts
-	e.prob = e.budget.Attach(prob, opts.MaxEvals)
-	e.epoch = 0
+	e.workers, e.retries, e.backoff, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout
+	e.scores = make([]float64, len(e.p.Members))
 	e.best = -1
-	e.final = false
-	e.engines = make([]search.Engine, len(e.p.Members))
-	e.probs = make([]objective.Problem, len(e.p.Members))
-	for i, m := range e.p.Members {
-		eng, err := search.New(m.Algo)
+	return e.reset(prob, opts, len(e.p.Members), func(i int) (search.Engine, error) {
+		eng, err := search.New(e.p.Members[i].Algo)
 		if err != nil {
-			return fmt.Errorf("sched: portfolio member %d: %w", i, err)
+			return nil, fmt.Errorf("sched: portfolio member %d: %w", i, err)
 		}
-		e.engines[i] = eng
-		e.probs[i] = childProblem(e.prob)
-	}
-	e.scores = make([]float64, len(e.engines))
-	e.pooled = make(ga.Population, 0, len(e.engines)*opts.PopSize)
-	e.reps.reset(len(e.engines))
-	e.fails = make([]replicaFailure, len(e.engines))
-	return nil
+		return eng, nil
+	}, e.memberOptions)
 }
 
 // memberOptions builds member i's options: the full population and a
@@ -169,10 +152,8 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		return e.engines[i].Init(e.probs[i], e.memberOptions(i))
-	}); err != nil {
-		return fmt.Errorf("sched: portfolio: %w", err)
+	if err := e.init(); err != nil {
+		return e.errorf("%w", err)
 	}
 	e.rescore()
 	return nil
@@ -183,52 +164,18 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 //
 // Member faults degrade the race instead of aborting it: a member whose
 // generation keeps failing after the retry budget is dropped at the epoch
-// barrier, in member-index order;
-// its last-good population still competes in the final pooled front (unless
-// the watchdog abandoned it mid-step) but it receives no further budget and
-// never holds the boost. The accumulated *ReplicaError is returned by the
-// finalizing Step alongside the valid pooled Result — or immediately when
-// no member survives.
+// barrier, in member-index order; its last-good population still competes
+// in the final pooled front (unless the watchdog abandoned it mid-step) but
+// it receives no further budget and never holds the boost. The accumulated
+// *ReplicaError is returned by the finalizing Step alongside the valid
+// pooled Result — or immediately when no member survives.
 func (e *Portfolio) Step() error {
-	if e.Done() {
-		return nil
-	}
-	base, boost, best := e.p.EpochGens, e.p.Boost, e.best
-	clear(e.fails)
-	runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		eng := e.engines[i]
-		if e.reps.dead[i] {
-			return nil
+	return e.step(func(i int) int {
+		if i == e.best {
+			return e.p.EpochGens + e.p.Boost
 		}
-		alloc := base
-		if i == best {
-			alloc += boost
-		}
-		for g := 0; g < alloc && !eng.Done(); g++ {
-			err, poisoned := StepWithRetry(eng, e.probs[i], e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout)
-			if err != nil {
-				e.fails[i] = replicaFailure{err: err, poisoned: poisoned}
-				return nil
-			}
-		}
-		return nil
-	})
-	for i, f := range e.fails { // epoch barrier: drops in member-index order
-		if f.err != nil {
-			e.reps.drop(i, f.err, f.poisoned)
-		}
-	}
-	if e.reps.allDead() {
-		e.finalize()
-		return e.reps.takeErr(e.Name())
-	}
-	e.epoch++
-	e.rescore()
-	if e.done() {
-		e.finalize()
-		return e.reps.takeErr(e.Name())
-	}
-	return nil
+		return e.p.EpochGens
+	}, e.rescore)
 }
 
 // rescore reduces every member's population to the staircase metric and
@@ -244,7 +191,7 @@ func (e *Portfolio) rescore() {
 	}
 	e.best = -1
 	for i, eng := range e.engines {
-		if e.reps.poisoned[i] {
+		if e.poisoned[i] {
 			continue
 		}
 		e.pts = e.pts[:0]
@@ -254,7 +201,7 @@ func (e *Portfolio) rescore() {
 			}
 		}
 		e.scores[i] = e.calc.PaperMetric(e.pts)
-		if eng.Done() || e.reps.dead[i] {
+		if eng.Done() || e.dead[i] {
 			continue
 		}
 		if e.best < 0 || e.scores[i] < e.scores[e.best] {
@@ -270,121 +217,27 @@ func defaultProject(ind *ga.Individual) (hypervolume.Point2, bool) {
 	return hypervolume.Point2{X: ind.Objectives[0], Y: ind.Objectives[1]}, true
 }
 
-// done is Done without the finalized fast path: the budget is exhausted or
-// every member still alive has completed (all-dead finalizes in Step).
-func (e *Portfolio) done() bool {
-	if e.budget.Exhausted() {
-		return true
-	}
-	for i, eng := range e.engines {
-		if e.reps.dead[i] {
-			continue
-		}
-		if !eng.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// Done implements search.Engine.
-func (e *Portfolio) Done() bool { return e.final || e.done() }
-
-// Generation implements search.Engine: the number of epochs executed.
-func (e *Portfolio) Generation() int { return e.epoch }
-
-// Evals implements search.Engine: evaluations across every member,
-// counted once by the shared budget.
-func (e *Portfolio) Evals() int64 { return e.budget.Evals() }
-
-// Scores returns the latest per-member staircase metrics (lower is
-// better; +Inf for a member with no scoreable point), in member order.
-func (e *Portfolio) Scores() []float64 { return e.scores }
-
 // Best returns the member index currently holding the boost (-1 when all
 // members are done).
 func (e *Portfolio) Best() int { return e.best }
 
-// Population implements search.Engine: the pooled view across members,
-// globally ranked once the race is done. Invalidated by Step.
-func (e *Portfolio) Population() ga.Population {
-	if e.final {
-		return e.pooled
-	}
-	return e.poolView()
-}
-
-func (e *Portfolio) poolView() ga.Population {
-	e.pooled = e.reps.pool(e.pooled, e.engines)
-	return e.pooled
-}
-
-// finalize pools the members and assigns global ranks — one global
-// competition over everything the portfolio produced.
-func (e *Portfolio) finalize() {
-	e.poolView().AssignRanksAndCrowding()
-	e.final = true
-}
-
 // Checkpoint implements search.Engine.
 func (e *Portfolio) Checkpoint() *search.Checkpoint {
-	sn := &PortfolioSnapshot{
-		Epoch:    e.epoch,
-		Best:     e.best,
-		Scores:   append([]float64(nil), e.scores...),
-		Inner:    make([]*search.Checkpoint, len(e.engines)),
-		Dead:     append([]bool(nil), e.reps.dead...),
-		Poisoned: append([]bool(nil), e.reps.poisoned...),
-	}
-	for i, eng := range e.engines {
-		if e.reps.poisoned[i] {
-			sn.Inner[i] = &search.Checkpoint{Algo: poisonedAlgo}
-			continue
-		}
-		sn.Inner[i] = eng.Checkpoint()
-	}
-	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.Evals(), State: sn}
+	sn := &PortfolioSnapshot{Epoch: e.epoch, Best: e.best, Scores: append([]float64(nil), e.scores...)}
+	sn.Inner, sn.Dead, sn.Poisoned = e.snapshot()
+	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
 
 // Restore implements search.Engine.
 func (e *Portfolio) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("sched: portfolio: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*PortfolioSnapshot)
-	if !ok {
-		return fmt.Errorf("sched: portfolio: checkpoint state is %T, want *sched.PortfolioSnapshot", cp.State)
+	sn, err := stateOf[PortfolioSnapshot](e.Name(), cp)
+	if err != nil {
+		return err
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	if len(sn.Inner) != len(e.engines) {
-		return fmt.Errorf("sched: portfolio: checkpoint has %d members, options configure %d", len(sn.Inner), len(e.engines))
-	}
-	for i, inner := range sn.Inner {
-		if i < len(sn.Poisoned) && sn.Poisoned[i] {
-			continue // poisoned members snapshot as placeholders by design
-		}
-		if inner == nil || inner.Algo != e.p.Members[i].Algo {
-			return fmt.Errorf("sched: portfolio member %d: checkpoint ran %q, options configure %q",
-				i, innerAlgo(inner), e.p.Members[i].Algo)
-		}
-	}
-	e.budget.RestoreEvals(cp.Evals)
-	e.epoch = sn.Epoch
 	e.best = sn.Best
 	copy(e.scores, sn.Scores)
-	e.reps.restore(len(e.engines), sn.Dead, sn.Poisoned)
-	if err := runIndexed(len(e.engines), e.p.StepWorkers, func(i int) error {
-		if e.reps.poisoned[i] {
-			return nil // unrecoverable: stays dropped, contributes nothing
-		}
-		return e.engines[i].Restore(e.probs[i], e.memberOptions(i), sn.Inner[i])
-	}); err != nil {
-		return fmt.Errorf("sched: portfolio: %w", err)
-	}
-	if e.done() {
-		e.finalize()
-	}
-	return nil
+	return e.restore(sn.Epoch, sn.Inner, sn.Dead, sn.Poisoned)
 }

@@ -51,15 +51,15 @@ type RelayParams struct {
 // resume mid-leg — or exactly mid-handoff — is bit-identical to an
 // uninterrupted run.
 type Relay struct {
-	prob     objective.Problem
-	opts     search.Options
-	legs     []Leg
-	gens     []int
-	budget   search.EvalBudget
-	leg      int
-	doneGens int // generations consumed by completed legs
-	inner    search.Engine
-	handoff  ga.Population // population the active leg started from (nil for leg 0)
+	prob      objective.Problem
+	opts      search.Options
+	legs      []Leg
+	gens      []int
+	leg       int
+	doneGens  int   // generations consumed by completed legs
+	doneEvals int64 // evaluations consumed by completed legs
+	inner     search.Engine
+	handoff   ga.Population // population the active leg started from (nil for leg 0)
 }
 
 // RelaySnapshot is the composite checkpoint payload: which leg is active,
@@ -111,34 +111,53 @@ func (e *Relay) prepare(prob objective.Problem, opts search.Options) error {
 		return fmt.Errorf("sched: relay: RelayParams must declare at least one leg")
 	}
 	opts.Normalize()
-	e.opts = opts
+	e.prob, e.opts = prob, opts
 	e.legs = p.Legs
 	e.gens = resolveGens(p.Legs, opts.Generations)
-	e.prob = e.budget.Attach(prob, opts.MaxEvals)
-	e.leg = 0
-	e.doneGens = 0
-	e.handoff = nil
+	e.leg, e.doneGens, e.doneEvals, e.handoff = 0, 0, 0, nil
 	return nil
 }
 
 // legOptions builds leg k's options: the full population, the leg's
-// resolved generation budget, a per-leg derived seed and the inherited
-// population as the initial seed.
-func (e *Relay) legOptions(leg int, initial ga.Population) search.Options {
+// resolved generation budget, a per-leg derived seed and, as the initial
+// seed, the population the leg inherits (Options.Initial for leg 0).
+func (e *Relay) legOptions(leg int, handoff ga.Population) search.Options {
+	initial := handoff
+	if leg == 0 {
+		initial = e.opts.Initial
+	}
 	return childOptions(e.opts, e.opts.PopSize, e.gens[leg], "sched/relay", leg, e.legs[leg].Extra, initial)
 }
 
-// startLeg constructs and initializes leg k around the inherited
-// population (nil for leg 0 defers to Options.Initial).
-func (e *Relay) startLeg(leg int, initial ga.Population) error {
+// startLeg builds and initializes leg k around the population it inherits
+// (nil for leg 0) and makes it the active leg, with the previous leg's
+// generations and evaluations committed — atomically with respect to
+// failure:
+//
+//   - A quarantining Init (the error chain carries *objective.EvalError)
+//     completed its initial population — quarantined individuals carry
+//     worst-case objectives, the engine is whole — so the leg IS adopted
+//     and the error surfaces afterward: a retried Step continues the new
+//     leg, and a caller of Init still has a population to report.
+//   - Any other Init failure commits NOTHING: a retried Step replays the
+//     whole handoff from the previous leg's final state.
+func (e *Relay) startLeg(leg int, handoff ga.Population) error {
 	eng, err := search.New(e.legs[leg].Algo)
 	if err != nil {
 		return fmt.Errorf("sched: relay leg %d: %w", leg, err)
 	}
-	if err := eng.Init(childProblem(e.prob), e.legOptions(leg, initial)); err != nil {
+	err = eng.Init(childProblem(e.prob), e.legOptions(leg, handoff))
+	var ee *objective.EvalError
+	if err == nil || errors.As(err, &ee) {
+		if leg > 0 {
+			e.doneGens += e.inner.Generation()
+			e.doneEvals += e.inner.Evals()
+		}
+		e.leg, e.inner, e.handoff = leg, eng, handoff
+	}
+	if err != nil {
 		return fmt.Errorf("sched: relay leg %d (%s): %w", leg, e.legs[leg].Algo, err)
 	}
-	e.inner = eng
 	return nil
 }
 
@@ -154,19 +173,19 @@ func (e *Relay) Init(prob objective.Problem, opts search.Options) error {
 			return fmt.Errorf("sched: relay leg %d: %w", i, err)
 		}
 	}
-	return e.startLeg(0, opts.Initial)
+	return e.startLeg(0, nil)
 }
 
 // Step implements search.Engine: one generation of the active leg. A Step
 // that finds the active leg finished first performs the handoff — clone
-// the population, derive the next leg's identity, Init it — then runs the
-// new leg's first generation.
+// the population and start the next leg around it — then runs the new
+// leg's first generation.
 func (e *Relay) Step() error {
 	if e.Done() {
 		return nil
 	}
 	if e.inner.Done() {
-		if err := e.handoffToNext(); err != nil {
+		if err := e.startLeg(e.leg+1, e.inner.Population().Clone()); err != nil {
 			return err
 		}
 	}
@@ -176,56 +195,18 @@ func (e *Relay) Step() error {
 	return nil
 }
 
-// handoffToNext advances the relay to the next leg: the finished leg's
-// population is cloned, the next engine is built and initialized around
-// it, and the relay's bookkeeping (doneGens, leg, inner) is committed —
-// atomically with respect to failure:
-//
-//   - A quarantining Init (the error chain carries *objective.EvalError)
-//     completed its initial population — quarantined individuals carry
-//     worst-case objectives, the engine is whole — so the new leg IS
-//     adopted and the error surfaces afterward: a retried Step continues
-//     the new leg. The previous code returned before adopting the engine
-//     with doneGens and leg already advanced, so Generation() counted the
-//     old leg twice and a retry either re-ran the handoff (running the
-//     relay off its leg list) or silently reported the relay Done.
-//   - Any other Init failure commits NOTHING: a retried Step replays the
-//     whole handoff from the old leg's final state.
-func (e *Relay) handoffToNext() error {
-	next := e.leg + 1
-	handoff := e.inner.Population().Clone()
-	eng, err := search.New(e.legs[next].Algo)
-	if err != nil {
-		return fmt.Errorf("sched: relay leg %d: %w", next, err)
-	}
-	ierr := eng.Init(childProblem(e.prob), e.legOptions(next, handoff))
-	if ierr != nil {
-		var ee *objective.EvalError
-		if !errors.As(ierr, &ee) {
-			return fmt.Errorf("sched: relay leg %d (%s): %w", next, e.legs[next].Algo, ierr)
-		}
-	}
-	e.doneGens += e.inner.Generation()
-	e.handoff = handoff
-	e.leg = next
-	e.inner = eng
-	if ierr != nil {
-		return fmt.Errorf("sched: relay leg %d (%s): %w", next, e.legs[next].Algo, ierr)
-	}
-	return nil
-}
-
-// Done implements search.Engine: the last leg has finished, or the shared
-// budget is exhausted (checked at the step boundary, deterministically).
+// Done implements search.Engine: the last leg has finished, or the budget
+// is exhausted (checked at the step boundary, deterministically).
 func (e *Relay) Done() bool {
-	return e.budget.Exhausted() || (e.leg == len(e.legs)-1 && e.inner.Done())
+	return (e.opts.MaxEvals > 0 && e.Evals() >= e.opts.MaxEvals) || (e.leg == len(e.legs)-1 && e.inner.Done())
 }
 
 // Generation implements search.Engine: generations across all legs.
 func (e *Relay) Generation() int { return e.doneGens + e.inner.Generation() }
 
-// Evals implements search.Engine.
-func (e *Relay) Evals() int64 { return e.budget.Evals() }
+// Evals implements search.Engine: the completed legs' evaluations plus the
+// active leg's own count.
+func (e *Relay) Evals() int64 { return e.doneEvals + e.inner.Evals() }
 
 // Population implements search.Engine: the active leg's population (the
 // final leg leaves it globally ranked, as every engine's last step does).
@@ -249,14 +230,12 @@ func (e *Relay) Checkpoint() *search.Checkpoint {
 
 // Restore implements search.Engine: rebuild the active leg from its own
 // checkpoint, under the options it originally started with — including the
-// population it inherited, which the snapshot carries.
+// population it inherited, which the snapshot carries. The completed legs'
+// evaluations are the checkpoint's count less the active leg's.
 func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("sched: relay: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*RelaySnapshot)
-	if !ok {
-		return fmt.Errorf("sched: relay: checkpoint state is %T, want *sched.RelaySnapshot", cp.State)
+	sn, err := stateOf[RelaySnapshot](e.Name(), cp)
+	if err != nil {
+		return err
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
@@ -268,22 +247,18 @@ func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.
 		return fmt.Errorf("sched: relay: checkpoint leg %d ran %q, options configure %q",
 			sn.Leg, innerAlgo(sn.Inner), e.legs[sn.Leg].Algo)
 	}
-	e.leg = sn.Leg
-	e.doneGens = sn.DoneGens
-	initial := opts.Initial
 	if sn.Handoff != nil {
 		e.handoff = search.UnsnapPopulation(sn.Handoff)
-		initial = e.handoff
 	}
-	eng, err := search.New(e.legs[e.leg].Algo)
+	eng, err := search.New(e.legs[sn.Leg].Algo)
 	if err != nil {
-		return fmt.Errorf("sched: relay leg %d: %w", e.leg, err)
+		return fmt.Errorf("sched: relay leg %d: %w", sn.Leg, err)
 	}
-	if err := eng.Restore(childProblem(e.prob), e.legOptions(e.leg, initial), sn.Inner); err != nil {
-		return fmt.Errorf("sched: relay leg %d (%s): %w", e.leg, e.legs[e.leg].Algo, err)
+	if err := eng.Restore(childProblem(e.prob), e.legOptions(sn.Leg, e.handoff), sn.Inner); err != nil {
+		return fmt.Errorf("sched: relay leg %d (%s): %w", sn.Leg, e.legs[sn.Leg].Algo, err)
 	}
-	e.inner = eng
-	e.budget.RestoreEvals(cp.Evals)
+	e.leg, e.doneGens, e.inner = sn.Leg, sn.DoneGens, eng
+	e.doneEvals = cp.Evals - eng.Evals()
 	return nil
 }
 

@@ -23,6 +23,11 @@
 //     shared budget, with per-epoch hypervolume scoring reallocating
 //     generations toward the current leader.
 //
+// ParallelIslands and Portfolio share one replica loop: the concurrent
+// epoch, the barrier that drops failed replicas, the budget tally, the
+// pooled population and the replica half of the checkpoint are the same
+// code, and the cross-process shard coordinator runs it too.
+//
 // # Determinism
 //
 // Every driver is bit-identical to sequential round-robin stepping
@@ -31,10 +36,10 @@
 // buffers, so concurrent Steps share only the evaluation pool (whose
 // results are written by index — order-free); cross-engine reductions
 // (migration, relay handoff, portfolio scoring) run at epoch barriers in
-// engine-index order, never completion order; and the shared evaluation
-// budget is enforced by the scheduler between epochs — child engines never
-// consult the live counter mid-step, so a concurrently-advancing total
-// cannot steer an engine's control flow.
+// engine-index order, never completion order; and the evaluation budget is
+// enforced by the scheduler between epochs — child engines never see a
+// sibling's count, so a concurrently-advancing total cannot steer an
+// engine's control flow.
 //
 // # Budget
 //
@@ -42,11 +47,12 @@
 // first epoch boundary at or past the cap. The stop rule is therefore
 // "within one epoch" (one generation per concurrently-stepped engine), the
 // multi-engine analogue of the single-engine "within one generation"
-// contract. ParallelIslands counts the ensemble as the sum of every
-// replica's own Evals(), read at the epoch barrier — the only count a
-// replica stepped in another process can give; a poisoned replica keeps
-// the count it had before its abandoned step. Relay and Portfolio wrap the
-// problem in one objective.Counter shared by every child engine.
+// contract. Every scheduler counts the same way: its budget is the sum of
+// its child engines' own Evals() at the epoch boundary — for Relay, the
+// completed legs' counts plus the active leg's. It is the only count a
+// replica stepped in another process can give. A poisoned replica keeps
+// the count it had before its abandoned step, and its checkpoint
+// placeholder carries that count.
 package sched
 
 import (
@@ -86,13 +92,13 @@ func childOptions(opts search.Options, popSize, generations int, label string, n
 	}
 }
 
-// childProblem wraps the scheduler's budget-wrapped problem in a fresh
-// counter for one child engine. Every child evaluation still reaches the
-// scheduler's shared counter (the wrapper delegates), but the child's own
-// EvalBudget attaches to THIS counter — created before any stepping, count
-// zero — so the child's Evals() and checkpoint accounting cover exactly
-// its own evaluations, deterministically, instead of sampling the
-// concurrently-advancing ensemble total at attach time.
+// childProblem wraps prob in a fresh counter for one child engine. The
+// child's EvalBudget attaches to THIS counter — created before any
+// stepping, count zero, advanced by no other engine — so the child's
+// Evals() and checkpoint accounting cover exactly its own evaluations,
+// deterministically, however its siblings interleave; the scheduler sums
+// those counts into its budget. Every evaluation still reaches prob (the
+// wrapper delegates), so a caller's own counter sees them all.
 func childProblem(prob objective.Problem) objective.Problem {
 	return objective.NewCounter(prob)
 }
@@ -150,4 +156,17 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
+}
+
+// stateOf checks that cp is a checkpoint of the engine called name and
+// returns its state.
+func stateOf[T any](name string, cp *search.Checkpoint) (*T, error) {
+	if cp.Algo != name {
+		return nil, fmt.Errorf("sched: %s: checkpoint is for %q", name, cp.Algo)
+	}
+	sn, ok := cp.State.(*T)
+	if !ok {
+		return nil, fmt.Errorf("sched: %s: checkpoint state is %T, want %T", name, cp.State, sn)
+	}
+	return sn, nil
 }

@@ -297,29 +297,60 @@ func TestPortfolioCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestScheduledBudget checks the shared-budget stop rule: with MaxEvals
-// set, the ensemble stops at the first epoch boundary at or past the cap,
-// i.e. within one epoch's worth of evaluations.
+// TestScheduledBudget checks the shared-budget stop rule of every
+// scheduler: with MaxEvals set, the run stops at the first epoch boundary
+// at or past the cap, i.e. within one epoch's worth of evaluations, and
+// before the last epoch of the same run without a cap.
 func TestScheduledBudget(t *testing.T) {
-	perEpoch := int64(24) // 3 replicas × 8 individuals
-	opts := islandsOpts(4, sched.Ring, "nsga2", nil)
-	opts.MaxEvals = 4 * perEpoch
-	eng, err := search.New("parallel-islands")
-	if err != nil {
-		t.Fatal(err)
+	portfolio := search.Options{
+		PopSize: 16, Generations: 10, Seed: 5,
+		Extra: &sched.PortfolioParams{Members: []sched.Member{
+			{Algo: "nsga2"},
+			{Algo: "sacga", Extra: sacgaParams()},
+		}},
 	}
-	res, err := search.Run(context.Background(), eng, testProblem(), opts)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		prob     func() objective.Problem
+		opts     search.Options
+		maxEvals int64
+		perEpoch int64 // the most evaluations one epoch consumes
+	}{
+		// 3 replicas × 8 individuals.
+		{"parallel-islands", testProblem, islandsOpts(4, sched.Ring, "nsga2", nil), 96, 24},
+		// The cap falls in the handoff epoch, which evaluates the second
+		// leg's initial population and its first generation (2 × 20).
+		{"relay", constrProblem, relayOpts(), 150, 40},
+		// Two members of 16 individuals, one boosted by 2 generations.
+		{"portfolio", constrProblem, portfolio, 200, 64},
 	}
-	if res.Evals < opts.MaxEvals {
-		t.Fatalf("stopped at %d evals, budget %d not reached", res.Evals, opts.MaxEvals)
-	}
-	if slack := res.Evals - opts.MaxEvals; slack >= perEpoch {
-		t.Fatalf("overshot the budget by %d evals (≥ one epoch of %d)", slack, perEpoch)
-	}
-	if res.Generations >= opts.Generations {
-		t.Fatalf("ran all %d epochs; budget did not bind", res.Generations)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(opts search.Options) *search.Result {
+				eng, err := search.New(tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := search.Run(context.Background(), eng, tc.prob(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			full := run(tc.opts)
+			opts := tc.opts
+			opts.MaxEvals = tc.maxEvals
+			res := run(opts)
+			if res.Evals < opts.MaxEvals {
+				t.Fatalf("stopped at %d evals, budget %d not reached", res.Evals, opts.MaxEvals)
+			}
+			if slack := res.Evals - opts.MaxEvals; slack >= tc.perEpoch {
+				t.Fatalf("overshot the budget by %d evals (≥ one epoch of %d)", slack, tc.perEpoch)
+			}
+			if res.Generations >= full.Generations {
+				t.Fatalf("ran all %d epochs; budget did not bind", res.Generations)
+			}
+		})
 	}
 }
 
@@ -370,6 +401,26 @@ func TestSchedulerExtraTypeError(t *testing.T) {
 		var typed *search.ExtraTypeError
 		if !errors.As(err, &typed) {
 			t.Fatalf("%s: Init error %v is not a *search.ExtraTypeError", name, err)
+		}
+	}
+}
+
+// TestReplicaInitFailureCountsZero: replicas whose Init fails before
+// evaluating anything — nsga2 handed an extension struct it rejects, or a
+// relay with no legs — fail the scheduler's Init with their error and a
+// zero budget. The tally must not read a count those replicas never
+// started.
+func TestReplicaInitFailureCountsZero(t *testing.T) {
+	for _, p := range []*sched.IslandsParams{
+		{Replicas: 2, Extra: &struct{ Bogus int }{}},
+		{Replicas: 2, Algo: "relay", MigrationEvery: -1, Extra: &sched.RelayParams{}},
+	} {
+		eng, _ := search.New("parallel-islands")
+		if err := eng.Init(testProblem(), search.Options{PopSize: 16, Generations: 2, Seed: 1, Extra: p}); err == nil {
+			t.Fatalf("%s replicas: Init accepted an unusable configuration", p.Algo)
+		}
+		if got := eng.Evals(); got != 0 {
+			t.Fatalf("%s replicas: failed Init counts %d evals, want 0", p.Algo, got)
 		}
 	}
 }

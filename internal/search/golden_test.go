@@ -119,12 +119,27 @@ func TestGoldenFronts(t *testing.T) {
 				{Algo: "sacga", Extra: goldenSACGA(4, 0)},
 			}}},
 			"966071afeabb3071"},
+		// MaxEvals stops this relay at generation 9 of 16, inside its
+		// second leg: the digest pins the budget rule across a handoff.
+		{"relay-budget", sched.NameRelay, constrProblem,
+			search.Options{PopSize: 24, Generations: 16, Seed: 17, MaxEvals: 250, Extra: &sched.RelayParams{Legs: []sched.Leg{
+				{Algo: "nsga2", Generations: 4},
+				{Algo: "sacga", Extra: goldenSACGA(4, 0)},
+			}}},
+			"1f9d52ff7b7a3ed0"},
 		{"portfolio", sched.NamePortfolio, constrProblem,
 			search.Options{PopSize: 24, Generations: 12, Seed: 19, Extra: &sched.PortfolioParams{Members: []sched.Member{
 				{Algo: "nsga2"},
 				{Algo: "sacga", Extra: goldenSACGA(4, 0)},
 			}}},
 			"fda45f57981d692f"},
+		// MaxEvals stops this race at epoch 5: the digest pins the budget rule.
+		{"portfolio-budget", sched.NamePortfolio, constrProblem,
+			search.Options{PopSize: 24, Generations: 12, Seed: 19, MaxEvals: 500, Extra: &sched.PortfolioParams{Members: []sched.Member{
+				{Algo: "nsga2"},
+				{Algo: "sacga", Extra: goldenSACGA(4, 0)},
+			}}},
+			"1c3c9f914431158b"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,16 +34,3 @@ func (jo JobOptions) Options() Options {
 		Seed:        jo.Seed,
 	}
 }
-
-// JobOptionsFrom projects opts onto the wire subset, dropping the
-// process-local fields. JobOptionsFrom(o).Options() is the identity on that
-// subset, so a job round-tripped through the wire runs bit-identically to a
-// local one.
-func JobOptionsFrom(o Options) JobOptions {
-	return JobOptions{
-		PopSize:     o.PopSize,
-		Generations: o.Generations,
-		MaxEvals:    o.MaxEvals,
-		Seed:        o.Seed,
-	}
-}

@@ -72,3 +72,46 @@ func TestFaultyJobDegradesWithoutWedging(t *testing.T) {
 		t.Fatalf("post-fault job state %s", ares.State)
 	}
 }
+
+// TestRelayJobQuarantinedInitDegrades: a relay tenant whose first leg's
+// initial population is quarantined ends degraded with its front served,
+// and the server keeps admitting and finishing work.
+func TestRelayJobQuarantinedInitDegrades(t *testing.T) {
+	honest := testBuild(0)
+	build := func(spec probspec.Spec) (objective.Problem, bool, error) {
+		prob, circuit, err := honest(spec)
+		if err != nil {
+			return nil, false, err
+		}
+		if spec.Name == "zdt1" { // only the relay tenant is sabotaged
+			inj := fault.NewInjector(fault.Config{Seed: 3, PPanic: 0.5})
+			return fault.Wrap(prob, inj), circuit, nil
+		}
+		return prob, circuit, nil
+	}
+	s := newTestServer(t, Config{Slots: 2, Build: build})
+
+	req := zdtJob("relay", 5, 6)
+	req.Params = []byte(`{"Legs": [{"Algo": "nsga2", "Generations": 3}, {"Algo": "nsga2"}]}`)
+	relay, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("submit relay: %v", err)
+	}
+	res := waitTerminal(t, s, relay.ID)
+	if res.State != StateDegraded {
+		t.Fatalf("relay job state %s, want degraded (err %q)", res.State, res.Error)
+	}
+	if len(res.Front) == 0 {
+		t.Fatal("degraded relay job must serve its front")
+	}
+
+	afterReq := zdtJob("nsga2", 6, 8)
+	afterReq.Problem = probspec.Spec{Name: "zdt3"}
+	after, _, err := s.Submit(afterReq)
+	if err != nil {
+		t.Fatalf("submit after the relay: %v", err)
+	}
+	if ares := waitTerminal(t, s, after.ID); ares.State != StateDone {
+		t.Fatalf("job after the relay ended %s (err %q)", ares.State, ares.Error)
+	}
+}

@@ -237,11 +237,6 @@ func WithCorners(cs ...process.Corner) Option {
 	}
 }
 
-// WithSystem overrides the integrator system context.
-func WithSystem(sys scint.System) Option {
-	return func(p *Problem) { p.sys = sys }
-}
-
 // New builds the sizing problem for a technology and specification.
 func New(tech process.Tech, spec Spec, opts ...Option) *Problem {
 	p := &Problem{
