@@ -220,7 +220,8 @@ func BenchmarkCircuitEvaluateBatchRobust(b *testing.B) {
 
 // BenchmarkCircuitEvaluateBatchRobustWidth is BenchmarkCircuitEvaluateBatchRobust
 // at several batch widths, reporting the cost per call and per lane: the
-// curve behind the pooled evaluators' sub-batch floor (ga.EvaluateWith).
+// curve behind the pooled evaluator's sub-batch floor
+// (ga.Population.TryEvaluateWith).
 // The lane engine's per-call work (plane set-up, every secant step over
 // the padded chunks) is shared by the lanes of a call, so a call of one
 // design costs 60-80% as much as a call of eight, and narrow batches pay
@@ -288,7 +289,7 @@ func nearFeasibleDesigns(seed int64, n int) [][]float64 {
 // before/after dispatch overhead stays measurable; the pooled and
 // sequential rows are the current paths.
 
-// spawnEvaluate is the seed repository's EvaluateParallel: per-call
+// spawnEvaluate is the seed repository's parallel evaluator: per-call
 // goroutines, unbuffered per-index dispatch.
 func spawnEvaluate(p ga.Population, prob objective.Problem, workers int) {
 	var wg sync.WaitGroup
@@ -317,15 +318,11 @@ func benchPopulation(n int) (ga.Population, objective.Problem) {
 }
 
 // BenchmarkPopulationEvalSequential is the single-threaded floor: one
-// generation's evaluation with no dispatch at all (the batch fast path,
-// scratch warmed — steady state is allocation-free).
+// generation's evaluation through the engines' evaluator with no dispatch
+// at all (the batch fast path, scratch warmed — steady state is
+// allocation-free).
 func BenchmarkPopulationEvalSequential(b *testing.B) {
-	pop, prob := benchPopulation(256)
-	pop.Evaluate(prob) // warm batch scratch + per-individual buffers
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pop.Evaluate(prob)
-	}
+	benchEvaluate(b, 1)
 }
 
 // BenchmarkPopulationEvalSpawnPerCall measures the pre-pool dispatch
@@ -343,11 +340,22 @@ func BenchmarkPopulationEvalSpawnPerCall(b *testing.B) {
 // pool that replaced it, now dispatching contiguous sub-batches through
 // the batch fast path.
 func BenchmarkPopulationEvalPooled(b *testing.B) {
+	benchEvaluate(b, 0)
+}
+
+// benchEvaluate times TryEvaluateWith, the evaluator every engine calls,
+// over a 256-design integrator population on the shared pool with the
+// given worker count, after one warming call.
+func benchEvaluate(b *testing.B, workers int) {
 	pop, prob := benchPopulation(256)
-	pop.EvaluateParallel(prob, 0) // warm batch scratch + per-individual buffers
+	if err := pop.TryEvaluateWith(prob, nil, workers); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pop.EvaluateParallel(prob, 0)
+		if err := pop.TryEvaluateWith(prob, nil, workers); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -390,17 +398,19 @@ func BenchmarkExptReplicatesPooled(b *testing.B) {
 
 // BenchmarkMakeChildren measures one generation's variation pipeline
 // (tournament selection, SBX, polynomial mutation) with per-pairing child
-// allocation — the pre-arena path.
+// allocation: a fresh arena every generation, as before arenas existed.
 func BenchmarkMakeChildren(b *testing.B) {
 	pop, prob := benchPopulation(100)
-	pop.Evaluate(prob)
+	if err := pop.TryEvaluateWith(prob, nil, 1); err != nil {
+		b.Fatal(err)
+	}
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
 	ops := ga.DefaultOperators()
 	s := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nsga2.MakeChildren(s, pop, ops, lo, hi, len(pop))
+		nsga2.MakeChildrenInto(s, pop, ops, lo, hi, len(pop), &ga.Arena{}, nil)
 	}
 }
 
@@ -409,7 +419,9 @@ func BenchmarkMakeChildren(b *testing.B) {
 // BenchmarkMakeChildren under -benchmem; steady state is zero).
 func BenchmarkMakeChildrenArena(b *testing.B) {
 	pop, prob := benchPopulation(100)
-	pop.Evaluate(prob)
+	if err := pop.TryEvaluateWith(prob, nil, 1); err != nil {
+		b.Fatal(err)
+	}
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
 	ops := ga.DefaultOperators()

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	go test -run '^$' -bench 'PopulationEval' -benchmem . | \
-//	    go run ./cmd/benchdelta -baseline BENCH_pr3.json -check BenchmarkPopulationEvalPooled
+//	    go run ./cmd/benchdelta -baseline BENCH_pr6.json -check BenchmarkPopulationEvalPooled
 //
-//	go run ./cmd/benchdelta -baseline BENCH_pr3.json -input bench.out -record BENCH_new.json
+//	go run ./cmd/benchdelta -baseline BENCH_pr6.json -input bench.out -record BENCH_new.json
 //
 // -record rewrites the baseline's benchmark table from the current run
 // (keeping its comment/environment) instead of gating.
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		baseline   = flag.String("baseline", "BENCH_pr3.json", "checked-in baseline JSON")
+		baseline   = flag.String("baseline", "BENCH_pr6.json", "checked-in baseline JSON")
 		input      = flag.String("input", "-", "bench output file ('-' = stdin)")
 		check      = flag.String("check", "BenchmarkPopulationEvalPooled", "comma-separated benchmarks to gate ('all' = every baseline row present)")
 		maxRegress = flag.Float64("max-regress", benchdelta.DefaultMaxRegress, "maximum tolerated fractional ns/op regression (applied after calibration)")

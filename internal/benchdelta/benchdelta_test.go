@@ -2,6 +2,7 @@ package benchdelta
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,17 +115,25 @@ func TestBaselineRoundTrip(t *testing.T) {
 }
 
 func TestLoadBaselineSeedSchema(t *testing.T) {
-	// The checked-in baselines must stay loadable.
-	for _, name := range []string{"BENCH_seed.json", "BENCH_pr2.json", "BENCH_pr3.json"} {
-		b, err := LoadBaseline(filepath.Join("..", "..", name))
+	// Every checked-in baseline, the one CI gates against included, must
+	// stay loadable and carry both gated population-evaluation rows.
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(paths, filepath.Join("..", "..", "BENCH_pr6.json")) {
+		t.Fatalf("found baselines %v, want BENCH_pr6.json among them", paths)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		b, err := LoadBaseline(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(b.Benchmarks) == 0 {
-			t.Fatalf("%s: no benchmarks", name)
-		}
-		if b.Benchmarks["BenchmarkPopulationEvalPooled"] == nil {
-			t.Fatalf("%s: missing the gated pooled benchmark", name)
+		for _, row := range []string{"BenchmarkPopulationEvalPooled", "BenchmarkPopulationEvalSequential"} {
+			if b.Benchmarks[row] == nil {
+				t.Errorf("%s: missing the gated row %s", name, row)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package expt
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestAblationValuesPinned pins the ablation's headline values bit for bit
 // at a small, fixed configuration. The ablation drives five different
@@ -35,6 +38,32 @@ func TestAblationValuesPinned(t *testing.T) {
 		}
 		if got != w {
 			t.Errorf("%s = %v, want %v", k, got, w)
+		}
+	}
+}
+
+// TestMixBeatsExtremesVerdict pins the ablation's verdict: SACGA must do
+// no worse than TPG, local-only and instant-global. The islands row is not
+// a rival, so its hypervolume of 1, the best in every case, never counts.
+func TestMixBeatsExtremesVerdict(t *testing.T) {
+	hv := func(sacga, tpg, local, global float64) map[string]float64 {
+		return map[string]float64{"hv_sacga": sacga, "hv_tpg": tpg,
+			"hv_local-only": local, "hv_instant-global": global, "hv_islands": 1}
+	}
+	for _, tc := range []struct {
+		name   string
+		values map[string]float64
+		want   bool
+	}{
+		{"beats all three", hv(2, 3, 3, 3), true},
+		{"ties all three", hv(3, 3, 3, 3), true},
+		{"loses to instant-global only", hv(2, 3, 3, 1), false},
+		{"loses to tpg", hv(3, 2, 4, 4), false},
+		{"loses to local-only", hv(3, 4, 2, 4), false},
+		{"nan", hv(math.NaN(), 3, 3, 3), false},
+	} {
+		if got := mixBeatsExtremes(tc.values); got != tc.want {
+			t.Errorf("%s: mixBeatsExtremes = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

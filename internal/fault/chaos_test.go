@@ -185,7 +185,7 @@ func TestNonFiniteResultsQuarantined(t *testing.T) {
 			prob := fault.Wrap(zdt1(), fault.NewInjector(tc.cfg))
 			lo, hi := prob.Bounds()
 			pop := ga.NewRandomPopulation(rng.New(1), 16, lo, hi)
-			err := pop.TryEvaluate(prob)
+			err := pop.TryEvaluateWith(prob, nil, 1)
 			var ee *objective.EvalError
 			if !errors.As(err, &ee) {
 				t.Fatalf("error is %T (%v), want *objective.EvalError", err, err)

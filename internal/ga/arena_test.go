@@ -14,7 +14,7 @@ func rankedPopulation(seed int64, n int) Population {
 	s := rng.New(seed)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, n, lo, hi)
-	pop.Evaluate(prob)
+	evaluate(pop, prob, 1)
 	return pop
 }
 
@@ -58,8 +58,8 @@ func TestArenaTruncateMatchesPackageTruncate(t *testing.T) {
 func TestRankSelectorResetReusesBuffers(t *testing.T) {
 	pop := rankedPopulation(71, 50)
 	pop.AssignRanksAndCrowding()
-	fresh := NewRankSelector(pop, 1.8)
-	var reused RankSelector
+	var fresh, reused RankSelector
+	fresh.Reset(pop, 1.8)
 	reused.Reset(rankedPopulation(73, 80), 1.5) // different size first
 	reused.Reset(pop, 1.8)
 	s1, s2 := rng.New(9), rng.New(9)

@@ -41,9 +41,9 @@ func batchTestPopulation(seed int64, n int, prob objective.Problem) Population {
 func TestEvaluateDispatchesBatchPath(t *testing.T) {
 	bc := &batchCounter{Problem: benchfn.Constr()}
 	pop := batchTestPopulation(3, 40, bc)
-	pop.Evaluate(bc)
+	evaluate(pop, bc, 1)
 	if bc.batchCalls.Load() == 0 {
-		t.Fatal("Population.Evaluate ignored the BatchProblem fast path")
+		t.Fatal("TryEvaluateWith ignored the BatchProblem fast path")
 	}
 	if bc.scalarCalls.Load() != 0 {
 		t.Fatalf("batch dispatch still made %d scalar Evaluate calls", bc.scalarCalls.Load())
@@ -55,8 +55,8 @@ func TestBatchPathMatchesScalarPath(t *testing.T) {
 	bc := &batchCounter{Problem: prob}
 	a := batchTestPopulation(5, 60, prob)
 	b := a.Clone()
-	a.Evaluate(prob) // scalar path (benchfn problems are not batchable)
-	b.Evaluate(bc)   // batch path
+	evaluate(a, prob, 1) // scalar path (benchfn problems are not batchable)
+	evaluate(b, bc, 1)   // batch path
 	for i := range a {
 		if a[i].Violation != b[i].Violation {
 			t.Fatalf("individual %d: violation %v != %v", i, a[i].Violation, b[i].Violation)
@@ -73,8 +73,8 @@ func TestBatchPathParallelMatchesSequential(t *testing.T) {
 	bc := &batchCounter{Problem: benchfn.Constr()}
 	seq := batchTestPopulation(7, 101, bc) // odd size: uneven sub-batches
 	par := seq.Clone()
-	seq.EvaluateWith(bc, nil, 1)
-	par.EvaluateWith(bc, nil, 8)
+	evaluate(seq, bc, 1)
+	evaluate(par, bc, 8)
 	if bc.batchCalls.Load() < 2 {
 		t.Fatal("parallel batch dispatch did not split into sub-batches")
 	}
@@ -93,8 +93,8 @@ func TestBatchPathParallelMatchesSequential(t *testing.T) {
 func TestBatchEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	bc := &batchCounter{Problem: benchfn.ZDT1(6)}
 	pop := batchTestPopulation(11, 32, bc)
-	pop.Evaluate(bc) // warm scratch + per-individual buffers
-	avg := testing.AllocsPerRun(10, func() { pop.Evaluate(bc) })
+	evaluate(pop, bc, 1) // warm scratch + per-individual buffers
+	avg := testing.AllocsPerRun(10, func() { evaluate(pop, bc, 1) })
 	// The wrapped benchfn problem allocates its own Result slices per call;
 	// discount them by measuring the wrapped problem alone.
 	inner := testing.AllocsPerRun(10, func() {
@@ -111,7 +111,7 @@ func TestBatchEvaluateSteadyStateZeroAlloc(t *testing.T) {
 func TestBatchScratchDoesNotRetainGenes(t *testing.T) {
 	bc := &batchCounter{Problem: benchfn.ZDT1(4)}
 	pop := batchTestPopulation(13, 8, bc)
-	pop.Evaluate(bc)
+	evaluate(pop, bc, 1)
 	sc := getEvalScratch(8)
 	defer putEvalScratch(sc)
 	for i := range sc.xs {

@@ -56,42 +56,32 @@ func goid() uint64 {
 func TestDispatchShape(t *testing.T) {
 	pool := NewPool(8)
 	defer pool.Close()
-	evaluators := map[string]func(Population, objective.Problem, int){
-		"EvaluateWith": func(p Population, prob objective.Problem, w int) {
-			p.EvaluateWith(prob, pool, w)
-		},
-		"TryEvaluateWith": func(p Population, prob objective.Problem, w int) {
-			if err := p.TryEvaluateWith(prob, pool, w); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, eval := range evaluators {
-		for _, tc := range []struct{ n, workers, calls int }{
-			{100, 2, 2}, // one 50-design call per worker
-			{101, 8, 8},
-			{27, 8, 27 / minSubBatch}, // the floor, not the workers, caps the calls
-			{2*minSubBatch - 1, 4, 1}, // too small for two: the caller alone
-		} {
-			spy := &widthSpy{Problem: benchfn.ZDT1(5)}
-			pop := batchTestPopulation(int64(tc.n), tc.n, spy)
-			eval(pop, spy, tc.workers)
-			widths := slices.Sorted(slices.Values(spy.widths))
-			sum := 0
-			for _, w := range widths {
-				sum += w
-			}
-			if sum != tc.n || len(widths) != tc.calls || widths[len(widths)-1]-widths[0] > 1 {
-				t.Errorf("%s n=%d workers=%d: calls %v, want %d even calls covering %d designs",
-					name, tc.n, tc.workers, widths, tc.calls, tc.n)
-			}
-			if tc.calls > 1 && widths[0] < minSubBatch {
-				t.Errorf("%s n=%d workers=%d: calls %v, want none under %d", name, tc.n, tc.workers, widths, minSubBatch)
-			}
-			if tc.calls == 1 && spy.goids[0] != goid() {
-				t.Errorf("%s n=%d workers=%d: call made on goroutine %d, want the caller (%d)",
-					name, tc.n, tc.workers, spy.goids[0], goid())
-			}
+	for _, tc := range []struct{ n, workers, calls int }{
+		{100, 2, 2}, // one 50-design call per worker
+		{101, 8, 8},
+		{27, 8, 27 / minSubBatch}, // the floor, not the workers, caps the calls
+		{2*minSubBatch - 1, 4, 1}, // too small for two: the caller alone
+	} {
+		spy := &widthSpy{Problem: benchfn.ZDT1(5)}
+		pop := batchTestPopulation(int64(tc.n), tc.n, spy)
+		if err := pop.TryEvaluateWith(spy, pool, tc.workers); err != nil {
+			t.Fatal(err)
+		}
+		widths := slices.Sorted(slices.Values(spy.widths))
+		sum := 0
+		for _, w := range widths {
+			sum += w
+		}
+		if sum != tc.n || len(widths) != tc.calls || widths[len(widths)-1]-widths[0] > 1 {
+			t.Errorf("n=%d workers=%d: calls %v, want %d even calls covering %d designs",
+				tc.n, tc.workers, widths, tc.calls, tc.n)
+		}
+		if tc.calls > 1 && widths[0] < minSubBatch {
+			t.Errorf("n=%d workers=%d: calls %v, want none under %d", tc.n, tc.workers, widths, minSubBatch)
+		}
+		if tc.calls == 1 && spy.goids[0] != goid() {
+			t.Errorf("n=%d workers=%d: call made on goroutine %d, want the caller (%d)",
+				tc.n, tc.workers, spy.goids[0], goid())
 		}
 	}
 }
@@ -108,7 +98,7 @@ func TestSubBatches(t *testing.T) {
 }
 
 // stallingProblem is zdt1 over a stallPop-design population that the
-// pooled evaluators cut into four sub-batches of ten, with behaviour keyed
+// pooled evaluator cuts into four sub-batches of ten, with behaviour keyed
 // to design indices: design stallPanicAt (sub-batch 2) panics, design
 // stallAt (the first of sub-batch 3) stalls for 50 ms, and each design of
 // sub-batch 0 takes a millisecond. The caller, which claims sub-batch 0
@@ -144,20 +134,18 @@ func (s *stallingProblem) Evaluate(x []float64) objective.Result {
 	return s.Problem.Evaluate(x)
 }
 
-// TestPooledEvaluationWaitsForStalledHelper runs both pooled evaluators on
+// TestPooledEvaluationWaitsForStalledHelper runs the pooled evaluator on
 // four sub-batches while one pool worker's sub-batch panics and another's
-// stalls. The call must wait for the stalled worker and return its
-// results: TryEvaluateWith exactly the sequential TryEvaluate's
-// quarantine, error and siblings; EvaluateWith a *PanicError carrying the
-// panicking sub-batch's number, with every other sub-batch evaluated.
+// stalls. The call must wait for the stalled worker and return exactly the
+// sequential evaluation's quarantine, error and siblings.
 func TestPooledEvaluationWaitsForStalledHelper(t *testing.T) {
 	lo, hi := benchfn.ZDT1(4).Bounds()
 	fresh := func() Population { return NewRandomPopulation(rng.New(9), stallPop, lo, hi) }
 	ref := fresh()
-	refErr := ref.TryEvaluate(newStallingProblem(ref))
+	refErr := ref.TryEvaluateWith(newStallingProblem(ref), nil, 1)
 	var refEE *objective.EvalError
 	if !errors.As(refErr, &refEE) || refEE.Index != stallPanicAt || refEE.Count != 1 {
-		t.Fatalf("sequential TryEvaluate: %v, want one fault at %d", refErr, stallPanicAt)
+		t.Fatalf("sequential TryEvaluateWith: %v, want one fault at %d", refErr, stallPanicAt)
 	}
 	same := func(a, b *Individual) bool {
 		return math.Float64bits(a.Violation) == math.Float64bits(b.Violation) &&
@@ -173,7 +161,7 @@ func TestPooledEvaluationWaitsForStalledHelper(t *testing.T) {
 	}
 	// run evaluates a fresh population on its own goroutine, so a call that
 	// never returns fails the test instead of hanging it.
-	run := func(eval func(Population, *stallingProblem) error) (Population, *stallingProblem, error, any) {
+	run := func() (Population, *stallingProblem, error, any) {
 		pop := fresh()
 		prob := newStallingProblem(pop)
 		var err error
@@ -183,7 +171,7 @@ func TestPooledEvaluationWaitsForStalledHelper(t *testing.T) {
 			defer close(returned)
 			defer func() { panicked = recover() }()
 			prob.caller = goid()
-			err = eval(pop, prob)
+			err = pop.TryEvaluateWith(prob, pool, 4)
 		}()
 		select {
 		case <-returned:
@@ -194,12 +182,10 @@ func TestPooledEvaluationWaitsForStalledHelper(t *testing.T) {
 	}
 
 	// The caller usually claims sub-batch 0, so the stalling design almost
-	// always runs on a pool worker; retry until it has for both evaluators.
-	var tryStalled, evalStalled bool
-	for attempt := 0; attempt < 20 && !(tryStalled && evalStalled); attempt++ {
-		pop, prob, err, panicked := run(func(p Population, prob *stallingProblem) error {
-			return p.TryEvaluateWith(prob, pool, 4)
-		})
+	// always runs on a pool worker; retry until it has.
+	stalled := false
+	for attempt := 0; attempt < 20 && !stalled; attempt++ {
+		pop, prob, err, panicked := run()
 		var ee *objective.EvalError
 		if panicked != nil || !errors.As(err, &ee) || ee.Index != refEE.Index || ee.Count != refEE.Count ||
 			ee.Err.Error() != refEE.Err.Error() {
@@ -211,27 +197,10 @@ func TestPooledEvaluationWaitsForStalledHelper(t *testing.T) {
 					i, pop[i].Objectives, pop[i].Violation, ref[i].Objectives, ref[i].Violation)
 			}
 		}
-		tryStalled = tryStalled || prob.stalledOnHelper.Load()
-
-		pop, prob, _, panicked = run(func(p Population, prob *stallingProblem) error {
-			p.EvaluateWith(prob, pool, 4)
-			return nil
-		})
-		const panicBatch = stallPanicAt / (stallPop / 4)
-		if pe, ok := panicked.(*PanicError); !ok || pe.Index != panicBatch {
-			t.Fatalf("EvaluateWith panicked with %v, want a *PanicError for sub-batch %d", panicked, panicBatch)
-		}
-		for i := range pop {
-			if i/(stallPop/4) != panicBatch && !same(pop[i], ref[i]) {
-				t.Fatalf("EvaluateWith design %d: %v/%v, want %v/%v",
-					i, pop[i].Objectives, pop[i].Violation, ref[i].Objectives, ref[i].Violation)
-			}
-		}
-		evalStalled = evalStalled || prob.stalledOnHelper.Load()
+		stalled = prob.stalledOnHelper.Load()
 	}
-	if !tryStalled || !evalStalled {
-		t.Fatalf("the stalling design never ran on a pool worker (TryEvaluateWith %v, EvaluateWith %v)",
-			tryStalled, evalStalled)
+	if !stalled {
+		t.Fatal("the stalling design never ran on a pool worker")
 	}
 }
 
@@ -292,8 +261,12 @@ func TestTryEvaluateWithRobustIntegratorBitIdentical(t *testing.T) {
 		}
 		return p
 	}
-	ref := population()
-	ref.Evaluate(prob)
+	// The reference is the scalar path, one design at a time, not the lane
+	// batch path under test.
+	ref := make([]objective.Result, len(xs))
+	for i, x := range xs {
+		ref[i] = prob.Evaluate(x)
+	}
 	pool := NewPool(8)
 	defer pool.Close()
 	for _, workers := range []int{1, 2, 3, 4, 8} {
@@ -302,8 +275,8 @@ func TestTryEvaluateWithRobustIntegratorBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i := range pop {
-			if math.Float64bits(pop[i].Violation) != math.Float64bits(ref[i].Violation) {
-				t.Fatalf("workers=%d design %d: violation %v, want %v", workers, i, pop[i].Violation, ref[i].Violation)
+			if want := ref[i].TotalViolation(); math.Float64bits(pop[i].Violation) != math.Float64bits(want) {
+				t.Fatalf("workers=%d design %d: violation %v, want %v", workers, i, pop[i].Violation, want)
 			}
 			for k, want := range ref[i].Objectives {
 				if got := pop[i].Objectives[k]; math.Float64bits(got) != math.Float64bits(want) {
@@ -353,13 +326,11 @@ func TestPooledDispatchZeroAlloc(t *testing.T) {
 		putEvalScratch(sc)
 	}
 	for range 10 {
-		pop.EvaluateWith(prob, pool, 4)
 		if err := pop.TryEvaluateWith(prob, pool, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for name, fn := range map[string]func(){
-		"EvaluateWith":    func() { pop.EvaluateWith(prob, pool, 4) },
 		"TryEvaluateWith": func() { _ = pop.TryEvaluateWith(prob, pool, 4) },
 		"RunLimit":        func() { pool.RunLimit(64, 0, func(int) {}) },
 	} {

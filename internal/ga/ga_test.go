@@ -10,6 +10,14 @@ import (
 	"sacga/internal/rng"
 )
 
+// evaluate runs TryEvaluateWith on the shared pool over a fixture that
+// never faults, so a returned error is a regression.
+func evaluate(pop Population, prob objective.Problem, workers int) {
+	if err := pop.TryEvaluateWith(prob, nil, workers); err != nil {
+		panic(err)
+	}
+}
+
 func bounds(n int) ([]float64, []float64) {
 	lo := make([]float64, n)
 	hi := make([]float64, n)
@@ -54,7 +62,8 @@ func TestSBXRespectsBounds(t *testing.T) {
 		st := rng.New(seed)
 		p1 := NewRandom(st, lo, hi)
 		p2 := NewRandom(st, lo, hi)
-		c1, c2 := ops.Crossover(s, p1, p2, lo, hi)
+		c1, c2 := &Individual{}, &Individual{}
+		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
 		for k := range c1.X {
 			if c1.X[k] < lo[k] || c1.X[k] > hi[k] {
 				return false
@@ -78,8 +87,11 @@ func TestCrossoverClearsEvaluation(t *testing.T) {
 	p2 := NewRandom(s, lo, hi)
 	p1.Objectives = []float64{1, 2}
 	p2.Objectives = []float64{3, 4}
-	c1, c2 := ops.Crossover(s, p1, p2, lo, hi)
-	if c1.Objectives != nil || c2.Objectives != nil {
+	// Recycled buffers still hold an earlier child's evaluation.
+	c1 := &Individual{Objectives: []float64{5, 6}}
+	c2 := &Individual{Objectives: []float64{7, 8}}
+	ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
+	if len(c1.Objectives) != 0 || len(c2.Objectives) != 0 {
 		t.Fatal("children carry stale objective values")
 	}
 }
@@ -125,7 +137,8 @@ func TestBLXCrossoverRespectsBounds(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p1 := NewRandom(s, lo, hi)
 		p2 := NewRandom(s, lo, hi)
-		c1, c2 := ops.Crossover(s, p1, p2, lo, hi)
+		c1, c2 := &Individual{}, &Individual{}
+		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
 		for k := range c1.X {
 			if c1.X[k] < lo[k] || c1.X[k] > hi[k] || c2.X[k] < lo[k] || c2.X[k] > hi[k] {
 				t.Fatal("BLX child out of bounds")
@@ -143,10 +156,11 @@ func TestSBXMeanPreservation(t *testing.T) {
 	ops := Operators{CrossoverProb: 1, EtaC: 15, EtaM: 20}
 	p1 := &Individual{X: []float64{3}}
 	p2 := &Individual{X: []float64{7}}
+	c1, c2 := &Individual{}, &Individual{}
 	sum := 0.0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		c1, c2 := ops.Crossover(s, p1, p2, lo, hi)
+		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
 		sum += c1.X[0] + c2.X[0]
 	}
 	mean := sum / (2 * trials)
@@ -160,7 +174,7 @@ func TestEvaluateCachesResults(t *testing.T) {
 	s := rng.New(13)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 10, lo, hi)
-	pop.Evaluate(prob)
+	evaluate(pop, prob, 1)
 	for _, ind := range pop {
 		if len(ind.Objectives) != 2 {
 			t.Fatal("objectives not cached")
@@ -224,10 +238,11 @@ func TestRankSelectPressure(t *testing.T) {
 	for i := range pop {
 		pop[i] = &Individual{Rank: i}
 	}
+	var rs RankSelector
+	rs.Reset(pop, 2.0)
 	counts := make(map[int]int)
 	for i := 0; i < 20000; i++ {
-		ind := RankSelect(s, pop, 2.0)
-		counts[ind.Rank]++
+		counts[rs.Pick(s).Rank]++
 	}
 	if counts[0] <= counts[9]*3 {
 		t.Fatalf("linear ranking with pressure 2 should strongly prefer best: best=%d worst=%d",
@@ -241,7 +256,8 @@ func TestRankSelectorMatchesDistribution(t *testing.T) {
 	for i := range pop {
 		pop[i] = &Individual{Rank: i}
 	}
-	sel := NewRankSelector(pop, 1.8)
+	var sel RankSelector
+	sel.Reset(pop, 1.8)
 	counts := make([]int, 20)
 	for i := 0; i < 40000; i++ {
 		counts[sel.Pick(s).Rank]++
@@ -287,8 +303,8 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	lo, hi := prob.Bounds()
 	seq := NewRandomPopulation(s, 64, lo, hi)
 	par := seq.Clone()
-	seq.Evaluate(prob)
-	par.EvaluateParallel(prob, 8)
+	evaluate(seq, prob, 1)
+	evaluate(par, prob, 8)
 	for i := range seq {
 		for k := range seq[i].Objectives {
 			if seq[i].Objectives[k] != par[i].Objectives[k] {
@@ -303,7 +319,7 @@ func TestEvaluateParallelCounterExact(t *testing.T) {
 	s := rng.New(33)
 	lo, hi := cnt.Bounds()
 	pop := NewRandomPopulation(s, 100, lo, hi)
-	pop.EvaluateParallel(cnt, 16)
+	evaluate(pop, cnt, 16)
 	if cnt.Count() != 100 {
 		t.Fatalf("atomic counter lost updates: %d", cnt.Count())
 	}
@@ -314,7 +330,7 @@ func TestEvaluateParallelSmallPopulationFallback(t *testing.T) {
 	s := rng.New(37)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 3, lo, hi)
-	pop.EvaluateParallel(prob, 8) // must not deadlock or panic
+	evaluate(pop, prob, 8) // must not deadlock or panic
 	for _, ind := range pop {
 		if len(ind.Objectives) != 2 {
 			t.Fatal("fallback path skipped evaluation")

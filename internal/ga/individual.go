@@ -16,7 +16,7 @@ import (
 type Individual struct {
 	// X is the decision vector.
 	X []float64
-	// Objectives is the minimized objective vector (set by Evaluate).
+	// Objectives is the minimized objective vector (set by evaluation).
 	Objectives []float64
 	// Violation is the total normalized constraint violation, 0 = feasible.
 	Violation float64
@@ -67,19 +67,6 @@ func (p Population) Clone() Population {
 		out[i] = ind.Clone()
 	}
 	return out
-}
-
-// Evaluate runs the problem on every individual, caching objectives and
-// total violation. Problems implementing objective.BatchProblem are
-// evaluated through their struct-of-arrays fast path in one call.
-func (p Population) Evaluate(prob objective.Problem) {
-	if bp, ok := prob.(objective.BatchProblem); ok {
-		p.evaluateBatch(bp)
-		return
-	}
-	for _, ind := range p {
-		ind.Eval(prob)
-	}
 }
 
 // Eval evaluates a single individual against prob. Problems implementing

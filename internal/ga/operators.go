@@ -38,21 +38,13 @@ func DefaultOperators() Operators {
 	}
 }
 
-// Crossover produces two children from two parents. The parents are not
-// modified. Bounds are enforced on the children.
-func (op Operators) Crossover(s *rng.Stream, a, b *Individual, lo, hi []float64) (*Individual, *Individual) {
-	c1, c2 := &Individual{}, &Individual{}
-	op.CrossoverInto(s, a, b, c1, c2, lo, hi)
-	return c1, c2
-}
-
-// CrossoverInto is Crossover writing into caller-provided children buffers
-// — typically generation-recycled offspring from Arena.Offspring, which
-// makes steady-state variation allocation-free. c1 and c2 receive copies of
-// a's and b's genes and bookkeeping exactly as Crossover's fresh children
-// would (evaluation cleared, age zero), then the configured crossover
-// applies in place; the random draws are identical to Crossover's. The
-// parents are not modified and must be distinct from the children.
+// CrossoverInto produces two children from two parents, writing them into
+// caller-provided buffers — typically generation-recycled offspring from
+// Arena.Offspring, which makes steady-state variation allocation-free. c1
+// and c2 receive copies of a's and b's genes and bookkeeping (evaluation
+// cleared, age zero), whatever they held before, then the configured
+// crossover applies in place and bounds are enforced. The parents are not
+// modified and must be distinct from the children.
 func (op Operators) CrossoverInto(s *rng.Stream, a, b, c1, c2 *Individual, lo, hi []float64) {
 	childFrom(c1, a)
 	childFrom(c2, b)

@@ -7,6 +7,9 @@ import (
 	"sacga/internal/rng"
 )
 
+// TestCrossoverIntoMatchesCrossover checks that a crossover into recycled
+// arena buffers, which still hold an earlier child's genes, evaluation and
+// age, gives exactly the children a crossover into fresh buffers gives.
 func TestCrossoverIntoMatchesCrossover(t *testing.T) {
 	prob := benchfn.Constr()
 	lo, hi := prob.Bounds()
@@ -19,7 +22,8 @@ func TestCrossoverIntoMatchesCrossover(t *testing.T) {
 		arena := &Arena{}
 		for trial := 0; trial < 50; trial++ {
 			a, b := pop[trial%len(pop)], pop[(trial*7+3)%len(pop)]
-			w1, w2 := ops.Crossover(s1, a, b, lo, hi)
+			w1, w2 := &Individual{}, &Individual{}
+			ops.CrossoverInto(s1, a, b, w1, w2, lo, hi)
 			c1, c2 := arena.Offspring(), arena.Offspring()
 			ops.CrossoverInto(s2, a, b, c1, c2, lo, hi)
 			for i := range w1.X {
@@ -31,6 +35,8 @@ func TestCrossoverIntoMatchesCrossover(t *testing.T) {
 				c1.Rank != a.Rank || c1.Violation != a.Violation {
 				t.Fatalf("trial %d: child bookkeeping differs from Clone semantics", trial)
 			}
+			c1.Objectives = append(c1.Objectives, 1, 2)
+			c1.Age, c2.Age = 3, 4
 			arena.Recycle(c1)
 			arena.Recycle(c2)
 		}

@@ -37,8 +37,8 @@ type jobOffer struct {
 }
 
 // loopBody is a parallel loop body: do(i) runs once for every index of a
-// job. The evaluators pass a recycled struct here, which, unlike a closure
-// over their arguments, costs no allocation per job.
+// job. The evaluator passes a recycled struct here, which, unlike a closure
+// over its arguments, costs no allocation per job.
 type loopBody interface{ do(i int) }
 
 // funcBody adapts Run's func to loopBody. A func value is pointer-shaped,
@@ -85,13 +85,11 @@ type poolJob struct {
 
 // PanicError is a panic from a Pool loop body, captured on a worker and
 // re-raised on the goroutine that submitted the job. Recoverable layers
-// (ga's Try evaluation) convert it into a typed error; bare Run/RunLimit
+// (TryEvaluateWith) convert it into a typed error; bare Run/RunLimit
 // callers see an ordinary panic on their own stack, with the worker's
 // stack preserved.
 type PanicError struct {
-	// Index is the lowest loop index whose body panicked. A pooled
-	// evaluation (EvaluateWith) runs one sub-batch per loop index, so
-	// there Index is a sub-batch number, not an individual's index.
+	// Index is the lowest loop index whose body panicked.
 	Index int
 	// Value is the recovered panic value.
 	Value any
@@ -260,8 +258,7 @@ func (j *poolJob) run() {
 // call runs body.do(i) with panic isolation: a recovered panic is recorded
 // (the lowest index wins) and the loop goes on to the next index, so one
 // poisoned index never takes down a worker goroutine or starves the job's
-// other indices. What body.do(i) had left undone is abandoned; for a
-// pooled evaluation that is the rest of sub-batch i.
+// other indices. What body.do(i) had left undone is abandoned.
 func (j *poolJob) call(i int) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -211,8 +211,8 @@ func TestEvaluateParallelWorkersExceedPopulation(t *testing.T) {
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 10, lo, hi)
 	ref := pop.Clone()
-	ref.Evaluate(prob)
-	pop.EvaluateParallel(prob, 1000)
+	evaluate(ref, prob, 1)
+	evaluate(pop, prob, 1000)
 	for i := range pop {
 		for k := range pop[i].Objectives {
 			if pop[i].Objectives[k] != ref[i].Objectives[k] {
@@ -233,7 +233,7 @@ func TestEvaluateParallelSmallPopulationStaysSequential(t *testing.T) {
 	s := rng.New(43)
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 2*minSubBatch-1, lo, hi)
-	pop.EvaluateParallel(prob, 4)
+	evaluate(pop, prob, 4)
 	if seen != len(pop) {
 		t.Fatalf("sequential fallback evaluated %d of %d", seen, len(pop))
 	}
@@ -246,8 +246,8 @@ func TestEvaluateParallelDefaultWorkerCount(t *testing.T) {
 	lo, hi := prob.Bounds()
 	pop := NewRandomPopulation(s, 32, lo, hi)
 	ref := pop.Clone()
-	ref.Evaluate(prob)
-	pop.EvaluateParallel(prob, 0)
+	evaluate(ref, prob, 1)
+	evaluate(pop, prob, 0)
 	for i := range pop {
 		if pop[i].Objectives[0] != ref[i].Objectives[0] {
 			t.Fatal("default-worker evaluation diverged")
@@ -262,7 +262,9 @@ func TestEvaluateWithExplicitPool(t *testing.T) {
 	s := rng.New(53)
 	lo, hi := cnt.Bounds()
 	pop := NewRandomPopulation(s, 64, lo, hi)
-	pop.EvaluateWith(cnt, p, 3)
+	if err := pop.TryEvaluateWith(cnt, p, 3); err != nil {
+		t.Fatal(err)
+	}
 	if cnt.Count() != 64 {
 		t.Fatalf("explicit-pool evaluation lost individuals: %d", cnt.Count())
 	}

@@ -24,67 +24,25 @@ func TournamentSelect(s *rng.Stream, pop Population) *Individual {
 	return b
 }
 
-// RankSelect performs linear rank-based roulette selection over the
-// population: individuals are sorted by (Rank, -Crowding) and selection
-// pressure decreases linearly from best to worst. This is the paper's
-// "rank-based selection of individuals from the entire population" used to
-// build the Global Mating Pool in the local-competition scheme.
-//
-// pressure in (1,2]: expected copies of the best individual. 2.0 is maximum
-// pressure; 1.0 degenerates to uniform.
-func RankSelect(s *rng.Stream, pop Population, pressure float64) *Individual {
-	n := len(pop)
-	if n == 1 {
-		return pop[0]
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := pop[order[a]], pop[order[b]]
-		if ia.Rank != ib.Rank {
-			return ia.Rank < ib.Rank
-		}
-		return ia.Crowding > ib.Crowding
-	})
-	// Linear ranking: weight of the k-th best (k=0 is best) is
-	// pressure - 2*(pressure-1)*k/(n-1); total weight is n.
-	u := s.Float64() * float64(n)
-	acc := 0.0
-	for k := 0; k < n; k++ {
-		w := pressure - 2.0*(pressure-1.0)*float64(k)/float64(n-1)
-		acc += w
-		if u <= acc {
-			return pop[order[k]]
-		}
-	}
-	return pop[order[n-1]]
-}
-
-// RankSelector precomputes the sorted order once so repeated draws are
-// O(log n) instead of O(n log n). Use when drawing a whole mating pool from
-// one frozen population state. The zero value is usable after Reset;
-// resetting reuses the selector's buffers, so a selector kept across
-// generations allocates nothing at steady state.
+// RankSelector performs linear rank-based roulette selection: individuals
+// are ordered by (Rank, -Crowding) and selection weight decreases linearly
+// from best to worst. This is the paper's "rank-based selection of
+// individuals from the entire population" used to build the Global Mating
+// Pool in the local-competition scheme. The order is computed once per
+// Reset, so drawing a whole mating pool from one frozen population state
+// costs O(log n) per draw. The zero value is usable after Reset; resetting
+// reuses the selector's buffers, so a selector kept across generations
+// allocates nothing at steady state.
 type RankSelector struct {
-	ord      crowdedOrder
-	cum      []float64
-	pressure float64
-}
-
-// NewRankSelector builds a selector over pop with the given linear-ranking
-// pressure.
-func NewRankSelector(pop Population, pressure float64) *RankSelector {
-	rs := &RankSelector{}
-	rs.Reset(pop, pressure)
-	return rs
+	ord crowdedOrder
+	cum []float64
 }
 
 // Reset rebuilds the selector over a new population state in place.
+// pressure in (1,2] is the expected number of copies of the best
+// individual: 2.0 is maximum pressure, 1.0 degenerates to uniform.
 func (rs *RankSelector) Reset(pop Population, pressure float64) {
 	n := len(pop)
-	rs.pressure = pressure
 	rs.ord.pop = pop
 	if cap(rs.ord.idx) < n {
 		rs.ord.idx = make([]int, n)

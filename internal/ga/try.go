@@ -9,45 +9,49 @@ import (
 	"sacga/internal/objective"
 )
 
-// Fault-isolated evaluation. TryEvaluate / TryEvaluateWith are the
-// Evaluate / EvaluateWith counterparts every engine routes through: a
-// panicking or non-finite evaluation quarantines that individual with
-// worst-case objectives (+Inf everywhere, infinite violation) and the call
-// returns a typed *objective.EvalError, while every sibling's result is
-// exactly what the plain path would have produced. Faults are keyed to
-// individuals, never to scheduling, so a faulting run is bit-identical at
-// any worker count; the no-fault fast path allocates nothing at steady
-// state (the fault collector is recycled like the evaluation scratch).
-
-// TryEvaluate is Population.Evaluate with fault isolation: it returns nil
-// exactly when every individual evaluated cleanly, and a
+// TryEvaluateWith evaluates the population, caching each individual's
+// objectives and total violation; it is the one evaluator every engine
+// routes through. A nil pool selects the shared one: engines that own a
+// private Pool route every generation's evaluation through it, so one set
+// of persistent workers serves the whole run instead of a goroutine flock
+// per call. workers <= 0 selects NumCPU.
+//
+// The population is cut into contiguous sub-batches, at most one per
+// worker and none narrower than minSubBatch, and each participant
+// evaluates whole sub-batches: a BatchProblem sees each one as a single
+// EvaluateBatch call with its own recycled scratch. The lane engine
+// amortizes its per-call work over the lanes of a call, so a population
+// of 100 on two workers runs as two 50-lane calls, where a finer split
+// for load balance would cost more per design than it saves. A population
+// too small for two sub-batches never leaves the caller. The problem's
+// Evaluate must be a pure function of its input (every problem in this
+// repository is), and every sub-batch writes index-addressed slots, so
+// the batch, scalar, parallel and sequential paths are all bit-identical
+// and the GA's random streams are untouched.
+//
+// Faults are isolated per individual: a panicking or non-finite
+// evaluation quarantines that individual with worst-case objectives (+Inf
+// everywhere, infinite violation), while every sibling gets exactly the
+// result a clean pass would have produced. The call returns nil exactly
+// when every individual evaluated cleanly, and a typed
 // *objective.EvalError describing the quarantined individuals otherwise.
-func (p Population) TryEvaluate(prob objective.Problem) error {
-	fs := getFaultSet()
-	p.tryEvaluate(prob, 0, fs)
-	return finishFaults(fs)
-}
-
-// TryEvaluateWith is EvaluateWith with fault isolation: the same pool and
-// worker semantics and the same dispatch rule (contiguous sub-batches, at
-// most one per worker and none narrower than minSubBatch, so the lane
-// engine sees wide batches; a population too small for two stays on the
-// caller), the same bit-identical parallel/sequential/batch/scalar
-// contract, plus quarantine instead of a crash when the problem panics or
-// returns non-finite results.
+// Faults are keyed to individuals, never to scheduling, so a faulting
+// evaluation is bit-identical at any worker count. The no-fault path
+// allocates nothing at steady state: the fault collector is recycled like
+// the evaluation scratch.
 func (p Population) TryEvaluateWith(prob objective.Problem, pool *Pool, workers int) error {
-	nb := subBatches(len(p), workers)
-	if nb == 1 {
-		return p.TryEvaluate(prob)
-	}
 	fs := getFaultSet()
-	p.dispatch(prob, pool, nb, fs)
+	if nb := subBatches(len(p), workers); nb == 1 {
+		p.tryEvaluate(prob, 0, fs)
+	} else {
+		p.dispatch(prob, pool, nb, fs)
+	}
 	return finishFaults(fs)
 }
 
-// tryEvaluate is TryEvaluate's body on p, recording faults into fs. base
-// is p's offset within the enclosing population, so fault indices stay
-// population-global no matter how the population was sub-divided.
+// tryEvaluate evaluates p on the calling goroutine, recording faults into
+// fs. base is p's offset within the enclosing population, so fault indices
+// stay population-global no matter how the population was sub-divided.
 func (p Population) tryEvaluate(prob objective.Problem, base int, fs *faultSet) {
 	if bp, ok := prob.(objective.BatchProblem); ok {
 		p.tryEvaluateBatch(bp, base, fs)
@@ -83,8 +87,11 @@ func (ind *Individual) evalRecover(prob objective.Problem) (err error) {
 	return nil
 }
 
-// tryEvaluateBatch is evaluateBatch with fault isolation; base is as in
-// tryEvaluate.
+// tryEvaluateBatch runs p through a BatchProblem's fast path: gene-vector
+// views and result slots come from a recycled scratch arena, and each
+// individual's cached objectives are copied into its own reused buffers,
+// so a clean call performs no heap allocations at steady state. base is
+// as in tryEvaluate.
 func (p Population) tryEvaluateBatch(bp objective.BatchProblem, base int, fs *faultSet) {
 	n := len(p)
 	if n == 0 {

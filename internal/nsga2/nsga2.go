@@ -200,19 +200,14 @@ func (e *Engine) Immigrate(migrants ga.Population) {
 // Checkpoint aliases search.Checkpoint in this package's signatures.
 type Checkpoint = search.Checkpoint
 
-// MakeChildren builds a full offspring population of size n from pop using
-// binary crowded-tournament selection, crossover and mutation. Exported
-// because SACGA reuses the same variation pipeline on its global mating
-// pool.
-func MakeChildren(s *rng.Stream, pop ga.Population, ops ga.Operators, lo, hi []float64, n int) ga.Population {
-	return MakeChildrenInto(s, pop, ops, lo, hi, n, &ga.Arena{}, nil)
-}
-
-// MakeChildrenInto is MakeChildren through an offspring arena: children are
-// written into recycled individual buffers from arena.Offspring and
-// appended to dst's backing array, so a warmed-up generation loop allocates
-// nothing for variation. The random draws — and therefore the offspring
-// genes — are identical to MakeChildren's.
+// MakeChildrenInto builds a full offspring population of size n from pop
+// using binary crowded-tournament selection, crossover and mutation.
+// Children are written into recycled individual buffers from
+// arena.Offspring and appended to dst's backing array (nil allocates one),
+// so a warmed-up generation loop allocates nothing for variation. The
+// offspring genes depend only on s and pop, never on the arena's state.
+// Exported because the island engine runs the same pipeline on each
+// island.
 func MakeChildrenInto(s *rng.Stream, pop ga.Population, ops ga.Operators, lo, hi []float64, n int, arena *ga.Arena, dst ga.Population) ga.Population {
 	if dst == nil {
 		dst = make(ga.Population, 0, n)

@@ -1,6 +1,6 @@
 // Package pareto implements Pareto-dominance primitives: plain and
-// constrained dominance, fast non-dominated sorting, crowding distance and a
-// bounded non-dominated archive.
+// constrained dominance, fast non-dominated sorting, crowding distance and
+// NSGA-II's crowded comparison.
 //
 // All functions treat objective vectors as MINIMIZED.
 package pareto
