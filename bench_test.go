@@ -406,11 +406,10 @@ func BenchmarkMakeChildren(b *testing.B) {
 	}
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
-	ops := ga.DefaultOperators()
 	s := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nsga2.MakeChildrenInto(s, pop, ops, lo, hi, len(pop), &ga.Arena{}, nil)
+		nsga2.MakeChildrenInto(s, pop, lo, hi, len(pop), &ga.Arena{}, nil)
 	}
 }
 
@@ -424,16 +423,15 @@ func BenchmarkMakeChildrenArena(b *testing.B) {
 	}
 	pop.AssignRanksAndCrowding()
 	lo, hi := prob.Bounds()
-	ops := ga.DefaultOperators()
 	s := rng.New(3)
 	arena := &ga.Arena{}
-	children := nsga2.MakeChildrenInto(s, pop, ops, lo, hi, len(pop), arena, nil)
+	children := nsga2.MakeChildrenInto(s, pop, lo, hi, len(pop), arena, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range children {
 			arena.Recycle(c)
 		}
-		children = nsga2.MakeChildrenInto(s, pop, ops, lo, hi, len(pop), arena, children)
+		children = nsga2.MakeChildrenInto(s, pop, lo, hi, len(pop), arena, children)
 	}
 }
 

@@ -84,7 +84,7 @@ func islandsChaosOpts(stepWorkers int, cp chaosParams, timeout time.Duration) se
 		PopSize: 24, Generations: 10, Seed: 7,
 		Extra: &sched.IslandsParams{
 			Replicas: 3, Algo: "chaos-replica", Extra: &cp,
-			MigrationEvery: 4, Migrants: 2, Topology: sched.Ring,
+			MigrationEvery: 4, Migrants: 2,
 			StepWorkers: stepWorkers, StepTimeout: timeout,
 		},
 	}

@@ -33,6 +33,13 @@ type Transport interface {
 	Dial() (Conn, error)
 }
 
+// procGrace bounds a worker process's clean exit (stdin close → EOF) on
+// Close before it is killed; dialTimeout bounds a TCP connect.
+const (
+	procGrace   = 2 * time.Second
+	dialTimeout = 5 * time.Second
+)
+
 // ProcTransport spawns a worker child process and frames its stdio — the
 // original shard runtime behind the Transport seam. Each Dial is one
 // process; Kill is SIGKILL, Close is the stdin-close grace dance.
@@ -42,9 +49,6 @@ type ProcTransport struct {
 	Argv []string
 	// Env is appended to the inherited environment.
 	Env []string
-	// Grace bounds a clean exit (stdin close → EOF) on Close before the
-	// process is killed (default 2s).
-	Grace time.Duration
 	// Hello configures the dial-time handshake.
 	Hello HandshakeConfig
 }
@@ -76,11 +80,7 @@ func (t *ProcTransport) Dial() (Conn, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("fleet: spawn worker %q: %w", t.Argv[0], err)
 	}
-	grace := t.Grace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
-	c := &procConn{cmd: cmd, stdin: stdin, stdout: stdout, grace: grace}
+	c := &procConn{cmd: cmd, stdin: stdin, stdout: stdout}
 	if _, err := ClientHandshake(c, t.Hello); err != nil {
 		c.Kill()
 		return nil, err
@@ -93,7 +93,6 @@ type procConn struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	stdout io.ReadCloser
-	grace  time.Duration
 	term   sync.Once
 }
 
@@ -116,7 +115,7 @@ func (c *procConn) SetDeadline(t time.Time) error {
 }
 
 // Close asks the worker to exit cleanly by closing its stdin (the worker
-// loop returns on EOF), waiting up to grace before killing it. Always
+// loop returns on EOF), waiting up to procGrace before killing it. Always
 // reaps the process.
 func (c *procConn) Close() error {
 	c.term.Do(func() { c.terminate(true) })
@@ -143,7 +142,7 @@ func (c *procConn) terminate(graceful bool) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(c.grace):
+	case <-time.After(procGrace):
 		c.cmd.Process.Kill()
 		<-done
 	}
@@ -156,9 +155,6 @@ func (c *procConn) terminate(graceful bool) {
 type TCPTransport struct {
 	// Address is the daemon's host:port.
 	Address string
-	// DialTimeout bounds connection establishment (default 5s). The
-	// handshake after it is bounded by Hello.Timeout.
-	DialTimeout time.Duration
 	// Hello configures the dial-time handshake.
 	Hello HandshakeConfig
 }
@@ -166,13 +162,10 @@ type TCPTransport struct {
 // Addr implements Transport.
 func (t *TCPTransport) Addr() string { return t.Address }
 
-// Dial implements Transport: connect and handshake.
+// Dial implements Transport: connect within dialTimeout, then handshake
+// (bounded by Hello.Timeout).
 func (t *TCPTransport) Dial() (Conn, error) {
-	to := t.DialTimeout
-	if to <= 0 {
-		to = 5 * time.Second
-	}
-	nc, err := net.DialTimeout("tcp", t.Address, to)
+	nc, err := net.DialTimeout("tcp", t.Address, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dial worker %s: %w", t.Address, err)
 	}

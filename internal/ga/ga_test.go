@@ -57,13 +57,12 @@ func TestCloneIsDeep(t *testing.T) {
 func TestSBXRespectsBounds(t *testing.T) {
 	s := rng.New(3)
 	lo, hi := bounds(6)
-	ops := DefaultOperators()
 	f := func(seed int64) bool {
 		st := rng.New(seed)
 		p1 := NewRandom(st, lo, hi)
 		p2 := NewRandom(st, lo, hi)
 		c1, c2 := &Individual{}, &Individual{}
-		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
+		CrossoverInto(s, p1, p2, c1, c2, lo, hi)
 		for k := range c1.X {
 			if c1.X[k] < lo[k] || c1.X[k] > hi[k] {
 				return false
@@ -82,7 +81,6 @@ func TestSBXRespectsBounds(t *testing.T) {
 func TestCrossoverClearsEvaluation(t *testing.T) {
 	s := rng.New(5)
 	lo, hi := bounds(3)
-	ops := DefaultOperators()
 	p1 := NewRandom(s, lo, hi)
 	p2 := NewRandom(s, lo, hi)
 	p1.Objectives = []float64{1, 2}
@@ -90,20 +88,20 @@ func TestCrossoverClearsEvaluation(t *testing.T) {
 	// Recycled buffers still hold an earlier child's evaluation.
 	c1 := &Individual{Objectives: []float64{5, 6}}
 	c2 := &Individual{Objectives: []float64{7, 8}}
-	ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
+	CrossoverInto(s, p1, p2, c1, c2, lo, hi)
 	if len(c1.Objectives) != 0 || len(c2.Objectives) != 0 {
 		t.Fatal("children carry stale objective values")
 	}
 }
 
+// TestPolynomialMutationRespectsBounds mutates every gene (rate 1, where
+// Mutate uses 1/numVars) and requires each to stay inside its bounds.
 func TestPolynomialMutationRespectsBounds(t *testing.T) {
 	s := rng.New(7)
 	lo, hi := bounds(10)
-	ops := DefaultOperators()
-	ops.MutationProb = 1.0 // mutate every gene
 	for trial := 0; trial < 300; trial++ {
 		ind := NewRandom(s, lo, hi)
-		ops.Mutate(s, ind, lo, hi)
+		polyMutate(s, ind.X, lo, hi, 1)
 		for k, v := range ind.X {
 			if v < lo[k] || v > hi[k] {
 				t.Fatalf("mutated gene %d out of bounds: %g", k, v)
@@ -112,56 +110,20 @@ func TestPolynomialMutationRespectsBounds(t *testing.T) {
 	}
 }
 
-func TestGaussMutationRespectsBounds(t *testing.T) {
-	s := rng.New(8)
-	lo, hi := bounds(10)
-	ops := DefaultOperators()
-	ops.GaussSigma = 0.3
-	ops.MutationProb = 1.0
-	for trial := 0; trial < 300; trial++ {
-		ind := NewRandom(s, lo, hi)
-		ops.Mutate(s, ind, lo, hi)
-		for k, v := range ind.X {
-			if v < lo[k] || v > hi[k] {
-				t.Fatalf("gauss-mutated gene %d out of bounds: %g", k, v)
-			}
-		}
-	}
-}
-
-func TestBLXCrossoverRespectsBounds(t *testing.T) {
-	s := rng.New(9)
-	lo, hi := bounds(5)
-	ops := DefaultOperators()
-	ops.BlendAlpha = 0.5
-	for trial := 0; trial < 300; trial++ {
-		p1 := NewRandom(s, lo, hi)
-		p2 := NewRandom(s, lo, hi)
-		c1, c2 := &Individual{}, &Individual{}
-		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
-		for k := range c1.X {
-			if c1.X[k] < lo[k] || c1.X[k] > hi[k] || c2.X[k] < lo[k] || c2.X[k] > hi[k] {
-				t.Fatal("BLX child out of bounds")
-			}
-		}
-	}
-}
-
 func TestSBXMeanPreservation(t *testing.T) {
 	// SBX is mean-preserving per variable when crossover fires on it; with
-	// many samples the child mean approaches the parent mean.
+	// many samples the child mean approaches the parent mean. The operator
+	// is applied to every pair, where CrossoverInto applies it with
+	// probability crossoverProb.
 	s := rng.New(11)
 	lo := []float64{0}
 	hi := []float64{10}
-	ops := Operators{CrossoverProb: 1, EtaC: 15, EtaM: 20}
-	p1 := &Individual{X: []float64{3}}
-	p2 := &Individual{X: []float64{7}}
-	c1, c2 := &Individual{}, &Individual{}
 	sum := 0.0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
-		sum += c1.X[0] + c2.X[0]
+		x1, x2 := []float64{3}, []float64{7}
+		sbxCrossover(s, x1, x2, lo, hi)
+		sum += x1[0] + x2[0]
 	}
 	mean := sum / (2 * trials)
 	if math.Abs(mean-5) > 0.05 {

@@ -1,8 +1,8 @@
 // Package ga provides the real-coded genetic-algorithm substrate shared by
 // all optimizers in this repository: individuals and populations, simulated
-// binary crossover, polynomial and gaussian mutation, tournament and
-// rank-based selection, and evaluation plumbing against an
-// objective.Problem.
+// binary crossover and polynomial mutation at the paper-reproduction
+// settings, tournament and rank-based selection, and evaluation plumbing
+// against an objective.Problem.
 package ga
 
 import (

@@ -13,33 +13,28 @@ import (
 func TestCrossoverIntoMatchesCrossover(t *testing.T) {
 	prob := benchfn.Constr()
 	lo, hi := prob.Bounds()
-	for _, ops := range []Operators{
-		DefaultOperators(),
-		{CrossoverProb: 0.7, BlendAlpha: 0.4, GaussSigma: 0.1},
-	} {
-		s1, s2 := rng.New(17), rng.New(17)
-		pop := rankedPopulation(17, 20)
-		arena := &Arena{}
-		for trial := 0; trial < 50; trial++ {
-			a, b := pop[trial%len(pop)], pop[(trial*7+3)%len(pop)]
-			w1, w2 := &Individual{}, &Individual{}
-			ops.CrossoverInto(s1, a, b, w1, w2, lo, hi)
-			c1, c2 := arena.Offspring(), arena.Offspring()
-			ops.CrossoverInto(s2, a, b, c1, c2, lo, hi)
-			for i := range w1.X {
-				if w1.X[i] != c1.X[i] || w2.X[i] != c2.X[i] {
-					t.Fatalf("trial %d gene %d: arena crossover diverged", trial, i)
-				}
+	s1, s2 := rng.New(17), rng.New(17)
+	pop := rankedPopulation(17, 20)
+	arena := &Arena{}
+	for trial := 0; trial < 50; trial++ {
+		a, b := pop[trial%len(pop)], pop[(trial*7+3)%len(pop)]
+		w1, w2 := &Individual{}, &Individual{}
+		CrossoverInto(s1, a, b, w1, w2, lo, hi)
+		c1, c2 := arena.Offspring(), arena.Offspring()
+		CrossoverInto(s2, a, b, c1, c2, lo, hi)
+		for i := range w1.X {
+			if w1.X[i] != c1.X[i] || w2.X[i] != c2.X[i] {
+				t.Fatalf("trial %d gene %d: arena crossover diverged", trial, i)
 			}
-			if c1.Age != 0 || len(c1.Objectives) != 0 ||
-				c1.Rank != a.Rank || c1.Violation != a.Violation {
-				t.Fatalf("trial %d: child bookkeeping differs from Clone semantics", trial)
-			}
-			c1.Objectives = append(c1.Objectives, 1, 2)
-			c1.Age, c2.Age = 3, 4
-			arena.Recycle(c1)
-			arena.Recycle(c2)
 		}
+		if c1.Age != 0 || len(c1.Objectives) != 0 ||
+			c1.Rank != a.Rank || c1.Violation != a.Violation {
+			t.Fatalf("trial %d: child bookkeeping differs from Clone semantics", trial)
+		}
+		c1.Objectives = append(c1.Objectives, 1, 2)
+		c1.Age, c2.Age = 3, 4
+		arena.Recycle(c1)
+		arena.Recycle(c2)
 	}
 }
 
@@ -92,21 +87,20 @@ func TestVariationSteadyStateZeroAlloc(t *testing.T) {
 	lo, hi := prob.Bounds()
 	pop := rankedPopulation(29, 30)
 	pop.AssignRanksAndCrowding()
-	ops := DefaultOperators()
 	arena := &Arena{}
 	s := rng.New(31)
 	// Warm the arena with enough buffers for one pairing.
 	c1, c2 := arena.Offspring(), arena.Offspring()
-	ops.CrossoverInto(s, pop[0], pop[1], c1, c2, lo, hi)
+	CrossoverInto(s, pop[0], pop[1], c1, c2, lo, hi)
 	arena.Recycle(c1)
 	arena.Recycle(c2)
 	avg := testing.AllocsPerRun(50, func() {
 		a := TournamentSelect(s, pop)
 		b := TournamentSelect(s, pop)
 		k1, k2 := arena.Offspring(), arena.Offspring()
-		ops.CrossoverInto(s, a, b, k1, k2, lo, hi)
-		ops.Mutate(s, k1, lo, hi)
-		ops.Mutate(s, k2, lo, hi)
+		CrossoverInto(s, a, b, k1, k2, lo, hi)
+		Mutate(s, k1, lo, hi)
+		Mutate(s, k2, lo, hi)
 		arena.Recycle(k1)
 		arena.Recycle(k2)
 	})

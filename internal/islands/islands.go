@@ -146,7 +146,7 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	for k := range e.isles {
 		e.streams[k] = rng.DeriveN(e.opts.Seed, "island", k)
 		e.isles[k] = e.seedIsland(k)
-		if err := e.isles[k].TryEvaluateWith(e.prob, e.opts.Pool, e.opts.Workers); err != nil && evalErr == nil {
+		if err := e.isles[k].TryEvaluateWith(e.prob, nil, e.opts.Workers); err != nil && evalErr == nil {
 			evalErr = err // first island's fault; later islands still seed
 		}
 		e.isles[k].AssignRanksAndCrowding()
@@ -327,8 +327,8 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 // copies of the member pointers, so overwriting pop is safe.
 func (e *Engine) step(pop ga.Population, s *rng.Stream) (ga.Population, error) {
 	size, arena := e.params.IslandSize, &e.arena
-	e.children = nsga2.MakeChildrenInto(s, pop, e.opts.Ops, e.lo, e.hi, size, arena, e.children)
-	err := e.children.TryEvaluateWith(e.prob, e.opts.Pool, e.opts.Workers)
+	e.children = nsga2.MakeChildrenInto(s, pop, e.lo, e.hi, size, arena, e.children)
+	err := e.children.TryEvaluateWith(e.prob, nil, e.opts.Workers)
 	e.union = append(append(e.union[:0], pop...), e.children...)
 	arena.AssignRanksAndCrowding(e.union)
 	next := arena.TruncateRecycle(e.union, size, pop[:0])

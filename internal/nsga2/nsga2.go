@@ -69,7 +69,7 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	for len(e.pop) < e.opts.PopSize {
 		e.pop = append(e.pop, ga.NewRandom(e.s, e.lo, e.hi))
 	}
-	evalErr := e.pop.TryEvaluateWith(e.prob, e.opts.Pool, e.opts.Workers)
+	evalErr := e.pop.TryEvaluateWith(e.prob, nil, e.opts.Workers)
 	e.arena.AssignRanksAndCrowding(e.pop)
 	if evalErr != nil {
 		return fmt.Errorf("nsga2: %w", evalErr)
@@ -100,8 +100,8 @@ func (e *Engine) Step() error {
 		return nil
 	}
 	cfg := &e.opts
-	e.children = MakeChildrenInto(e.s, e.pop, cfg.Ops, e.lo, e.hi, cfg.PopSize, &e.arena, e.children)
-	evalErr := e.children.TryEvaluateWith(e.prob, cfg.Pool, cfg.Workers)
+	e.children = MakeChildrenInto(e.s, e.pop, e.lo, e.hi, cfg.PopSize, &e.arena, e.children)
+	evalErr := e.children.TryEvaluateWith(e.prob, nil, cfg.Workers)
 	e.union = append(append(e.union[:0], e.pop...), e.children...)
 	e.arena.AssignRanksAndCrowding(e.union)
 	e.next = e.arena.TruncateRecycle(e.union, cfg.PopSize, e.next)
@@ -208,7 +208,7 @@ type Checkpoint = search.Checkpoint
 // offspring genes depend only on s and pop, never on the arena's state.
 // Exported because the island engine runs the same pipeline on each
 // island.
-func MakeChildrenInto(s *rng.Stream, pop ga.Population, ops ga.Operators, lo, hi []float64, n int, arena *ga.Arena, dst ga.Population) ga.Population {
+func MakeChildrenInto(s *rng.Stream, pop ga.Population, lo, hi []float64, n int, arena *ga.Arena, dst ga.Population) ga.Population {
 	if dst == nil {
 		dst = make(ga.Population, 0, n)
 	}
@@ -217,9 +217,9 @@ func MakeChildrenInto(s *rng.Stream, pop ga.Population, ops ga.Operators, lo, hi
 		p1 := ga.TournamentSelect(s, pop)
 		p2 := ga.TournamentSelect(s, pop)
 		c1, c2 := arena.Offspring(), arena.Offspring()
-		ops.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
-		ops.Mutate(s, c1, lo, hi)
-		ops.Mutate(s, c2, lo, hi)
+		ga.CrossoverInto(s, p1, p2, c1, c2, lo, hi)
+		ga.Mutate(s, c1, lo, hi)
+		ga.Mutate(s, c2, lo, hi)
 		dst = append(dst, c1)
 		if len(dst) < n {
 			dst = append(dst, c2)

@@ -123,7 +123,7 @@ func TestMakeChildrenCount(t *testing.T) {
 	prob := benchfn.ZDT1(5)
 	lo, hi := prob.Bounds()
 	res := runOK(t, prob, search.Options{PopSize: 10, Generations: 1, Seed: 9})
-	kids := MakeChildrenInto(rng.New(4), res.Final, ga.DefaultOperators(), lo, hi, 7, &ga.Arena{}, nil)
+	kids := MakeChildrenInto(rng.New(4), res.Final, lo, hi, 7, &ga.Arena{}, nil)
 	if len(kids) != 7 {
 		t.Fatalf("MakeChildrenInto returned %d, want 7", len(kids))
 	}

@@ -51,25 +51,6 @@ func TestParallelEvaluationBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrivatePoolMatchesSharedPool runs the same configuration on an
-// explicitly owned pool and on the shared default; both must reproduce the
-// sequential result.
-func TestPrivatePoolMatchesSharedPool(t *testing.T) {
-	pool := ga.NewPool(3)
-	defer pool.Close()
-
-	opts := search.Options{PopSize: 40, Generations: 20, Seed: 13}
-	seq := runOK(t, benchfn.ZDT1(6), opts)
-
-	opts.Workers = 3
-	opts.Pool = pool
-	private := runOK(t, benchfn.ZDT1(6), opts)
-
-	if frontHV(seq.Front) != frontHV(private.Front) {
-		t.Fatal("private-pool run diverged from sequential run")
-	}
-}
-
 // TestBatchProblemEngineDeterminism asserts the determinism contract on a
 // real BatchProblem: the sizing problem routes through the SoA sub-batch
 // dispatch when pooled, and must still reproduce the sequential run

@@ -46,24 +46,6 @@ func TestParallelEvaluationBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrivatePoolBitIdentical repeats the contract on an explicitly owned
-// pool, the configuration engines share across generations.
-func TestPrivatePoolBitIdentical(t *testing.T) {
-	pool := ga.NewPool(4)
-	defer pool.Close()
-
-	opts := zdtOptions(40, 5)
-	_, seq := runOK(t, benchfn.ZDT1(6), opts)
-
-	opts.Workers = 4
-	opts.Pool = pool
-	_, par := runOK(t, benchfn.ZDT1(6), opts)
-
-	if zdtFrontHV(seq.Front) != zdtFrontHV(par.Front) {
-		t.Fatal("private-pool run diverged from sequential run")
-	}
-}
-
 // TestKernelsSteadyStateZeroAlloc pins the zero-allocation property of the
 // per-generation selection kernels: partition-local ranking and quota-based
 // environmental selection must not allocate once the engine's scratch is

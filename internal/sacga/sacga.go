@@ -207,7 +207,7 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	for len(e.pop) < o.PopSize {
 		e.pop = append(e.pop, ga.NewRandom(e.s, lo, hi))
 	}
-	evalErr := e.pop.TryEvaluateWith(e.prob, o.Pool, o.Workers)
+	evalErr := e.pop.TryEvaluateWith(e.prob, nil, o.Workers)
 	e.assign(e.pop)
 	e.localRanks(e.pop)
 	if evalErr != nil {
@@ -577,9 +577,9 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 		p1 := e.sel.Pick(e.s)
 		p2 := e.sel.Pick(e.s)
 		c1, c2 := e.arena.Offspring(), e.arena.Offspring()
-		o.Ops.CrossoverInto(e.s, p1, p2, c1, c2, lo, hi)
-		o.Ops.Mutate(e.s, c1, lo, hi)
-		o.Ops.Mutate(e.s, c2, lo, hi)
+		ga.CrossoverInto(e.s, p1, p2, c1, c2, lo, hi)
+		ga.Mutate(e.s, c1, lo, hi)
+		ga.Mutate(e.s, c2, lo, hi)
 		children = append(children, c1)
 		if len(children) < o.PopSize {
 			children = append(children, c2)
@@ -588,7 +588,7 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 		}
 	}
 	e.childBuf = children
-	evalErr := children.TryEvaluateWith(e.prob, o.Pool, o.Workers)
+	evalErr := children.TryEvaluateWith(e.prob, nil, o.Workers)
 
 	union := append(append(e.unionBuf[:0], e.pop...), children...)
 	e.unionBuf = union

@@ -38,11 +38,11 @@ func (e *ReplicaError) Error() string {
 func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
 
 // StepWithRetry advances one engine under the scheduler's shared fault
-// policy: a failing Step is retried up to `retries` more times, sleeping
-// backoff (doubling per attempt) between tries, each attempt guarded by the
-// watchdog when timeout > 0 and by a panic recover when not. poisoned
-// reports watchdog abandonment — the engine's buffers may still be written
-// by the runaway step, so the caller must never touch the engine again.
+// policy: a failing Step is retried at once, up to `retries` more times,
+// each attempt guarded by the watchdog when timeout > 0 and by a panic
+// recover when not. poisoned reports watchdog abandonment — the engine's
+// buffers may still be written by the runaway step, so the caller must
+// never touch the engine again.
 // Retrying a quarantining engine is meaningful because engines complete
 // their generation before reporting the fault: each attempt is a fresh
 // generation that may evaluate cleanly.
@@ -51,7 +51,7 @@ func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
 // the in-process schedulers apply it to their replicas, and the job server
 // (internal/serve) applies it to every tenant's turn — one misbehaving job
 // degrades itself, never the ensemble or the serving process.
-func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, backoff, timeout time.Duration) (err error, poisoned bool) {
+func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, timeout time.Duration) (err error, poisoned bool) {
 	for attempt := 0; ; attempt++ {
 		err = tryStep(eng, prob, timeout)
 		if err == nil {
@@ -66,9 +66,6 @@ func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, backo
 		}
 		if attempt >= retries {
 			return err, false
-		}
-		if backoff > 0 {
-			time.Sleep(backoff << attempt)
 		}
 	}
 }

@@ -15,19 +15,6 @@ func init() {
 	gob.Register(&IslandsSnapshot{}) // so Checkpoint.State round-trips through encoding/gob
 }
 
-// Topology selects the migration pattern between engine replicas.
-type Topology string
-
-const (
-	// Ring sends each replica's emigrants to the next replica (k → k+1
-	// mod N) — the classic island-model ring, matching the intra-engine
-	// ring the islands package implements one level down.
-	Ring Topology = "ring"
-	// Star exchanges through replica 0 as the hub: every leaf's emigrants
-	// flow to the hub, and the hub's elite is broadcast to every leaf.
-	Star Topology = "star"
-)
-
 // IslandsParams is the ParallelIslands extension struct carried by
 // search.Options.Extra. The zero value selects the defaults: 4 NSGA-II
 // replicas on a ring, migrating 2 individuals every 10 epochs.
@@ -50,20 +37,14 @@ type IslandsParams struct {
 	// Migrants is how many individuals each replica emits per exchange
 	// (default 2).
 	Migrants int
-	// Topology is the exchange pattern (default Ring).
-	Topology Topology
 	// StepWorkers bounds how many replicas step concurrently within an
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin
 	// stepping. Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing replica Step gets
 	// before the replica is dropped at the epoch barrier (default 2,
-	// negative = none).
+	// negative = none). Retries follow at once.
 	StepRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt; 0 retries immediately. Sleeping never affects determinism —
-	// fault schedules are content-keyed, not time-keyed.
-	RetryBackoff time.Duration
 	// StepTimeout arms a per-replica watchdog around every Step attempt
 	// (see search.GuardedStep); 0 leaves replica steps unguarded.
 	StepTimeout time.Duration
@@ -85,14 +66,11 @@ func (p *IslandsParams) normalize() {
 	if p.Migrants <= 0 {
 		p.Migrants = 2
 	}
-	if p.Topology == "" {
-		p.Topology = Ring
-	}
 }
 
 // ParallelIslands steps N replicas of one engine concurrently — one
 // scheduler epoch advances every live replica one generation — and applies
-// deterministic ring/star migration at fixed epochs. The final Step pools
+// deterministic ring migration at fixed epochs. The final Step pools
 // the replicas and ranks the pooled population, so Population() after Done
 // is the one global non-dominated competition the paper performs at the
 // end of every run.
@@ -151,7 +129,7 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 	}
 	e.p = *p
 	e.p.normalize()
-	e.workers, e.retries, e.backoff, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout
+	e.workers, e.retries, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.StepTimeout
 	return e.reset(prob, opts, e.p.Replicas, func(i int) (search.Engine, error) {
 		eng, err := search.New(e.p.Algo)
 		if err != nil {
@@ -264,12 +242,14 @@ func (e *ParallelIslands) liveIndices() []int {
 	return e.livebuf
 }
 
-// migrate performs one deterministic exchange over the live replicas: all
+// migrate performs one deterministic ring exchange over the live replicas:
+// each sends its emigrants to the next (k → k+1 mod N), the classic
+// island-model ring the islands package implements one level down. All
 // emigrants are selected (as clones) before any immigration, so the
 // exchange is simultaneous and order-independent; destinations are then
-// served in replica-index order. Dropped replicas fall out of the ring (or
-// star) — the topology contracts over the survivors, in index order, so the
-// exchange stays deterministic at any worker count.
+// served in replica-index order. Dropped replicas fall out of the ring —
+// it contracts over the survivors, in index order, so the exchange stays
+// deterministic at any worker count.
 func (e *ParallelIslands) migrate() {
 	live := e.liveIndices()
 	n := len(live)
@@ -277,21 +257,6 @@ func (e *ParallelIslands) migrate() {
 		return
 	}
 	mig := func(k int) search.Migrator { return e.engines[live[k]].(search.Migrator) }
-	if e.p.Topology == Star {
-		hub := mig(0)
-		broadcast := hub.Emigrants(e.p.Migrants)
-		var inbound ga.Population
-		for k := 1; k < n; k++ {
-			inbound = append(inbound, mig(k).Emigrants(e.p.Migrants)...)
-		}
-		hub.Immigrate(inbound)
-		for k := 1; k < n; k++ {
-			// Each leaf takes its own clones of the hub's elite; a shared
-			// individual across engines would alias mutable state.
-			mig(k).Immigrate(broadcast.Clone())
-		}
-		return
-	}
 	outbound := make([]ga.Population, n)
 	for k := range outbound {
 		outbound[k] = mig(k).Emigrants(e.p.Migrants)

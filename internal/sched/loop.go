@@ -27,7 +27,6 @@ type replicaLoop struct {
 	opts    search.Options
 	workers int // replicas stepped at once; 0 = GOMAXPROCS
 	retries int
-	backoff time.Duration
 	timeout time.Duration
 	engines []search.Engine
 	probs   []objective.Problem // per-replica counters over the problem (own accounting)
@@ -120,7 +119,7 @@ func (l *replicaLoop) step(gens func(i int) int, between func()) error {
 	runIndexed(len(l.engines), l.workers, func(i int) error {
 		eng := l.engines[i]
 		for g := 0; !l.dead[i] && g < gens(i) && !eng.Done(); g++ {
-			if err, poisoned := StepWithRetry(eng, l.probs[i], l.retries, l.backoff, l.timeout); err != nil {
+			if err, poisoned := StepWithRetry(eng, l.probs[i], l.retries, l.timeout); err != nil {
 				l.fails[i] = replicaFailure{err: err, poisoned: poisoned}
 				break
 			}

@@ -32,24 +32,14 @@ type PortfolioParams struct {
 	// and a seed derived from its index — the comparative-EA setting:
 	// identical starting conditions, one shared evaluation budget.
 	Members []Member
-	// EpochGens is the base number of generations every live member
-	// advances per epoch (default 1).
-	EpochGens int
-	// Boost is how many extra generations the previous epoch's
-	// best-scoring member receives; 0 selects the default (2). Negative
-	// disables the boost: a fair round-robin, scored for reporting only.
-	Boost int
 	// StepWorkers bounds how many members step concurrently within an
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin.
 	// Results are bit-identical at every setting.
 	StepWorkers int
 	// StepRetries is how many extra attempts a failing member generation
 	// gets before the member is dropped at the epoch barrier (default 2,
-	// negative = none).
+	// negative = none). Retries follow at once.
 	StepRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt; 0 retries immediately.
-	RetryBackoff time.Duration
 	// StepTimeout arms a per-member watchdog around every generation
 	// attempt (see search.GuardedStep); 0 leaves member steps unguarded.
 	StepTimeout time.Duration
@@ -60,26 +50,21 @@ type PortfolioParams struct {
 }
 
 func (p *PortfolioParams) normalize() {
-	if p.EpochGens <= 0 {
-		p.EpochGens = 1
-	}
 	if p.StepRetries == 0 {
 		p.StepRetries = 2
 	}
-	if p.Boost == 0 {
-		p.Boost = 2
-	}
-	if p.Boost < 0 {
-		p.Boost = 0
-	}
 }
 
+// boost is how many extra generations the previous epoch's best-scoring
+// member advances, on top of the one every live member gets.
+const boost = 2
+
 // Portfolio races heterogeneous engines under one shared evaluation
-// budget. Each epoch every live member advances EpochGens generations
+// budget. Each epoch every live member advances one generation
 // (concurrently — members are independent); at the epoch barrier every
 // member's population is reduced to the paper's staircase hypervolume
 // metric (lower is better), and the best-scoring live member is awarded
-// Boost extra generations the next epoch — budget flows toward whichever
+// boost extra generations the next epoch — budget flows toward whichever
 // algorithm is currently winning, deterministically (scores are pure
 // functions of the populations; ties break by member index).
 //
@@ -127,7 +112,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 	}
 	e.p = *p
 	e.p.normalize()
-	e.workers, e.retries, e.backoff, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.RetryBackoff, e.p.StepTimeout
+	e.workers, e.retries, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.StepTimeout
 	e.scores = make([]float64, len(e.p.Members))
 	e.best = -1
 	return e.reset(prob, opts, len(e.p.Members), func(i int) (search.Engine, error) {
@@ -172,9 +157,9 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 func (e *Portfolio) Step() error {
 	return e.step(func(i int) int {
 		if i == e.best {
-			return e.p.EpochGens + e.p.Boost
+			return 1 + boost
 		}
-		return e.p.EpochGens
+		return 1
 	}, e.rescore)
 }
 

@@ -11,7 +11,8 @@
 // as a composite snapshot:
 //
 //   - ParallelIslands ("parallel-islands") — N replicas of one algorithm
-//     stepped concurrently, with ring or star migration at fixed epochs.
+//     stepped concurrently, with ring migration at fixed epochs (the
+//     island model the paper sets SACGA against).
 //     Generation-level parallelism on top of the evaluation-level
 //     parallelism the worker pool already provides.
 //   - Relay ("relay") — a chain of engines under one evaluation budget,
@@ -20,8 +21,8 @@
 //     engine pairs (e.g. NSGA-II global exploration → SACGA's annealed
 //     local competition).
 //   - Portfolio ("portfolio") — heterogeneous engines raced under a
-//     shared budget, with per-epoch hypervolume scoring reallocating
-//     generations toward the current leader.
+//     shared budget, with per-epoch hypervolume scoring giving the current
+//     leader two extra generations.
 //
 // ParallelIslands and Portfolio share one replica loop: the concurrent
 // epoch, the barrier that drops failed replicas, the budget tally, the
@@ -84,10 +85,8 @@ func childOptions(opts search.Options, popSize, generations int, label string, n
 		PopSize:     popSize,
 		Generations: generations,
 		Seed:        rng.ChildSeed(opts.Seed, label, n),
-		Ops:         opts.Ops,
 		Initial:     initial,
 		Workers:     opts.Workers,
-		Pool:        opts.Pool,
 		Extra:       extra,
 	}
 }

@@ -77,12 +77,12 @@ func runToEnd(t *testing.T, name string, prob objective.Problem, opts search.Opt
 
 // islandsOpts is the ParallelIslands configuration the determinism and
 // checkpoint properties run under: migration crosses several exchanges.
-func islandsOpts(stepWorkers int, topo sched.Topology, algo string, extra any) search.Options {
+func islandsOpts(stepWorkers int, algo string, extra any) search.Options {
 	return search.Options{
 		PopSize: 24, Generations: 12, Seed: 7,
 		Extra: &sched.IslandsParams{
 			Replicas: 3, Algo: algo, Extra: extra,
-			MigrationEvery: 4, Migrants: 2, Topology: topo,
+			MigrationEvery: 4, Migrants: 2,
 			StepWorkers: stepWorkers,
 		},
 	}
@@ -90,29 +90,27 @@ func islandsOpts(stepWorkers int, topo sched.Topology, algo string, extra any) s
 
 // TestParallelIslandsDeterministic pins the acceptance criterion: the
 // pooled result is bit-identical whether replicas step sequentially
-// (round-robin, StepWorkers=1) or concurrently, at GOMAXPROCS 1 and 4, on
-// both topologies, for NSGA-II and SACGA replicas.
+// (round-robin, StepWorkers=1) or concurrently, at GOMAXPROCS 1 and 4,
+// for NSGA-II and SACGA replicas.
 func TestParallelIslandsDeterministic(t *testing.T) {
 	variants := []struct {
 		label string
-		topo  sched.Topology
 		algo  string
 		extra any
 		prob  func() objective.Problem
 	}{
-		{"nsga2-ring", sched.Ring, "nsga2", nil, testProblem},
-		{"nsga2-star", sched.Star, "nsga2", nil, testProblem},
-		{"sacga-ring", sched.Ring, "sacga", sacgaParams(), constrProblem},
+		{"nsga2-ring", "nsga2", nil, testProblem},
+		{"sacga-ring", "sacga", sacgaParams(), constrProblem},
 	}
 	for _, v := range variants {
 		t.Run(v.label, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			runtime.GOMAXPROCS(1)
-			want := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(1, v.topo, v.algo, v.extra))
+			want := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(1, v.algo, v.extra))
 			for _, procs := range []int{1, 4} {
 				for _, workers := range []int{1, 4} {
 					runtime.GOMAXPROCS(procs)
-					got := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(workers, v.topo, v.algo, v.extra))
+					got := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(workers, v.algo, v.extra))
 					popsIdentical(t, v.label, want, got)
 				}
 			}
@@ -125,7 +123,7 @@ func TestParallelIslandsDeterministic(t *testing.T) {
 // engine: bit-identical to the uninterrupted run.
 func TestParallelIslandsCheckpointResume(t *testing.T) {
 	prob := testProblem()
-	opts := islandsOpts(4, sched.Ring, "nsga2", nil)
+	opts := islandsOpts(4, "nsga2", nil)
 	eng, err := search.New("parallel-islands")
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +315,7 @@ func TestScheduledBudget(t *testing.T) {
 		perEpoch int64 // the most evaluations one epoch consumes
 	}{
 		// 3 replicas × 8 individuals.
-		{"parallel-islands", testProblem, islandsOpts(4, sched.Ring, "nsga2", nil), 96, 24},
+		{"parallel-islands", testProblem, islandsOpts(4, "nsga2", nil), 96, 24},
 		// The cap falls in the handoff epoch, which evaluates the second
 		// leg's initial population and its first generation (2 × 20).
 		{"relay", constrProblem, relayOpts(), 150, 40},
@@ -358,7 +356,7 @@ func TestScheduledBudget(t *testing.T) {
 // globally ranked with a non-empty first front of the total size.
 func TestParallelIslandsPoolsFront(t *testing.T) {
 	eng, _ := search.New("parallel-islands")
-	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(2, sched.Ring, "nsga2", nil))
+	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(2, "nsga2", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +473,7 @@ func TestSchedulerObserverSequence(t *testing.T) {
 		lastGen, lastEvals = f.Gen, f.Evals
 	})
 	eng, _ := search.New("parallel-islands")
-	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(4, sched.Ring, "nsga2", nil), obs)
+	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(4, "nsga2", nil), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +512,7 @@ func TestParallelIslandsBudgetMatchedPopulation(t *testing.T) {
 func TestCompositeCheckpointBytesDeterministic(t *testing.T) {
 	snapshot := func() []byte {
 		eng, _ := search.New("parallel-islands")
-		if err := eng.Init(testProblem(), islandsOpts(4, sched.Ring, "nsga2", nil)); err != nil {
+		if err := eng.Init(testProblem(), islandsOpts(4, "nsga2", nil)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {

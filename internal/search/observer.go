@@ -48,10 +48,9 @@ type HVSample struct {
 // it projects the population to 2-D points and reduces them to one scalar
 // through a pooled, allocation-free staircase recompute (hypervolume.Calc
 // reduces any point set to its non-dominated staircase internally, so no
-// front extraction is needed). The Score hook is where the ROADMAP's
-// O(log n) incremental hypervolume structure slots in once it exists: an
-// implementation maintaining the staircase under insertion/removal replaces
-// the per-generation recompute without touching the engines or the driver.
+// front extraction is needed). The recompute costs a few microseconds per
+// generation at pop 100, well under 1% of a generation, so there is no
+// incremental structure behind it; Score swaps in another metric.
 //
 // The zero value is ready to use on two-objective minimization problems; a
 // HypervolumeObserver is not safe for concurrent use.

@@ -17,7 +17,7 @@ const (
 )
 
 // Options holds the hyperparameters every engine understands. Algorithm-
-// specific knobs (partition grids, annealing shapes, migration topology)
+// specific knobs (partition grids, annealing shapes, migration intervals)
 // live in per-algorithm extension structs carried by Extra — see
 // sacga.Params, mesacga.Params and islands.Params.
 type Options struct {
@@ -38,17 +38,13 @@ type Options struct {
 	MaxEvals int64
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Ops are the variation operators (zero value → ga.DefaultOperators).
-	Ops ga.Operators
 	// Initial seeds the population (cloned; missing individuals are filled
 	// with uniform random samples).
 	Initial ga.Population
-	// Workers parallelizes objective evaluation: 0 selects NumCPU, 1
-	// forces the sequential path. Results are bit-identical either way.
+	// Workers parallelizes objective evaluation on the process-wide
+	// ga.SharedPool: 0 selects NumCPU, 1 forces the sequential path.
+	// Results are bit-identical either way.
 	Workers int
-	// Pool, when non-nil, supplies the persistent evaluation worker pool;
-	// nil selects the process-wide shared pool.
-	Pool *ga.Pool
 	// StepTimeout, when > 0, arms a per-generation watchdog: a Step that
 	// exceeds the deadline has its problem interrupted (see
 	// objective.Interruptible) and surfaces a *WatchdogError. Engines whose
@@ -68,9 +64,6 @@ func (o *Options) Normalize() {
 	}
 	if o.Generations <= 0 {
 		o.Generations = DefaultGenerations
-	}
-	if o.Ops == (ga.Operators{}) {
-		o.Ops = ga.DefaultOperators()
 	}
 }
 

@@ -3,7 +3,6 @@ package search
 import (
 	"testing"
 
-	"sacga/internal/ga"
 	"sacga/internal/objective"
 )
 
@@ -13,14 +12,11 @@ func TestOptionsNormalize(t *testing.T) {
 	if o.PopSize != DefaultPopSize || o.Generations != DefaultGenerations {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.Ops == (ga.Operators{}) {
-		t.Fatal("operators must default")
-	}
 	// Idempotent and non-destructive on explicit values.
-	o2 := Options{PopSize: 7, Generations: 3, Ops: ga.Operators{EtaC: 5}}
+	o2 := Options{PopSize: 7, Generations: 3}
 	o2.Normalize()
 	o2.Normalize()
-	if o2.PopSize != 7 || o2.Generations != 3 || o2.Ops.EtaC != 5 {
+	if o2.PopSize != 7 || o2.Generations != 3 {
 		t.Fatalf("explicit values clobbered: %+v", o2)
 	}
 }

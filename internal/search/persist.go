@@ -94,53 +94,61 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return append(payload.Bytes(), footer[:]...), nil
 }
 
-// SaveCheckpoint durably writes cp to path with last-good rotation. The
-// write is atomic: the snapshot is encoded and CRC-sealed into a temporary
-// file in path's directory, synced, and renamed over path, so readers (and
-// a resume after a crash mid-save) always see either the previous
-// checkpoint or the new one, never a partial file. An existing checkpoint
-// at path is first rotated to path+PrevSuffix; a crash between the
-// rotation and the install leaves path missing but the last-good snapshot
-// in place, which LoadLatestCheckpoint recovers.
-//
-// Durability invariant: the renames only become crash-safe once the parent
-// directory's metadata reaches disk, so after installing the new file the
-// DIRECTORY is fsynced too. Syncing only the file (as this function once
-// did) leaves a window where a power loss forgets both the install and the
-// .prev rotation — the data blocks were durable but no directory entry
-// pointed at them.
+// SaveCheckpoint durably writes cp to path with last-good rotation. An
+// existing checkpoint at path is first rotated to path+PrevSuffix; the new
+// snapshot is then encoded, CRC-sealed and installed by WriteFileAtomic,
+// so readers (and a resume after a crash mid-save) see either a complete
+// checkpoint at path or none, never a partial file. A crash or a failed
+// write between the rotation and the install leaves path missing but the
+// last-good snapshot in place, which LoadLatestCheckpoint recovers.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
 	data, err := EncodeCheckpoint(cp)
 	if err != nil {
 		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("search: checkpoint temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("search: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("search: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("search: close checkpoint: %w", err)
 	}
 	if _, err := os.Stat(path); err == nil {
 		if err := os.Rename(path, path+PrevSuffix); err != nil {
 			return fmt.Errorf("search: rotate last-good checkpoint: %w", err)
 		}
 	}
+	return WriteFileAtomic(path, data)
+}
+
+// WriteFileAtomic durably installs data at path: it writes a temporary
+// file in path's directory, syncs it, renames it over path and syncs the
+// directory. Readers, and a restart after a crash mid-write, see either
+// the previous file or the new one, never a partial file, and once it
+// returns a power loss cannot forget the install.
+//
+// Durability invariant: a rename only becomes crash-safe once the parent
+// directory's metadata reaches disk, so the DIRECTORY is fsynced after
+// the install. Syncing only the file leaves a window where a power loss
+// forgets the rename (and any rename before it in the same directory,
+// such as SaveCheckpoint's .prev rotation) — the data blocks were durable
+// but no directory entry pointed at them.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("search: temp file for %s: %w", path, err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("search: write %s: %w", path, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("search: sync %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("search: close %s: %w", path, err)
+	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("search: install checkpoint: %w", err)
+		return fmt.Errorf("search: install %s: %w", path, err)
 	}
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("search: sync checkpoint directory: %w", err)
+		return fmt.Errorf("search: sync directory of %s: %w", path, err)
 	}
 	return nil
 }

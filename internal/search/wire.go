@@ -3,10 +3,9 @@ package search
 // JobOptions is the wire-facing projection of Options: the JSON-encodable
 // subset a remote caller may set, which is exactly the result-determining
 // subset. Everything else in Options is either process-local machinery
-// (Pool, StepTimeout), a performance knob that never changes
-// results (Workers — bit-identical at any parallelism), or not expressible
-// in a wire request (Initial, Ops — jobs always run the default operators,
-// the way every paper experiment does).
+// (StepTimeout), a performance knob that never changes results (Workers —
+// bit-identical at any parallelism), or not expressible in a wire request
+// (Initial).
 //
 // The zero value of each field means "engine default" (Options.Normalize
 // semantics), so a minimal request can carry nothing but a seed.
@@ -24,7 +23,7 @@ type JobOptions struct {
 }
 
 // Options expands the wire form into runnable Options. Process-local fields
-// (Workers, Pool, observers) are left zero for the caller to set — they are
+// (Workers, StepTimeout) are left zero for the caller to set — they are
 // the serving side's decision, not the client's.
 func (jo JobOptions) Options() Options {
 	return Options{

@@ -104,7 +104,9 @@ func (s *Server) turn(j *Job) {
 		return
 	}
 
-	err, poisoned := sched.StepWithRetry(j.eng, j.prob, s.cfg.StepRetries, s.cfg.RetryBackoff, s.cfg.StepTimeout)
+	// No retries: the first quarantining generation ends the job with its
+	// best-so-far front, matching cmd/sacga.
+	err, poisoned := sched.StepWithRetry(j.eng, j.prob, 0, s.cfg.StepTimeout)
 	var ee *objective.EvalError
 	switch {
 	case poisoned:

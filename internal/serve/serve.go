@@ -36,10 +36,12 @@
 // <id>.job, the scheduler checkpoints running jobs to <id>.ckpt every
 // CheckpointEvery generations (search.SaveCheckpoint: atomic rename, CRC
 // footer, .prev rotation) and on drain, and terminal results land in
-// <id>.done. On boot the server replays the job table from the directory:
-// done jobs serve their persisted results, interrupted jobs resume from
-// their newest trustworthy checkpoint (search.LoadLatestCheckpoint) and
-// complete bit-identically to never having stopped. Job IDs are
+// <id>.done; every one of these files is installed by
+// search.WriteFileAtomic, fsynced with its directory. On boot the server
+// replays the job table from the directory: done jobs serve their
+// persisted results, interrupted jobs resume from their newest
+// trustworthy checkpoint (search.LoadLatestCheckpoint) and complete
+// bit-identically to never having stopped. Job IDs are
 // search.Fingerprint keys over the result-determining configuration, so
 // resubmitting a job a restart recovered attaches to it instead of
 // re-running.
@@ -94,12 +96,6 @@ type Config struct {
 	// caller, shared across tenants, and never closed by the server;
 	// results remain bit-identical to a solo run at any fleet size.
 	Fleet *fleet.Pool
-	// StepRetries is how many extra attempts a failing Step gets before
-	// the job goes terminal (default 0: first quarantining generation ends
-	// the job with its best-so-far front, matching cmd/sacga).
-	StepRetries int
-	// RetryBackoff is the sleep between retries, doubling per attempt.
-	RetryBackoff time.Duration
 	// MaxPopSize, MaxGenerations and MaxJobs are admission guardrails
 	// protecting the shared process from one oversized request. Defaults:
 	// 10000, 1000000, 10000.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"sacga/internal/probspec"
@@ -234,7 +233,7 @@ func (s *Server) persistJob(j *Job) error {
 	if s.cfg.Dir == "" {
 		return nil
 	}
-	return atomicWrite(filepath.Join(s.cfg.Dir, j.ID+".job"), j.rawReq)
+	return search.WriteFileAtomic(filepath.Join(s.cfg.Dir, j.ID+".job"), j.rawReq)
 }
 
 // persistResult writes the frozen terminal result to <id>.done; a restarted
@@ -249,25 +248,11 @@ func (s *Server) persistResult(j *Job) {
 	}
 	data, err := json.Marshal(res)
 	if err == nil {
-		err = atomicWrite(filepath.Join(s.cfg.Dir, j.ID+".done"), data)
+		err = search.WriteFileAtomic(filepath.Join(s.cfg.Dir, j.ID+".done"), data)
 	}
 	if err != nil {
 		s.cfg.Log.Printf("serve: persist result %s: %v", j.ID, err)
 	}
-}
-
-// atomicWrite installs data at path via temp file + rename, the same
-// torn-write discipline the checkpoint layer uses.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // decodeExtra rebuilds the engine's extension struct from a job's canonical

@@ -248,7 +248,7 @@ func shardedOpts(t *testing.T, procs int, chaosEnv string) search.Options {
 	opts := baseOpts()
 	opts.Extra = &Params{
 		Replicas: testReplicas, Algo: "nsga2",
-		MigrationEvery: 3, Migrants: 2, Topology: sched.Ring,
+		MigrationEvery: 3, Migrants: 2,
 		Procs: procs, WorkerArgv: []string{self}, WorkerEnv: env,
 		Spec: "zdt1", Retries: 2,
 		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
@@ -261,7 +261,7 @@ func inProcessOpts(algo string, extra any) search.Options {
 	opts := baseOpts()
 	opts.Extra = &sched.IslandsParams{
 		Replicas: testReplicas, Algo: algo, Extra: extra,
-		MigrationEvery: 3, Migrants: 2, Topology: sched.Ring,
+		MigrationEvery: 3, Migrants: 2,
 		StepWorkers: 1, StepRetries: 2,
 	}
 	return opts

@@ -38,8 +38,9 @@
 //     of search.GuardedStep, except reclamation always succeeds (SIGKILL
 //     or a dropped connection needs no cooperation), so there is no
 //     poisoned state class;
-//   - failed attempts retry with doubling backoff, re-dispatching the last
-//     authoritative checkpoint — against whichever pool worker is healthy;
+//   - failed attempts retry at once, re-dispatching the last
+//     authoritative checkpoint — against whichever pool worker is healthy
+//     (the pool paces redials of a failing address with its own backoff);
 //   - a replica whose retry budget is exhausted is dropped by the loop's
 //     own epoch barrier, in replica-index order, accumulating into
 //     *sched.ReplicaError;

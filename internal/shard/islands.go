@@ -23,7 +23,7 @@ func init() {
 
 // Params is the Islands extension struct carried by search.Options.Extra.
 // The replica-ensemble knobs (Replicas, Algo, Extra, MigrationEvery,
-// Migrants, Topology) mean exactly what they mean on sched.IslandsParams —
+// Migrants) mean exactly what they mean on sched.IslandsParams —
 // the coordinator hands them to the same replica loop — so a sharded run
 // and an in-process run configured alike produce bit-identical results.
 type Params struct {
@@ -45,8 +45,6 @@ type Params struct {
 	// Migrants is how many individuals each replica emits per exchange
 	// (default 2).
 	Migrants int
-	// Topology is the exchange pattern (default sched.Ring).
-	Topology sched.Topology
 	// Procs bounds how many worker processes run at once (default
 	// min(Replicas, GOMAXPROCS)). Results are bit-identical at every
 	// setting — workers are stateless, so which process steps which
@@ -99,14 +97,9 @@ type Params struct {
 	// replay the last authoritative checkpoint — bit-identical, so a
 	// transient fault is fully masked; engine faults ride the same retry
 	// budget with quarantine-state adoption, like the in-process
-	// scheduler.
+	// scheduler. Retries follow at once; a dropped TCP daemon's redials
+	// are paced by the pool's per-address backoff.
 	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt; 0 retries immediately.
-	RetryBackoff time.Duration
-	// ShutdownGrace bounds a worker's clean exit (stdin close → EOF)
-	// before it is killed (default 2s).
-	ShutdownGrace time.Duration
 }
 
 func (p *Params) normalize() error {
@@ -122,9 +115,6 @@ func (p *Params) normalize() error {
 	if p.Migrants <= 0 {
 		p.Migrants = 2
 	}
-	if p.Topology == "" {
-		p.Topology = sched.Ring
-	}
 	if p.Procs <= 0 {
 		p.Procs = min(p.Replicas, runtime.GOMAXPROCS(0))
 	}
@@ -137,9 +127,6 @@ func (p *Params) normalize() error {
 	if p.Retries < 0 {
 		p.Retries = 0
 	}
-	if p.ShutdownGrace <= 0 {
-		p.ShutdownGrace = 2 * time.Second
-	}
 	// The liveness knobs are validated, not clamped: a nonsensical lease
 	// configuration (negative durations, a heartbeat period that cannot
 	// fit inside the deadlines watching it) silently degrades into
@@ -151,7 +138,6 @@ func (p *Params) normalize() error {
 		{"EpochDeadline", p.EpochDeadline},
 		{"HeartbeatTimeout", p.HeartbeatTimeout},
 		{"HeartbeatEvery", p.HeartbeatEvery},
-		{"RetryBackoff", p.RetryBackoff},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("shard: Params.%s is %v, must be positive (or 0 for the default)", d.name, d.v)
@@ -226,7 +212,6 @@ func (e *Islands) prepare(opts search.Options) error {
 				transports = append(transports, &fleet.ProcTransport{
 					Argv:  e.p.WorkerArgv,
 					Env:   e.p.WorkerEnv,
-					Grace: e.p.ShutdownGrace,
 					Hello: hello,
 				})
 			}
@@ -236,12 +221,12 @@ func (e *Islands) prepare(opts search.Options) error {
 		}
 		e.pool, e.ownsPool = fleet.NewPool(transports...), true
 	}
-	// Retries, backoff and leases belong to the remote replica's request
+	// Retries and leases belong to the remote replica's request
 	// ladder, so the loop neither retries nor guards a replica step; it
 	// steps as many replicas at once as the pool has workers.
 	e.Ensemble(NameShardedIslands, sched.IslandsParams{
 		Replicas: e.p.Replicas, Algo: e.p.Algo, Extra: e.p.Extra,
-		MigrationEvery: e.p.MigrationEvery, Migrants: e.p.Migrants, Topology: e.p.Topology,
+		MigrationEvery: e.p.MigrationEvery, Migrants: e.p.Migrants,
 		StepWorkers: e.pool.Size(), StepRetries: -1,
 	}, func(i int, local search.Engine) search.Engine {
 		return &remote{Engine: local, c: e, i: i}
@@ -381,8 +366,8 @@ func (r *remote) request(init bool) error {
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
 //     expiry, corrupt frame, desynced stream) taint the connection: it is
-//     killed, and the SAME request — same checkpoint — is replayed over a
-//     fresh one after the backoff, on whichever pool worker is healthiest
+//     killed, and the SAME request — same checkpoint — is replayed at once
+//     over a fresh one, on whichever pool worker is healthiest
 //     (a dead machine degrades to the survivors, not to a dropped
 //     replica). A replay is bit-identical to the lost step, so a fault
 //     that stops recurring leaves no trace in the result.
@@ -398,9 +383,6 @@ func (r *remote) ladder(req *Request) (ckpt []byte, cp *search.Checkpoint, err e
 	p, init := &r.c.p, req.Init
 	label := fmt.Sprintf("shard: replica %d reply", r.i)
 	for attempt := 0; attempt <= p.Retries; attempt++ {
-		if attempt > 0 && p.RetryBackoff > 0 {
-			time.Sleep(p.RetryBackoff << (attempt - 1))
-		}
 		req.Attempt = attempt
 		sess := r.c.pool.Acquire()
 		if sess == nil {
@@ -455,7 +437,7 @@ func (r *remote) ladder(req *Request) (ckpt []byte, cp *search.Checkpoint, err e
 }
 
 // Close reaps the run's workers: an owned pool is closed (clean
-// stdin-close shutdown for child processes, kill after ShutdownGrace;
+// stdin-close shutdown for child processes, kill after a 2 s grace;
 // connection close for TCP daemons, which outlive their connections). A
 // shared Params.Pool is left untouched — its owner closes it. Idempotent;
 // called implicitly when the run finalizes. Callers abandoning an

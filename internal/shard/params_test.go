@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"sacga/internal/sched"
 )
 
 // TestParamsNormalizeDefaults: the zero Params normalizes to the
@@ -20,14 +18,11 @@ func TestParamsNormalizeDefaults(t *testing.T) {
 	if p.Replicas != 4 || p.Algo != "nsga2" || p.MigrationEvery != 10 || p.Migrants != 2 {
 		t.Fatalf("ensemble defaults: %+v", p)
 	}
-	if p.Topology != sched.Ring {
-		t.Fatalf("topology default %q, want ring", p.Topology)
-	}
 	if want := min(4, runtime.GOMAXPROCS(0)); p.Procs != want {
 		t.Fatalf("procs default %d, want %d", p.Procs, want)
 	}
-	if p.Retries != 2 || p.ShutdownGrace != 2*time.Second {
-		t.Fatalf("retry/shutdown defaults: retries=%d grace=%v", p.Retries, p.ShutdownGrace)
+	if p.Retries != 2 {
+		t.Fatalf("retries default %d, want 2", p.Retries)
 	}
 	if p.HeartbeatEvery != 0 {
 		t.Fatalf("HeartbeatEvery default %v, want 0 (worker's own default)", p.HeartbeatEvery)
@@ -45,7 +40,6 @@ func TestParamsValidation(t *testing.T) {
 		{"negative deadline", Params{EpochDeadline: -time.Second}, "EpochDeadline"},
 		{"negative heartbeat timeout", Params{HeartbeatTimeout: -1}, "HeartbeatTimeout"},
 		{"negative heartbeat period", Params{HeartbeatEvery: -1}, "HeartbeatEvery"},
-		{"negative backoff", Params{RetryBackoff: -1}, "RetryBackoff"},
 		{"period at heartbeat timeout", Params{HeartbeatEvery: time.Second, HeartbeatTimeout: time.Second}, "shorter than HeartbeatTimeout"},
 		{"period at epoch deadline", Params{HeartbeatEvery: 5 * time.Second, EpochDeadline: 5 * time.Second}, "shorter than EpochDeadline"},
 	} {

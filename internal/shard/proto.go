@@ -97,8 +97,8 @@ type Heartbeat struct {
 // WireOptions is the gob-safe projection of search.Options: the fields a
 // replica needs, minus the ones that must not cross a process boundary —
 // MaxEvals (the budget belongs to the coordinator; children never consult
-// the shared counter), Pool (process-local), StepTimeout (the coordinator's
-// lease replaces the in-process watchdog).
+// the shared counter) and StepTimeout (the coordinator's lease replaces the
+// in-process watchdog).
 //
 // Extra rides as an interface: a non-nil extension struct's concrete type
 // must be gob-registered in BOTH processes (register it from an init in
@@ -109,7 +109,6 @@ type WireOptions struct {
 	Generations int
 	Seed        int64
 	Workers     int
-	Ops         ga.Operators
 	Initial     []search.IndividualSnap
 	Extra       any
 }
@@ -123,7 +122,6 @@ func ToWire(opts search.Options) WireOptions {
 		Generations: opts.Generations,
 		Seed:        opts.Seed,
 		Workers:     opts.Workers,
-		Ops:         opts.Ops,
 		Initial:     search.SnapPopulation(opts.Initial),
 		Extra:       opts.Extra,
 	}
@@ -140,7 +138,6 @@ func (w WireOptions) Options() search.Options {
 		Generations: w.Generations,
 		Seed:        w.Seed,
 		Workers:     w.Workers,
-		Ops:         w.Ops,
 		Initial:     initial,
 		Extra:       w.Extra,
 	}

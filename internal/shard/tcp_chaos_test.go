@@ -18,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,7 +125,7 @@ func tcpOpts(addrs []string) search.Options {
 	opts := baseOpts()
 	opts.Extra = &Params{
 		Replicas: testReplicas, Algo: "nsga2",
-		MigrationEvery: 3, Migrants: 2, Topology: sched.Ring,
+		MigrationEvery: 3, Migrants: 2,
 		Workers: addrs, Spec: "zdt1", Retries: 2,
 		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
 		HeartbeatEvery: 40 * time.Millisecond,
@@ -293,6 +294,49 @@ func TestTCPShardedSharedPoolSkipsDeadAddress(t *testing.T) {
 	}
 }
 
+// dialCounter is a fleet.Transport that counts its Dial calls into dials.
+type dialCounter struct {
+	fleet.Transport
+	dials *atomic.Int64
+}
+
+// Dial implements fleet.Transport.
+func (d dialCounter) Dial() (fleet.Conn, error) {
+	d.dials.Add(1)
+	return d.Transport.Dial()
+}
+
+// initMismatched initializes a sharded run over a shared pool of ts, whose
+// workers all advertise a foreign build fingerprint, and requires the typed
+// *fleet.VersionError and exactly one dial per replica: the mismatch is
+// permanent for the pair, so a replica that retried it would dial the same
+// binary 1+Retries times.
+func initMismatched(t *testing.T, opts search.Options, ts ...fleet.Transport) *fleet.VersionError {
+	t.Helper()
+	dials := new(atomic.Int64)
+	for i, tr := range ts {
+		ts[i] = dialCounter{Transport: tr, dials: dials}
+	}
+	pool := fleet.NewPool(ts...)
+	defer pool.Close()
+	p := opts.Extra.(*Params)
+	p.Pool = pool
+	eng, err := search.New(NameShardedIslands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.(*Islands).Close()
+	err = eng.Init(zdt1Prob(t), opts)
+	var ve *fleet.VersionError
+	if !errors.As(err, &ve) {
+		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
+	}
+	if n := dials.Load(); n != int64(p.Replicas) {
+		t.Fatalf("%d dials for %d replicas, want one each: the mismatch was retried", n, p.Replicas)
+	}
+	return ve
+}
+
 // TestTCPShardedVersionMismatchFailsFast: a daemon advertising a foreign
 // build fingerprint is rejected at dial time with the typed
 // *fleet.VersionError — and because the mismatch is permanent for the
@@ -300,22 +344,7 @@ func TestTCPShardedSharedPoolSkipsDeadAddress(t *testing.T) {
 // ladder against the same binary.
 func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
 	ds := startTCPDaemons(t, 1, "SHARD_BUILD_FP=deadbeefdeadbeef")
-	eng, err := search.New(NameShardedIslands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.(*Islands).Close()
-	opts := tcpOpts(daemonAddrs(ds))
-	opts.Extra.(*Params).RetryBackoff = 10 * time.Second // a retried mismatch would sleep past the bound below
-	start := time.Now()
-	err = eng.Init(zdt1Prob(t), opts)
-	var ve *fleet.VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("Init took %v to report the mismatch: it burned retries", d)
-	}
+	ve := initMismatched(t, tcpOpts(nil), &fleet.TCPTransport{Address: ds[0].addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}})
 	if ve.Field != "build" || ve.Peer != "deadbeefdeadbeef" {
 		t.Fatalf("mismatch %+v, want build mismatch against the fake fingerprint", ve)
 	}
@@ -327,22 +356,12 @@ func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
 func TestStdioVersionMismatchFailsFast(t *testing.T) {
 	opts := shardedOpts(t, 2, "")
 	p := opts.Extra.(*Params)
-	p.WorkerEnv = append(p.WorkerEnv, "SHARD_BUILD_FP=deadbeefdeadbeef")
-	p.RetryBackoff = 10 * time.Second // a retried mismatch would sleep past the bound below
-	eng, err := search.New(NameShardedIslands)
-	if err != nil {
-		t.Fatal(err)
+	env := append(p.WorkerEnv, "SHARD_BUILD_FP=deadbeefdeadbeef")
+	ts := make([]fleet.Transport, p.Procs)
+	for i := range ts {
+		ts[i] = &fleet.ProcTransport{Argv: p.WorkerArgv, Env: env, Hello: fleet.HandshakeConfig{Problem: p.Spec}}
 	}
-	defer eng.(*Islands).Close()
-	start := time.Now()
-	err = eng.Init(zdt1Prob(t), opts)
-	var ve *fleet.VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("Init took %v to report the mismatch: it burned retries", d)
-	}
+	ve := initMismatched(t, opts, ts...)
 	if ve.Field != "build" {
 		t.Fatalf("mismatch field %q, want build", ve.Field)
 	}
