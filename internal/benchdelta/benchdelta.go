@@ -16,6 +16,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sacga/internal/stats"
 )
 
 // Entry is one benchmark's recorded numbers.
@@ -62,10 +64,12 @@ func (b *Baseline) Write(path string) error {
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+.*?([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
-// Parse extracts benchmark entries from `go test -bench` output. Later
-// duplicate rows (e.g. from -count) overwrite earlier ones.
+// Parse extracts benchmark entries from `go test -bench` output. A row
+// repeated by -count is summarized over its repeats: the median ns/op, so
+// one noisy stretch on a shared runner cannot decide a gate, and the
+// largest B/op and allocs/op, so the allocation gate stays strict.
 func Parse(r io.Reader) (map[string]*Entry, error) {
-	out := map[string]*Entry{}
+	repeats := map[string][]*Entry{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -79,10 +83,22 @@ func Parse(r io.Reader) (map[string]*Entry, error) {
 			e.BytesPerOp, _ = strconv.ParseFloat(m[3], 64)
 			e.AllocsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		}
-		out[m[1]] = e
+		repeats[m[1]] = append(repeats[m[1]], e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	out := make(map[string]*Entry, len(repeats))
+	for name, es := range repeats {
+		sum := &Entry{}
+		ns := make([]float64, len(es))
+		for i, e := range es {
+			ns[i] = e.NsPerOp
+			sum.BytesPerOp = max(sum.BytesPerOp, e.BytesPerOp)
+			sum.AllocsPerOp = max(sum.AllocsPerOp, e.AllocsPerOp)
+		}
+		sum.NsPerOp = stats.Median(ns)
+		out[name] = sum
 	}
 	return out, nil
 }

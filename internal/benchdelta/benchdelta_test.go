@@ -42,7 +42,32 @@ func TestParse(t *testing.T) {
 	if got["BenchmarkFig4ProbCurves"].NsPerOp != 1234567 {
 		t.Fatalf("metric-bearing row wrong: %+v", got["BenchmarkFig4ProbCurves"])
 	}
+
+	// A row repeated by -count reads as the median of its ns/op samples,
+	// whatever their order, and the largest of its B/op and allocs/op.
+	got, err = Parse(strings.NewReader(repeatedOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got["BenchmarkA"]; a == nil || a.NsPerOp != 1200 || a.BytesPerOp != 48 || a.AllocsPerOp != 3 {
+		t.Fatalf("repeated row: %+v, want median 1200 ns/op, max 48 B/op and 3 allocs/op", a)
+	}
+	if b := got["BenchmarkB"]; b == nil || b.NsPerOp != 600 {
+		t.Fatalf("even repeats: %+v, want the mean of the middle pair, 600 ns/op", b)
+	}
 }
+
+// repeatedOutput is `go test -bench -count` output: five samples of one
+// row, one of them an outlier, interleaved with two of another.
+const repeatedOutput = `
+BenchmarkA-2   	 100	   1300 ns/op	 16 B/op	 1 allocs/op
+BenchmarkB     	 100	    500 ns/op
+BenchmarkA-2   	 100	   1000 ns/op	 16 B/op	 1 allocs/op
+BenchmarkA-2   	 100	   9000 ns/op	 48 B/op	 3 allocs/op
+BenchmarkB     	 100	    700 ns/op
+BenchmarkA-2   	 100	   1100 ns/op	 16 B/op	 1 allocs/op
+BenchmarkA-2   	 100	   1200 ns/op	 16 B/op	 1 allocs/op
+`
 
 func baselineFor(t *testing.T, ns, allocs float64) *Baseline {
 	t.Helper()

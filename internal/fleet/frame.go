@@ -24,7 +24,11 @@
 // stateless between requests, so a connection that dies, wedges or
 // corrupts is simply tainted (killed, never reused) and the same request
 // replays against a fresh dial — bit-identical, which is what keeps every
-// transport behind this seam interchangeable.
+// transport behind this seam interchangeable. The one piece of
+// per-connection state is the gob codec (Stream) that Request and Reply
+// payloads ride: each end's table of the types already sent. It dies with
+// the connection, and any codec error taints the connection like a torn
+// frame, so a fresh dial always starts both ends on fresh streams.
 package fleet
 
 import (
@@ -62,15 +66,20 @@ const MaxFramePayload = 1 << 30
 type FrameType uint8
 
 const (
-	// FrameRequest carries a gob shard.Request (coordinator → worker).
+	// FrameRequest carries one shard.Request (coordinator → worker) on the
+	// connection's coordinator-to-worker gob stream (Stream): the first
+	// request also carries the type descriptors, later ones values only.
 	FrameRequest FrameType = 1
-	// FrameReply carries a gob shard.Reply (worker → coordinator).
+	// FrameReply carries one shard.Reply (worker → coordinator) on the
+	// connection's worker-to-coordinator gob stream.
 	FrameReply FrameType = 2
-	// FrameHeartbeat carries a gob shard.Heartbeat (worker → coordinator,
-	// periodically while a step is in flight).
+	// FrameHeartbeat carries a self-contained gob shard.Heartbeat (worker
+	// → coordinator, periodically while a step is in flight). It is off
+	// the stream: the coordinator never decodes it.
 	FrameHeartbeat FrameType = 3
-	// FrameHello carries a gob Hello — the first frame in each direction
-	// on a fresh connection, before any request.
+	// FrameHello carries a self-contained gob Hello — the first frame in
+	// each direction on a fresh connection, before any request — so a peer
+	// of another protocol version can still decode it.
 	FrameHello FrameType = 4
 )
 

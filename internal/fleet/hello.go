@@ -19,7 +19,13 @@ import (
 // incompatible change to the frame layout or the gob payload types, so a
 // stale worker binary is rejected at dial time instead of producing a
 // mid-run decode error.
-const ProtocolVersion = 1
+//
+// Version 2: Request and Reply payloads are one gob stream per connection
+// direction (Stream), and they carry the replica checkpoint as a value in
+// place of version 1's self-contained gob per frame around a sealed
+// checkpoint. A version-1 peer expects every frame to carry its own type
+// descriptors, so it must be turned away at the handshake.
+const ProtocolVersion = 2
 
 // Hello is the handshake frame each side sends exactly once, before any
 // request, on a fresh connection. The dialer (coordinator) writes first;
@@ -169,6 +175,9 @@ func matchVersions(ours, peer Hello) *VersionError {
 
 const helloSrc = "fleet: handshake"
 
+// writeHello sends h as a self-contained gob, never on the connection's
+// Stream: a peer on another protocol version must still decode it, to
+// report the mismatch as a *VersionError.
 func writeHello(w io.Writer, h *Hello) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(h); err != nil {

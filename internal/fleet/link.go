@@ -25,12 +25,16 @@ type Link struct {
 	frames chan Frame
 	last   atomic.Int64 // unix nanos of the last good frame; liveness stat
 	drop   sync.Once
+	// stream is the connection's gob codec. The link owns it, so it lives
+	// and dies with this one connection: a redial builds a new Link, and
+	// with it a fresh stream on both ends.
+	stream *Stream
 }
 
 // NewLink wraps an already-handshaken connection and starts its reader.
 // addr labels the stream in errors and stats.
 func NewLink(c Conn, addr string) *Link {
-	l := &Link{conn: c, addr: addr, frames: make(chan Frame, 4)}
+	l := &Link{conn: c, addr: addr, frames: make(chan Frame, 4), stream: NewStream()}
 	go func() {
 		defer close(l.frames)
 		for {
@@ -53,9 +57,26 @@ func (l *Link) Addr() string { return l.addr }
 // Frames is the incoming frame stream.
 func (l *Link) Frames() <-chan Frame { return l.frames }
 
-// WriteFrame sends one frame on the connection.
-func (l *Link) WriteFrame(typ FrameType, payload []byte) error {
-	return WriteFrame(l.conn, typ, payload)
+// Send encodes v on the link's stream and writes it as one FrameRequest,
+// the only frame type a coordinator sends after the handshake. Any error
+// taints the link: the stream's type state is then unknown, so the
+// caller must kill the link (Session.Fail), never reuse it.
+func (l *Link) Send(v any) error {
+	payload, err := l.stream.Encode(v)
+	if err != nil {
+		return err
+	}
+	// The payload aliases the stream's buffer: it is written here, before
+	// the next Send encodes over it.
+	return WriteFrame(l.conn, FrameRequest, payload)
+}
+
+// Decode reads a FrameReply payload from the link's stream into v, a
+// fresh value. Heartbeat payloads are not on the stream and must not be
+// passed here. Any error, always a typed *search.CorruptError, taints the
+// link like a Send error.
+func (l *Link) Decode(payload []byte, v any) error {
+	return l.stream.Decode(l.addr, payload, v)
 }
 
 // SetDeadline arms (or, with the zero time, clears) read and write

@@ -59,6 +59,7 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 		return fmt.Errorf("nsga2: %w", &search.ExtraTypeError{Got: fmt.Sprintf("%T", opts.Extra)})
 	}
 	e.prepare(prob, opts)
+	e.s = rng.Derive(e.opts.Seed, "nsga2")
 	e.pop = make(ga.Population, 0, e.opts.PopSize)
 	for _, ind := range e.opts.Initial {
 		if len(e.pop) == e.opts.PopSize {
@@ -85,7 +86,6 @@ func (e *Engine) prepare(prob objective.Problem, opts search.Options) {
 	}
 	e.opts = opts
 	e.prob = e.budget.Attach(prob, opts.MaxEvals)
-	e.s = rng.Derive(opts.Seed, "nsga2")
 	e.lo, e.hi = prob.Bounds()
 	e.gen = 0
 	e.union = make(ga.Population, 0, 2*opts.PopSize)

@@ -13,21 +13,21 @@ import (
 
 // Durable checkpoints: the gob serialization of a Checkpoint with a
 // small versioned header and a CRC-guarded footer. EncodeCheckpoint and
-// DecodeCheckpoint expose the sealed byte form itself — it doubles as the
-// wire format the cross-process shard runtime ships between coordinator
-// and workers — while SaveCheckpoint/LoadCheckpoint add the on-disk
-// atomicity layer (temp file + rename) with last-good rotation. gob is
-// the one codec the Checkpoint types are designed for — Snapshot payloads
-// are registered by their engine packages from init, and gob round-trips
-// the ±Inf crowding distances JSON rejects.
+// DecodeCheckpoint expose the sealed byte form itself, while
+// SaveCheckpoint/LoadCheckpoint add the on-disk atomicity layer (temp
+// file + rename) with last-good rotation. The cross-process shard runtime
+// does not use this form: it ships Checkpoint values on CRC-framed gob
+// streams. gob is the one codec the Checkpoint types are designed for —
+// Snapshot payloads are registered by their engine packages from init,
+// and gob round-trips the ±Inf crowding distances JSON rejects.
 //
 // Layout (version 2):
 //
 //	[gob(diskCheckpoint)] [payload length: uint64 LE] [CRC32-C: uint32 LE] [footer magic: uint32 LE]
 //
 // The footer turns silent corruption (bit rot, torn writes that survived
-// rename, copy truncation, a frame mangled in transit) into a typed
-// *CorruptError instead of a gob panic or a mis-decode. SaveCheckpoint
+// rename, copy truncation) into a typed *CorruptError instead of a gob
+// panic or a mis-decode. SaveCheckpoint
 // rotates the previous snapshot to path+PrevSuffix before installing the
 // new one, and LoadLatestCheckpoint falls back to it — so one corrupted
 // write never strands a long campaign.
@@ -76,8 +76,7 @@ type diskCheckpoint struct {
 
 // EncodeCheckpoint serializes cp into the sealed checkpoint form: the gob
 // envelope followed by the length/CRC footer. The bytes are exactly what
-// SaveCheckpoint writes to disk, and what the shard runtime ships over
-// worker pipes — one format, one integrity check.
+// SaveCheckpoint writes to disk.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("search: encode nil checkpoint")
@@ -168,7 +167,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // DecodeCheckpoint parses data in the sealed checkpoint form, verifying
 // the CRC footer before anything is decoded; any integrity failure — bad
 // CRC, truncation, a payload that does not decode — is reported as a
-// *CorruptError (src names the origin: a file path, a worker stream),
+// *CorruptError (src names the origin, e.g. a file path),
 // never a gob panic. Version-1 payloads (written before the footer
 // existed) are still accepted, decode-guarded.
 func DecodeCheckpoint(src string, data []byte) (*Checkpoint, error) {

@@ -13,14 +13,20 @@
 // local mirror engine restored from the last reply.
 //
 // The design rests on one invariant: workers are STATELESS between epochs.
-// The coordinator owns every replica's state as a sealed checkpoint (the
-// search.SaveCheckpoint byte format, CRC footer included) and ships it to
-// a worker for each epoch; the worker restores the engine, advances it one
-// generation, and ships the new checkpoint back. A worker that crashes,
-// wedges or corrupts its stream therefore loses nothing the coordinator
-// cannot replay: the last epoch snapshot is re-dispatched to a fresh
-// worker, and a retried step is bit-identical to the one that was lost —
-// which is why a SIGKILLed worker is fully masked, not merely tolerated.
+// The coordinator owns every replica's state as a search.Checkpoint and
+// ships the whole of it to a worker for each epoch; the worker restores
+// the engine, advances it one generation, and ships the new checkpoint
+// back. Both travel as values on the connection's gob stream: type
+// descriptors cross a connection once, and the frame CRC covers every
+// payload byte, so nothing on the wire path seals or unseals a checkpoint
+// (disk checkpoints keep search.SaveCheckpoint's sealed form). The
+// stream's table of types already sent is the only per-connection state,
+// and it dies with the connection. A worker that crashes, wedges or
+// corrupts its stream therefore loses nothing the coordinator cannot
+// replay: the last epoch snapshot is re-dispatched to a fresh worker on a
+// fresh stream, and a retried step is bit-identical to the one that was
+// lost — which is why a SIGKILLed worker is fully masked, not merely
+// tolerated.
 //
 // HOW workers are reached lives one layer down, in internal/fleet: the
 // coordinator draws connections from a fleet.Pool, whose transports spawn
@@ -44,7 +50,8 @@
 //   - a replica whose retry budget is exhausted is dropped by the loop's
 //     own epoch barrier, in replica-index order, accumulating into
 //     *sched.ReplicaError;
-//   - corrupt or torn frames — and corrupt checkpoints inside them —
+//   - corrupt or torn frames — and payloads that fail to decode on the
+//     stream, leave bytes over, or reply cleanly without a checkpoint —
 //     surface as typed *search.CorruptError, never a gob panic; a
 //     coordinator/worker binary mismatch is a typed *fleet.VersionError
 //     at dial time, which fails the replica without burning retries.

@@ -10,6 +10,7 @@ import (
 
 	"sacga/internal/fault"
 	"sacga/internal/fleet"
+	"sacga/internal/nsga2"
 	"sacga/internal/search"
 )
 
@@ -128,23 +129,63 @@ func TestFrameOversizedLength(t *testing.T) {
 	wantCorrupt(t, "oversized length", err)
 }
 
+// streamFrames encodes vals, in order, on one fresh stream — one
+// connection direction — and returns each as a sealed frame of type typ.
+func streamFrames(t testing.TB, typ fleet.FrameType, vals ...any) [][]byte {
+	t.Helper()
+	stream := fleet.NewStream()
+	frames := make([][]byte, len(vals))
+	for i, v := range vals {
+		payload, err := stream.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = sealFrame(t, typ, payload)
+	}
+	return frames
+}
+
+// seedOpts configures seedCheckpoint's engine.
+var seedOpts = search.Options{PopSize: 4, Generations: 2, Seed: testSeed}
+
+// seedCheckpoint is a real replica checkpoint: an nsga2 generation zero on
+// the suite's problem under seedOpts, so seeds exercise the
+// interface-typed engine state.
+func seedCheckpoint(t testing.TB) *search.Checkpoint {
+	t.Helper()
+	eng := new(nsga2.Engine)
+	if err := eng.Init(zdt1Prob(t), seedOpts); err != nil {
+		t.Fatal(err)
+	}
+	return eng.Checkpoint()
+}
+
 // FuzzFrameDecode pins the codec's total-safety contract: arbitrary bytes
 // never panic, never hang, and produce only io.EOF, a typed
-// *search.CorruptError, or a clean frame; a clean frame's payload then
-// gob-decodes under the same guarantee.
+// *search.CorruptError, or a clean frame; the Request and Reply frames
+// among them then decode, in order, through one stream decoder — the
+// per-connection state a worker or a coordinator keeps — under the same
+// guarantee. Heartbeats are skipped, as the coordinator skips them; the
+// first decode error ends the stream, as it taints a connection.
 func FuzzFrameDecode(f *testing.F) {
+	cp := seedCheckpoint(f)
+	reqs := streamFrames(f, fleet.FrameRequest,
+		&Request{Replica: 1, Epoch: 2, Algo: "nsga2", Spec: "zdt1", State: cp},
+		&Request{Replica: 1, Epoch: 3, Attempt: 1, Algo: "nsga2", Spec: "zdt1", State: cp})
+	replies := streamFrames(f, fleet.FrameReply,
+		&Reply{Replica: 1, Epoch: 2, State: cp, Evals: 3},
+		&Reply{Replica: 1, Epoch: 3, State: cp, Evals: 4, Err: "quarantined"})
+	beat := sealFrame(f, fleet.FrameHeartbeat, []byte("heartbeat"))
 	f.Add([]byte{})
 	f.Add(sealFrame(f, fleet.FrameRequest, []byte("seed")))
-	reply, err := encodePayload(&Reply{Replica: 1, Epoch: 2, Evals: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	full := sealFrame(f, fleet.FrameReply, reply)
-	f.Add(full)
-	f.Add(full[:len(full)-3])
-	f.Add(append(append([]byte(nil), full...), full...))
+	f.Add(bytes.Join(reqs, nil))
+	f.Add(bytes.Join([][]byte{replies[0], beat, replies[1]}, nil))
+	f.Add(replies[1]) // values only: the types it names were never sent
+	f.Add(replies[0][:len(replies[0])-3])
+	f.Add(append(bytes.Clone(replies[0]), replies[0]...)) // types sent twice
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		stream := fleet.NewStream()
 		for {
 			typ, payload, err := fleet.ReadFrame(r, "fuzz")
 			if err == io.EOF {
@@ -164,11 +205,11 @@ func FuzzFrameDecode(f *testing.F) {
 			case fleet.FrameReply:
 				v = new(Reply)
 			case fleet.FrameHeartbeat:
-				v = new(Heartbeat)
+				continue
 			default:
 				return // unknown type is the transport layer's problem
 			}
-			if derr := decodePayload("fuzz", payload, v); derr != nil {
+			if derr := stream.Decode("fuzz", payload, v); derr != nil {
 				var ce *search.CorruptError
 				if !errors.As(derr, &ce) {
 					t.Fatalf("non-typed payload error %T: %v", derr, derr)

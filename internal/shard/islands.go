@@ -160,7 +160,7 @@ func (p *Params) normalize() error {
 // barrier, drops, migration, budget, pooling and checkpoints are that
 // loop's — over remote replicas: each replica generation runs in some
 // worker process, and the replica's state stays on the coordinator as a
-// sealed checkpoint plus a local mirror engine restored from it.
+// checkpoint plus a local mirror engine restored from it.
 //
 // The coordinator is the single source of truth; workers are stateless
 // executors. See the package comment for the fault model; the determinism
@@ -277,8 +277,7 @@ type remote struct {
 	i    int
 	prob objective.Problem // the mirror's problem: a restore never evaluates
 	opts search.Options
-	ckpt []byte             // the sealed state the next request ships; nil until sealed
-	cp   *search.Checkpoint // the authoritative state
+	cp   *search.Checkpoint // the authoritative state, which the next request ships
 }
 
 // Init implements search.Engine: the replica's generation zero is created
@@ -294,7 +293,7 @@ func (r *remote) Step() error { return r.request(false) }
 // Restore implements search.Engine: cp becomes the authoritative state.
 func (r *remote) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
 	r.prob, r.opts = prob, opts
-	return r.adopt(nil, cp)
+	return r.adopt(cp)
 }
 
 // Checkpoint implements search.Engine: the authoritative state, as
@@ -308,12 +307,12 @@ func (r *remote) Emigrants(k int) ga.Population { return r.Engine.(search.Migrat
 // the mirror's checkpoint becomes the state the next request ships.
 func (r *remote) Immigrate(migrants ga.Population) {
 	r.Engine.(search.Migrator).Immigrate(migrants)
-	r.cp, r.ckpt = r.Engine.Checkpoint(), nil
+	r.cp = r.Engine.Checkpoint()
 }
 
-// adopt installs cp (sealed as ckpt, or unsealed when ckpt is nil) as the
-// authoritative state and restores a fresh mirror from it.
-func (r *remote) adopt(ckpt []byte, cp *search.Checkpoint) error {
+// adopt installs cp as the authoritative state and restores a fresh mirror
+// from it. cp is never mutated afterwards: the mirror's restore copies it.
+func (r *remote) adopt(cp *search.Checkpoint) error {
 	mirror, err := search.New(r.c.p.Algo)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
@@ -321,7 +320,7 @@ func (r *remote) adopt(ckpt []byte, cp *search.Checkpoint) error {
 	if err := mirror.Restore(r.prob, r.opts, cp); err != nil {
 		return fmt.Errorf("shard: mirror replica %d: %w", r.i, err)
 	}
-	r.Engine, r.ckpt, r.cp = mirror, ckpt, cp
+	r.Engine, r.cp = mirror, cp
 	return nil
 }
 
@@ -341,18 +340,11 @@ func (r *remote) request(init bool) error {
 		HeartbeatEvery: c.p.HeartbeatEvery,
 	}
 	if !init {
-		if r.ckpt == nil {
-			data, err := search.EncodeCheckpoint(r.cp)
-			if err != nil {
-				return fmt.Errorf("shard: seal replica %d: %w", r.i, err)
-			}
-			r.ckpt = data
-		}
-		req.Ckpt = r.ckpt
+		req.State = r.cp
 	}
-	ckpt, cp, err := r.ladder(req)
+	cp, err := r.ladder(req)
 	if cp != nil {
-		if aerr := r.adopt(ckpt, cp); err == nil {
+		if aerr := r.adopt(cp); err == nil {
 			err = aerr
 		}
 	}
@@ -365,11 +357,11 @@ func (r *remote) request(init bool) error {
 // in-process sched.StepWithRetry:
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
-//     expiry, corrupt frame, desynced stream) taint the connection: it is
-//     killed, and the SAME request — same checkpoint — is replayed at once
-//     over a fresh one, on whichever pool worker is healthiest
-//     (a dead machine degrades to the survivors, not to a dropped
-//     replica). A replay is bit-identical to the lost step, so a fault
+//     expiry, corrupt frame or payload, desynced stream, a clean reply
+//     with no state) taint the connection: it is killed, and the SAME
+//     request — same checkpoint — is replayed at once over a fresh one,
+//     on whichever pool worker is healthiest (a dead machine degrades to
+//     the survivors, not to a dropped replica). A replay is bit-identical to the lost step, so a fault
 //     that stops recurring leaves no trace in the result.
 //   - engine faults (the reply carries Err) adopt the reply's checkpoint
 //     when present — engines complete their generation before reporting,
@@ -379,21 +371,20 @@ func (r *remote) request(init bool) error {
 //   - a *fleet.VersionError is permanent by construction — every redial
 //     of the mismatched binary reproduces it — so it fails the replica
 //     without burning the retry budget.
-func (r *remote) ladder(req *Request) (ckpt []byte, cp *search.Checkpoint, err error) {
+func (r *remote) ladder(req *Request) (cp *search.Checkpoint, err error) {
 	p, init := &r.c.p, req.Init
-	label := fmt.Sprintf("shard: replica %d reply", r.i)
 	for attempt := 0; attempt <= p.Retries; attempt++ {
 		req.Attempt = attempt
 		sess := r.c.pool.Acquire()
 		if sess == nil {
-			return ckpt, cp, fmt.Errorf("shard: replica %d epoch %d: worker pool closed", r.i, req.Epoch)
+			return cp, fmt.Errorf("shard: replica %d epoch %d: worker pool closed", r.i, req.Epoch)
 		}
 		link, lerr := sess.Link() // dial failures are recorded on the worker by the session
 		if lerr != nil {
 			sess.Release()
 			var ve *fleet.VersionError
 			if errors.As(lerr, &ve) {
-				return ckpt, cp, fmt.Errorf("shard: replica %d: %w", r.i, lerr)
+				return cp, fmt.Errorf("shard: replica %d: %w", r.i, lerr)
 			}
 			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %w", r.i, req.Epoch, attempt, lerr)
 			continue
@@ -409,31 +400,20 @@ func (r *remote) ladder(req *Request) (ckpt []byte, cp *search.Checkpoint, err e
 			sess.Served() // an engine fault is the replica's, not the transport's
 			sess.Release()
 			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", r.i, req.Epoch, attempt, reply.Err)
-			if len(reply.Ckpt) > 0 {
-				if rcp, derr := search.DecodeCheckpoint(label, reply.Ckpt); derr == nil {
-					ckpt, cp = reply.Ckpt, rcp
-					req.Ckpt, req.Init = reply.Ckpt, false // retry from the advanced state
-				}
+			if reply.State != nil {
+				cp = reply.State
+				req.State, req.Init = reply.State, false // retry from the advanced state
 			}
 			if init {
-				return ckpt, cp, err
+				return cp, err
 			}
-			continue
-		}
-		rcp, derr := search.DecodeCheckpoint(label, reply.Ckpt)
-		if derr != nil {
-			// The frame CRC passed but the checkpoint inside is corrupt:
-			// do not adopt; the connection is suspect.
-			sess.Fail(derr)
-			sess.Release()
-			err = derr
 			continue
 		}
 		sess.Served()
 		sess.Release()
-		return reply.Ckpt, rcp, nil
+		return reply.State, nil
 	}
-	return ckpt, cp, err
+	return cp, err
 }
 
 // Close reaps the run's workers: an owned pool is closed (clean

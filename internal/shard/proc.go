@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sacga/internal/fleet"
+	"sacga/internal/search"
 )
 
 // leaseError reports a worker that missed a liveness deadline: the
@@ -34,19 +35,17 @@ const leaseSlack = 2 * time.Second
 // the whole exchange (0 = unbounded); hbTimeout bounds the gap between
 // worker frames (0 = no heartbeat monitoring). When a lease is set, the
 // connection's read/write deadlines are armed from it for the duration of
-// the step. On any non-nil error the link is TAINTED — the stream may be
-// desynced, the worker wedged or gone — and the caller must fail it on
-// its pool session, never reuse it.
+// the step. On any non-nil error the link is TAINTED — the frames may be
+// desynced, the link's gob streams in an unknown state (an encode or
+// decode error, bytes left over after a reply, a reply abandoned to a
+// lease or heartbeat expiry), the worker wedged or gone — and the caller
+// must fail it on its pool session, never reuse it.
 func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Reply, error) {
-	payload, err := encodePayload(req)
-	if err != nil {
-		return nil, err
-	}
 	if lease > 0 {
 		l.SetDeadline(time.Now().Add(lease + leaseSlack))
 		defer l.SetDeadline(time.Time{})
 	}
-	if err := l.WriteFrame(fleet.FrameRequest, payload); err != nil {
+	if err := l.Send(req); err != nil {
 		return nil, fmt.Errorf("shard: send request: %w", err)
 	}
 	var leaseC <-chan time.Time
@@ -88,13 +87,21 @@ func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Re
 			case fleet.FrameHeartbeat:
 				continue
 			case fleet.FrameReply:
-				var reply Reply
-				if err := decodePayload("shard: worker stream", f.Payload, &reply); err != nil {
+				var reply Reply // fresh: gob leaves omitted fields as they are
+				if err := l.Decode(f.Payload, &reply); err != nil {
 					return nil, err
 				}
 				if reply.Replica != req.Replica || reply.Epoch != req.Epoch {
 					return nil, fmt.Errorf("shard: desynced reply: got replica %d epoch %d, want replica %d epoch %d",
 						reply.Replica, reply.Epoch, req.Replica, req.Epoch)
+				}
+				if reply.Err == "" && reply.State == nil {
+					// A worker that stepped cleanly always returns the
+					// new state: the frame decoded, but its content is
+					// wrong, so the link is as suspect as after a torn
+					// frame.
+					return nil, &search.CorruptError{Path: l.Addr(),
+						Reason: fmt.Sprintf("successful reply for replica %d epoch %d carries no state", req.Replica, req.Epoch)}
 				}
 				return &reply, nil
 			default:

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"time"
 
 	"sacga/internal/ga"
@@ -12,18 +9,25 @@ import (
 
 // The wire protocol. One request/reply pair per replica per epoch:
 //
-//	coordinator → worker: Request  (replica config + sealed checkpoint)
+//	coordinator → worker: Request  (replica config + checkpoint)
 //	worker → coordinator: Heartbeat*  (liveness while the step runs)
-//	worker → coordinator: Reply    (new sealed checkpoint + accounting)
+//	worker → coordinator: Reply    (new checkpoint + accounting)
 //
-// Requests are self-contained — a worker holds NO state between them
-// beyond a cache of built problems. That is the whole fault model: any
+// Requests are self-contained — a worker holds NO replica state between
+// them, only a cache of built problems. That is the whole fault model: any
 // request can be replayed against any worker process, so the coordinator
 // recovers from a killed, wedged or corrupting worker by respawning one
 // and re-sending the last authoritative checkpoint.
 //
-// Payloads are self-contained gob streams (a fresh encoder per frame):
-// a stream-stateful encoder would make frames meaningless after a respawn.
+// Request and Reply payloads ride one gob stream per connection direction
+// (fleet.Stream): type descriptors cross a connection once, with its first
+// request and its first reply. The stream is per-connection state only —
+// a respawn or redial starts both ends on fresh streams, and every request
+// still carries the full checkpoint, so a replay on a fresh connection
+// gives the same bits. The checkpoint travels as a value: the frame's
+// CRC32-C covers every payload byte, so nothing on the wire path seals or
+// unseals it (disk checkpoints keep search.SaveCheckpoint's sealed form).
+// Heartbeat payloads are self-contained gobs, off the stream.
 
 // Request asks a worker to advance one replica by one generation — or, when
 // Init is set, to create its generation-zero state.
@@ -54,10 +58,10 @@ type Request struct {
 	// so one knob tunes both sides of the liveness machinery). Ignored by
 	// workers whose configuration disables heartbeats outright.
 	HeartbeatEvery time.Duration
-	// Ckpt is the replica's sealed checkpoint (search.EncodeCheckpoint
-	// form, CRC footer included) to restore before stepping. Empty when
-	// Init is set.
-	Ckpt []byte
+	// State is the replica's checkpoint to restore before stepping — the
+	// full state, every request, so any request replays on any fresh
+	// connection. Nil when Init is set.
+	State *search.Checkpoint
 }
 
 // Reply is a worker's answer to one Request.
@@ -65,13 +69,14 @@ type Reply struct {
 	// Replica and Epoch echo the request.
 	Replica int
 	Epoch   int
-	// Ckpt is the replica's new sealed checkpoint — taken after the step
-	// even when Err is set, because engines complete their generation
-	// before reporting a fault (the quarantine contract): the coordinator
-	// adopts it before retrying, exactly like the in-process scheduler
-	// retrying a quarantining engine. Empty only when the engine could not
-	// be built or restored at all.
-	Ckpt []byte
+	// State is the replica's new checkpoint — taken after the step even
+	// when Err is set, because engines complete their generation before
+	// reporting a fault (the quarantine contract): the coordinator adopts
+	// it before retrying, exactly like the in-process scheduler retrying a
+	// quarantining engine. Nil only when the engine could not be built or
+	// restored at all, so the coordinator treats a Reply with no Err and
+	// no State as corrupt.
+	State *search.Checkpoint
 	// Evals is the replica's cumulative evaluation count (engine Evals(),
 	// which spans restore boundaries). The coordinator sums these for the
 	// ensemble budget.
@@ -141,28 +146,4 @@ func (w WireOptions) Options() search.Options {
 		Initial:     initial,
 		Extra:       w.Extra,
 	}
-}
-
-// encodePayload gob-encodes v as a self-contained stream.
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("shard: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload gob-decodes a frame payload into v. The frame CRC has
-// already vouched for the bytes, but the guard keeps the no-gob-panic
-// guarantee absolute (CRC collisions, protocol version skew).
-func decodePayload(src string, payload []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &search.CorruptError{Path: src, Reason: fmt.Sprintf("payload decode panicked: %v", r)}
-		}
-	}()
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); derr != nil {
-		return &search.CorruptError{Path: src, Reason: fmt.Sprintf("payload decode: %v", derr)}
-	}
-	return nil
 }

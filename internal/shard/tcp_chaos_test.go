@@ -368,7 +368,7 @@ func TestStdioVersionMismatchFailsFast(t *testing.T) {
 }
 
 // zdt1Prob builds the suite's test problem through the worker's own hook.
-func zdt1Prob(t *testing.T) objective.Problem {
+func zdt1Prob(t testing.TB) objective.Problem {
 	t.Helper()
 	prob, err := buildTestProblem("zdt1")
 	if err != nil {

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
@@ -29,10 +31,12 @@ type WorkerConfig struct {
 	// chaos suite's injection point (crash here to simulate a worker dying
 	// mid-epoch, sleep to simulate a wedge).
 	OnStep func(StepInfo)
-	// TransformReply, when non-nil, may rewrite the fully sealed reply
-	// frame bytes before they are written — the chaos suite's corruption
-	// point (flip a bit to exercise the coordinator's CRC path, truncate
-	// it to tear the stream mid-frame).
+	// TransformReply, when non-nil, may rewrite the reply before it is
+	// written — the chaos suite's corruption point (flip a bit to exercise
+	// the coordinator's CRC path, truncate it to tear the stream
+	// mid-frame). It sees the whole reply frame as it would go on the
+	// wire: header, the Reply's bytes on the connection's gob stream, and
+	// CRC.
 	TransformReply func(StepInfo, []byte) []byte
 	// AfterReply, when non-nil, runs after each reply frame is written —
 	// the chaos suite's torn-stream point (exit here and a truncated
@@ -63,9 +67,10 @@ type StepInfo struct {
 // The worker holds no replica state between requests — every request
 // carries everything needed to replay it, which is what lets the
 // coordinator mask this process being SIGKILLed (or this connection being
-// dropped) at any moment. One stdio process serves one stream; a TCP
-// daemon (cmd/sacgaw) calls this once per accepted connection,
-// concurrently.
+// dropped) at any moment. The only per-connection state is the gob
+// stream's table of types already sent. One stdio process serves one
+// stream; a TCP daemon (cmd/sacgaw) calls this once per accepted
+// connection, concurrently.
 func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	if cfg.Build == nil {
 		return fmt.Errorf("shard: ServeWorker requires a Build hook")
@@ -100,6 +105,10 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		}
 		return err
 	}
+	// One codec per call: it lives and dies with this connection, so a
+	// redialed or respawned worker starts on a fresh stream, as does the
+	// coordinator's new Link.
+	stream := fleet.NewStream()
 	var wmu sync.Mutex // serializes reply and heartbeat frames
 	for {
 		typ, payload, err := fleet.ReadFrame(r, "shard: worker stream")
@@ -112,9 +121,9 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		if typ != fleet.FrameRequest {
 			return &search.CorruptError{Path: "shard: worker stream", Reason: fmt.Sprintf("unexpected frame type %d", typ)}
 		}
-		var req Request
-		if err := decodePayload("shard: worker stream", payload, &req); err != nil {
-			return err
+		var req Request // fresh: no replica state survives the last request
+		if err := stream.Decode("shard: worker stream", payload, &req); err != nil {
+			return err // the stream is tainted: drop the connection
 		}
 		info := StepInfo{Replica: req.Replica, Epoch: req.Epoch, Attempt: req.Attempt, Init: req.Init}
 		if cfg.OnStep != nil {
@@ -127,7 +136,7 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		stop := startHeartbeats(w, &wmu, period, req.Replica, req.Epoch)
 		reply := handleRequest(&req, problems, cfg.Build)
 		stop()
-		frame, err := sealReply(reply)
+		frame, err := sealReply(stream, reply)
 		if err != nil {
 			return err
 		}
@@ -146,10 +155,12 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	}
 }
 
-// sealReply builds the complete reply frame bytes (so TransformReply can
-// corrupt the real wire form, CRC included).
-func sealReply(reply *Reply) ([]byte, error) {
-	payload, err := encodePayload(reply)
+// sealReply encodes reply on the connection's stream and builds the
+// complete frame bytes (so TransformReply can corrupt the real wire form,
+// CRC included). The frame is a copy: the stream's buffer is free for the
+// next Encode once it returns.
+func sealReply(stream *fleet.Stream, reply *Reply) ([]byte, error) {
+	payload, err := stream.Encode(reply)
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +191,11 @@ func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica
 		defer wg.Done()
 		t := time.NewTicker(period)
 		defer t.Stop()
-		payload, err := encodePayload(&Heartbeat{Replica: replica, Epoch: epoch})
-		if err != nil {
+		// A self-contained gob, off the connection's stream: the
+		// coordinator never decodes heartbeats, so one that carried a type
+		// definition a later Reply relies on would break that Reply.
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(&Heartbeat{Replica: replica, Epoch: epoch}); err != nil {
 			return
 		}
 		for {
@@ -190,7 +204,7 @@ func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica
 				return
 			case <-t.C:
 				wmu.Lock()
-				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload)
+				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload.Bytes())
 				wmu.Unlock()
 				if err != nil {
 					return // pipe gone; the main loop will notice too
@@ -238,12 +252,11 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			return reply
 		}
 	} else {
-		cp, err := search.DecodeCheckpoint(fmt.Sprintf("shard: replica %d request", req.Replica), req.Ckpt)
-		if err != nil {
-			reply.Err = err.Error()
+		if req.State == nil {
+			reply.Err = fmt.Sprintf("shard: replica %d request carries no state", req.Replica)
 			return reply
 		}
-		if err := eng.Restore(prob, opts, cp); err != nil {
+		if err := eng.Restore(prob, opts, req.State); err != nil {
 			reply.Err = err.Error()
 			return reply
 		}
@@ -254,12 +267,7 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			stepErr = guardedEngineStep(eng)
 		}
 	}
-	ckpt, err := search.EncodeCheckpoint(eng.Checkpoint())
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
-	}
-	reply.Ckpt = ckpt
+	reply.State = eng.Checkpoint()
 	reply.Evals = eng.Evals()
 	reply.Gen = eng.Generation()
 	reply.Done = eng.Done()
