@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -336,4 +338,101 @@ func FuzzTCPFrameDecode(f *testing.F) {
 			return
 		}
 	})
+}
+
+// scriptConn is a Conn whose reads replay a fixed byte string and whose
+// writes go nowhere.
+type scriptConn struct{ *bytes.Reader }
+
+func (scriptConn) Write(p []byte) (int, error)   { return len(p), nil }
+func (scriptConn) SetDeadline(t time.Time) error { return nil }
+func (scriptConn) Close() error                  { return nil }
+func (scriptConn) Kill()                         {}
+
+// TestFrameReadBoundedByArrivedBytes: a 17-byte input — a valid header
+// whose length field claims MaxFramePayload, then 8 body bytes, then EOF —
+// fails as a typed *search.CorruptError in every reader of the package,
+// and no reader allocates what the length field claims: the body buffer
+// grows only as bytes arrive.
+func TestFrameReadBoundedByArrivedBytes(t *testing.T) {
+	input := make([]byte, frameHeaderSize, 17)
+	binary.LittleEndian.PutUint32(input[0:4], frameMagic)
+	input[4] = byte(FrameHello)
+	binary.LittleEndian.PutUint32(input[5:9], MaxFramePayload)
+	input = append(input, "8 bytes."...)
+	if len(input) != 17 {
+		t.Fatalf("input is %d bytes, want 17", len(input))
+	}
+	for _, tc := range []struct {
+		name string
+		read func(r *bytes.Reader) error
+	}{
+		{"ReadFrame", func(r *bytes.Reader) error {
+			_, _, err := ReadFrame(r, "test")
+			return err
+		}},
+		{"Stream.ReadFrame", func(r *bytes.Reader) error {
+			_, _, err := NewStream().ReadFrame(r, "test")
+			return err
+		}},
+		{"ClientHandshake", func(r *bytes.Reader) error {
+			_, err := ClientHandshake(scriptConn{r}, HandshakeConfig{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bytes.NewReader(input)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read(r)
+			runtime.ReadMemStats(&after)
+			var ce *search.CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %T (%v), want *search.CorruptError", err, err)
+			}
+			grew := after.TotalAlloc - before.TotalAlloc
+			if grew >= 1<<20 {
+				t.Fatalf("reading 17 bytes allocated %d bytes, want under 1 MB", grew)
+			}
+			t.Logf("%d bytes allocated", grew)
+		})
+	}
+}
+
+// TestShutdownEndsReadInFlight: a Link has no reader goroutine, so a read
+// in flight runs on its caller's goroutine; Pool.Close and Session.Fail
+// must still end it, by closing the connection under it.
+func TestShutdownEndsReadInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*Pool, *Session)
+	}{
+		{"Pool.Close", func(p *Pool, _ *Session) { p.Close() }},
+		{"Session.Fail", func(_ *Pool, s *Session) { s.Fail(errors.New("injected")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(&fakeTransport{addr: "a"}) // its worker never writes
+			defer p.Close()
+			s := p.Acquire()
+			defer s.Release()
+			l, err := s.Link()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := l.ReadFrame()
+				done <- err
+			}()
+			tc.stop(p, s)
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("the read returned a frame its worker never sent")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the read in flight outlived the shutdown")
+			}
+		})
+	}
 }

@@ -4,9 +4,10 @@
 //
 // The package owns three layers:
 //
-//   - the CRC-framed byte protocol (WriteFrame/ReadFrame) that every
-//     worker stream speaks, moved here from internal/shard so both sides
-//     of any transport share one codec;
+//   - the CRC-framed byte protocol, and Stream, the one frame codec per
+//     connection: both ends read, write and buffer frames through it, and
+//     the coordinator's Link reads on the caller's goroutine, under
+//     connection deadlines, with no reader goroutine;
 //   - Transport — how a worker is reached. ProcTransport spawns a child
 //     process and frames its stdio (the original shard runtime, unchanged
 //     behavior); TCPTransport dials a long-lived worker daemon
@@ -25,9 +26,9 @@
 // corrupts is simply tainted (killed, never reused) and the same request
 // replays against a fresh dial — bit-identical, which is what keeps every
 // transport behind this seam interchangeable. The one piece of
-// per-connection state is the gob codec (Stream) that Request and Reply
-// payloads ride: each end's table of the types already sent. It dies with
-// the connection, and any codec error taints the connection like a torn
+// per-connection state is the Stream that Request and Reply payloads
+// ride: each end's gob table of the types already sent. It dies with the
+// connection, and any codec error taints the connection like a torn
 // frame, so a fresh dial always starts both ends on fresh streams.
 package fleet
 
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"sacga/internal/search"
 )
@@ -58,8 +60,8 @@ const frameMagic = 0x73666d31
 // frameHeaderSize is magic(4) + type(1) + length(4).
 const frameHeaderSize = 9
 
-// MaxFramePayload bounds a frame so a corrupted length field cannot make
-// the reader allocate unbounded memory before the CRC check.
+// MaxFramePayload caps a frame's length field. It does not bound what a
+// read allocates: readBody grows the buffer only as body bytes arrive.
 const MaxFramePayload = 1 << 30
 
 // FrameType tags what a frame's payload decodes to.
@@ -83,30 +85,48 @@ const (
 	FrameHello FrameType = 4
 )
 
-// WriteFrame emits one sealed frame on w.
+// WriteFrame emits one sealed frame on w, built in a fresh buffer; a
+// Stream builds its Request and Reply frames in its own (EncodeFrame).
 func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("fleet: frame payload %d bytes exceeds the %d cap", len(payload), MaxFramePayload)
+	frame := make([]byte, frameHeaderSize+len(payload)+4)
+	copy(frame[frameHeaderSize:], payload)
+	if err := seal(frame, typ); err != nil {
+		return err
 	}
-	buf := make([]byte, frameHeaderSize+len(payload)+4)
-	binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
-	buf[4] = byte(typ)
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(len(payload)))
-	copy(buf[frameHeaderSize:], payload)
-	crc := crc32.Checksum(buf[4:frameHeaderSize+len(payload)], castagnoli)
-	binary.LittleEndian.PutUint32(buf[frameHeaderSize+len(payload):], crc)
-	_, err := w.Write(buf)
+	_, err := w.Write(frame)
 	return err
+}
+
+// seal fills in the header and the CRC of frame, which holds
+// frameHeaderSize bytes of header room, the payload and 4 bytes of CRC
+// room.
+func seal(frame []byte, typ FrameType) error {
+	n := len(frame) - frameHeaderSize - 4
+	if n > MaxFramePayload {
+		return fmt.Errorf("fleet: frame payload %d bytes exceeds the %d cap", n, MaxFramePayload)
+	}
+	binary.LittleEndian.PutUint32(frame[0:4], frameMagic)
+	frame[4] = byte(typ)
+	binary.LittleEndian.PutUint32(frame[5:9], uint32(n))
+	binary.LittleEndian.PutUint32(frame[frameHeaderSize+n:], crc32.Checksum(frame[4:frameHeaderSize+n], castagnoli))
+	return nil
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ReadFrame reads one frame from r. src names the stream in errors. A
-// clean EOF at a frame boundary returns io.EOF; every malformed frame —
-// bad magic, oversized length, truncation mid-frame, CRC mismatch — is a
-// typed *search.CorruptError; transport failures surface as the underlying
-// read error.
+// ReadFrame reads one frame from r into a fresh buffer. src names the
+// stream in errors. A clean EOF at a frame boundary returns io.EOF; every
+// malformed frame — bad magic, oversized length, truncation mid-frame,
+// CRC mismatch — is a typed *search.CorruptError; transport failures
+// (a passed deadline included) surface as the underlying read error.
 func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
+	var buf []byte
+	return readFrame(r, src, &buf)
+}
+
+// readFrame is ReadFrame into *buf, which it grows as needed and keeps
+// for reuse; the payload aliases it.
+func readFrame(r io.Reader, src string, buf *[]byte) (FrameType, []byte, error) {
 	var header [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if err == io.EOF {
@@ -125,8 +145,9 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 	if n > MaxFramePayload {
 		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame length %d exceeds the %d cap", n, MaxFramePayload)}
 	}
-	body := make([]byte, int(n)+4) // payload + CRC
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, (*buf)[:0], int(n)+4) // payload + CRC
+	*buf = body
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, nil, &search.CorruptError{Path: src, Reason: "truncated frame body"}
 		}
@@ -140,4 +161,22 @@ func ReadFrame(r io.Reader, src string) (FrameType, []byte, error) {
 		return 0, nil, &search.CorruptError{Path: src, Reason: fmt.Sprintf("frame CRC mismatch: computed %08x, frame records %08x", got, want)}
 	}
 	return typ, payload, nil
+}
+
+// readBody appends n bytes from r to buf. n comes from a length field the
+// CRC has not vouched for yet, so buf grows only once it is full of bytes
+// that arrived, and then by at most its length (or 4 KiB): a frame that
+// claims more than its peer sends costs about twice what was sent.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 4<<10)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

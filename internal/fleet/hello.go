@@ -74,11 +74,12 @@ type HandshakeConfig struct {
 	// that the announced problem builds. A non-nil error is sent back as
 	// the answering Hello's Err and fails the handshake on both sides.
 	Check func(Hello) error
-	// Timeout bounds the whole exchange on streams that support
-	// deadlines (default 10s). A worker that accepts a connection and
-	// then hears nothing must not park a handshake forever.
-	Timeout time.Duration
 }
+
+// handshakeTimeout bounds the whole hello exchange: a worker that accepts
+// a connection and then hears nothing must not park a handshake forever,
+// nor must a coordinator whose worker never answers.
+const handshakeTimeout = 10 * time.Second
 
 func (cfg HandshakeConfig) hello() Hello {
 	b := cfg.Build
@@ -88,16 +89,11 @@ func (cfg HandshakeConfig) hello() Hello {
 	return Hello{Proto: ProtocolVersion, Build: b, Problem: cfg.Problem}
 }
 
-func (cfg HandshakeConfig) timeout() time.Duration {
-	if cfg.Timeout > 0 {
-		return cfg.Timeout
-	}
-	return 10 * time.Second
-}
-
-// Deadliner is the optional deadline surface of a stream (net.Conn,
-// *os.File). Streams that implement it get handshake and per-step
-// deadlines armed; others rely on the coordinator's lease timers alone.
+// Deadliner is the deadline surface of a stream (net.Conn, *os.File).
+// Every Conn has it: the coordinator bounds its handshake, and each
+// step's lease and heartbeat gap, with connection deadlines. A worker's
+// stream is a plain io.Reader; where it is also a Deadliner, the worker
+// bounds its side of the handshake too.
 type Deadliner interface {
 	SetDeadline(t time.Time) error
 }
@@ -107,10 +103,12 @@ type Deadliner interface {
 // *VersionError; a worker rejection (Hello.Err) is an ordinary error. On
 // any error the connection is unusable and must be closed by the caller.
 func ClientHandshake(c Conn, cfg HandshakeConfig) (Hello, error) {
-	if d, ok := c.(Deadliner); ok {
-		d.SetDeadline(time.Now().Add(cfg.timeout()))
-		defer d.SetDeadline(time.Time{})
+	// A connection that cannot bound the exchange fails the dial rather
+	// than wait forever on a silent worker.
+	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return Hello{}, fmt.Errorf("fleet: handshake deadline: %w", err)
 	}
+	defer c.SetDeadline(time.Time{})
 	ours := cfg.hello()
 	if err := writeHello(c, &ours); err != nil {
 		return Hello{}, fmt.Errorf("fleet: handshake send: %w", err)
@@ -135,7 +133,7 @@ func ClientHandshake(c Conn, cfg HandshakeConfig) (Hello, error) {
 // values because the stdio worker reads stdin and writes stdout).
 func ServerHandshake(r io.Reader, w io.Writer, cfg HandshakeConfig) (Hello, error) {
 	if d, ok := r.(Deadliner); ok {
-		d.SetDeadline(time.Now().Add(cfg.timeout()))
+		d.SetDeadline(time.Now().Add(handshakeTimeout))
 		defer d.SetDeadline(time.Time{})
 	}
 	peer, err := readHello(r)

@@ -10,11 +10,14 @@ import (
 	"time"
 )
 
-// Conn is one open, handshaken byte stream to a worker. Reads and writes
-// carry sealed frames; the framing itself lives in WriteFrame/ReadFrame.
-// A Conn is owned by one user at a time — there is no internal locking.
+// Conn is one open, handshaken byte stream to a worker, carrying the
+// frames its Stream builds. Deadlines are required: they bound the
+// handshake, each step's lease and each heartbeat gap. A Conn is owned by
+// one user at a time (no internal locking), except that Close and Kill
+// may come from another goroutine to end a read in flight.
 type Conn interface {
 	io.ReadWriteCloser
+	Deadliner
 	// Kill tears the connection down immediately, without the graceful
 	// shutdown Close performs (for ProcTransport: SIGKILL instead of a
 	// stdin-close grace period). Used on tainted connections, where the
@@ -100,7 +103,8 @@ func (c *procConn) Read(p []byte) (int, error)  { return c.stdout.Read(p) }
 func (c *procConn) Write(p []byte) (int, error) { return c.stdin.Write(p) }
 
 // SetDeadline arms read and write deadlines on the pipe files, so a lease
-// can bound even a Write blocked on a wedged worker's full pipe buffer.
+// bounds a Write blocked on a wedged worker's full pipe buffer as well as
+// a read.
 func (c *procConn) SetDeadline(t time.Time) error {
 	var err error
 	if f, ok := c.stdout.(*os.File); ok {
@@ -163,7 +167,7 @@ type TCPTransport struct {
 func (t *TCPTransport) Addr() string { return t.Address }
 
 // Dial implements Transport: connect within dialTimeout, then handshake
-// (bounded by Hello.Timeout).
+// (bounded by handshakeTimeout).
 func (t *TCPTransport) Dial() (Conn, error) {
 	nc, err := net.DialTimeout("tcp", t.Address, dialTimeout)
 	if err != nil {

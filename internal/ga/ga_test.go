@@ -309,6 +309,17 @@ func TestPopulationCloneIndependent(t *testing.T) {
 	if pop[0].X[0] == 1234 {
 		t.Fatal("Clone aliases the original individuals")
 	}
+	// The copies are carved from shared blocks: growing one must
+	// reallocate it, not overwrite the next copy's genes, and the
+	// unevaluated objectives stay nil.
+	next := cl[1].X[0]
+	cl[0].X = append(cl[0].X, -1)
+	if cl[1].X[0] != next {
+		t.Fatal("growing one copy's genes overwrote its neighbour's")
+	}
+	if cl[0].Objectives != nil {
+		t.Fatal("Clone turned nil objectives into an empty slice")
+	}
 }
 
 func TestFeasibleCount(t *testing.T) {

@@ -60,13 +60,35 @@ func (p Population) Points() []pareto.Point {
 	return pts
 }
 
-// Clone deep-copies the population.
+// Clone deep-copies the population in three allocations whatever its
+// size: the copies are carved from one block of individuals and one of
+// their genes and objectives. Each copied slice is capped at its length,
+// so growing it reallocates it alone.
 func (p Population) Clone() Population {
 	out := make(Population, len(p))
+	inds := make([]Individual, len(p))
+	n := 0
+	for _, ind := range p {
+		n += len(ind.X) + len(ind.Objectives)
+	}
+	vals := make([]float64, n)
 	for i, ind := range p {
-		out[i] = ind.Clone()
+		c := &inds[i]
+		*c = *ind
+		c.X, vals = carve(vals, ind.X)
+		c.Objectives, vals = carve(vals, ind.Objectives)
+		out[i] = c
 	}
 	return out
+}
+
+// carve copies src to the front of block and returns the copy (nil for an
+// empty src, as Individual.Clone leaves it) and the rest of block.
+func carve(block, src []float64) (cp, rest []float64) {
+	if n := copy(block, src); n > 0 {
+		return block[:n:n], block[n:]
+	}
+	return nil, block
 }
 
 // Eval evaluates a single individual against prob. Problems implementing

@@ -105,7 +105,7 @@ type Engine struct {
 // population and RNG stream position. The generation count lives on the
 // enclosing search.Checkpoint.
 type Snapshot struct {
-	Isles [][]search.IndividualSnap
+	Isles []ga.Population
 	RNG   []rng.State
 }
 
@@ -281,11 +281,11 @@ func (e *Engine) Immigrate(migrants ga.Population) {
 // Checkpoint implements search.Engine.
 func (e *Engine) Checkpoint() *search.Checkpoint {
 	sn := &Snapshot{
-		Isles: make([][]search.IndividualSnap, len(e.isles)),
+		Isles: make([]ga.Population, len(e.isles)),
 		RNG:   make([]rng.State, len(e.streams)),
 	}
 	for k := range e.isles {
-		sn.Isles[k] = search.SnapPopulation(e.isles[k])
+		sn.Isles[k] = e.isles[k].Clone()
 		sn.RNG[k] = e.streams[k].State()
 	}
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.gen, Evals: e.Evals(), State: sn}
@@ -312,7 +312,7 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	e.isles = make([]ga.Population, n)
 	e.streams = make([]*rng.Stream, n)
 	for k := range e.isles {
-		e.isles[k] = search.UnsnapPopulation(sn.Isles[k])
+		e.isles[k] = sn.Isles[k].Clone()
 		e.streams[k] = rng.FromState(sn.RNG[k])
 	}
 	if e.done() {

@@ -90,7 +90,7 @@ type Snapshot struct {
 	T           int
 	Span        int
 	GentUsed    int
-	PhaseFronts [][]search.IndividualSnap
+	PhaseFronts []ga.Population
 }
 
 // Name implements search.Engine.
@@ -223,9 +223,9 @@ func (e *Engine) GentUsed() int { return e.gentUsed }
 
 // Checkpoint implements search.Engine.
 func (e *Engine) Checkpoint() *search.Checkpoint {
-	fronts := make([][]search.IndividualSnap, len(e.phaseFronts))
+	fronts := make([]ga.Population, len(e.phaseFronts))
 	for i, f := range e.phaseFronts {
-		fronts[i] = search.SnapPopulation(f)
+		fronts[i] = f.Clone()
 	}
 	return &search.Checkpoint{
 		Algo:  e.Name(),
@@ -269,7 +269,7 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	e.gentUsed = sn.GentUsed
 	e.phaseFronts = make([]ga.Population, len(sn.PhaseFronts))
 	for i, f := range sn.PhaseFronts {
-		e.phaseFronts[i] = search.UnsnapPopulation(f)
+		e.phaseFronts[i] = f.Clone()
 	}
 	return nil
 }

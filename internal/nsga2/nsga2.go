@@ -46,7 +46,7 @@ type Engine struct {
 // the ranked parent population.
 type Snapshot struct {
 	RNG rng.State
-	Pop []search.IndividualSnap
+	Pop ga.Population
 }
 
 // Name implements search.Engine.
@@ -142,7 +142,7 @@ func (e *Engine) Checkpoint() *search.Checkpoint {
 		Algo:  e.Name(),
 		Gen:   e.gen,
 		Evals: e.Evals(),
-		State: &Snapshot{RNG: e.s.State(), Pop: search.SnapPopulation(e.pop)},
+		State: &Snapshot{RNG: e.s.State(), Pop: e.pop.Clone()},
 	}
 }
 
@@ -162,7 +162,7 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *Checkp
 	e.prepare(prob, opts)
 	e.budget.RestoreEvals(cp.Evals)
 	e.s = rng.FromState(sn.RNG)
-	e.pop = search.UnsnapPopulation(sn.Pop)
+	e.pop = sn.Pop.Clone()
 	e.gen = cp.Gen
 	return nil
 }

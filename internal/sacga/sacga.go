@@ -57,8 +57,8 @@ const DefaultGentMax = 200
 
 // Params is the SACGA extension struct carried by search.Options.Extra:
 // the algorithm-specific knobs, with the common hyperparameters (PopSize,
-// Generations, Seed, Ops, Workers, Pool, Initial) coming from
-// search.Options itself. The zero value selects the defaults.
+// Generations, Seed, Workers, Initial) coming from search.Options itself.
+// The zero value selects the defaults.
 type Params struct {
 	// Partitions is m, the number of equal partitions of the objective
 	// axis (default 8).
@@ -297,7 +297,7 @@ func (e *Engine) GentUsed() int { return e.gentUsed }
 // MESACGA re-grids mid-run, so it can differ from the configured count.
 type Snapshot struct {
 	RNG        rng.State
-	Pop        []search.IndividualSnap
+	Pop        ga.Population
 	Dead       []bool
 	Partitions int
 	Gen        int
@@ -313,7 +313,7 @@ type Snapshot struct {
 func (e *Engine) Snapshot() *Snapshot {
 	return &Snapshot{
 		RNG:        e.s.State(),
-		Pop:        search.SnapPopulation(e.pop),
+		Pop:        e.pop.Clone(),
 		Dead:       append([]bool(nil), e.dead...),
 		Partitions: e.grid.M,
 		Gen:        e.gen,
@@ -328,7 +328,7 @@ func (e *Engine) Snapshot() *Snapshot {
 // have run prepare first.
 func (e *Engine) restoreSnapshot(sn *Snapshot) {
 	e.s = rng.FromState(sn.RNG)
-	e.pop = search.UnsnapPopulation(sn.Pop)
+	e.pop = sn.Pop.Clone()
 	e.dead = append([]bool(nil), sn.Dead...)
 	p := &e.params
 	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, sn.Partitions)

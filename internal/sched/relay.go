@@ -67,7 +67,7 @@ type Relay struct {
 type RelaySnapshot struct {
 	Leg      int
 	DoneGens int
-	Handoff  []search.IndividualSnap // nil when the active leg is leg 0
+	Handoff  ga.Population // nil when the active leg is leg 0
 	Inner    *search.Checkpoint
 }
 
@@ -223,7 +223,7 @@ func (e *Relay) Checkpoint() *search.Checkpoint {
 		Inner:    e.inner.Checkpoint(),
 	}
 	if e.handoff != nil {
-		sn.Handoff = search.SnapPopulation(e.handoff)
+		sn.Handoff = e.handoff.Clone()
 	}
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.Generation(), Evals: e.Evals(), State: sn}
 }
@@ -248,7 +248,7 @@ func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.
 			sn.Leg, innerAlgo(sn.Inner), e.legs[sn.Leg].Algo)
 	}
 	if sn.Handoff != nil {
-		e.handoff = search.UnsnapPopulation(sn.Handoff)
+		e.handoff = sn.Handoff.Clone()
 	}
 	eng, err := search.New(e.legs[sn.Leg].Algo)
 	if err != nil {

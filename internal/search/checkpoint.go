@@ -1,7 +1,5 @@
 package search
 
-import "sacga/internal/ga"
-
 // Checkpoint is a deep, self-contained snapshot of a run: everything an
 // engine needs to rebuild its exact state under the same problem and
 // options. Snapshots share no memory with the live engine, so a checkpoint
@@ -11,7 +9,9 @@ import "sacga/internal/ga"
 // data structs of exported fields, gob-registered by their engine
 // packages, so callers may persist checkpoints with encoding/gob for
 // cross-process resume (gob round-trips the ±Inf crowding distances that
-// JSON rejects).
+// JSON rejects). Payload populations are ga.Population clones: each
+// individual keeps its cached evaluation and selection bookkeeping, so a
+// restore never re-evaluates the problem.
 type Checkpoint struct {
 	// Algo is the engine's registry name; Restore refuses a mismatched
 	// checkpoint.
@@ -23,52 +23,4 @@ type Checkpoint struct {
 	Evals int64
 	// State is the engine-specific snapshot payload.
 	State any
-}
-
-// IndividualSnap is one individual's checkpoint form: the decision vector
-// plus the cached evaluation and selection bookkeeping, so restoring never
-// re-evaluates the problem.
-type IndividualSnap struct {
-	X          []float64
-	Objectives []float64
-	Violation  float64
-	Rank       int
-	Crowding   float64
-	Partition  int
-	Age        int
-}
-
-// SnapPopulation deep-copies a population into checkpoint form.
-func SnapPopulation(pop ga.Population) []IndividualSnap {
-	out := make([]IndividualSnap, len(pop))
-	for i, ind := range pop {
-		out[i] = IndividualSnap{
-			X:          append([]float64(nil), ind.X...),
-			Objectives: append([]float64(nil), ind.Objectives...),
-			Violation:  ind.Violation,
-			Rank:       ind.Rank,
-			Crowding:   ind.Crowding,
-			Partition:  ind.Partition,
-			Age:        ind.Age,
-		}
-	}
-	return out
-}
-
-// UnsnapPopulation rebuilds a population from checkpoint form. The result
-// shares no memory with the snapshot.
-func UnsnapPopulation(sn []IndividualSnap) ga.Population {
-	pop := make(ga.Population, len(sn))
-	for i, s := range sn {
-		pop[i] = &ga.Individual{
-			X:          append([]float64(nil), s.X...),
-			Objectives: append([]float64(nil), s.Objectives...),
-			Violation:  s.Violation,
-			Rank:       s.Rank,
-			Crowding:   s.Crowding,
-			Partition:  s.Partition,
-			Age:        s.Age,
-		}
-	}
-	return pop
 }

@@ -1,0 +1,101 @@
+package search_test
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"sacga/internal/islands"
+	"sacga/internal/objective"
+	"sacga/internal/sched"
+	"sacga/internal/search"
+)
+
+// legacyGen is the generation each testdata/legacy checkpoint was saved at.
+const legacyGen = 12
+
+// legacyCases are the runs whose checkpoints testdata/legacy holds, one
+// file per case, named after it. Each file is the run's checkpoint at
+// generation legacyGen, written by search.SaveCheckpoint from a build
+// whose engine snapshots held their populations as []IndividualSnap, a
+// type since folded into ga.Population. Every population field's name is
+// unchanged, and gob matches struct fields by name, so those files must
+// still decode and resume.
+func legacyCases() []struct {
+	name, algo string
+	prob       func() objective.Problem
+	opts       search.Options
+} {
+	relayLegs := &sched.RelayParams{Legs: []sched.Leg{
+		{Algo: "nsga2", Generations: 4},
+		{Algo: "sacga", Extra: goldenSACGA(4, 0)},
+	}}
+	return []struct {
+		name, algo string
+		prob       func() objective.Problem
+		opts       search.Options
+	}{
+		{"nsga2", "nsga2", testProblem, search.Options{PopSize: 12, Generations: 16, Seed: 3}},
+		{"sacga", "sacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 5, Extra: goldenSACGA(4, 0)}},
+		{"mesacga", "mesacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 7, Extra: goldenMESACGA(3)}},
+		{"islands", "islands", testProblem, search.Options{Generations: 16, Seed: 11, Extra: &islands.Params{
+			Islands: 2, IslandSize: 8, MigrationEvery: 3, Migrants: 2,
+		}}},
+		// At generation 12 the relay is in its second leg, so the file
+		// carries the handed-off population as well.
+		{"relay", sched.NameRelay, constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 17, Extra: relayLegs}},
+		{"parallel-islands", sched.NameParallelIslands, testProblem, search.Options{PopSize: 24, Generations: 16, Seed: 13, Extra: &sched.IslandsParams{
+			Replicas: 2, MigrationEvery: 3, StepWorkers: 1,
+		}}},
+	}
+}
+
+// TestLegacyCheckpointsResume pins checkpoint compatibility across the
+// snapshot population type: each legacy file resumes to the front and
+// the evaluation count of the same run left uninterrupted.
+func TestLegacyCheckpointsResume(t *testing.T) {
+	for _, tc := range legacyCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "legacy", tc.name+".ckpt")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(raw, []byte("IndividualSnap")) {
+				t.Fatalf("%s does not carry the legacy population type", path)
+			}
+			cp, err := search.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Gen != legacyGen {
+				t.Fatalf("%s is at generation %d, want %d", path, cp.Gen, legacyGen)
+			}
+
+			ref, err := search.New(tc.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := search.Run(context.Background(), ref, tc.prob(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := search.New(tc.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := search.Resume(context.Background(), fresh, tc.prob(), tc.opts, cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Evals != want.Evals || got.Generations != want.Generations {
+				t.Fatalf("resumed run: %d evals over %d generations, uninterrupted: %d over %d",
+					got.Evals, got.Generations, want.Evals, want.Generations)
+			}
+			popsIdentical(t, "final", got.Final, want.Final)
+			popsIdentical(t, "front", got.Front, want.Front)
+		})
+	}
+}

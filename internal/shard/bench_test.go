@@ -65,8 +65,8 @@ func loopbackWorker(tb testing.TB, serve func(net.Conn)) string {
 }
 
 // meteredTransport counts the bytes its connections carry after the
-// handshake, both ways, into wire. Its connections do not pass deadlines
-// through, so runs over it must not set Params.EpochDeadline.
+// handshake, both ways, into wire. Its connections pass everything else,
+// deadlines included, through to the connection they wrap.
 type meteredTransport struct {
 	fleet.Transport
 	wire *atomic.Int64

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -68,7 +69,9 @@ func buildTestProblem(spec string) (objective.Problem, error) {
 //
 // where mode is kill (SIGKILL self before the step — a worker dying
 // mid-epoch), wedge (block forever; the coordinator's heartbeat/lease
-// machinery must reclaim it), corrupt (flip one bit of the sealed reply
+// machinery must reclaim it), stall (sleep inside every evaluation of the
+// step while heartbeats keep flowing, so only the lease can end it),
+// corrupt (flip one bit of the sealed reply
 // frame, through fault.FlipBit on a scratch file — the transport-corruption
 // attack), or drop (truncate the sealed reply through fault.Truncate and
 // then end the stream — a connection torn mid-frame; endStream supplies
@@ -110,6 +113,17 @@ func applyChaosEnv(cfg *WorkerConfig, endStream func()) {
 				time.Sleep(24 * time.Hour)
 			}
 		}
+	case "stall":
+		// The worker's Build hook wraps every problem, and a matched step
+		// switches the wrapper on for its evaluations: the step runs long
+		// past the lease, but the heartbeat goroutine stays alive.
+		var stalled atomic.Bool
+		cfg.OnStep = func(info StepInfo) { stalled.Store(match(info)) }
+		build := cfg.Build
+		cfg.Build = func(spec string) (objective.Problem, error) {
+			prob, err := build(spec)
+			return &stallProblem{Problem: prob, stalled: &stalled}, err
+		}
 	case "corrupt":
 		cfg.TransformReply = func(info StepInfo, frame []byte) []byte {
 			if !match(info) {
@@ -133,6 +147,20 @@ func applyChaosEnv(cfg *WorkerConfig, endStream func()) {
 		fmt.Fprintf(os.Stderr, "shard worker: unknown SHARD_CHAOS mode %q\n", mode)
 		os.Exit(1)
 	}
+}
+
+// stallProblem sleeps inside each evaluation while stalled is set, and
+// evaluates like the problem it wraps otherwise.
+type stallProblem struct {
+	objective.Problem
+	stalled *atomic.Bool
+}
+
+func (p *stallProblem) Evaluate(x []float64) objective.Result {
+	if p.stalled.Load() {
+		time.Sleep(time.Second)
+	}
+	return p.Problem.Evaluate(x)
 }
 
 // flipFrameBit inverts one mid-frame bit via the fault package's file
@@ -461,6 +489,54 @@ func TestShardedWedgedWorkerReclaimed(t *testing.T) {
 		t.Fatalf("drop cause %q does not name the heartbeat deadline", re.Errs[0])
 	}
 	popsIdentical(t, "degraded population", res.Final, ref.Final)
+}
+
+// TestShardedStalledStepHitsLease: a worker whose step runs past the
+// epoch lease while its heartbeats keep flowing is reclaimed by the lease
+// alone, over stdio pipes and over loopback TCP. Stalling every attempt
+// of replica 1's epoch-2 step drops the replica there, with a cause that
+// names the lease, not the heartbeat, and the degraded run is
+// bit-identical to the in-process comparator.
+func TestShardedStalledStepHitsLease(t *testing.T) {
+	refOpts := inProcessOpts("proc-chaos-replica", &procChaosParams{TargetSeed: replicaTarget(1), FailFrom: 2})
+	ref, refErr := supervisedRun(t, sched.NameParallelIslands, refOpts)
+	var refRE *sched.ReplicaError
+	if !errors.As(refErr, &refRE) || len(refRE.Dropped) != 1 || refRE.Dropped[0] != 1 {
+		t.Fatalf("comparator: %v, want replica 1 dropped", refErr)
+	}
+	const chaos = "stall:1:2:99"
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) search.Options
+	}{
+		{"stdio", func(t *testing.T) search.Options { return shardedOpts(t, 2, chaos) }},
+		{"tcp", func(t *testing.T) search.Options {
+			return tcpOpts(daemonAddrs(startTCPDaemons(t, 1, "SHARD_CHAOS="+chaos)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts(t)
+			p := opts.Extra.(*Params)
+			// Heartbeats every 50 ms, a 500 ms gap allowed between
+			// frames, and a 1.5 s lease: only the lease can fire.
+			p.HeartbeatEvery = 50 * time.Millisecond
+			p.HeartbeatTimeout = 500 * time.Millisecond
+			p.EpochDeadline = 1500 * time.Millisecond
+			p.Retries = 1
+			res, err := supervisedRun(t, NameShardedIslands, opts)
+			var re *sched.ReplicaError
+			if !errors.As(err, &re) {
+				t.Fatalf("error is %T (%v), want *sched.ReplicaError", err, err)
+			}
+			if len(re.Dropped) != 1 || re.Dropped[0] != 1 {
+				t.Fatalf("dropped %v, want exactly replica 1", re.Dropped)
+			}
+			if cause := re.Errs[0].Error(); !strings.Contains(cause, "lease") || strings.Contains(cause, "heartbeat") {
+				t.Fatalf("drop cause %q does not name the lease alone", cause)
+			}
+			popsIdentical(t, "degraded population", res.Final, ref.Final)
+		})
+	}
 }
 
 // TestShardedCorruptFramesDropTyped: a worker permanently corrupting its

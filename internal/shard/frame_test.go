@@ -136,11 +136,11 @@ func streamFrames(t testing.TB, typ fleet.FrameType, vals ...any) [][]byte {
 	stream := fleet.NewStream()
 	frames := make([][]byte, len(vals))
 	for i, v := range vals {
-		payload, err := stream.Encode(v)
+		frame, err := stream.EncodeFrame(typ, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = sealFrame(t, typ, payload)
+		frames[i] = bytes.Clone(frame) // the next EncodeFrame reuses the buffer
 	}
 	return frames
 }
@@ -160,21 +160,23 @@ func seedCheckpoint(t testing.TB) *search.Checkpoint {
 	return eng.Checkpoint()
 }
 
-// FuzzFrameDecode pins the codec's total-safety contract: arbitrary bytes
-// never panic, never hang, and produce only io.EOF, a typed
-// *search.CorruptError, or a clean frame; the Request and Reply frames
-// among them then decode, in order, through one stream decoder — the
-// per-connection state a worker or a coordinator keeps — under the same
-// guarantee. Heartbeats are skipped, as the coordinator skips them; the
-// first decode error ends the stream, as it taints a connection.
+// FuzzFrameDecode pins the codec's total-safety contract: arbitrary bytes,
+// read frame by frame through one Stream and its reused read buffer as
+// both ends of a connection read them, never panic, never hang, and
+// produce only io.EOF, a typed *search.CorruptError, or a clean frame;
+// the Request and Reply frames among them then decode, in order, through
+// the same stream's decoder — the per-connection state a worker or a
+// coordinator keeps — under the same guarantee. Heartbeats are skipped,
+// as the coordinator skips them; the first decode error ends the stream,
+// as it taints a connection.
 func FuzzFrameDecode(f *testing.F) {
 	cp := seedCheckpoint(f)
 	reqs := streamFrames(f, fleet.FrameRequest,
 		&Request{Replica: 1, Epoch: 2, Algo: "nsga2", Spec: "zdt1", State: cp},
 		&Request{Replica: 1, Epoch: 3, Attempt: 1, Algo: "nsga2", Spec: "zdt1", State: cp})
 	replies := streamFrames(f, fleet.FrameReply,
-		&Reply{Replica: 1, Epoch: 2, State: cp, Evals: 3},
-		&Reply{Replica: 1, Epoch: 3, State: cp, Evals: 4, Err: "quarantined"})
+		&Reply{Replica: 1, Epoch: 2, State: cp},
+		&Reply{Replica: 1, Epoch: 3, State: cp, Err: "quarantined"})
 	beat := sealFrame(f, fleet.FrameHeartbeat, []byte("heartbeat"))
 	f.Add([]byte{})
 	f.Add(sealFrame(f, fleet.FrameRequest, []byte("seed")))
@@ -187,7 +189,7 @@ func FuzzFrameDecode(f *testing.F) {
 		r := bytes.NewReader(data)
 		stream := fleet.NewStream()
 		for {
-			typ, payload, err := fleet.ReadFrame(r, "fuzz")
+			typ, payload, err := stream.ReadFrame(r, "fuzz")
 			if err == io.EOF {
 				return
 			}

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"sacga/internal/fleet"
@@ -25,92 +27,79 @@ func (e *leaseError) Error() string {
 	return fmt.Sprintf("shard: replica %d epoch %d: worker %s deadline missed after %v", e.replica, e.epoch, e.kind, e.after)
 }
 
-// leaseSlack pads the connection-level deadline past the lease timer, so
-// the timer fires first and reports the typed leaseError; the deadline is
-// the backstop for the one case the timer cannot reach — a Write blocked
-// on a wedged worker's full pipe or socket buffer.
-const leaseSlack = 2 * time.Second
-
-// roundTrip sends req on the link and waits for its Reply. lease bounds
-// the whole exchange (0 = unbounded); hbTimeout bounds the gap between
-// worker frames (0 = no heartbeat monitoring). When a lease is set, the
-// connection's read/write deadlines are armed from it for the duration of
-// the step. On any non-nil error the link is TAINTED — the frames may be
-// desynced, the link's gob streams in an unknown state (an encode or
-// decode error, bytes left over after a reply, a reply abandoned to a
-// lease or heartbeat expiry), the worker wedged or gone — and the caller
-// must fail it on its pool session, never reuse it.
+// roundTrip sends req on the link and reads frames until its Reply, on the
+// caller's goroutine, under one connection deadline at a time. lease
+// bounds the whole exchange (0 = unbounded); hbTimeout bounds the gap
+// between complete worker frames (0 = no heartbeat monitoring). The Reply
+// is decoded fresh, so it does not alias the link's read buffer. On any
+// non-nil error the link is TAINTED — the frames may be desynced, the
+// link's gob streams in an unknown state, the worker wedged or gone — and
+// the caller must fail it on its pool session, never reuse it.
 func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Reply, error) {
+	// The lease counts from the Send, and its deadline also bounds a Send
+	// blocked on a wedged worker's full pipe or socket buffer.
+	var leaseEnd time.Time
 	if lease > 0 {
-		l.SetDeadline(time.Now().Add(lease + leaseSlack))
-		defer l.SetDeadline(time.Time{})
+		leaseEnd = time.Now().Add(lease)
+	}
+	defer l.SetDeadline(time.Time{})
+	if err := l.SetDeadline(leaseEnd); err != nil {
+		return nil, fmt.Errorf("shard: arm the lease: %w", err)
 	}
 	if err := l.Send(req); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, &leaseError{replica: req.Replica, epoch: req.Epoch, kind: "lease", after: lease}
+		}
 		return nil, fmt.Errorf("shard: send request: %w", err)
 	}
-	var leaseC <-chan time.Time
-	if lease > 0 {
-		leaseT := time.NewTimer(lease)
-		defer leaseT.Stop()
-		leaseC = leaseT.C
-	}
-	var hbT *time.Timer
-	var hbC <-chan time.Time
-	if hbTimeout > 0 {
-		hbT = time.NewTimer(hbTimeout)
-		defer hbT.Stop()
-		hbC = hbT.C
-	}
+	beat := time.Now() // the heartbeat gap counts from the Send, then from each frame
 	for {
-		select {
-		case f, ok := <-l.Frames():
-			if !ok {
-				return nil, fmt.Errorf("shard: worker stream closed mid-step")
+		// The deadline is the lease end, or the heartbeat gap's end when
+		// that comes sooner: either ends the read as a dead worker would,
+		// and the drop cause names which one it was.
+		deadline, kind, after := leaseEnd, "lease", lease
+		if hbTimeout > 0 {
+			if gap := beat.Add(hbTimeout); deadline.IsZero() || gap.Before(deadline) {
+				deadline, kind, after = gap, "heartbeat", hbTimeout
 			}
-			if f.Err != nil {
-				if f.Err == io.EOF {
-					return nil, fmt.Errorf("shard: worker exited mid-step (replica %d epoch %d)", req.Replica, req.Epoch)
-				}
-				return nil, f.Err
+		}
+		// A connection that cannot bound the read fails the step.
+		if err := l.SetDeadline(deadline); err != nil {
+			return nil, fmt.Errorf("shard: arm the %s deadline: %w", kind, err)
+		}
+		typ, payload, err := l.ReadFrame()
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return nil, &leaseError{replica: req.Replica, epoch: req.Epoch, kind: kind, after: after}
 			}
-			if hbT != nil {
-				// Any frame proves liveness; restart the gap timer.
-				if !hbT.Stop() {
-					select {
-					case <-hbT.C:
-					default:
-					}
-				}
-				hbT.Reset(hbTimeout)
+			if err == io.EOF {
+				return nil, fmt.Errorf("shard: worker exited mid-step (replica %d epoch %d)", req.Replica, req.Epoch)
 			}
-			switch f.Type {
-			case fleet.FrameHeartbeat:
-				continue
-			case fleet.FrameReply:
-				var reply Reply // fresh: gob leaves omitted fields as they are
-				if err := l.Decode(f.Payload, &reply); err != nil {
-					return nil, err
-				}
-				if reply.Replica != req.Replica || reply.Epoch != req.Epoch {
-					return nil, fmt.Errorf("shard: desynced reply: got replica %d epoch %d, want replica %d epoch %d",
-						reply.Replica, reply.Epoch, req.Replica, req.Epoch)
-				}
-				if reply.Err == "" && reply.State == nil {
-					// A worker that stepped cleanly always returns the
-					// new state: the frame decoded, but its content is
-					// wrong, so the link is as suspect as after a torn
-					// frame.
-					return nil, &search.CorruptError{Path: l.Addr(),
-						Reason: fmt.Sprintf("successful reply for replica %d epoch %d carries no state", req.Replica, req.Epoch)}
-				}
-				return &reply, nil
-			default:
-				return nil, fmt.Errorf("shard: unexpected frame type %d from worker", f.Type)
+			return nil, err
+		}
+		beat = time.Now()
+		switch typ {
+		case fleet.FrameHeartbeat:
+			continue
+		case fleet.FrameReply:
+			var reply Reply // fresh: gob leaves omitted fields as they are
+			if err := l.Decode(payload, &reply); err != nil {
+				return nil, err
 			}
-		case <-leaseC:
-			return nil, &leaseError{replica: req.Replica, epoch: req.Epoch, kind: "lease", after: lease}
-		case <-hbC:
-			return nil, &leaseError{replica: req.Replica, epoch: req.Epoch, kind: "heartbeat", after: hbTimeout}
+			if reply.Replica != req.Replica || reply.Epoch != req.Epoch {
+				return nil, fmt.Errorf("shard: desynced reply: got replica %d epoch %d, want replica %d epoch %d",
+					reply.Replica, reply.Epoch, req.Replica, req.Epoch)
+			}
+			if reply.Err == "" && reply.State == nil {
+				// A worker that stepped cleanly always returns the new
+				// state: the frame decoded, but its content is wrong, so
+				// the link is as suspect as after a torn frame.
+				return nil, &search.CorruptError{Path: l.Addr(),
+					Reason: fmt.Sprintf("successful reply for replica %d epoch %d carries no state", req.Replica, req.Epoch)}
+			}
+			return &reply, nil
+		default:
+			return nil, fmt.Errorf("shard: unexpected frame type %d from worker", typ)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 //
 //	coordinator → worker: Request  (replica config + checkpoint)
 //	worker → coordinator: Heartbeat*  (liveness while the step runs)
-//	worker → coordinator: Reply    (new checkpoint + accounting)
+//	worker → coordinator: Reply    (new checkpoint, or the step's error)
 //
 // Requests are self-contained — a worker holds NO replica state between
 // them, only a cache of built problems. That is the whole fault model: any
@@ -75,16 +75,11 @@ type Reply struct {
 	// it before retrying, exactly like the in-process scheduler retrying a
 	// quarantining engine. Nil only when the engine could not be built or
 	// restored at all, so the coordinator treats a Reply with no Err and
-	// no State as corrupt.
+	// no State as corrupt. The checkpoint carries the replica's
+	// generation and cumulative evaluation count: the coordinator answers
+	// both, and whether the replica is done, from the mirror it restores
+	// from it.
 	State *search.Checkpoint
-	// Evals is the replica's cumulative evaluation count (engine Evals(),
-	// which spans restore boundaries). The coordinator sums these for the
-	// ensemble budget.
-	Evals int64
-	// Gen is the replica's generation count after the step.
-	Gen int
-	// Done reports the replica has consumed its generation budget.
-	Done bool
 	// Err carries the step's error text ("" when clean). String, not
 	// error: gob cannot ship arbitrary error types, and the coordinator
 	// only needs the message for its drop report.
@@ -114,20 +109,20 @@ type WireOptions struct {
 	Generations int
 	Seed        int64
 	Workers     int
-	Initial     []search.IndividualSnap
+	Initial     ga.Population
 	Extra       any
 }
 
-// ToWire projects opts into wire form. The Initial population is
-// deep-snapped; SnapPopulation/UnsnapPopulation round-trip floats exactly,
-// so a shipped seed population is bit-identical to a local one.
+// ToWire projects opts into wire form. The Initial population is cloned;
+// gob round-trips floats exactly, so a shipped seed population is
+// bit-identical to a local one.
 func ToWire(opts search.Options) WireOptions {
 	return WireOptions{
 		PopSize:     opts.PopSize,
 		Generations: opts.Generations,
 		Seed:        opts.Seed,
 		Workers:     opts.Workers,
-		Initial:     search.SnapPopulation(opts.Initial),
+		Initial:     opts.Initial.Clone(),
 		Extra:       opts.Extra,
 	}
 }
@@ -136,7 +131,7 @@ func ToWire(opts search.Options) WireOptions {
 func (w WireOptions) Options() search.Options {
 	var initial ga.Population
 	if len(w.Initial) > 0 {
-		initial = search.UnsnapPopulation(w.Initial)
+		initial = w.Initial.Clone()
 	}
 	return search.Options{
 		PopSize:     w.PopSize,

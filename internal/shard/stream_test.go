@@ -301,11 +301,11 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 				if tamperedReply(info) {
 					reply.State = nil
 				}
-				payload, err := out.Encode(&reply)
+				frame, err := out.EncodeFrame(fleet.FrameReply, &reply)
 				if err != nil {
 					return nil
 				}
-				return reframe(payload)
+				return frame
 			}
 		}},
 	} {

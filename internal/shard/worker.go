@@ -36,7 +36,8 @@ type WorkerConfig struct {
 	// the coordinator's CRC path, truncate it to tear the stream
 	// mid-frame). It sees the whole reply frame as it would go on the
 	// wire: header, the Reply's bytes on the connection's gob stream, and
-	// CRC.
+	// CRC. The frame aliases the connection's Stream buffer and is valid
+	// only during the call: a hook that keeps it must copy it.
 	TransformReply func(StepInfo, []byte) []byte
 	// AfterReply, when non-nil, runs after each reply frame is written —
 	// the chaos suite's torn-stream point (exit here and a truncated
@@ -109,9 +110,8 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	// redialed or respawned worker starts on a fresh stream, as does the
 	// coordinator's new Link.
 	stream := fleet.NewStream()
-	var wmu sync.Mutex // serializes reply and heartbeat frames
 	for {
-		typ, payload, err := fleet.ReadFrame(r, "shard: worker stream")
+		typ, payload, err := stream.ReadFrame(r, workerSrc)
 		if err == io.EOF {
 			return nil
 		}
@@ -119,10 +119,10 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 			return err
 		}
 		if typ != fleet.FrameRequest {
-			return &search.CorruptError{Path: "shard: worker stream", Reason: fmt.Sprintf("unexpected frame type %d", typ)}
+			return &search.CorruptError{Path: workerSrc, Reason: fmt.Sprintf("unexpected frame type %d", typ)}
 		}
 		var req Request // fresh: no replica state survives the last request
-		if err := stream.Decode("shard: worker stream", payload, &req); err != nil {
+		if err := stream.Decode(workerSrc, payload, &req); err != nil {
 			return err // the stream is tainted: drop the connection
 		}
 		info := StepInfo{Replica: req.Replica, Epoch: req.Epoch, Attempt: req.Attempt, Init: req.Init}
@@ -133,20 +133,21 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		if req.HeartbeatEvery > 0 && period > 0 {
 			period = req.HeartbeatEvery // coordinator tuning; a disabled worker stays disabled
 		}
-		stop := startHeartbeats(w, &wmu, period, req.Replica, req.Epoch)
+		stop := startHeartbeats(w, period, req.Replica, req.Epoch)
 		reply := handleRequest(&req, problems, cfg.Build)
+		// stop returns once the heartbeat goroutine has exited, so the
+		// reply is the only writer on w from here on.
 		stop()
-		frame, err := sealReply(stream, reply)
+		frame, err := stream.EncodeFrame(fleet.FrameReply, reply)
 		if err != nil {
 			return err
 		}
+		// The frame aliases the stream's buffer: it is transformed and
+		// written before the next EncodeFrame reuses it.
 		if cfg.TransformReply != nil {
 			frame = cfg.TransformReply(info, frame)
 		}
-		wmu.Lock()
-		_, err = w.Write(frame)
-		wmu.Unlock()
-		if err != nil {
+		if _, err := w.Write(frame); err != nil {
 			return err
 		}
 		if cfg.AfterReply != nil {
@@ -155,32 +156,14 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 	}
 }
 
-// sealReply encodes reply on the connection's stream and builds the
-// complete frame bytes (so TransformReply can corrupt the real wire form,
-// CRC included). The frame is a copy: the stream's buffer is free for the
-// next Encode once it returns.
-func sealReply(stream *fleet.Stream, reply *Reply) ([]byte, error) {
-	payload, err := stream.Encode(reply)
-	if err != nil {
-		return nil, err
-	}
-	var buf writerBuffer
-	if err := fleet.WriteFrame(&buf, fleet.FrameReply, payload); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
+// workerSrc names the worker's stream in errors.
+const workerSrc = "shard: worker stream"
 
 // startHeartbeats emits heartbeat frames every period until the returned
-// stop function is called. A non-positive period disables them.
-func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica, epoch int) (stop func()) {
+// stop function is called; stop returns once the emitting goroutine has
+// exited, so the heartbeats and the reply never write w at once. A
+// non-positive period disables them.
+func startHeartbeats(w io.Writer, period time.Duration, replica, epoch int) (stop func()) {
 	if period <= 0 {
 		return func() {}
 	}
@@ -203,10 +186,7 @@ func startHeartbeats(w io.Writer, wmu *sync.Mutex, period time.Duration, replica
 			case <-done:
 				return
 			case <-t.C:
-				wmu.Lock()
-				err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload.Bytes())
-				wmu.Unlock()
-				if err != nil {
+				if err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload.Bytes()); err != nil {
 					return // pipe gone; the main loop will notice too
 				}
 			}
@@ -268,9 +248,6 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 		}
 	}
 	reply.State = eng.Checkpoint()
-	reply.Evals = eng.Evals()
-	reply.Gen = eng.Generation()
-	reply.Done = eng.Done()
 	if stepErr != nil {
 		reply.Err = stepErr.Error()
 	}
