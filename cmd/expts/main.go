@@ -39,6 +39,11 @@ func main() {
 		cache   = flag.Bool("cache", true, "skip experiments already completed for this config (cache file in -out; requires -out)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "expts: unexpected arguments: %v (select experiments with -fig)\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, id := range expt.IDs() {

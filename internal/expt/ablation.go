@@ -1,10 +1,7 @@
 package expt
 
 import (
-	"time"
-
 	"sacga/internal/islands"
-	"sacga/internal/objective"
 	"sacga/internal/sacga"
 	"sacga/internal/search"
 	"sacga/internal/sizing"
@@ -33,50 +30,34 @@ func Ablation(c Config) (*Report, error) {
 	rep := newReport("ablation", Title("ablation"))
 	total := c.iters(800)
 	spec := sizing.PaperSpec()
-
 	variants := []string{"tpg", "local-only", "instant-global", "sacga", "islands"}
-	hv := make(map[string][]float64, len(variants))
-	minCL := make(map[string][]float64, len(variants))
-	type job struct {
-		vi, si int
-	}
-	var jobs []job
-	for vi := range variants {
-		for si := 0; si < c.Seeds; si++ {
-			jobs = append(jobs, job{vi, si})
-		}
-	}
-	results := make([]runOut, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		seed := c.Seed + int64(j.si)
-		switch variants[j.vi] {
+	outs, err := c.sweep(len(variants)*c.Seeds, func(i int) runOut {
+		name, seed := variants[i/c.Seeds], c.Seed+int64(i%c.Seeds)
+		switch name {
 		case "tpg":
-			results[i] = c.runTPG(spec, total, seed)
+			return c.runTPG(spec, total, seed)
 		case "local-only":
-			results[i] = c.runLocalOnly(spec, 8, total, seed)
+			p := c.sacgaParams(8, total)
+			p.LocalOnly = true
+			return c.run(name, spec, new(sacga.Engine), c.opts(total, seed, p))
 		case "instant-global":
-			results[i] = c.runSACGAShaped("instant-global", spec, 8, total, seed, instantGlobalShape())
+			p := c.sacgaParams(8, total)
+			p.Shape = instantGlobalShape()
+			return c.run(name, spec, new(sacga.Engine), c.opts(total, seed, p))
 		case "sacga":
-			results[i] = c.runSACGA(spec, 8, total, seed)
-		case "islands":
-			results[i] = c.runIslands(spec, total, seed)
+			return c.runSACGA(spec, 8, total, seed)
+		default:
+			// Five islands of a fifth of the population each (at least 4)
+			// and the same generation count: an equal evaluation budget.
+			size := max(c.PopSize/5, 4)
+			return c.run(name, spec, new(islands.Engine), search.Options{PopSize: 5 * size, Generations: total, Seed: seed,
+				Extra: &islands.Params{Islands: 5, IslandSize: size, MigrationEvery: 10, Migrants: 2}})
 		}
 	})
-	if err := runsErr(results); err != nil {
+	if err != nil {
 		return rep, err
 	}
-	for i, j := range jobs {
-		name := variants[j.vi]
-		hv[name] = append(hv[name], results[i].hvCover)
-		minCL[name] = append(minCL[name], results[i].minCL*1e12)
-	}
-	for _, name := range variants {
-		rep.Values["hv_"+name] = stats.Mean(hv[name])
-		rep.Values["min_cl_pF_"+name] = stats.Mean(minCL[name])
-		rep.linef("%-14s coverage-HV %.2f, lowest covered load %.2f pF",
-			name, stats.Mean(hv[name]), stats.Mean(minCL[name]))
-	}
+	tabulateCoverage(rep, variants, c.Seeds, outs)
 	if mixBeatsExtremes(rep.Values) {
 		rep.linef("annealed mix beats TPG and both extremes — the paper's central design argument")
 		rep.Values["mix_beats_extremes"] = 1
@@ -84,6 +65,25 @@ func Ablation(c Config) (*Report, error) {
 		rep.Values["mix_beats_extremes"] = 0
 	}
 	return rep, nil
+}
+
+// tabulateCoverage reports each variant's mean coverage hypervolume and
+// lowest covered load over its seeds, read from a variant-major sweep.
+func tabulateCoverage(rep *Report, variants []string, seeds int, outs []runOut) {
+	width := 0
+	for _, name := range variants {
+		width = max(width, len(name))
+	}
+	for vi, name := range variants {
+		hv := make([]float64, seeds)
+		minCL := make([]float64, seeds)
+		for s, o := range outs[vi*seeds : (vi+1)*seeds] {
+			hv[s], minCL[s] = o.hvCover, o.minCL*1e12
+		}
+		rep.Values["hv_"+name] = stats.Mean(hv)
+		rep.Values["min_cl_pF_"+name] = stats.Mean(minCL)
+		rep.linef("%-*s coverage-HV %.2f, lowest covered load %.2f pF", width, name, stats.Mean(hv), stats.Mean(minCL))
+	}
 }
 
 // mixBeatsExtremes is the ablation's verdict on the paper's central design
@@ -103,52 +103,4 @@ func mixBeatsExtremes(values map[string]float64) bool {
 // slot and iteration: global competition from the first phase-II step.
 func instantGlobalShape() *sacga.Shape {
 	return &sacga.Shape{K1: 1, K2: 0, K3: 1, Alpha: 1e12, Tinit: 2}
-}
-
-// runLocalOnly digests the §4.3 local-competition-only variant.
-func (c *Config) runLocalOnly(spec sizing.Spec, m, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	start := time.Now()
-	res, err := run(new(sacga.Engine), prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-		Extra: &sacga.Params{
-			Partitions:         m,
-			PartitionObjective: 1,
-			PartitionLo:        clLo,
-			PartitionHi:        clHi,
-			LocalOnly:          true,
-		},
-	})
-	out := digest("local-only", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
-}
-
-// runIslands digests the island-model comparator at an equal evaluation
-// budget (islands × islandSize = PopSize, same generation count).
-func (c *Config) runIslands(spec sizing.Spec, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	nIslands := 5
-	size := c.PopSize / nIslands
-	if size < 4 {
-		size = 4
-	}
-	start := time.Now()
-	res, err := run(new(islands.Engine), prob, search.Options{
-		PopSize:     nIslands * size,
-		Generations: total,
-		Seed:        seed,
-		Extra: &islands.Params{
-			Islands:        nIslands,
-			IslandSize:     size,
-			MigrationEvery: 10,
-			Migrants:       2,
-		},
-	})
-	out := digest("islands", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
 }

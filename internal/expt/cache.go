@@ -27,9 +27,12 @@ import (
 // deliberately excluded: the engine guarantees bit-identical results at any
 // parallelism, so a cached report stays valid when only those change.
 //
-// A Cache is safe for concurrent use; the store is rewritten atomically
-// (temp file + rename) after every successful run so a crash never corrupts
-// previously cached entries.
+// A Cache is safe for concurrent use; the store is rewritten durably
+// (search.WriteFileAtomic: temp file, fsync, rename, directory sync) after
+// every successful run so a crash never corrupts previously cached entries.
+// A report that JSON cannot encode, one holding a NaN or an infinity, is
+// refused by Store and stays uncached alone: the entries before and after
+// it are still persisted.
 type Cache struct {
 	path string
 
@@ -121,8 +124,13 @@ func (c *Cache) Lookup(id string, cfg Config) (*Report, bool) {
 	return &cp, true
 }
 
-// Store records a completed run and persists the cache file atomically.
+// Store records a completed run and persists the cache file durably. A
+// report JSON cannot encode is refused before it enters the cache, so it
+// cannot make every later Store fail with it.
 func (c *Cache) Store(id string, cfg Config, rep *Report) error {
+	if _, err := json.Marshal(rep); err != nil {
+		return fmt.Errorf("expt: caching %s: %w", id, err)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries[cacheKey(id, cfg)] = rep
@@ -133,11 +141,7 @@ func (c *Cache) Store(id string, cfg Config, rep *Report) error {
 	if err := os.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
 		return err
 	}
-	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.path)
+	return search.WriteFileAtomic(c.path, data)
 }
 
 // Hits and Misses report lookup statistics for this process.

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -99,6 +100,37 @@ func TestCacheFailedRunsNotStored(t *testing.T) {
 	}
 	if cache.Len() != 0 {
 		t.Fatal("failed runs must not be cached")
+	}
+}
+
+// TestCacheNonFiniteReportStaysUncached stores a report JSON cannot encode
+// (a front with no feasible point reports an infinite lowest load), then a
+// finite one. The first Store must fail without blocking the second, and
+// the file must hold the finite report alone.
+func TestCacheNonFiniteReportStaysUncached(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	cache, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cacheTestConfig()
+	inf := &Report{ID: "ablation", Values: map[string]float64{"min_cl_pF_islands": math.Inf(1)}}
+	if err := cache.Store("ablation", cfg, inf); err == nil {
+		t.Fatal("storing a +Inf value must fail")
+	}
+	finite := &Report{ID: "fig2", Values: map[string]float64{"min_cl_pF": 1.5}}
+	if err := cache.Store("fig2", cfg, finite); err != nil {
+		t.Fatalf("a finite report must still be stored after a refused one: %v", err)
+	}
+	reopened, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, ok := reopened.Lookup("fig2", cfg); !ok || rep.Values["min_cl_pF"] != 1.5 {
+		t.Fatalf("finite report not persisted: %+v, %v", rep, ok)
+	}
+	if _, ok := reopened.Lookup("ablation", cfg); ok {
+		t.Fatal("the refused +Inf report must stay uncached")
 	}
 }
 

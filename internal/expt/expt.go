@@ -1,9 +1,16 @@
 // Package expt is the reproduction harness: one runner per figure of the
 // paper's evaluation (figs. 2, 4, 5, 6, 8, 9, 10, 11) plus the §5 trends
-// study over twenty graded specifications. Each runner executes the
-// required optimizer runs, writes CSV data and an ASCII chart into an
-// output directory, and returns a Report with the headline numbers that
-// EXPERIMENTS.md tracks against the paper.
+// study over twenty graded specifications, a design-choice ablation and a
+// comparison of the multi-engine schedulers. Each runner executes the
+// required optimizer runs and returns a Report with its headline numbers;
+// the figure runners also write CSV data and an ASCII chart into an output
+// directory.
+//
+// Every optimizer run takes one path: Config.run drives an engine through
+// search.Run and digests its front, and Config.sweep runs a figure's
+// independent runs on the shared worker pool. A runner keeps only what is
+// its own: which variants it runs, which seed each run gets, and how it
+// reduces the digests to Report.Values.
 //
 // Budgets scale with Config.Scale: 1.0 reproduces the paper's iteration
 // counts (hundreds of thousands of circuit evaluations — minutes of CPU);
@@ -23,7 +30,6 @@ import (
 	"sacga/internal/hypervolume"
 	"sacga/internal/mesacga"
 	"sacga/internal/nsga2"
-	"sacga/internal/objective"
 	"sacga/internal/plot"
 	"sacga/internal/process"
 	"sacga/internal/sacga"
@@ -179,192 +185,110 @@ func (c *Config) problem(spec sizing.Spec) *sizing.Problem {
 
 // runOut is one optimizer run's digest.
 type runOut struct {
-	algo     string
-	pts      []hypervolume.Point2 // feasible front, reported (CL, Power) SI
-	hv       float64              // paper staircase metric, 0.1 mW·pF units
-	hvCover  float64              // coverage-pinned variant, same units
-	minCL    float64              // smallest feasible front CL (F)
-	evals    int64
-	wall     time.Duration
-	gentUsed int
-	err      error // evaluation fault, if the run degraded (digest still valid)
+	algo    string
+	pts     []hypervolume.Point2 // feasible front, reported (CL, Power) SI
+	hv      float64              // paper staircase metric, 0.1 mW·pF units
+	hvCover float64              // coverage-pinned variant, same units
+	minCL   float64              // smallest feasible front CL (F)
+	wall    time.Duration
+	err     error // evaluation fault, if the run degraded (digest still valid)
 }
 
+// run drives eng on spec through search.Run and digests its front under
+// the label algo. Evaluation faults do not crash the harness: the
+// best-so-far front comes back alongside the typed error, so a degraded
+// run is digested too and sweep propagates its fault.
+func (c *Config) run(algo string, spec sizing.Spec, eng search.Engine, opts search.Options) runOut {
+	prob := c.problem(spec)
+	start := time.Now()
+	res, err := search.Run(context.Background(), eng, prob, opts)
+	out := runOut{algo: algo, wall: time.Since(start), err: err, minCL: math.Inf(1)}
+	if res != nil {
+		out.pts = frontPoints(res.Front)
+	}
+	for _, p := range out.pts {
+		out.minCL = math.Min(out.minCL, p.X)
+	}
+	out.hv = hypervolume.PaperMetric(out.pts) / hvUnit
+	out.hvCover = hypervolume.PaperMetricCovering(out.pts, sizing.CLMax, powerCeiling) / hvUnit
+	return out
+}
+
+// sweep runs a figure's n independent optimizer runs on the shared worker
+// pool, at most c.Workers at a time, and returns their digests by run
+// index with the lowest-index fault, so a figure reports a degraded sweep
+// instead of silently plotting quarantined individuals. Each run derives
+// its seed from its index and writes only its own slot, so the digests are
+// bit-identical however the pool schedules the runs, sequential included.
+func (c *Config) sweep(n int, run func(i int) runOut) ([]runOut, error) {
+	outs := make([]runOut, n)
+	ga.SharedPool().RunLimit(n, c.Workers, func(i int) { outs[i] = run(i) })
+	for i, o := range outs {
+		if o.err != nil {
+			return outs, fmt.Errorf("expt: %s replicate %d: %w", o.algo, i, o.err)
+		}
+	}
+	return outs, nil
+}
+
+// opts is a run of total iterations from seed at the configured population.
+func (c *Config) opts(total int, seed int64, extra any) search.Options {
+	return search.Options{PopSize: c.PopSize, Generations: total, Seed: seed, Extra: extra}
+}
+
+// sacgaParams partitions the load axis (objective 1, over the sizing CL
+// range) into m slots. Phase I is bounded by the paper's 200-iteration
+// allocation (scaled) and by a quarter of the total budget; phase II
+// consumes the remainder (the engine's derived-span mode), keeping
+// evaluation budgets comparable with TPG.
+func (c *Config) sacgaParams(m, total int) *sacga.Params {
+	lo, hi := sizing.ObjectiveRangeCL()
+	return &sacga.Params{Partitions: m, PartitionObjective: 1, PartitionLo: lo, PartitionHi: hi,
+		GentMax: min(c.iters(200), total/4+1)}
+}
+
+// mesacgaParams is sacgaParams for MESACGA on its default schedule: the
+// post-phase-I budget is split evenly across the phases.
+func (c *Config) mesacgaParams(total int) *mesacga.Params {
+	lo, hi := sizing.ObjectiveRangeCL()
+	return &mesacga.Params{PartitionObjective: 1, PartitionLo: lo, PartitionHi: hi,
+		GentMax: min(c.iters(200), total/4+1)}
+}
+
+// runTPG runs the NSGA-II baseline for total iterations.
+func (c *Config) runTPG(spec sizing.Spec, total int, seed int64) runOut {
+	return c.run("TPG", spec, new(nsga2.Engine), c.opts(total, seed, nil))
+}
+
+// runSACGA runs SACGA with m load partitions for total iterations.
+func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
+	return c.run("SACGA", spec, new(sacga.Engine), c.opts(total, seed, c.sacgaParams(m, total)))
+}
+
+// runMESACGA runs MESACGA on its default schedule for total iterations.
+func (c *Config) runMESACGA(spec sizing.Spec, total int, seed int64) runOut {
+	return c.run("MESACGA", spec, new(mesacga.Engine), c.opts(total, seed, c.mesacgaParams(total)))
+}
+
+// circuitPoint projects a feasible individual onto the reported
+// (CL, Power) plane; an infeasible one has no point.
+func circuitPoint(ind *ga.Individual) (hypervolume.Point2, bool) {
+	if !ind.Feasible() {
+		return hypervolume.Point2{}, false
+	}
+	cl, pw := sizing.ReportedPoint(ind.Objectives)
+	return hypervolume.Point2{X: cl, Y: pw}, true
+}
+
+// frontPoints is the feasible part of a front on the reported plane.
 func frontPoints(front ga.Population) []hypervolume.Point2 {
 	pts := make([]hypervolume.Point2, 0, len(front))
 	for _, ind := range front {
-		if !ind.Feasible() {
-			continue
+		if p, ok := circuitPoint(ind); ok {
+			pts = append(pts, p)
 		}
-		cl, pw := sizing.ReportedPoint(ind.Objectives)
-		pts = append(pts, hypervolume.Point2{X: cl, Y: pw})
 	}
 	return pts
-}
-
-func digest(algo string, front ga.Population, evals int64, wall time.Duration, gent int) runOut {
-	pts := frontPoints(front)
-	minCL := math.Inf(1)
-	for _, p := range pts {
-		minCL = math.Min(minCL, p.X)
-	}
-	return runOut{
-		algo:     algo,
-		pts:      pts,
-		hv:       hypervolume.PaperMetric(pts) / hvUnit,
-		hvCover:  hypervolume.PaperMetricCovering(pts, sizing.CLMax, powerCeiling) / hvUnit,
-		minCL:    minCL,
-		evals:    evals,
-		wall:     wall,
-		gentUsed: gent,
-	}
-}
-
-// run drives an engine through the unified search driver. Evaluation
-// faults no longer crash the harness: the best-so-far result comes back
-// alongside the typed error, so runners digest whatever survived and the
-// figure functions propagate the fault.
-func run(eng search.Engine, prob objective.Problem, opts search.Options) (*search.Result, error) {
-	res, err := search.Run(context.Background(), eng, prob, opts)
-	if res == nil {
-		res = &search.Result{}
-	}
-	return res, err
-}
-
-// runsErr surfaces the first per-replicate fault, so a figure reports a
-// degraded sweep instead of silently plotting quarantined individuals.
-func runsErr(outs []runOut) error {
-	for i := range outs {
-		if outs[i].err != nil {
-			return fmt.Errorf("expt: %s replicate %d: %w", outs[i].algo, i, outs[i].err)
-		}
-	}
-	return nil
-}
-
-// firstErr is runsErr for sweeps that keep a bare error slice.
-func firstErr(errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("expt: replicate %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// runTPG runs the NSGA-II baseline for `total` iterations.
-func (c *Config) runTPG(spec sizing.Spec, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	start := time.Now()
-	res, err := run(new(nsga2.Engine), prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-	})
-	out := digest("TPG", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
-}
-
-// runSACGA runs SACGA with m partitions and a total iteration budget: phase
-// I is bounded by the paper's 200-iteration allocation (scaled), and phase
-// II consumes the remainder (the engine's derived-span mode), keeping
-// evaluation budgets comparable with TPG.
-func (c *Config) runSACGA(spec sizing.Spec, m, total int, seed int64) runOut {
-	return c.runSACGAShaped("SACGA", spec, m, total, seed, nil)
-}
-
-// runSACGAShaped is runSACGA with an explicit participation shape (nil
-// selects the default) and the label its digest carries.
-func (c *Config) runSACGAShaped(algo string, spec sizing.Spec, m, total int, seed int64, shape *sacga.Shape) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	gentMax := min(c.iters(200), total/4+1)
-	start := time.Now()
-	eng := new(sacga.Engine)
-	res, err := run(eng, prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-		Extra: &sacga.Params{
-			Partitions:         m,
-			PartitionObjective: 1,
-			PartitionLo:        clLo,
-			PartitionHi:        clHi,
-			GentMax:            gentMax,
-			Shape:              shape,
-		},
-	})
-	out := digest(algo, res.Front, prob.Count(), time.Since(start), eng.GentUsed())
-	out.err = err
-	return out
-}
-
-// runMESACGA runs MESACGA with the given schedule; the post-phase-I budget
-// is split evenly across phases (the engine's derived-span mode).
-func (c *Config) runMESACGA(spec sizing.Spec, schedule []int, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	gentMax := min(c.iters(200), total/4+1)
-	start := time.Now()
-	eng := new(mesacga.Engine)
-	res, err := run(eng, prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-		Extra: &mesacga.Params{
-			Schedule:           schedule,
-			PartitionObjective: 1,
-			PartitionLo:        clLo,
-			PartitionHi:        clHi,
-			GentMax:            gentMax,
-		},
-	})
-	out := digest("MESACGA", res.Front, prob.Count(), time.Since(start), eng.GentUsed())
-	out.err = err
-	return out
-}
-
-// runMESACGASpanned runs MESACGA with an exact per-phase span (fig. 10's
-// x-parameter) instead of a total budget, returning the global front
-// recorded at the end of each phase.
-func (c *Config) runMESACGASpanned(spec sizing.Spec, schedule []int, span int, seed int64) ([]ga.Population, error) {
-	prob := objective.NewCounter(c.problem(spec))
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	eng := new(mesacga.Engine)
-	_, err := run(eng, prob, search.Options{
-		PopSize: c.PopSize,
-		Seed:    seed,
-		Extra: &mesacga.Params{
-			Schedule:           schedule,
-			PartitionObjective: 1,
-			PartitionLo:        clLo,
-			PartitionHi:        clHi,
-			GentMax:            c.iters(200),
-			Span:               span,
-		},
-	})
-	return eng.PhaseFronts(), err
-}
-
-// parallelRuns executes n replicate jobs across the shared worker pool,
-// bounded by c.Workers. Each job derives its own RNG stream from the job
-// index (runners pass seed+i to the optimizers), and results are written to
-// index-addressed slots, so the outcome is bit-identical no matter how the
-// pool schedules the jobs — including fully sequential execution.
-func (c *Config) parallelRuns(n int, job func(i int)) {
-	workers := c.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
-	}
-	ga.SharedPool().RunLimit(n, workers, job)
 }
 
 // frontSeries converts a digest to a plot series in (pF, mW) axes.
@@ -377,6 +301,31 @@ func frontSeries(out runOut) plot.Series {
 	return s
 }
 
+// writeChart renders series as the ASCII chart name.txt in c.OutDir.
+func writeChart(rep *Report, c Config, name string, ch plot.Chart, series []plot.Series) error {
+	path := filepath.Join(c.OutDir, name+".txt")
+	if err := ch.RenderToFile(path, series); err != nil {
+		return err
+	}
+	rep.Files = append(rep.Files, path)
+	return nil
+}
+
+// writeCurves emits a curve figure: its table as name.csv and its series
+// as a connected-line chart. An empty OutDir writes nothing.
+func writeCurves(rep *Report, c Config, name string, header []string, rows [][]float64, ch plot.Chart, series []plot.Series) error {
+	if c.OutDir == "" {
+		return nil
+	}
+	path := filepath.Join(c.OutDir, name+".csv")
+	if err := plot.WriteCSV(path, header, rows); err != nil {
+		return err
+	}
+	rep.Files = append(rep.Files, path)
+	ch.Connect = true
+	return writeChart(rep, c, name, ch, series)
+}
+
 // writeFrontArtifacts emits the CSV and ASCII chart of a set of fronts.
 func writeFrontArtifacts(rep *Report, c Config, name, title string, outs []runOut) error {
 	if c.OutDir == "" {
@@ -386,22 +335,12 @@ func writeFrontArtifacts(rep *Report, c Config, name, title string, outs []runOu
 	for i, o := range outs {
 		series[i] = frontSeries(o)
 	}
-	csvPath := filepath.Join(c.OutDir, name+".csv")
-	if err := plot.WriteSeriesCSV(csvPath, series); err != nil {
+	path := filepath.Join(c.OutDir, name+".csv")
+	if err := plot.WriteSeriesCSV(path, series); err != nil {
 		return err
 	}
-	rep.Files = append(rep.Files, csvPath)
-	chartPath := filepath.Join(c.OutDir, name+".txt")
-	ch := plot.Chart{
-		Title:  title,
-		XLabel: "Load Capacitance (pF)",
-		YLabel: "P(mW)",
-	}
-	if err := ch.RenderToFile(chartPath, series); err != nil {
-		return err
-	}
-	rep.Files = append(rep.Files, chartPath)
-	return nil
+	rep.Files = append(rep.Files, path)
+	return writeChart(rep, c, name, plot.Chart{Title: title, XLabel: "Load Capacitance (pF)", YLabel: "P(mW)"}, series)
 }
 
 // clusterFraction is the share of front points with CL in [4,5] pF — the

@@ -3,9 +3,9 @@ package expt
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 
 	"sacga/internal/hypervolume"
+	"sacga/internal/mesacga"
 	"sacga/internal/plot"
 	"sacga/internal/sacga"
 	"sacga/internal/sizing"
@@ -20,11 +20,10 @@ func Fig2(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("fig2", Title("fig2"))
 	total := c.iters(800)
-	outs := make([]runOut, c.Seeds)
-	c.parallelRuns(c.Seeds, func(i int) {
-		outs[i] = c.runTPG(sizing.PaperSpec(), total, c.Seed+int64(i))
+	outs, err := c.sweep(c.Seeds, func(i int) runOut {
+		return c.runTPG(sizing.PaperSpec(), total, c.Seed+int64(i))
 	})
-	if err := runsErr(outs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	cluster := make([]float64, c.Seeds)
@@ -42,10 +41,7 @@ func Fig2(c Config) (*Report, error) {
 	rep.Values["front_size"] = float64(len(outs[0].pts))
 	rep.linef("TPG front after %d iterations: %.0f%% of points in 4–5 pF, lowest covered load %.2f pF (paper: cluster mostly between 4 and 5 pF)",
 		total, 100*stats.Mean(cluster), stats.Mean(minCL))
-	if err := writeFrontArtifacts(rep, c, "fig2_front", "fig2: TPG (NSGA-II) Pareto front", outs[:1]); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, writeFrontArtifacts(rep, c, "fig2_front", "fig2: TPG (NSGA-II) Pareto front", outs[:1])
 }
 
 // Fig4 reproduces fig. 4: the participation-probability curves of eqn. (3)
@@ -74,22 +70,9 @@ func Fig4(c Config) (*Report, error) {
 	}
 	rep.linef("probability curves: p(i=1) rises earliest (%.2f at mid-span), p(i=5) stays protected (%.2f at mid) and all slots reach >= %.2f at span end",
 		rep.Values["p1_mid"], rep.Values["p5_mid"], rep.Values["p5_end"])
-	if c.OutDir != "" {
-		csvPath := filepath.Join(c.OutDir, "fig4_prob.csv")
-		if err := plot.WriteCSV(csvPath,
-			[]string{"gen_minus_gent", "p_i1", "p_i2", "p_i3", "p_i4", "p_i5"}, rows); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, csvPath)
-		chart := plot.Chart{Title: "fig4: participation probability, n=5, span=100",
-			XLabel: "gen - gen_t", YLabel: "prob", Connect: true}
-		chartPath := filepath.Join(c.OutDir, "fig4_prob.txt")
-		if err := chart.RenderToFile(chartPath, series); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, chartPath)
-	}
-	return rep, nil
+	return rep, writeCurves(rep, c, "fig4_prob",
+		[]string{"gen_minus_gent", "p_i1", "p_i2", "p_i3", "p_i4", "p_i5"}, rows,
+		plot.Chart{Title: "fig4: participation probability, n=5, span=100", XLabel: "gen - gen_t", YLabel: "prob"}, series)
 }
 
 // Fig5 reproduces fig. 5: the TPG front against the 8-partition SACGA front
@@ -98,16 +81,14 @@ func Fig5(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("fig5", Title("fig5"))
 	total := c.iters(800)
-	outs := make([]runOut, 2*c.Seeds)
-	c.parallelRuns(2*c.Seeds, func(i int) {
+	outs, err := c.sweep(2*c.Seeds, func(i int) runOut {
 		seed := c.Seed + int64(i/2)
 		if i%2 == 0 {
-			outs[i] = c.runTPG(sizing.PaperSpec(), total, seed)
-		} else {
-			outs[i] = c.runSACGA(sizing.PaperSpec(), 8, total, seed)
+			return c.runTPG(sizing.PaperSpec(), total, seed)
 		}
+		return c.runSACGA(sizing.PaperSpec(), 8, total, seed)
 	})
-	if err := runsErr(outs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	var hvT, hvS, minT, minS []float64
@@ -124,10 +105,7 @@ func Fig5(c Config) (*Report, error) {
 	rep.Values["min_cl_sacga_pF"] = stats.Mean(minS)
 	rep.linef("after %d iterations: SACGA HV %.2f vs TPG %.2f (0.1 mW·pF; lower better); SACGA covers down to %.2f pF vs TPG %.2f pF",
 		total, stats.Mean(hvS), stats.Mean(hvT), stats.Mean(minS), stats.Mean(minT))
-	if err := writeFrontArtifacts(rep, c, "fig5_fronts", "fig5: TPG vs 8-partition SACGA", outs[:2]); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, writeFrontArtifacts(rep, c, "fig5_fronts", "fig5: TPG vs 8-partition SACGA", outs[:2])
 }
 
 // Fig6 reproduces fig. 6: SACGA solution quality (paper hypervolume, lower
@@ -138,34 +116,19 @@ func Fig6(c Config) (*Report, error) {
 	rep := newReport("fig6", Title("fig6"))
 	total := c.iters(1200)
 	ms := []int{6, 8, 10, 12, 14, 16, 18, 20, 22, 24}
-	type job struct{ mi, si int }
-	jobs := make([]job, 0, len(ms)*c.Seeds)
-	for mi := range ms {
-		for si := 0; si < c.Seeds; si++ {
-			jobs = append(jobs, job{mi, si})
-		}
-	}
-	hv := make([][]float64, len(ms))
-	for i := range hv {
-		hv[i] = make([]float64, c.Seeds)
-	}
-	errs := make([]error, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		out := c.runSACGA(sizing.PaperSpec(), ms[j.mi], total, c.Seed+int64(j.si))
-		hv[j.mi][j.si] = out.hv
-		errs[i] = out.err
+	outs, err := c.sweep(len(ms)*c.Seeds, func(i int) runOut {
+		return c.runSACGA(sizing.PaperSpec(), ms[i/c.Seeds], total, c.Seed+int64(i%c.Seeds))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	var rows [][]float64
-	var series plot.Series
-	series.Name = fmt.Sprintf("HV after %d iters", total)
+	series := plot.Series{Name: fmt.Sprintf("HV after %d iters", total)}
 	bestM, bestHV := 0, math.Inf(1)
 	for i, m := range ms {
-		mean := stats.Mean(hv[i])
-		rows = append(rows, []float64{float64(m), mean, stats.Std(hv[i])})
+		hv := paperHVs(outs[i*c.Seeds : (i+1)*c.Seeds])
+		mean := stats.Mean(hv)
+		rows = append(rows, []float64{float64(m), mean, stats.Std(hv)})
 		series.X = append(series.X, float64(m))
 		series.Y = append(series.Y, mean)
 		rep.Values[fmt.Sprintf("hv_m%d", m)] = mean
@@ -182,21 +145,8 @@ func Fig6(c Config) (*Report, error) {
 	}
 	rep.Values["optimum_interior"] = interior
 	rep.linef("best partition count m=%d (HV %.2f); paper found an interior optimum at m=16 on its instance", bestM, bestHV)
-	if c.OutDir != "" {
-		csvPath := filepath.Join(c.OutDir, "fig6_partitions.csv")
-		if err := plot.WriteCSV(csvPath, []string{"m", "hv_mean", "hv_std"}, rows); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, csvPath)
-		chart := plot.Chart{Title: "fig6: HV vs number of partitions",
-			XLabel: "partitions m", YLabel: "HV", Connect: true}
-		chartPath := filepath.Join(c.OutDir, "fig6_partitions.txt")
-		if err := chart.RenderToFile(chartPath, []plot.Series{series}); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, chartPath)
-	}
-	return rep, nil
+	return rep, writeCurves(rep, c, "fig6_partitions", []string{"m", "hv_mean", "hv_std"}, rows,
+		plot.Chart{Title: "fig6: HV vs number of partitions", XLabel: "partitions m", YLabel: "HV"}, []plot.Series{series})
 }
 
 // Fig8 reproduces fig. 8: the three-way front comparison TPG vs SACGA vs
@@ -205,19 +155,18 @@ func Fig8(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("fig8", Title("fig8"))
 	total := c.iters(800)
-	outs := make([]runOut, 3*c.Seeds)
-	c.parallelRuns(3*c.Seeds, func(i int) {
+	outs, err := c.sweep(3*c.Seeds, func(i int) runOut {
 		seed := c.Seed + int64(i/3)
 		switch i % 3 {
 		case 0:
-			outs[i] = c.runTPG(sizing.PaperSpec(), total, seed)
+			return c.runTPG(sizing.PaperSpec(), total, seed)
 		case 1:
-			outs[i] = c.runSACGA(sizing.PaperSpec(), 8, total, seed)
+			return c.runSACGA(sizing.PaperSpec(), 8, total, seed)
 		default:
-			outs[i] = c.runMESACGA(sizing.PaperSpec(), nil, total, seed)
+			return c.runMESACGA(sizing.PaperSpec(), total, seed)
 		}
 	})
-	if err := runsErr(outs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	var hvT, hvS, hvM []float64
@@ -237,10 +186,7 @@ func Fig8(c Config) (*Report, error) {
 	rep.Values["ordering_holds"] = ordered
 	rep.linef("HV after %d iterations: MESACGA %.2f, SACGA %.2f, TPG %.2f (paper order MESACGA >= SACGA >= TPG in quality, i.e. ascending HV)",
 		total, stats.Mean(hvM), stats.Mean(hvS), stats.Mean(hvT))
-	if err := writeFrontArtifacts(rep, c, "fig8_fronts", "fig8: TPG vs SACGA vs MESACGA", outs[:3]); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, writeFrontArtifacts(rep, c, "fig8_fronts", "fig8: TPG vs SACGA vs MESACGA", outs[:3])
 }
 
 // Fig9 reproduces fig. 9: SACGA front quality when the run is preset to
@@ -250,58 +196,30 @@ func Fig9(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("fig9", Title("fig9"))
 	totals := []int{100, 200, 400, 600, 800, 1000, 1200}
-	type job struct{ ti, si int }
-	var jobs []job
-	for ti := range totals {
-		for si := 0; si < c.Seeds; si++ {
-			jobs = append(jobs, job{ti, si})
-		}
-	}
-	hv := make([][]float64, len(totals))
-	for i := range hv {
-		hv[i] = make([]float64, c.Seeds)
-	}
-	errs := make([]error, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		out := c.runSACGA(sizing.PaperSpec(), 8, c.iters(totals[j.ti]), c.Seed+int64(j.si))
-		hv[j.ti][j.si] = out.hv
-		errs[i] = out.err
+	outs, err := c.sweep(len(totals)*c.Seeds, func(i int) runOut {
+		return c.runSACGA(sizing.PaperSpec(), 8, c.iters(totals[i/c.Seeds]), c.Seed+int64(i%c.Seeds))
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	var rows [][]float64
-	var series plot.Series
-	series.Name = "8-partition SACGA"
+	series := plot.Series{Name: "8-partition SACGA"}
 	for i, tt := range totals {
-		mean := stats.Mean(hv[i])
-		rows = append(rows, []float64{float64(c.iters(tt)), mean, stats.Std(hv[i])})
+		hv := paperHVs(outs[i*c.Seeds : (i+1)*c.Seeds])
+		mean := stats.Mean(hv)
+		rows = append(rows, []float64{float64(c.iters(tt)), mean, stats.Std(hv)})
 		series.X = append(series.X, float64(c.iters(tt)))
 		series.Y = append(series.Y, mean)
 		rep.Values[fmt.Sprintf("hv_iters%d", tt)] = mean
 	}
 	first, last := series.Y[0], series.Y[len(series.Y)-1]
-	relGainLate := (stats.Mean(hv[len(totals)-2]) - last) / last
+	relGainLate := (series.Y[len(series.Y)-2] - last) / last
 	rep.Values["hv_drop_total"] = first - last
 	rep.Values["late_relative_gain"] = relGainLate
 	rep.linef("HV falls from %.2f (%d iters) to %.2f (%d iters); late-stage gain %.1f%% — the paper sees little improvement past ~1000 iterations",
 		first, c.iters(totals[0]), last, c.iters(totals[len(totals)-1]), 100*relGainLate)
-	if c.OutDir != "" {
-		csvPath := filepath.Join(c.OutDir, "fig9_span.csv")
-		if err := plot.WriteCSV(csvPath, []string{"total_iters", "hv_mean", "hv_std"}, rows); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, csvPath)
-		chart := plot.Chart{Title: "fig9: SACGA HV vs preset total iterations",
-			XLabel: "total iterations", YLabel: "HV", Connect: true}
-		chartPath := filepath.Join(c.OutDir, "fig9_span.txt")
-		if err := chart.RenderToFile(chartPath, []plot.Series{series}); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, chartPath)
-	}
-	return rep, nil
+	return rep, writeCurves(rep, c, "fig9_span", []string{"total_iters", "hv_mean", "hv_std"}, rows,
+		plot.Chart{Title: "fig9: SACGA HV vs preset total iterations", XLabel: "total iterations", YLabel: "HV"}, []plot.Series{series})
 }
 
 // Fig10 reproduces fig. 10: the paper hypervolume of the global front at
@@ -312,72 +230,55 @@ func Fig10(c Config) (*Report, error) {
 	rep := newReport("fig10", Title("fig10"))
 	spans := []int{50, 100, 150}
 	schedule := []int{20, 13, 8, 5, 3, 2, 1}
-	series := make([]plot.Series, len(spans))
-	phaseHV := make([][][]float64, len(spans)) // [span][phase][seed]
-	for si := range spans {
-		phaseHV[si] = make([][]float64, len(schedule))
-		for p := range schedule {
-			phaseHV[si][p] = make([]float64, c.Seeds)
+	phaseHV := make([][]float64, len(spans)*c.Seeds) // [run][phase]
+	_, err := c.sweep(len(phaseHV), func(i int) runOut {
+		// The span is the figure's x-parameter: pass it exactly, after a
+		// phase I of the full scaled allocation (the derived-span mode used
+		// elsewhere would stretch it when phase I exits early).
+		p := c.mesacgaParams(0)
+		p.Schedule, p.GentMax, p.Span = schedule, c.iters(200), c.iters(spans[i/c.Seeds])
+		eng := new(mesacga.Engine)
+		out := c.run("MESACGA", sizing.PaperSpec(), eng, c.opts(0, c.Seed+int64(i%c.Seeds), p))
+		phaseHV[i] = make([]float64, len(schedule))
+		for ph, front := range eng.PhaseFronts() {
+			phaseHV[i][ph] = hypervolume.PaperMetric(frontPoints(front)) / hvUnit
 		}
-	}
-	type job struct{ si, seed int }
-	var jobs []job
-	for si := range spans {
-		for s := 0; s < c.Seeds; s++ {
-			jobs = append(jobs, job{si, s})
-		}
-	}
-	errs := make([]error, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		// The span is the figure's x-parameter: pass it exactly (the
-		// derived-span mode used elsewhere would stretch it when phase I
-		// exits early).
-		fronts, err := c.runMESACGASpanned(sizing.PaperSpec(), schedule, c.iters(spans[j.si]), c.Seed+int64(j.seed))
-		errs[i] = err
-		for p, front := range fronts {
-			pts := frontPoints(front)
-			phaseHV[j.si][p][j.seed] = hypervolume.PaperMetric(pts) / hvUnit
-		}
+		return out
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return rep, err
 	}
+	// meanHV is span si's hypervolume at the end of phase ph, over seeds.
+	meanHV := func(si, ph int) float64 {
+		hv := make([]float64, c.Seeds)
+		for s := range hv {
+			hv[s] = phaseHV[si*c.Seeds+s][ph]
+		}
+		return stats.Mean(hv)
+	}
+	series := make([]plot.Series, len(spans))
 	var rows [][]float64
-	for p := range schedule {
-		row := []float64{float64(p + 1)}
+	for ph := range schedule {
+		row := []float64{float64(ph + 1)}
 		for si, sp := range spans {
-			mean := stats.Mean(phaseHV[si][p])
+			mean := meanHV(si, ph)
 			series[si].Name = fmt.Sprintf("span=%d", c.iters(sp))
-			series[si].X = append(series[si].X, float64(p+1))
+			series[si].X = append(series[si].X, float64(ph+1))
 			series[si].Y = append(series[si].Y, mean)
 			row = append(row, mean)
-			rep.Values[fmt.Sprintf("hv_span%d_phase%d", sp, p+1)] = mean
+			rep.Values[fmt.Sprintf("hv_span%d_phase%d", sp, ph+1)] = mean
 		}
 		rows = append(rows, row)
 	}
 	// Paper's reading: larger spans end better, and HV improves phase over
 	// phase.
-	final50 := stats.Mean(phaseHV[0][len(schedule)-1])
-	final150 := stats.Mean(phaseHV[2][len(schedule)-1])
+	final50 := meanHV(0, len(schedule)-1)
+	final150 := meanHV(2, len(schedule)-1)
 	rep.Values["final_hv_span50"] = final50
 	rep.Values["final_hv_span150"] = final150
 	rep.linef("final-phase HV: span150 %.2f vs span50 %.2f — larger spans preserve more diversity, as the paper reports", final150, final50)
-	if c.OutDir != "" {
-		csvPath := filepath.Join(c.OutDir, "fig10_phases.csv")
-		if err := plot.WriteCSV(csvPath, []string{"phase", "hv_span50", "hv_span100", "hv_span150"}, rows); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, csvPath)
-		chart := plot.Chart{Title: "fig10: HV across MESACGA phases",
-			XLabel: "phase", YLabel: "HV", Connect: true}
-		chartPath := filepath.Join(c.OutDir, "fig10_phases.txt")
-		if err := chart.RenderToFile(chartPath, series); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, chartPath)
-	}
-	return rep, nil
+	return rep, writeCurves(rep, c, "fig10_phases", []string{"phase", "hv_span50", "hv_span100", "hv_span150"}, rows,
+		plot.Chart{Title: "fig10: HV across MESACGA phases", XLabel: "phase", YLabel: "HV"}, series)
 }
 
 // Fig11 reproduces fig. 11: a 1250-iteration MESACGA (200 local + 7×150)
@@ -386,16 +287,14 @@ func Fig10(c Config) (*Report, error) {
 func Fig11(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("fig11", Title("fig11"))
-	outs := make([]runOut, 2*c.Seeds)
-	c.parallelRuns(2*c.Seeds, func(i int) {
+	outs, err := c.sweep(2*c.Seeds, func(i int) runOut {
 		seed := c.Seed + int64(i/2)
 		if i%2 == 0 {
-			outs[i] = c.runSACGA(sizing.PaperSpec(), 16, c.iters(1200), seed)
-		} else {
-			outs[i] = c.runMESACGA(sizing.PaperSpec(), nil, c.iters(1250), seed)
+			return c.runSACGA(sizing.PaperSpec(), 16, c.iters(1200), seed)
 		}
+		return c.runMESACGA(sizing.PaperSpec(), c.iters(1250), seed)
 	})
-	if err := runsErr(outs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	var hvS, hvM []float64
@@ -408,8 +307,14 @@ func Fig11(c Config) (*Report, error) {
 	rep.Values["ratio"] = stats.Mean(hvM) / stats.Mean(hvS)
 	rep.linef("MESACGA %.2f vs best-m SACGA %.2f (ratio %.3f; paper: 21.83 vs 22.19, ratio 0.984) — MESACGA matches hand-tuned partitioning without the fig. 6 sweep",
 		stats.Mean(hvM), stats.Mean(hvS), rep.Values["ratio"])
-	if err := writeFrontArtifacts(rep, c, "fig11_fronts", "fig11: MESACGA vs 16-partition SACGA", outs[:2]); err != nil {
-		return rep, err
+	return rep, writeFrontArtifacts(rep, c, "fig11_fronts", "fig11: MESACGA vs 16-partition SACGA", outs[:2])
+}
+
+// paperHVs lists the paper hypervolumes of outs.
+func paperHVs(outs []runOut) []float64 {
+	hv := make([]float64, len(outs))
+	for i, o := range outs {
+		hv[i] = o.hv
 	}
-	return rep, nil
+	return hv
 }

@@ -1,9 +1,85 @@
 package expt
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"sort"
 	"testing"
 )
+
+// pinConfig is the small, fixed configuration the pin tests run at.
+var pinConfig = Config{Seed: 3, Scale: 0.03, PopSize: 20, Seeds: 2, Workers: 2}
+
+// wallClockValues are the report values that measure time, not the
+// search: they differ between two runs of the same code.
+var wallClockValues = map[string]bool{"overhead_sacga": true, "overhead_mesacga": true}
+
+// valuesDigest fingerprints a report's values: the first 16 hex digits of
+// a sha256 over each key (sorted) and its value's little-endian
+// Float64bits, wall-clock values excluded.
+func valuesDigest(values map[string]float64) string {
+	keys := make([]string, 0, len(values))
+	for k := range values {
+		if !wallClockValues[k] {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	var b [8]byte
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{0})
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(values[k]))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestValuesPinned pins every experiment's headline values bit for bit at
+// pinConfig. Each experiment configures, seeds, schedules and reduces its
+// optimizer runs in its own way, so a change to any of those shows up here
+// even when it keeps every self-referential determinism check green. A
+// deliberate change to an experiment's numbers updates its digest, on
+// purpose. At this scale c.iters floors all three fig10 spans to 12
+// iterations, so fig10's three curves coincide.
+func TestValuesPinned(t *testing.T) {
+	want := map[string]string{
+		"ablation": "4ffe486942d14b94",
+		"fig10":    "78f16b2616941caf",
+		"fig11":    "ad7e594dfd014a5a",
+		"fig2":     "8a601978bee9ab47",
+		"fig4":     "826d55c1f0dbdbe5",
+		"fig5":     "bb819f7fa80070d1",
+		"fig6":     "b85bf85a3c95bb09",
+		"fig8":     "36531e27eb8d7237",
+		"fig9":     "b2a0863904952406",
+		"hybrid":   "ff5d3d8b7b1c70a2",
+		"trends":   "62aa8dc9b9cea057",
+	}
+	if ids := IDs(); len(ids) != len(want) {
+		t.Fatalf("pinned %d experiments, registry has %v", len(want), ids)
+	}
+	for _, id := range IDs() {
+		rep, err := Run(id, pinConfig)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := valuesDigest(rep.Values); got != want[id] {
+			keys := make([]string, 0, len(rep.Values))
+			for k := range rep.Values {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				t.Logf("%s %s = %v", id, k, rep.Values[k])
+			}
+			t.Errorf("%s values digest = %s, want %s", id, got, want[id])
+		}
+	}
+}
 
 // TestAblationValuesPinned pins the ablation's headline values bit for bit
 // at a small, fixed configuration. The ablation drives five different
@@ -24,7 +100,7 @@ func TestAblationValuesPinned(t *testing.T) {
 		"min_cl_pF_tpg":            1.212074563181544,
 		"mix_beats_extremes":       0,
 	}
-	rep, err := Run("ablation", Config{Seed: 3, Scale: 0.03, PopSize: 20, Seeds: 2, Workers: 2})
+	rep, err := Run("ablation", pinConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,8 @@
 package expt
 
 import (
-	"time"
-
-	"sacga/internal/ga"
-	"sacga/internal/hypervolume"
-	"sacga/internal/objective"
-	"sacga/internal/sacga"
 	"sacga/internal/sched"
-	"sacga/internal/search"
 	"sacga/internal/sizing"
-	"sacga/internal/stats"
 )
 
 // Hybrid evaluates the multi-engine schedulers on the integrator problem
@@ -33,132 +25,37 @@ func Hybrid(c Config) (*Report, error) {
 	rep := newReport("hybrid", Title("hybrid"))
 	total := c.iters(800)
 	spec := sizing.PaperSpec()
-
 	variants := []string{"sacga", "relay", "portfolio", "parislands"}
-	type job struct{ vi, si int }
-	var jobs []job
-	for vi := range variants {
-		for si := 0; si < c.Seeds; si++ {
-			jobs = append(jobs, job{vi, si})
-		}
-	}
-	results := make([]runOut, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		seed := c.Seed + int64(j.si)
-		switch variants[j.vi] {
+	outs, err := c.sweep(len(variants)*c.Seeds, func(i int) runOut {
+		name, seed := variants[i/c.Seeds], c.Seed+int64(i%c.Seeds)
+		switch name {
 		case "sacga":
-			results[i] = c.runSACGA(spec, 8, total, seed)
+			return c.runSACGA(spec, 8, total, seed)
 		case "relay":
-			results[i] = c.runRelay(spec, total, seed)
+			return c.run(name, spec, new(sched.Relay), c.opts(total, seed, &sched.RelayParams{Legs: []sched.Leg{
+				{Algo: "nsga2", Generations: total / 4},
+				{Algo: "sacga", Extra: c.sacgaParams(8, total)},
+			}}))
 		case "portfolio":
-			results[i] = c.runPortfolio(spec, total, seed)
-		case "parislands":
-			results[i] = c.runParallelIslands(spec, total, seed)
+			// Each member gets the full population, so the race consumes
+			// ~2x the per-generation evaluations; halving the generation
+			// budget keeps the row budget-comparable with the single-engine
+			// reference. Members are scored on the reported plane.
+			return c.run(name, spec, new(sched.Portfolio), c.opts(max(total/2, 1), seed, &sched.PortfolioParams{
+				Members: []sched.Member{{Algo: "nsga2"}, {Algo: "sacga", Extra: c.sacgaParams(8, total)}},
+				Project: circuitPoint,
+			}))
+		default:
+			// The replicas split the population, so the per-generation
+			// evaluation cost matches the single-engine rows.
+			return c.run(name, spec, new(sched.ParallelIslands), c.opts(total, seed, &sched.IslandsParams{
+				Replicas: 4, Algo: "nsga2", MigrationEvery: 10, Migrants: 2,
+			}))
 		}
 	})
-	if err := runsErr(results); err != nil {
+	if err != nil {
 		return rep, err
 	}
-
-	hv := make(map[string][]float64, len(variants))
-	minCL := make(map[string][]float64, len(variants))
-	for i, j := range jobs {
-		name := variants[j.vi]
-		hv[name] = append(hv[name], results[i].hvCover)
-		minCL[name] = append(minCL[name], results[i].minCL*1e12)
-	}
-	for _, name := range variants {
-		rep.Values["hv_"+name] = stats.Mean(hv[name])
-		rep.Values["min_cl_pF_"+name] = stats.Mean(minCL[name])
-		rep.linef("%-11s coverage-HV %.2f, lowest covered load %.2f pF",
-			name, stats.Mean(hv[name]), stats.Mean(minCL[name]))
-	}
+	tabulateCoverage(rep, variants, c.Seeds, outs)
 	return rep, nil
-}
-
-// schedSACGAParams is the SACGA leg/member configuration the schedulers
-// share: the paper's 8 partitions over the load axis, phase I bounded the
-// way runSACGA bounds it.
-func (c *Config) schedSACGAParams(total int) *sacga.Params {
-	clLo, clHi := sizing.ObjectiveRangeCL()
-	return &sacga.Params{
-		Partitions:         8,
-		PartitionObjective: 1,
-		PartitionLo:        clLo,
-		PartitionHi:        clHi,
-		GentMax:            min(c.iters(200), total/4+1),
-	}
-}
-
-// runRelay digests the NSGA-II → SACGA relay at the shared budget.
-func (c *Config) runRelay(spec sizing.Spec, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	start := time.Now()
-	eng := new(sched.Relay)
-	res, err := run(eng, prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-		Extra: &sched.RelayParams{Legs: []sched.Leg{
-			{Algo: "nsga2", Generations: total / 4},
-			{Algo: "sacga", Extra: c.schedSACGAParams(total)},
-		}},
-	})
-	out := digest("relay", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
-}
-
-// runPortfolio digests the NSGA-II vs SACGA race, scored on the reported
-// (CL, Power) plane.
-func (c *Config) runPortfolio(spec sizing.Spec, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	start := time.Now()
-	eng := new(sched.Portfolio)
-	// Each member gets the full population, so the race consumes ~2x the
-	// per-generation evaluations; halving the generation budget keeps the
-	// row budget-comparable with the single-engine reference.
-	res, err := run(eng, prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: max(total/2, 1),
-		Seed:        seed,
-		Extra: &sched.PortfolioParams{
-			Members: []sched.Member{
-				{Algo: "nsga2"},
-				{Algo: "sacga", Extra: c.schedSACGAParams(total)},
-			},
-			Project: func(ind *ga.Individual) (hypervolume.Point2, bool) {
-				if !ind.Feasible() {
-					return hypervolume.Point2{}, false
-				}
-				cl, pw := sizing.ReportedPoint(ind.Objectives)
-				return hypervolume.Point2{X: cl, Y: pw}, true
-			},
-		},
-	})
-	out := digest("portfolio", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
-}
-
-// runParallelIslands digests four concurrent NSGA-II replicas with ring
-// migration at the shared budget (replicas split the population, so the
-// per-generation evaluation cost matches the single-engine rows).
-func (c *Config) runParallelIslands(spec sizing.Spec, total int, seed int64) runOut {
-	prob := objective.NewCounter(c.problem(spec))
-	start := time.Now()
-	eng := new(sched.ParallelIslands)
-	res, err := run(eng, prob, search.Options{
-		PopSize:     c.PopSize,
-		Generations: total,
-		Seed:        seed,
-		Extra: &sched.IslandsParams{
-			Replicas: 4, Algo: "nsga2",
-			MigrationEvery: 10, Migrants: 2,
-		},
-	})
-	out := digest("parislands", res.Front, prob.Count(), time.Since(start), 0)
-	out.err = err
-	return out
 }

@@ -32,11 +32,7 @@ type Outcome struct {
 func RunAll(ids []string, c Config) []Outcome {
 	c.normalize()
 	outs := make([]Outcome, len(ids))
-	workers := c.Workers
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	run := func(i int) {
+	ga.SharedPool().RunLimit(len(ids), c.Workers, func(i int) {
 		if c.Cache != nil {
 			if rep, ok := c.Cache.Lookup(ids[i], c); ok {
 				outs[i] = Outcome{ID: ids[i], Report: rep}
@@ -57,14 +53,7 @@ func RunAll(ids []string, c Config) []Outcome {
 			}
 		}
 		outs[i] = Outcome{ID: ids[i], Report: rep, Err: err}
-	}
-	if workers <= 1 {
-		for i := range ids {
-			run(i)
-		}
-		return outs
-	}
-	ga.SharedPool().RunLimit(len(ids), workers, run)
+	})
 	return outs
 }
 

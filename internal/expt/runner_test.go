@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -67,6 +69,34 @@ func TestWorkerCountInvariance(t *testing.T) {
 			// aggregation order is fixed, so scheduling must not leak in.
 			if v != pv && !(math.IsInf(v, 1) && math.IsInf(pv, 1)) {
 				t.Fatalf("%s: %q = %v sequential vs %v parallel", id, k, v, pv)
+			}
+		}
+	}
+}
+
+// TestSweepReturnsLowestIndexFault pins the sweep's fault contract: every
+// run is digested, degraded ones included, and the error is the
+// lowest-index fault, naming its variant and run index, however the pool
+// schedules the runs.
+func TestSweepReturnsLowestIndexFault(t *testing.T) {
+	faults := map[int]error{1: errors.New("fault one"), 3: errors.New("fault three")}
+	for _, workers := range []int{1, 4} {
+		c := Config{Workers: workers}
+		outs, err := c.sweep(5, func(i int) runOut {
+			return runOut{algo: fmt.Sprintf("variant%d", i), hv: float64(i), err: faults[i]}
+		})
+		if !errors.Is(err, faults[1]) {
+			t.Fatalf("workers=%d: error %v, want the fault of run 1", workers, err)
+		}
+		if want := "expt: variant1 replicate 1: fault one"; err.Error() != want {
+			t.Fatalf("workers=%d: error %q, want %q", workers, err, want)
+		}
+		if len(outs) != 5 {
+			t.Fatalf("workers=%d: %d digests, want 5", workers, len(outs))
+		}
+		for i, o := range outs {
+			if o.hv != float64(i) {
+				t.Fatalf("workers=%d: digest %d holds run %v's value", workers, i, o.hv)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"path/filepath"
-
 	"sacga/internal/plot"
 	"sacga/internal/sizing"
 	"sacga/internal/stats"
@@ -17,70 +15,59 @@ import (
 //  2. SACGA/MESACGA cost ≈ 18 % more computation time than NSGA-II from
 //     their partitioning overheads.
 //
-// Because hard grades can make parts of the load range infeasible, ranking
-// uses the coverage-pinned hypervolume variant (finite for partial fronts).
+// Each grade gets one seed, Config.Seed plus the grade index, shared by
+// its three algorithms; Config.Seeds is ignored. Because hard grades can
+// make parts of the load range infeasible, ranking uses the
+// coverage-pinned hypervolume variant (finite for partial fronts).
 func Trends(c Config) (*Report, error) {
 	c.normalize()
 	rep := newReport("trends", Title("trends"))
 	specs := sizing.SpecLadder(20)
 	total := c.iters(800)
-
-	type cell struct {
-		hv   float64
-		wall float64 // seconds
-	}
-	results := make([][3]cell, len(specs)) // [spec][algo]
-	type job struct{ si, ai int }
-	var jobs []job
-	for si := range specs {
-		for ai := 0; ai < 3; ai++ {
-			jobs = append(jobs, job{si, ai})
-		}
-	}
-	errs := make([]error, len(jobs))
-	c.parallelRuns(len(jobs), func(i int) {
-		j := jobs[i]
-		var out runOut
-		switch j.ai {
+	// Run i is algorithm i%3 (TPG, SACGA, MESACGA) on grade i/3.
+	outs, err := c.sweep(3*len(specs), func(i int) runOut {
+		spec, seed := specs[i/3], c.Seed+int64(i/3)
+		switch i % 3 {
 		case 0:
-			out = c.runTPG(specs[j.si], total, c.Seed+int64(j.si))
+			return c.runTPG(spec, total, seed)
 		case 1:
-			out = c.runSACGA(specs[j.si], 8, total, c.Seed+int64(j.si))
+			return c.runSACGA(spec, 8, total, seed)
 		default:
-			out = c.runMESACGA(specs[j.si], nil, total, c.Seed+int64(j.si))
+			return c.runMESACGA(spec, total, seed)
 		}
-		results[j.si][j.ai] = cell{hv: out.hvCover, wall: out.wall.Seconds()}
-		errs[i] = out.err
 	})
-	if err := firstErr(errs); err != nil {
+	if err != nil {
 		return rep, err
 	}
 
+	var hv, wall [3][]float64 // [algo][grade]
+	series := []plot.Series{{Name: "TPG"}, {Name: "SACGA"}, {Name: "MESACGA"}}
+	for i, o := range outs {
+		a := i % 3
+		hv[a] = append(hv[a], o.hvCover)
+		wall[a] = append(wall[a], o.wall.Seconds())
+		series[a].X = append(series[a].X, float64(i/3+1))
+		series[a].Y = append(series[a].Y, o.hvCover)
+	}
+	hvT, hvS, hvM := hv[0], hv[1], hv[2]
 	var rows [][]float64
-	var hvT, hvS, hvM, wT, wS, wM []float64
 	orderedFull, orderedSvsT, orderedMvsT := 0, 0, 0
 	const tol = 1.02 // 2% tolerance on "≥" (single runs are noisy)
 	for si := range specs {
-		t, s, m := results[si][0], results[si][1], results[si][2]
-		rows = append(rows, []float64{float64(si + 1), t.hv, s.hv, m.hv, t.wall, s.wall, m.wall})
-		hvT = append(hvT, t.hv)
-		hvS = append(hvS, s.hv)
-		hvM = append(hvM, m.hv)
-		wT = append(wT, t.wall)
-		wS = append(wS, s.wall)
-		wM = append(wM, m.wall)
-		if m.hv <= s.hv*tol && s.hv <= t.hv*tol {
+		t, s, m := hvT[si], hvS[si], hvM[si]
+		rows = append(rows, []float64{float64(si + 1), t, s, m, wall[0][si], wall[1][si], wall[2][si]})
+		if m <= s*tol && s <= t*tol {
 			orderedFull++
 		}
-		if s.hv <= t.hv*tol {
+		if s <= t*tol {
 			orderedSvsT++
 		}
-		if m.hv <= t.hv*tol {
+		if m <= t*tol {
 			orderedMvsT++
 		}
 	}
-	overheadS := stats.Mean(wS)/stats.Mean(wT) - 1
-	overheadM := stats.Mean(wM)/stats.Mean(wT) - 1
+	overheadS := stats.Mean(wall[1])/stats.Mean(wall[0]) - 1
+	overheadM := stats.Mean(wall[2])/stats.Mean(wall[0]) - 1
 	// Paired per-spec comparisons with an absolute tolerance of 2 % of the
 	// mean TPG hypervolume.
 	absTol := 0.02 * stats.Mean(hvT)
@@ -105,29 +92,9 @@ func Trends(c Config) (*Report, error) {
 	rep.Values["wlt_mesacga_vs_sacga_win"] = float64(winMS)
 	rep.linef("paired win/loss/tie: SACGA vs TPG %d/%d/%d, MESACGA vs SACGA %d/%d/%d",
 		winST, lossST, tieST, winMS, lossMS, tieMS)
-
-	if c.OutDir != "" {
-		csvPath := filepath.Join(c.OutDir, "trends_ladder.csv")
-		if err := plot.WriteCSV(csvPath, []string{
-			"spec", "hv_tpg", "hv_sacga", "hv_mesacga",
-			"wall_tpg_s", "wall_sacga_s", "wall_mesacga_s"}, rows); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, csvPath)
-		series := []plot.Series{{Name: "TPG"}, {Name: "SACGA"}, {Name: "MESACGA"}}
-		for si := range specs {
-			for ai := 0; ai < 3; ai++ {
-				series[ai].X = append(series[ai].X, float64(si+1))
-				series[ai].Y = append(series[ai].Y, results[si][ai].hv)
-			}
-		}
-		chart := plot.Chart{Title: "trends: coverage-HV per spec grade (lower better)",
-			XLabel: "spec grade (1 loose .. 20 tight)", YLabel: "HV", Connect: true}
-		chartPath := filepath.Join(c.OutDir, "trends_ladder.txt")
-		if err := chart.RenderToFile(chartPath, series); err != nil {
-			return rep, err
-		}
-		rep.Files = append(rep.Files, chartPath)
-	}
-	return rep, nil
+	return rep, writeCurves(rep, c, "trends_ladder", []string{
+		"spec", "hv_tpg", "hv_sacga", "hv_mesacga",
+		"wall_tpg_s", "wall_sacga_s", "wall_mesacga_s"}, rows,
+		plot.Chart{Title: "trends: coverage-HV per spec grade (lower better)",
+			XLabel: "spec grade (1 loose .. 20 tight)", YLabel: "HV"}, series)
 }

@@ -39,10 +39,10 @@ func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
 
 // StepWithRetry advances one engine under the scheduler's shared fault
 // policy: a failing Step is retried at once, up to `retries` more times,
-// each attempt guarded by the watchdog when timeout > 0 and by a panic
-// recover when not. poisoned reports watchdog abandonment — the engine's
-// buffers may still be written by the runaway step, so the caller must
-// never touch the engine again.
+// each attempt under search.GuardedStep, which recovers a panic as an
+// error and arms the watchdog when timeout > 0. poisoned reports watchdog
+// abandonment — the engine's buffers may still be written by the runaway
+// step, so the caller must never touch the engine again.
 // Retrying a quarantining engine is meaningful because engines complete
 // their generation before reporting the fault: each attempt is a fresh
 // generation that may evaluate cleanly.
@@ -53,7 +53,7 @@ func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
 // degrades itself, never the ensemble or the serving process.
 func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, timeout time.Duration) (err error, poisoned bool) {
 	for attempt := 0; ; attempt++ {
-		err = tryStep(eng, prob, timeout)
+		err = search.GuardedStep(eng, prob, timeout)
 		if err == nil {
 			return nil, false
 		}
@@ -68,19 +68,4 @@ func StepWithRetry(eng search.Engine, prob objective.Problem, retries int, timeo
 			return err, false
 		}
 	}
-}
-
-// tryStep is one guarded attempt. Without a watchdog the step still runs
-// under a recover, so a child panic degrades to a droppable error instead
-// of killing the whole ensemble.
-func tryStep(eng search.Engine, prob objective.Problem, timeout time.Duration) (err error) {
-	if timeout > 0 {
-		return search.GuardedStep(eng, prob, timeout)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: replica step panicked: %v", r)
-		}
-	}()
-	return eng.Step()
 }

@@ -46,7 +46,8 @@ type IslandsParams struct {
 	// negative = none). Retries follow at once.
 	StepRetries int
 	// StepTimeout arms a per-replica watchdog around every Step attempt
-	// (see search.GuardedStep); 0 leaves replica steps unguarded.
+	// (see search.GuardedStep); 0 arms none. A panicking Step is recovered
+	// as a droppable error either way.
 	StepTimeout time.Duration
 }
 

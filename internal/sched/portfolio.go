@@ -41,7 +41,8 @@ type PortfolioParams struct {
 	// negative = none). Retries follow at once.
 	StepRetries int
 	// StepTimeout arms a per-member watchdog around every generation
-	// attempt (see search.GuardedStep); 0 leaves member steps unguarded.
+	// attempt (see search.GuardedStep); 0 arms none. A panicking Step is
+	// recovered as a droppable error either way.
 	StepTimeout time.Duration
 	// Project maps an individual to the 2-D point the hypervolume score
 	// reduces; nil selects the default (feasible individuals' first two

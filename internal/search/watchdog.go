@@ -42,15 +42,17 @@ func (e *WatchdogError) Error() string {
 // Unwrap exposes the reclaimed step's error.
 func (e *WatchdogError) Unwrap() error { return e.Err }
 
-// GuardedStep runs eng.Step() under a watchdog deadline. timeout <= 0
-// disables the guard. On expiry the problem is interrupted and the step is
-// given one more timeout's grace to unblock; the returned *WatchdogError's
-// Abandoned field tells the caller whether the engine survived. A panic
-// escaping Step (engine bug, non-pool evaluation path) is converted to an
-// error rather than crossing goroutines.
+// GuardedStep runs eng.Step() under a watchdog deadline; timeout <= 0
+// runs it on the calling goroutine with no deadline. On expiry the problem
+// is interrupted and the step is given one more timeout's grace to
+// unblock; the returned *WatchdogError's Abandoned field tells the caller
+// whether the engine survived. At any timeout, a panic escaping Step
+// (engine bug, non-pool evaluation path) is converted to an error, so one
+// faulty engine degrades to a droppable error instead of killing the
+// scheduler or worker process that stepped it.
 func GuardedStep(eng Engine, prob objective.Problem, timeout time.Duration) error {
 	if timeout <= 0 {
-		return eng.Step()
+		return stepRecover(eng)
 	}
 	done := make(chan error, 1)
 	go func() { done <- stepRecover(eng) }()
@@ -73,8 +75,9 @@ func GuardedStep(eng Engine, prob objective.Problem, timeout time.Duration) erro
 	return &WatchdogError{Timeout: timeout, Abandoned: true}
 }
 
-// stepRecover converts a panic escaping Step into an error on the step
-// goroutine, so the watchdog select never loses a crash.
+// stepRecover converts a panic escaping Step into an error on whichever
+// goroutine runs the step: the watchdog select never loses a crash, and
+// an unwatched step never kills its caller.
 func stepRecover(eng Engine) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -9,8 +9,10 @@ package shard
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,6 +24,7 @@ import (
 
 	"sacga/internal/benchfn"
 	"sacga/internal/fault"
+	"sacga/internal/fleet"
 	"sacga/internal/ga"
 	"sacga/internal/nsga2"
 	"sacga/internal/objective"
@@ -206,20 +209,23 @@ func fileAttack(frame []byte, attack func(path string) error) []byte {
 
 // procChaosParams selects the failing replica by its derived seed (the
 // scheduler hands the same Extra to every replica) and the epoch its
-// failures start.
+// failures start. Panic makes the failing Step panic instead of returning
+// an error: the engine bug a guarded step must contain. The params cross
+// the worker boundary inside a Request, hence the gob registration.
 type procChaosParams struct {
 	TargetSeed int64
 	FailFrom   int
+	Panic      bool
 }
 
 type procChaosReplica struct {
 	*nsga2.Engine
-	p     procChaosParams
-	seed  int64
-	steps int // successful steps only: retries must observe the same epoch
+	p    procChaosParams
+	seed int64
 }
 
 func init() {
+	gob.Register(&procChaosParams{})
 	search.Register("proc-chaos-replica", func() search.Engine { return &procChaosReplica{Engine: new(nsga2.Engine)} })
 }
 
@@ -241,11 +247,16 @@ func (c *procChaosReplica) Restore(prob objective.Problem, opts search.Options, 
 	return c.Engine.Restore(prob, opts, cp)
 }
 
+// Step keys the failure on the generation, which a failed step does not
+// advance: retries observe the same epoch, and so does a worker that
+// restores the replica from its checkpoint for every request.
 func (c *procChaosReplica) Step() error {
-	if c.seed == c.p.TargetSeed && c.steps >= c.p.FailFrom {
+	if c.seed == c.p.TargetSeed && c.Generation() >= c.p.FailFrom {
+		if c.p.Panic {
+			panic("proc chaos: injected step panic")
+		}
 		return errors.New("proc chaos: injected permanent failure")
 	}
-	c.steps++
 	return c.Engine.Step()
 }
 
@@ -459,6 +470,66 @@ func TestShardedPermanentKillDropsBitIdentical(t *testing.T) {
 			popsIdentical(t, "degraded front", res.Front, ref.Front)
 		})
 	}
+}
+
+// TestPanickingReplicaStepDropped: a replica engine whose Step panics (an
+// engine bug, not an evaluation fault) is contained by search.GuardedStep
+// on both sides of the wire. In process, parallel-islands drops the
+// replica after its retries with an error naming the panic and finishes
+// on the other two. Sharded, the worker recovers the panic and replies
+// with it on the same connection at every attempt, and the coordinator
+// drops the replica the same way, bit-identically.
+func TestPanickingReplicaStepDropped(t *testing.T) {
+	chaos := &procChaosParams{TargetSeed: replicaTarget(1), FailFrom: 3, Panic: true}
+	checkDropped := func(t *testing.T, res *search.Result, err error) {
+		t.Helper()
+		var re *sched.ReplicaError
+		if !errors.As(err, &re) {
+			t.Fatalf("error is %T (%v), want *sched.ReplicaError", err, err)
+		}
+		if len(re.Dropped) != 1 || re.Dropped[0] != 1 || re.AllDead {
+			t.Fatalf("dropped %v (allDead=%v), want exactly replica 1", re.Dropped, re.AllDead)
+		}
+		if msg := re.Errs[0].Error(); !strings.Contains(msg, "step panicked: proc chaos: injected step panic") {
+			t.Fatalf("drop cause %q does not name the panic", msg)
+		}
+		if res == nil || res.Generations != baseOpts().Generations || len(res.Front) == 0 {
+			t.Fatalf("run did not finish on the surviving replicas: %+v", res)
+		}
+	}
+	ref, err := supervisedRun(t, sched.NameParallelIslands, inProcessOpts("proc-chaos-replica", chaos))
+	checkDropped(t, ref, err)
+
+	var attempts atomic.Int64 // replica 1's requests at the panicking epoch
+	addr := loopbackWorker(t, func(c net.Conn) {
+		ServeWorker(c, c, WorkerConfig{
+			Build: buildTestProblem,
+			OnStep: func(info StepInfo) {
+				if !info.Init && info.Replica == 1 && info.Epoch == chaos.FailFrom {
+					attempts.Add(1)
+				}
+			},
+		})
+	})
+	dials := new(atomic.Int64)
+	pool := fleet.NewPool(dialCounter{
+		Transport: &fleet.TCPTransport{Address: addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}},
+		dials:     dials,
+	})
+	defer pool.Close()
+	opts := tcpOpts(nil)
+	p := opts.Extra.(*Params)
+	p.Pool, p.Algo, p.Extra = pool, "proc-chaos-replica", chaos
+	res, err := supervisedRun(t, NameShardedIslands, opts)
+	checkDropped(t, res, err)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials, want 1: the worker must survive the panic and serve every attempt on one connection", n)
+	}
+	if n, want := attempts.Load(), int64(1+p.Retries); n != want {
+		t.Fatalf("replica 1 was stepped %d times at epoch %d, want 1 + Retries = %d", n, chaos.FailFrom, want)
+	}
+	popsIdentical(t, "degraded population", res.Final, ref.Final)
+	popsIdentical(t, "degraded front", res.Front, ref.Front)
 }
 
 // TestShardedWedgedWorkerReclaimed: a frozen worker (no reply, no

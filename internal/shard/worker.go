@@ -243,8 +243,10 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 		if !eng.Done() {
 			// Guard the step so an engine panic degrades to a droppable
 			// reply error instead of killing the worker (and with it any
-			// diagnostic value in the reply).
-			stepErr = guardedEngineStep(eng)
+			// diagnostic value in the reply). No watchdog: the
+			// coordinator's lease and heartbeat deadlines reclaim a hung
+			// worker process.
+			stepErr = search.GuardedStep(eng, prob, 0)
 		}
 	}
 	reply.State = eng.Checkpoint()
@@ -252,16 +254,4 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 		reply.Err = stepErr.Error()
 	}
 	return reply
-}
-
-// guardedEngineStep runs one Step under a recover, like sched.tryStep's
-// unguarded path: process isolation already contains runaway state, so the
-// in-process watchdog machinery is unnecessary here.
-func guardedEngineStep(eng search.Engine) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("shard: replica step panicked: %v", r)
-		}
-	}()
-	return eng.Step()
 }
