@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"sacga/internal/benchfn"
-	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
 	"sacga/internal/islands"
 	"sacga/internal/mesacga"
@@ -207,7 +206,7 @@ func main() {
 			{Algo: "sacga", Extra: sacgaParams},
 		}}
 		if isCircuit {
-			pf.Project = circuitPoint // score the race on the reported (CL, Power) plane
+			pf.Project = probspec.CircuitPoint // score the race on the reported (CL, Power) plane
 		}
 		opts.Extra = pf
 	default:
@@ -228,7 +227,9 @@ func main() {
 	hvObs := &search.HypervolumeObserver{Every: *trace}
 	if *trace > 0 {
 		if isCircuit {
-			hvObs.Project = circuitPoint
+			// The reported (CL, Power) plane in 0.1 mW·pF, as the final
+			// line prints it.
+			hvObs.Project, hvObs.Score = probspec.CircuitPoint, probspec.CircuitHV
 		}
 		observers = append(observers, hvObs, search.ObserverFunc(func(f *search.Frame) {
 			if f.Gen%*trace == 0 {
@@ -314,12 +315,11 @@ func main() {
 	if isCircuit {
 		pts := make([]hypervolume.Point2, 0, len(front))
 		for _, ind := range front {
-			if p, ok := circuitPoint(ind); ok {
+			if p, ok := probspec.CircuitPoint(ind); ok {
 				pts = append(pts, p)
 			}
 		}
-		hv := hypervolume.PaperMetric(pts) / (0.1e-3 * 1e-12)
-		fmt.Printf("paper hypervolume: %.2f (x0.1 mW*pF, lower better)\n", hv)
+		fmt.Printf("paper hypervolume: %.2f (x0.1 mW*pF, lower better)\n", probspec.CircuitHV(pts))
 		for _, p := range pts {
 			fmt.Printf("  CL=%6.3f pF  P=%7.4f mW\n", p.X*1e12, p.Y*1e3)
 		}
@@ -383,16 +383,6 @@ func faultErr(err error) bool {
 	var we *search.WatchdogError
 	var re *sched.ReplicaError
 	return errors.As(err, &ee) || errors.As(err, &we) || errors.As(err, &re)
-}
-
-// circuitPoint projects a feasible integrator individual to the reported
-// (CL, Power) plane.
-func circuitPoint(ind *ga.Individual) (hypervolume.Point2, bool) {
-	if !ind.Feasible() {
-		return hypervolume.Point2{}, false
-	}
-	cl, pw := sizing.ReportedPoint(ind.Objectives)
-	return hypervolume.Point2{X: cl, Y: pw}, true
 }
 
 // runWorker serves the shard protocol on stdin/stdout until the

@@ -31,6 +31,7 @@ import (
 	"sacga/internal/mesacga"
 	"sacga/internal/nsga2"
 	"sacga/internal/plot"
+	"sacga/internal/probspec"
 	"sacga/internal/process"
 	"sacga/internal/sacga"
 	"sacga/internal/search"
@@ -167,9 +168,6 @@ func Run(id string, c Config) (*Report, error) {
 
 // ---- shared problem / metric helpers ----
 
-// hvUnit converts W·F to the paper's hypervolume unit, 0.1 mW·pF.
-const hvUnit = 0.1e-3 * 1e-12
-
 // powerCeiling is the pessimistic power bound used by the coverage-pinned
 // hypervolume variant for fronts that miss part of the load range.
 const powerCeiling = 1.0e-3
@@ -209,8 +207,8 @@ func (c *Config) run(algo string, spec sizing.Spec, eng search.Engine, opts sear
 	for _, p := range out.pts {
 		out.minCL = math.Min(out.minCL, p.X)
 	}
-	out.hv = hypervolume.PaperMetric(out.pts) / hvUnit
-	out.hvCover = hypervolume.PaperMetricCovering(out.pts, sizing.CLMax, powerCeiling) / hvUnit
+	out.hv = probspec.CircuitHV(out.pts)
+	out.hvCover = hypervolume.PaperMetricCovering(out.pts, sizing.CLMax, powerCeiling) / sizing.HVUnit
 	return out
 }
 
@@ -270,21 +268,11 @@ func (c *Config) runMESACGA(spec sizing.Spec, total int, seed int64) runOut {
 	return c.run("MESACGA", spec, new(mesacga.Engine), c.opts(total, seed, c.mesacgaParams(total)))
 }
 
-// circuitPoint projects a feasible individual onto the reported
-// (CL, Power) plane; an infeasible one has no point.
-func circuitPoint(ind *ga.Individual) (hypervolume.Point2, bool) {
-	if !ind.Feasible() {
-		return hypervolume.Point2{}, false
-	}
-	cl, pw := sizing.ReportedPoint(ind.Objectives)
-	return hypervolume.Point2{X: cl, Y: pw}, true
-}
-
 // frontPoints is the feasible part of a front on the reported plane.
 func frontPoints(front ga.Population) []hypervolume.Point2 {
 	pts := make([]hypervolume.Point2, 0, len(front))
 	for _, ind := range front {
-		if p, ok := circuitPoint(ind); ok {
+		if p, ok := probspec.CircuitPoint(ind); ok {
 			pts = append(pts, p)
 		}
 	}

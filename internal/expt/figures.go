@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"sacga/internal/hypervolume"
 	"sacga/internal/mesacga"
 	"sacga/internal/plot"
+	"sacga/internal/probspec"
 	"sacga/internal/sacga"
 	"sacga/internal/sizing"
 	"sacga/internal/stats"
@@ -241,7 +241,7 @@ func Fig10(c Config) (*Report, error) {
 		out := c.run("MESACGA", sizing.PaperSpec(), eng, c.opts(0, c.Seed+int64(i%c.Seeds), p))
 		phaseHV[i] = make([]float64, len(schedule))
 		for ph, front := range eng.PhaseFronts() {
-			phaseHV[i][ph] = hypervolume.PaperMetric(frontPoints(front)) / hvUnit
+			phaseHV[i][ph] = probspec.CircuitHV(frontPoints(front))
 		}
 		return out
 	})

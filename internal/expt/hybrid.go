@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"sacga/internal/probspec"
 	"sacga/internal/sched"
 	"sacga/internal/sizing"
 )
@@ -43,7 +44,7 @@ func Hybrid(c Config) (*Report, error) {
 			// reference. Members are scored on the reported plane.
 			return c.run(name, spec, new(sched.Portfolio), c.opts(max(total/2, 1), seed, &sched.PortfolioParams{
 				Members: []sched.Member{{Algo: "nsga2"}, {Algo: "sacga", Extra: c.sacgaParams(8, total)}},
-				Project: circuitPoint,
+				Project: probspec.CircuitPoint,
 			}))
 		default:
 			// The replicas split the population, so the per-generation

@@ -42,6 +42,27 @@ func (a *Arena) Offspring() *Individual {
 // discarded, which is why observers must not retain populations.
 func (a *Arena) Recycle(ind *Individual) { a.free = append(a.free, ind) }
 
+// Immigrate installs migrants in place of pop's crowded-comparison-worst
+// members, at most half of pop (the overflow is ignored), and recycles the
+// replaced members' buffers. It returns the survivors, in crowded-comparison
+// order, followed by the migrants, in pop's backing array, and false when
+// it installed none. The caller owns the migrants' ranks: they are left
+// for it to refresh.
+func (a *Arena) Immigrate(pop, migrants Population) (Population, bool) {
+	migrants = migrants[:min(len(migrants), len(pop)/2)]
+	if len(migrants) == 0 {
+		return pop, false
+	}
+	// ordered is a copy of pop's member pointers, so rebuilding pop in
+	// place is safe.
+	ordered := a.Truncate(pop, len(pop), nil)
+	keep := len(pop) - len(migrants)
+	for _, ind := range ordered[keep:] {
+		a.Recycle(ind)
+	}
+	return append(append(pop[:0], ordered[:keep]...), migrants...), true
+}
+
 // crowdedOrder sorts an index slice by NSGA-II's crowded comparison
 // (ascending rank, then descending crowding). It is a sort.Interface with a
 // pointer receiver so sort.Stable runs without allocating.

@@ -28,8 +28,6 @@ type Individual struct {
 	// Partition is the objective-space partition index (SACGA/MESACGA);
 	// -1 when partitioning is not in effect.
 	Partition int
-	// Age counts generations survived; used only for diagnostics.
-	Age int
 }
 
 // Clone deep-copies the individual.
@@ -121,9 +119,20 @@ func NewRandom(s *rng.Stream, lo, hi []float64) *Individual {
 
 // NewRandomPopulation returns n uniformly sampled individuals.
 func NewRandomPopulation(s *rng.Stream, n int, lo, hi []float64) Population {
-	pop := make(Population, n)
-	for i := range pop {
-		pop[i] = NewRandom(s, lo, hi)
+	return InitialPopulation(s, nil, n, lo, hi)
+}
+
+// InitialPopulation is an engine's starting population of n: clones of
+// the first n members of initial, topped up with uniform samples inside
+// the bounds drawn from s. With no initial members its draws are
+// NewRandomPopulation's.
+func InitialPopulation(s *rng.Stream, initial Population, n int, lo, hi []float64) Population {
+	pop := make(Population, 0, n)
+	for _, ind := range initial[:min(n, len(initial))] {
+		pop = append(pop, ind.Clone())
+	}
+	for len(pop) < n {
+		pop = append(pop, NewRandom(s, lo, hi))
 	}
 	return pop
 }

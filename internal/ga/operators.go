@@ -20,7 +20,7 @@ const (
 // caller-provided buffers — typically generation-recycled offspring from
 // Arena.Offspring, which makes steady-state variation allocation-free. c1
 // and c2 receive copies of a's and b's genes and bookkeeping (evaluation
-// cleared, age zero), whatever they held before, then SBX applies in place
+// cleared), whatever they held before, then SBX applies in place
 // (with probability crossoverProb) and bounds are enforced. The parents
 // are not modified and must be distinct from the children.
 func CrossoverInto(s *rng.Stream, a, b, c1, c2 *Individual, lo, hi []float64) {
@@ -33,7 +33,7 @@ func CrossoverInto(s *rng.Stream, a, b, c1, c2 *Individual, lo, hi []float64) {
 
 // childFrom seeds an offspring buffer from a parent: genes copied into the
 // buffer's reused backing array, selection bookkeeping inherited (as
-// Individual.Clone would), evaluation and age cleared.
+// Individual.Clone would), evaluation cleared.
 func childFrom(c, parent *Individual) {
 	c.X = append(c.X[:0], parent.X...)
 	c.Objectives = c.Objectives[:0]
@@ -41,7 +41,6 @@ func childFrom(c, parent *Individual) {
 	c.Rank = parent.Rank
 	c.Crowding = parent.Crowding
 	c.Partition = parent.Partition
-	c.Age = 0
 }
 
 // Mutate applies polynomial mutation to ind in place, each gene with

@@ -27,12 +27,11 @@ func TestCrossoverIntoMatchesCrossover(t *testing.T) {
 				t.Fatalf("trial %d gene %d: arena crossover diverged", trial, i)
 			}
 		}
-		if c1.Age != 0 || len(c1.Objectives) != 0 ||
+		if len(c1.Objectives) != 0 ||
 			c1.Rank != a.Rank || c1.Violation != a.Violation {
 			t.Fatalf("trial %d: child bookkeeping differs from Clone semantics", trial)
 		}
 		c1.Objectives = append(c1.Objectives, 1, 2)
-		c1.Age, c2.Age = 3, 4
 		arena.Recycle(c1)
 		arena.Recycle(c2)
 	}

@@ -142,10 +142,14 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	}
 	e.isles = make([]ga.Population, e.params.Islands)
 	e.streams = make([]*rng.Stream, e.params.Islands)
+	size, initial := e.params.IslandSize, e.opts.Initial
 	var evalErr error
 	for k := range e.isles {
+		// Island k seeds from its sequential block of Options.Initial and
+		// its own stream.
 		e.streams[k] = rng.DeriveN(e.opts.Seed, "island", k)
-		e.isles[k] = e.seedIsland(k)
+		block := initial[min(k*size, len(initial)):min((k+1)*size, len(initial))]
+		e.isles[k] = ga.InitialPopulation(e.streams[k], block, size, e.lo, e.hi)
 		if err := e.isles[k].TryEvaluateWith(e.prob, nil, e.opts.Workers); err != nil && evalErr == nil {
 			evalErr = err // first island's fault; later islands still seed
 		}
@@ -155,22 +159,6 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 		return fmt.Errorf("islands: %w", evalErr)
 	}
 	return nil
-}
-
-// seedIsland builds island k's initial population: its sequential block of
-// Options.Initial (cloned), topped up with uniform random samples from the
-// island's own stream. With no Initial the random draws are identical to
-// ga.NewRandomPopulation's.
-func (e *Engine) seedIsland(k int) ga.Population {
-	size := e.params.IslandSize
-	pop := make(ga.Population, 0, size)
-	for i := k * size; i < (k+1)*size && i < len(e.opts.Initial); i++ {
-		pop = append(pop, e.opts.Initial[i].Clone())
-	}
-	for len(pop) < size {
-		pop = append(pop, ga.NewRandom(e.streams[k], e.lo, e.hi))
-	}
-	return pop
 }
 
 // Step implements search.Engine: every island advances one generation in
@@ -248,33 +236,18 @@ func (e *Engine) Emigrants(k int) ga.Population {
 }
 
 // Immigrate implements search.Migrator: migrants are dealt round-robin to
-// the islands, each replacing its destination island's crowded-comparison
-// worst residents, and every receiving island is re-ranked. Per-island
-// intake is capped at half the island, the overflow ignored.
+// the islands, and each island installs its share through
+// ga.Arena.Immigrate (which caps it at half the island) and is re-ranked.
 func (e *Engine) Immigrate(migrants ga.Population) {
-	if limit := search.MigrantCap(e.params.Islands * e.params.IslandSize); len(migrants) > limit {
-		migrants = migrants[:limit]
-	}
 	incoming := make([]ga.Population, len(e.isles))
 	for j, m := range migrants {
 		incoming[j%len(e.isles)] = append(incoming[j%len(e.isles)], m)
 	}
 	for k, in := range incoming {
-		pop := e.isles[k]
-		if limit := search.MigrantCap(len(pop)); len(in) > limit {
-			in = in[:limit]
+		if pop, ok := e.arena.Immigrate(e.isles[k], in); ok {
+			e.isles[k] = pop
+			e.arena.AssignRanksAndCrowding(pop)
 		}
-		if len(in) == 0 {
-			continue
-		}
-		ordered := ga.TruncateByCrowdedComparison(pop, len(pop))
-		keep := ordered[:len(ordered)-len(in)]
-		evicted := ordered[len(keep):]
-		e.isles[k] = append(append(pop[:0], keep...), in...)
-		for _, ind := range evicted {
-			e.arena.Recycle(ind)
-		}
-		e.isles[k].AssignRanksAndCrowding()
 	}
 }
 
@@ -293,12 +266,9 @@ func (e *Engine) Checkpoint() *search.Checkpoint {
 
 // Restore implements search.Engine.
 func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("islands: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*Snapshot)
-	if !ok {
-		return fmt.Errorf("islands: checkpoint state is %T, want *islands.Snapshot", cp.State)
+	sn, err := search.StateOf[Snapshot](e.Name(), cp)
+	if err != nil {
+		return fmt.Errorf("islands: %w", err)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
@@ -337,9 +307,9 @@ func (e *Engine) step(pop ga.Population, s *rng.Stream) (ga.Population, error) {
 }
 
 // migrate sends each island's least-crowded front members (clones) to the
-// next island on the ring, replacing its worst residents (whose buffers are
-// recycled through the arena). Emigrants are selected before any
-// replacement so simultaneous migration is order-independent.
+// next island on the ring, where ga.Arena.Immigrate installs them in place
+// of its worst residents. Emigrants are selected before any replacement so
+// simultaneous migration is order-independent.
 func migrate(isles []ga.Population, migrants int, arena *ga.Arena) {
 	n := len(isles)
 	if n < 2 {
@@ -347,22 +317,13 @@ func migrate(isles []ga.Population, migrants int, arena *ga.Arena) {
 	}
 	outbound := make([]ga.Population, n)
 	for k, pop := range isles {
-		best := ga.TruncateByCrowdedComparison(pop, migrants)
-		outbound[k] = best.Clone()
+		outbound[k] = ga.TruncateByCrowdedComparison(pop, migrants).Clone()
 	}
 	for k := range isles {
 		dst := (k + 1) % n
-		pop := isles[dst]
-		// Worst residents last after crowded-comparison ordering.
-		ordered := ga.TruncateByCrowdedComparison(pop, len(pop))
-		keep := ordered[:len(ordered)-len(outbound[k])]
-		next := make(ga.Population, 0, len(pop))
-		next = append(next, keep...)
-		next = append(next, outbound[k]...)
-		next.AssignRanksAndCrowding()
-		for _, ind := range ordered[len(ordered)-len(outbound[k]):] {
-			arena.Recycle(ind)
+		if pop, ok := arena.Immigrate(isles[dst], outbound[k]); ok {
+			isles[dst] = pop
+			arena.AssignRanksAndCrowding(pop)
 		}
-		isles[dst] = next
 	}
 }

@@ -9,8 +9,11 @@
 //
 // The optimizer is the step-wise Engine implementing search.Engine
 // (registered as "mesacga"); drive it with search.Run or search.NewDriver.
-// Partition schedules are validated at Init — positive, non-increasing,
-// ending at a single partition — instead of silently misbehaving.
+// It runs SACGA's own phase machine (sacga.NewPhased) over its schedule,
+// so the phase-I cap, the span derivation and the phase transitions are
+// SACGA's. Partition schedules are validated at Init — positive,
+// non-increasing, ending at a single partition — instead of silently
+// misbehaving.
 package mesacga
 
 import (
@@ -49,40 +52,19 @@ type Params struct {
 	// remainder of Options.Generations after phase I is split evenly
 	// across phases (min 1 each) — the budget-matched mode.
 	Span int
-	// N, Shape, Pressure as in sacga.Params.
-	N        int
-	Shape    *sacga.Shape
-	Pressure float64
 }
 
-const (
-	stagePhaseI = iota
-	stagePhases
-)
-
 // Engine is the step-wise MESACGA driver implementing search.Engine: a
-// SACGA engine stepped one iteration at a time, with the phase-I exit, the
-// per-phase re-gridding and the end-of-phase front recording folded into
-// the Steps that cross them.
+// phased SACGA engine under MESACGA's name, params and checkpoint layout.
+// It holds the SACGA engine rather than embedding it, so MESACGA is not a
+// search.Migrator.
 type Engine struct {
-	inner    *sacga.Engine
-	params   Params
-	budget   search.EvalBudget
-	schedule []int
-
-	stage      int // stagePhaseI or stagePhases
-	phase      int // index into schedule
-	t          int // iteration within the current stage/phase
-	span       int // per-phase length, fixed at the phase-I exit
-	gentUsed   int
-	totalIters int // Options.Generations (span derivation)
-
-	phaseFronts []ga.Population
+	inner *sacga.Engine
 }
 
 // Snapshot is the engine-specific checkpoint payload: the inner SACGA
-// engine's snapshot plus the phase machinery and the recorded per-phase
-// fronts.
+// engine's snapshot, which carries the population state, plus the phase
+// machine's position and the recorded per-phase fronts.
 type Snapshot struct {
 	Inner       *sacga.Snapshot
 	Stage       int
@@ -96,113 +78,48 @@ type Snapshot struct {
 // Name implements search.Engine.
 func (e *Engine) Name() string { return "mesacga" }
 
-// innerOptions builds the inner SACGA engine's options: this engine's
-// normalized options gridded at the first phase's partition count, with no
-// evaluation cap — the cap stays with this engine's own budget.
-func (e *Engine) innerOptions(opts search.Options) search.Options {
-	p := &e.params
-	opts.MaxEvals = 0
+// prepare validates the schedule and returns the options of a phased SACGA
+// engine, which it installs as the inner engine.
+func (e *Engine) prepare(opts search.Options) (search.Options, error) {
+	p, err := search.Extension[Params](opts)
+	if err != nil {
+		return opts, fmt.Errorf("mesacga: %w", err)
+	}
+	schedule := p.Schedule
+	if len(schedule) == 0 {
+		schedule = DefaultSchedule()
+	}
+	if err := search.ValidateSchedule(schedule); err != nil {
+		return opts, fmt.Errorf("mesacga: %w", err)
+	}
+	e.inner = sacga.NewPhased(schedule)
 	opts.Extra = &sacga.Params{
-		Partitions:         e.schedule[0],
 		PartitionObjective: p.PartitionObjective,
 		PartitionLo:        p.PartitionLo,
 		PartitionHi:        p.PartitionHi,
 		GentMax:            p.GentMax,
 		Span:               p.Span,
-		N:                  p.N,
-		Shape:              p.Shape,
-		Pressure:           p.Pressure,
 	}
-	return opts
-}
-
-// prepare validates and stores the option/extension wiring shared by Init
-// and Restore, returning the budget-wrapped problem.
-func (e *Engine) prepare(prob objective.Problem, opts *search.Options) (objective.Problem, error) {
-	p, err := search.Extension[Params](*opts)
-	if err != nil {
-		return nil, fmt.Errorf("mesacga: %w", err)
-	}
-	e.params = *p
-	if len(e.params.Schedule) == 0 {
-		e.params.Schedule = DefaultSchedule()
-	}
-	if err := search.ValidateSchedule(e.params.Schedule); err != nil {
-		return nil, fmt.Errorf("mesacga: %w", err)
-	}
-	opts.Normalize()
-	e.schedule = e.params.Schedule
-	e.totalIters = opts.Generations
-	e.phaseFronts = nil
-	return e.budget.Attach(prob, opts.MaxEvals), nil
+	return opts, nil
 }
 
 // Init implements search.Engine.
 func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
-	wrapped, err := e.prepare(prob, &opts)
+	opts, err := e.prepare(opts)
 	if err != nil {
 		return err
 	}
-	e.inner = new(sacga.Engine)
-	innerErr := e.inner.Init(wrapped, e.innerOptions(opts))
-	e.stage, e.phase, e.t, e.span, e.gentUsed = stagePhaseI, 0, 0, 0, 0
-	if innerErr != nil {
-		return fmt.Errorf("mesacga: %w", innerErr)
+	if err := e.inner.Init(prob, opts); err != nil {
+		return fmt.Errorf("mesacga: %w", err)
 	}
 	return nil
 }
 
-// Step implements search.Engine: one iteration of the current phase. The
-// phase-I exit performs MarkDead and fixes the per-phase span; completing
-// phase p records its front (deep copy) and re-grids for phase p+1.
-func (e *Engine) Step() error {
-	if e.Done() {
-		return nil
-	}
-	gentMax := e.inner.Params().GentMax
-	phaseICap := sacga.BoundedGentMax(gentMax, e.totalIters, e.params.Span <= 0)
-	if e.stage == stagePhaseI {
-		if e.t < phaseICap && !e.inner.FeasibleEverywhere() {
-			err := e.inner.StepLocal(e.t, gentMax)
-			e.t++
-			return err
-		}
-		e.gentUsed = e.t
-		e.inner.MarkDead()
-		e.stage = stagePhases
-		e.t = 0
-		e.span = e.params.Span
-		if e.params.Span <= 0 {
-			e.span = (e.totalIters - e.gentUsed) / len(e.schedule)
-			if e.span < 1 {
-				e.span = 1
-			}
-		}
-	}
-	stepErr := e.inner.StepMixed(e.t, e.span)
-	e.t++
-	if e.t >= e.span {
-		// Phase complete: record its global front, expand.
-		e.phaseFronts = append(e.phaseFronts, e.inner.Front().Clone())
-		e.phase++
-		e.t = 0
-		if e.phase < len(e.schedule) {
-			// Expand partitions: re-grid, reassign, refresh liveness. Some
-			// locally-superior-but-globally-inferior solutions lose their
-			// protection here — the paper's intended pruning.
-			e.inner.Regrid(e.schedule[e.phase])
-		}
-	}
-	return stepErr
-}
+// Step implements search.Engine: one iteration of the current phase.
+func (e *Engine) Step() error { return e.inner.Step() }
 
 // Done implements search.Engine.
-func (e *Engine) Done() bool {
-	if e.budget.Exhausted() {
-		return true
-	}
-	return e.stage == stagePhases && e.phase >= len(e.schedule)
-}
+func (e *Engine) Done() bool { return e.inner.Done() }
 
 // Generation implements search.Engine.
 func (e *Engine) Generation() int { return e.inner.Generation() }
@@ -211,65 +128,45 @@ func (e *Engine) Generation() int { return e.inner.Generation() }
 func (e *Engine) Population() ga.Population { return e.inner.Population() }
 
 // Evals implements search.Engine.
-func (e *Engine) Evals() int64 { return e.budget.Evals() }
+func (e *Engine) Evals() int64 { return e.inner.Evals() }
 
 // PhaseFronts returns the per-phase global fronts recorded so far (deep
 // copies, one per completed phase).
-func (e *Engine) PhaseFronts() []ga.Population { return e.phaseFronts }
+func (e *Engine) PhaseFronts() []ga.Population { return e.inner.PhaseFronts() }
 
 // GentUsed returns the length of the initial pure-local phase (valid once
 // the run has crossed the phase-I boundary).
-func (e *Engine) GentUsed() int { return e.gentUsed }
+func (e *Engine) GentUsed() int { return e.inner.GentUsed() }
 
-// Checkpoint implements search.Engine.
+// Checkpoint implements search.Engine: the inner checkpoint, with the phase
+// machine's position and fronts moved out of the inner snapshot into
+// MESACGA's layout.
 func (e *Engine) Checkpoint() *search.Checkpoint {
-	fronts := make([]ga.Population, len(e.phaseFronts))
-	for i, f := range e.phaseFronts {
-		fronts[i] = f.Clone()
-	}
-	return &search.Checkpoint{
-		Algo:  e.Name(),
-		Gen:   e.Generation(),
-		Evals: e.Evals(),
-		State: &Snapshot{
-			Inner:       e.inner.Snapshot(),
-			Stage:       e.stage,
-			Phase:       e.phase,
-			T:           e.t,
-			Span:        e.span,
-			GentUsed:    e.gentUsed,
-			PhaseFronts: fronts,
-		},
-	}
+	cp := e.inner.Checkpoint()
+	in := cp.State.(*sacga.Snapshot)
+	cp.Algo = e.Name()
+	cp.State = &Snapshot{Inner: in, Stage: in.Stage, Phase: in.Phase, T: in.T,
+		Span: in.Span, GentUsed: in.GentUsed, PhaseFronts: in.PhaseFronts}
+	in.Stage, in.Phase, in.T, in.Span, in.GentUsed, in.PhaseFronts = 0, 0, 0, 0, 0, nil
+	return cp
 }
 
-// Restore implements search.Engine.
+// Restore implements search.Engine: Checkpoint's translation inverted, on
+// a copy of the inner snapshot.
 func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("mesacga: checkpoint is for %q", cp.Algo)
+	sn, err := search.StateOf[Snapshot](e.Name(), cp)
+	if err != nil {
+		return fmt.Errorf("mesacga: %w", err)
 	}
-	sn, ok := cp.State.(*Snapshot)
-	if !ok {
-		return fmt.Errorf("mesacga: checkpoint state is %T, want *mesacga.Snapshot", cp.State)
-	}
-	wrapped, err := e.prepare(prob, &opts)
+	opts, err = e.prepare(opts)
 	if err != nil {
 		return err
 	}
-	e.budget.RestoreEvals(cp.Evals)
-	e.inner = new(sacga.Engine)
-	innerCP := &search.Checkpoint{Algo: e.inner.Name(), State: sn.Inner}
-	if err := e.inner.Restore(wrapped, e.innerOptions(opts), innerCP); err != nil {
+	in := *sn.Inner
+	in.Stage, in.Phase, in.T, in.Span, in.GentUsed, in.PhaseFronts = sn.Stage, sn.Phase, sn.T, sn.Span, sn.GentUsed, sn.PhaseFronts
+	inner := &search.Checkpoint{Algo: e.inner.Name(), Gen: cp.Gen, Evals: cp.Evals, State: &in}
+	if err := e.inner.Restore(prob, opts, inner); err != nil {
 		return fmt.Errorf("mesacga: %w", err)
-	}
-	e.stage = sn.Stage
-	e.phase = sn.Phase
-	e.t = sn.T
-	e.span = sn.Span
-	e.gentUsed = sn.GentUsed
-	e.phaseFronts = make([]ga.Population, len(sn.PhaseFronts))
-	for i, f := range sn.PhaseFronts {
-		e.phaseFronts[i] = f.Clone()
 	}
 	return nil
 }

@@ -60,16 +60,7 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	}
 	e.prepare(prob, opts)
 	e.s = rng.Derive(e.opts.Seed, "nsga2")
-	e.pop = make(ga.Population, 0, e.opts.PopSize)
-	for _, ind := range e.opts.Initial {
-		if len(e.pop) == e.opts.PopSize {
-			break
-		}
-		e.pop = append(e.pop, ind.Clone())
-	}
-	for len(e.pop) < e.opts.PopSize {
-		e.pop = append(e.pop, ga.NewRandom(e.s, e.lo, e.hi))
-	}
+	e.pop = ga.InitialPopulation(e.s, e.opts.Initial, e.opts.PopSize, e.lo, e.hi)
 	evalErr := e.pop.TryEvaluateWith(e.prob, nil, e.opts.Workers)
 	e.arena.AssignRanksAndCrowding(e.pop)
 	if evalErr != nil {
@@ -109,9 +100,6 @@ func (e *Engine) Step() error {
 	// Re-rank the survivors among themselves so selection in the next
 	// generation and observers see self-consistent ranks.
 	e.arena.AssignRanksAndCrowding(e.pop)
-	for _, ind := range e.pop {
-		ind.Age++
-	}
 	e.gen++
 	if evalErr != nil {
 		// The generation completed — quarantined children simply lost the
@@ -149,12 +137,9 @@ func (e *Engine) Checkpoint() *search.Checkpoint {
 // Restore implements search.Engine: it rebuilds the checkpointed run under
 // the same problem and options, without re-evaluating anything.
 func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("nsga2: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*Snapshot)
-	if !ok {
-		return fmt.Errorf("nsga2: checkpoint state is %T, want *nsga2.Snapshot", cp.State)
+	sn, err := search.StateOf[Snapshot](e.Name(), cp)
+	if err != nil {
+		return fmt.Errorf("nsga2: %w", err)
 	}
 	if opts.Extra != nil {
 		return fmt.Errorf("nsga2: %w", &search.ExtraTypeError{Got: fmt.Sprintf("%T", opts.Extra)})
@@ -174,27 +159,13 @@ func (e *Engine) Emigrants(k int) ga.Population {
 	return ga.TruncateByCrowdedComparison(e.pop, k).Clone()
 }
 
-// Immigrate implements search.Migrator: the migrants replace the engine's
-// crowded-comparison-worst residents (whose buffers are recycled into the
-// offspring arena), and the population is re-ranked. Migrants beyond half
-// the population are ignored.
+// Immigrate implements search.Migrator through ga.Arena.Immigrate, and
+// re-ranks the population.
 func (e *Engine) Immigrate(migrants ga.Population) {
-	if limit := search.MigrantCap(len(e.pop)); len(migrants) > limit {
-		migrants = migrants[:limit]
+	if pop, ok := e.arena.Immigrate(e.pop, migrants); ok {
+		e.pop = pop
+		e.arena.AssignRanksAndCrowding(e.pop)
 	}
-	if len(migrants) == 0 {
-		return
-	}
-	ordered := ga.TruncateByCrowdedComparison(e.pop, len(e.pop))
-	keep := ordered[:len(ordered)-len(migrants)]
-	evicted := ordered[len(keep):]
-	// ordered holds its own copies of the member pointers, so rebuilding
-	// e.pop in place is safe.
-	e.pop = append(append(e.pop[:0], keep...), migrants...)
-	for _, ind := range evicted {
-		e.arena.Recycle(ind)
-	}
-	e.arena.AssignRanksAndCrowding(e.pop)
 }
 
 // Checkpoint aliases search.Checkpoint in this package's signatures.

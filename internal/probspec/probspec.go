@@ -13,6 +13,8 @@ import (
 	"strings"
 
 	"sacga/internal/benchfn"
+	"sacga/internal/ga"
+	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
 	"sacga/internal/process"
 	"sacga/internal/sizing"
@@ -83,6 +85,25 @@ func (s Spec) BuildValidated() (prob objective.Problem, circuit bool, err error)
 		return nil, false, err
 	}
 	return prob, circuit, nil
+}
+
+// CircuitPoint projects a feasible individual of the circuit problem onto
+// the reported (CL, Power) plane of sizing.ReportedPoint; an infeasible one
+// has no point. Front ends pick it by Build's circuit flag. (It cannot sit
+// in sizing beside ReportedPoint: package ga's own tests import sizing.)
+func CircuitPoint(ind *ga.Individual) (hypervolume.Point2, bool) {
+	if !ind.Feasible() {
+		return hypervolume.Point2{}, false
+	}
+	cl, pw := sizing.ReportedPoint(ind.Objectives)
+	return hypervolume.Point2{X: cl, Y: pw}, true
+}
+
+// CircuitHV is the paper's hypervolume of points on the reported plane, in
+// its unit of 0.1 mW·pF (sizing.HVUnit). Lower is better; no point scores
+// +Inf.
+func CircuitHV(pts []hypervolume.Point2) float64 {
+	return hypervolume.PaperMetricScaled(pts, sizing.HVUnit)
 }
 
 // Encode packs the spec into the compact "name|grade|robust|seed" string

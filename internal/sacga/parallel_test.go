@@ -55,8 +55,8 @@ func TestKernelsSteadyStateZeroAlloc(t *testing.T) {
 	e := initOK(t, prob, zdtOptions(60, 6))
 	// Warm every buffer with a few full iterations (children, union,
 	// double-buffered populations, group-by, sorter adjacency).
-	stepsOK(t, e.StepLocal, 3)
-	stepsOK(t, e.StepMixed, 3)
+	stepsOK(t, e, true, 3)
+	stepsOK(t, e, false, 3)
 
 	union := append(append(ga.Population{}, e.pop...), e.pop.Clone()...)
 	e.assign(union)

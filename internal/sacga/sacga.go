@@ -1,7 +1,9 @@
 // Package sacga implements the paper's primary contribution: the Simulated
 // Annealing driven Competition Genetic Algorithm (SACGA) for multi-objective
 // design-space exploration, plus the pure local-competition ablation of the
-// paper's §4.3.
+// paper's §4.3. Its Engine is the one phase machine behind both SACGA and
+// MESACGA (§4.5, package mesacga), which is SACGA run over a shrinking
+// partition schedule.
 //
 // The objective space is partitioned along one objective axis (package-level
 // Grid). Evolution runs in two phases (paper fig. 3):
@@ -13,15 +15,20 @@
 //     which partitions that never produced a feasible solution are
 //     discarded (their load range is deemed infeasible).
 //
-//   - Phase II — annealed MIXED competition: each iteration, every
+//   - Phase II — annealed MIXED competition over a partition schedule: one
+//     phase of Span iterations per schedule entry. Each iteration, every
 //     partition's locally-superior (local rank 0) solutions are considered
 //     in random order i = 1..mp and join the global competition with the
 //     eqn.-(3) probability, which the eqn.-(4) temperature schedule drives
-//     from ~0 (pure local) to ~1 (pure global) across Span iterations.
+//     from ~0 (pure local) to ~1 (pure global) across the phase.
 //     Participants have their rank revised to the global non-domination
 //     rank; non-participants keep their local rank — the mechanism that
 //     protects weak-but-diverse regions ("a partition maintains its
-//     representation even if all its participants are dominated").
+//     representation even if all its participants are dominated"). At the
+//     end of each phase the engine records the phase's global front and,
+//     unless the phase was the last, re-grids the axis to the next entry.
+//     SACGA's schedule is the one phase at Params.Partitions; NewPhased
+//     runs MESACGA's.
 //
 // Survival is (µ+λ) with per-partition quotas, which realizes the
 // protection structurally: each live partition retains up to
@@ -55,6 +62,14 @@ const deadRankOffset = 1 << 20
 // DefaultGentMax caps phase I when Params.GentMax is unset.
 const DefaultGentMax = 200
 
+// nSuperior is the desired number of globally superior solutions per
+// partition: the n of eqn. (2).
+const nSuperior = 5
+
+// pressure is the linear-ranking selection pressure of the global mating
+// pool.
+const pressure = 1.8
+
 // Params is the SACGA extension struct carried by search.Options.Extra:
 // the algorithm-specific knobs, with the common hyperparameters (PopSize,
 // Generations, Seed, Workers, Initial) coming from search.Options itself.
@@ -69,20 +84,15 @@ type Params struct {
 	PartitionLo, PartitionHi float64
 	// GentMax caps phase I (default 200).
 	GentMax int
-	// Span, when > 0, pins the phase-II length exactly, however long
-	// phase I ran. When 0, phase II consumes the remainder of
-	// Options.Generations after phase I — max(1, Generations-gentUsed) —
-	// which keeps runs evaluation-comparable across algorithms, the way
-	// the paper's budget-matched comparisons are set up.
+	// Span, when > 0, pins the length of each phase-II phase exactly,
+	// however long phase I ran. When 0, the phases split the remainder of
+	// Options.Generations after phase I evenly — max(1,
+	// (Generations-gentUsed)/phases) each — which keeps runs
+	// evaluation-comparable across algorithms, the way the paper's
+	// budget-matched comparisons are set up.
 	Span int
-	// N is the desired number of globally superior solutions per
-	// partition (the n of eqn. 2, default 5).
-	N int
-	// Shape are the eqn. 2–4 constants; nil selects DefaultShape(N).
+	// Shape are the eqn. 2–4 constants; nil selects DefaultShape(5).
 	Shape *Shape
-	// Pressure is the linear-ranking selection pressure of the global
-	// mating pool (default 1.8).
-	Pressure float64
 	// LocalOnly selects the paper's §4.3 ablation: pure local competition
 	// for the whole Options.Generations budget, with no phase boundary and
 	// no partition discarding.
@@ -90,7 +100,7 @@ type Params struct {
 }
 
 // normalize applies the SACGA defaults in place. Span is left as given:
-// 0 selects the derived phase-II length.
+// 0 selects the derived phase length.
 func (p *Params) normalize(nobj int) {
 	if p.Partitions <= 0 {
 		p.Partitions = 8
@@ -101,22 +111,15 @@ func (p *Params) normalize(nobj int) {
 	if p.GentMax <= 0 {
 		p.GentMax = DefaultGentMax
 	}
-	if p.N <= 0 {
-		p.N = 5
-	}
 	if p.Shape == nil {
-		s := DefaultShape(p.N)
+		s := DefaultShape(nSuperior)
 		p.Shape = &s
-	}
-	if p.Pressure <= 1 || p.Pressure > 2 {
-		p.Pressure = 1.8
 	}
 }
 
 // Engine is the step-wise SACGA driver implementing search.Engine
-// (registered as "sacga"). It also exposes the phase primitives — StepLocal,
-// StepMixed, MarkDead, Regrid — that MESACGA drives with an expanding
-// partition schedule. The zero value is ready for Init (or Restore).
+// (registered as "sacga"), and the phase machine MESACGA runs through
+// NewPhased. The zero value is ready for Init (or Restore).
 type Engine struct {
 	prob   objective.Problem
 	opts   search.Options // normalized
@@ -127,14 +130,18 @@ type Engine struct {
 	dead   []bool
 	gen    int // global iteration counter
 
-	// Step-wise driver state (search.Engine). stage walks phase I → II;
-	// the phase transition (MarkDead + span derivation) folds into the
-	// Step that crosses it, so one Step is always one iteration.
+	// Step-wise driver state (search.Engine). stage walks phase I → II and
+	// phase walks the schedule; each transition folds into the Step that
+	// crosses it, so one Step is always one iteration.
 	budget   search.EvalBudget
-	stage    int // stagePhaseI or stagePhaseII
-	t        int // iteration index within the current stage
-	span     int // phase-II length, fixed at the transition
-	gentUsed int // iterations phase I consumed
+	phased   []int // NewPhased's schedule; nil selects [Params.Partitions]
+	schedule []int // phase II's partition count per phase
+	stage    int   // stagePhaseI or stagePhaseII
+	phase    int   // index into schedule
+	t        int   // iteration index within the current stage or phase
+	span     int   // phase length, fixed at the phase-I exit
+	gentUsed int   // iterations phase I consumed
+	fronts   []ga.Population
 
 	// Steady-state scratch. The per-generation kernels (partition group-by,
 	// local/global non-dominated sorts, rank revision, environmental
@@ -162,6 +169,11 @@ const (
 	stagePhaseII
 )
 
+// NewPhased returns an engine whose phase II walks schedule, one phase per
+// entry, in place of the single phase at Params.Partitions: the MESACGA
+// machine. The caller validates schedule and must not modify it.
+func NewPhased(schedule []int) *Engine { return &Engine{phased: schedule} }
+
 // Name implements search.Engine.
 func (e *Engine) Name() string { return "sacga" }
 
@@ -176,6 +188,10 @@ func (e *Engine) prepare(prob objective.Problem, opts search.Options) error {
 	opts.Normalize()
 	e.opts, e.params = opts, *p
 	e.params.normalize(prob.NumObjectives())
+	e.schedule = e.phased
+	if e.schedule == nil {
+		e.schedule = []int{e.params.Partitions}
+	}
 	e.prob = e.budget.Attach(prob, opts.MaxEvals)
 	return nil
 }
@@ -193,20 +209,12 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	}
 	o, p := &e.opts, &e.params
 	e.s = rng.Derive(o.Seed, "sacga")
-	e.stage, e.t, e.span, e.gentUsed, e.gen = stagePhaseI, 0, 0, 0, 0
-	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, p.Partitions)
+	e.stage, e.phase, e.t, e.span, e.gentUsed, e.gen = stagePhaseI, 0, 0, 0, 0, 0
+	e.fronts = nil
+	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, e.schedule[0])
 	e.dead = make([]bool, e.grid.M)
 	lo, hi := prob.Bounds()
-	e.pop = make(ga.Population, 0, o.PopSize)
-	for _, ind := range o.Initial {
-		if len(e.pop) == o.PopSize {
-			break
-		}
-		e.pop = append(e.pop, ind.Clone())
-	}
-	for len(e.pop) < o.PopSize {
-		e.pop = append(e.pop, ga.NewRandom(e.s, lo, hi))
-	}
+	e.pop = ga.InitialPopulation(e.s, o.Initial, o.PopSize, lo, hi)
 	evalErr := e.pop.TryEvaluateWith(e.prob, nil, o.Workers)
 	e.assign(e.pop)
 	e.localRanks(e.pop)
@@ -216,11 +224,13 @@ func (e *Engine) Init(prob objective.Problem, opts search.Options) error {
 	return nil
 }
 
-// Step implements search.Engine: one SACGA iteration. In phase I it first
-// checks the phase-exit condition (full feasibility coverage or GentMax)
-// and, when met, performs the transition — MarkDead and the span
-// derivation — before running the first phase-II iteration, so one Step
-// is always one iteration.
+// Step implements search.Engine: one iteration. In phase I it first checks
+// the phase-exit condition (full feasibility coverage or the phase-I cap)
+// and, when met, performs the transition — markDead and the span
+// derivation — before running the first phase-II iteration. The Step that
+// completes a phase records the phase's front and, unless the phase was
+// the last, re-grids to the next schedule entry. One Step is always one
+// iteration.
 func (e *Engine) Step() error {
 	if e.Done() {
 		return nil
@@ -237,40 +247,46 @@ func (e *Engine) Step() error {
 			return err
 		}
 		e.gentUsed = e.t
-		e.MarkDead()
+		e.markDead()
 		e.stage = stagePhaseII
 		e.t = 0
 		e.span = e.params.Span
-		if e.params.Span <= 0 {
-			e.span = e.opts.Generations - e.gentUsed
-			if e.span < 1 {
-				e.span = 1
-			}
+		if e.span <= 0 {
+			e.span = max(1, (e.opts.Generations-e.gentUsed)/len(e.schedule))
 		}
 	}
 	err := e.iterate(e.t, e.span, false)
 	e.t++
+	if e.t >= e.span {
+		e.fronts = append(e.fronts, e.Front().Clone())
+		if e.phase < len(e.schedule)-1 {
+			// Expand the partitions. Some locally-superior but globally
+			// inferior solutions lose their protection here — the paper's
+			// intended pruning.
+			e.phase++
+			e.t = 0
+			e.regrid(e.schedule[e.phase])
+		}
+	}
 	return err
 }
 
-// BoundedGentMax is the phase-I budget rule shared by the SACGA and
-// MESACGA step machines: GentMax bounds phase I, additionally clipped to
-// the total generation budget in derived-span mode — a never-feasible
-// problem must not let phase I silently run GentMax generations past a
-// smaller Options.Generations. In pinned-span runs GentMax alone bounds
-// phase I, and the span runs in full regardless.
-func BoundedGentMax(gentMax, totalIters int, derivedSpan bool) int {
-	if derivedSpan && totalIters < gentMax {
-		return totalIters
-	}
-	return gentMax
-}
-
+// phaseICap bounds phase I: GentMax, additionally clipped to the total
+// generation budget when the span is derived — a never-feasible problem
+// must not let phase I run GentMax generations past a smaller
+// Options.Generations. With a pinned span GentMax alone bounds phase I,
+// and every phase runs its span in full regardless.
 func (e *Engine) phaseICap() int {
-	return BoundedGentMax(e.params.GentMax, e.opts.Generations, e.params.Span <= 0)
+	if e.params.Span <= 0 {
+		return min(e.params.GentMax, e.opts.Generations)
+	}
+	return e.params.GentMax
 }
 
-// Done implements search.Engine.
+// Done implements search.Engine. A run ends in the last phase of its
+// schedule at t == span. Checkpoints written before SACGA and MESACGA
+// shared this machine may also record a MESACGA end one phase past the
+// schedule, at t == 0.
 func (e *Engine) Done() bool {
 	if e.budget.Exhausted() {
 		return true
@@ -278,7 +294,8 @@ func (e *Engine) Done() bool {
 	if e.params.LocalOnly {
 		return e.t >= e.opts.Generations
 	}
-	return e.stage == stagePhaseII && e.t >= e.span
+	last := len(e.schedule) - 1
+	return e.stage == stagePhaseII && (e.phase > last || e.phase == last && e.t >= e.span)
 }
 
 // Generation implements search.Engine.
@@ -291,74 +308,74 @@ func (e *Engine) Evals() int64 { return e.budget.Evals() }
 // the step-wise run has crossed the phase boundary).
 func (e *Engine) GentUsed() int { return e.gentUsed }
 
+// PhaseFronts returns the global fronts recorded at the end of each
+// completed phase-II phase (deep copies).
+func (e *Engine) PhaseFronts() []ga.Population { return e.fronts }
+
 // Snapshot is the engine-specific checkpoint payload: the RNG position,
-// the population with its revised ranks, the partition liveness flags and
-// the step-machine position. Partitions records the CURRENT grid size —
-// MESACGA re-grids mid-run, so it can differ from the configured count.
+// the population with its revised ranks, the partition liveness flags, the
+// step-machine position and the recorded phase fronts. Partitions records
+// the CURRENT grid size, which differs from the first schedule entry once
+// a MESACGA run has re-gridded.
 type Snapshot struct {
-	RNG        rng.State
-	Pop        ga.Population
-	Dead       []bool
-	Partitions int
-	Gen        int
-	Stage      int
-	T          int
-	Span       int
-	GentUsed   int
-}
-
-// Snapshot deep-copies the engine state. Exported (rather than folded into
-// Checkpoint) because the MESACGA engine snapshots its inner SACGA engine
-// through it.
-func (e *Engine) Snapshot() *Snapshot {
-	return &Snapshot{
-		RNG:        e.s.State(),
-		Pop:        e.pop.Clone(),
-		Dead:       append([]bool(nil), e.dead...),
-		Partitions: e.grid.M,
-		Gen:        e.gen,
-		Stage:      e.stage,
-		T:          e.t,
-		Span:       e.span,
-		GentUsed:   e.gentUsed,
-	}
-}
-
-// restoreSnapshot rebuilds engine state from a snapshot. The caller must
-// have run prepare first.
-func (e *Engine) restoreSnapshot(sn *Snapshot) {
-	e.s = rng.FromState(sn.RNG)
-	e.pop = sn.Pop.Clone()
-	e.dead = append([]bool(nil), sn.Dead...)
-	p := &e.params
-	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, sn.Partitions)
-	e.gen = sn.Gen
-	e.stage = sn.Stage
-	e.t = sn.T
-	e.span = sn.Span
-	e.gentUsed = sn.GentUsed
+	RNG         rng.State
+	Pop         ga.Population
+	Dead        []bool
+	Partitions  int
+	Gen         int
+	Stage       int
+	T           int
+	Span        int
+	GentUsed    int
+	Phase       int
+	PhaseFronts []ga.Population
 }
 
 // Checkpoint implements search.Engine.
 func (e *Engine) Checkpoint() *search.Checkpoint {
-	return &search.Checkpoint{Algo: e.Name(), Gen: e.gen, Evals: e.Evals(), State: e.Snapshot()}
+	return &search.Checkpoint{Algo: e.Name(), Gen: e.gen, Evals: e.Evals(), State: &Snapshot{
+		RNG:         e.s.State(),
+		Pop:         e.pop.Clone(),
+		Dead:        append([]bool(nil), e.dead...),
+		Partitions:  e.grid.M,
+		Gen:         e.gen,
+		Stage:       e.stage,
+		T:           e.t,
+		Span:        e.span,
+		GentUsed:    e.gentUsed,
+		Phase:       e.phase,
+		PhaseFronts: cloneFronts(e.fronts),
+	}}
 }
 
 // Restore implements search.Engine.
 func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	if cp.Algo != e.Name() {
-		return fmt.Errorf("sacga: checkpoint is for %q", cp.Algo)
-	}
-	sn, ok := cp.State.(*Snapshot)
-	if !ok {
-		return fmt.Errorf("sacga: checkpoint state is %T, want *sacga.Snapshot", cp.State)
+	sn, err := search.StateOf[Snapshot](e.Name(), cp)
+	if err != nil {
+		return fmt.Errorf("sacga: %w", err)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
 	e.budget.RestoreEvals(cp.Evals)
-	e.restoreSnapshot(sn)
+	p := &e.params
+	e.s = rng.FromState(sn.RNG)
+	e.pop = sn.Pop.Clone()
+	e.dead = append([]bool(nil), sn.Dead...)
+	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, sn.Partitions)
+	e.gen = sn.Gen
+	e.stage, e.phase, e.t, e.span, e.gentUsed = sn.Stage, sn.Phase, sn.T, sn.Span, sn.GentUsed
+	e.fronts = cloneFronts(sn.PhaseFronts)
 	return nil
+}
+
+// cloneFronts deep-copies a list of phase fronts.
+func cloneFronts(fronts []ga.Population) []ga.Population {
+	out := make([]ga.Population, len(fronts))
+	for i, f := range fronts {
+		out[i] = f.Clone()
+	}
+	return out
 }
 
 // Emigrants implements search.Migrator: deep copies of the engine's k best
@@ -367,51 +384,22 @@ func (e *Engine) Emigrants(k int) ga.Population {
 	return ga.TruncateByCrowdedComparison(e.pop, k).Clone()
 }
 
-// Immigrate implements search.Migrator: the migrants replace the
-// revised-rank-worst residents, are assigned to this engine's partition
-// grid, and the local competition ranks are refreshed — so newcomers join
-// whichever partition their objectives land in, exactly like offspring.
-// Migrants beyond half the population are ignored.
+// Immigrate implements search.Migrator through ga.Arena.Immigrate; the
+// newcomers are assigned to this engine's partition grid and the local
+// competition ranks are refreshed — so they join whichever partition their
+// objectives land in, exactly like offspring.
 func (e *Engine) Immigrate(migrants ga.Population) {
-	if limit := search.MigrantCap(len(e.pop)); len(migrants) > limit {
-		migrants = migrants[:limit]
+	if pop, ok := e.arena.Immigrate(e.pop, migrants); ok {
+		e.pop = pop
+		e.assign(e.pop)
+		e.localRanks(e.pop)
 	}
-	if len(migrants) == 0 {
-		return
-	}
-	ordered := ga.TruncateByCrowdedComparison(e.pop, len(e.pop))
-	keep := ordered[:len(ordered)-len(migrants)]
-	evicted := ordered[len(keep):]
-	// ordered holds its own copies of the member pointers, so rebuilding
-	// e.pop in place is safe.
-	e.pop = append(append(e.pop[:0], keep...), migrants...)
-	for _, ind := range evicted {
-		e.arena.Recycle(ind)
-	}
-	e.assign(e.pop)
-	e.localRanks(e.pop)
 }
-
-// StepLocal runs one pure-local-competition iteration at annealing
-// position t of span — the phase-I grain the MESACGA engine steps at.
-func (e *Engine) StepLocal(t, span int) error { return e.iterate(t, span, true) }
-
-// StepMixed runs one annealed mixed-competition iteration at annealing
-// position t of span — the phase-II grain.
-func (e *Engine) StepMixed(t, span int) error { return e.iterate(t, span, false) }
-
-// FeasibleEverywhere reports whether every partition currently holds a
-// constraint-satisfying solution — the phase-I exit condition.
-func (e *Engine) FeasibleEverywhere() bool { return e.allPartitionsFeasible() }
 
 // Population returns the current population — a live view, not a copy.
 // The engine recycles population buffers across iterations, so the view is
-// invalidated by any further Step/StepLocal/StepMixed call; Clone it to
-// keep a snapshot.
+// invalidated by the next Step; Clone it to keep a snapshot.
 func (e *Engine) Population() ga.Population { return e.pop }
-
-// Params returns the normalized extension parameters.
-func (e *Engine) Params() Params { return e.params }
 
 // Grid returns the active partition grid.
 func (e *Engine) Grid() Grid { return e.grid }
@@ -421,10 +409,10 @@ func (e *Engine) Grid() Grid { return e.grid }
 // population".
 func (e *Engine) Front() ga.Population { return e.pop.FirstFront() }
 
-// MarkDead discards partitions without a constraint-satisfying solution —
+// markDead discards partitions without a constraint-satisfying solution —
 // the paper's post-phase-I cleanup ("partitions with no
 // constraint-satisfying solutions are discarded").
-func (e *Engine) MarkDead() {
+func (e *Engine) markDead() {
 	feas := e.feasibleByPartition()
 	for k := range e.dead {
 		e.dead[k] = !feas[k]
@@ -433,11 +421,11 @@ func (e *Engine) MarkDead() {
 	e.localRanks(e.pop) // refresh dead-rank offsets
 }
 
-// Regrid re-partitions the objective axis into m partitions (the MESACGA
+// regrid re-partitions the objective axis into m partitions (a MESACGA
 // phase transition), reassigns every individual and refreshes liveness:
 // a partition is live if any population member inside it is feasible OR the
 // whole population is still infeasible (no information yet).
-func (e *Engine) Regrid(m int) {
+func (e *Engine) regrid(m int) {
 	p := &e.params
 	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, m)
 	e.dead = make([]bool, m)
@@ -571,7 +559,7 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 	// using the current (revised) ranks; global crossover and mutation into
 	// arena-recycled offspring buffers (the individuals the previous
 	// environmental selection discarded).
-	e.sel.Reset(e.pop, e.params.Pressure)
+	e.sel.Reset(e.pop, pressure)
 	children := e.childBuf[:0]
 	for len(children) < o.PopSize {
 		p1 := e.sel.Pick(e.s)
@@ -600,9 +588,6 @@ func (e *Engine) iterate(t, span int, pureLocal bool) error {
 	}
 
 	e.pop = e.environmentalSelect(union)
-	for _, ind := range e.pop {
-		ind.Age++
-	}
 	e.gen++
 	if evalErr != nil {
 		return fmt.Errorf("sacga: %w", evalErr)
@@ -635,7 +620,7 @@ func (e *Engine) reviseRanks(union ga.Population, t, span int) {
 		}
 		e.s.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
 		for j, i := range idx {
-			if e.s.Bool(p.Shape.Probability(j+1, p.N, t, span)) {
+			if e.s.Bool(p.Shape.Probability(j+1, nSuperior, t, span)) {
 				participants = append(participants, i)
 			}
 		}
@@ -740,7 +725,7 @@ func (e *Engine) environmentalSelect(union ga.Population) ga.Population {
 
 // infeasibleFallbackCheck guards against a pathological all-dead grid: if
 // every partition died in phase I the engine would otherwise starve. The
-// engine never lets that happen — MarkDead keeps at least the best
+// engine never lets that happen — markDead keeps at least the best
 // partition alive.
 func (e *Engine) infeasibleFallbackCheck() {
 	allDead := true

@@ -183,8 +183,8 @@ func TestEngineRegrid(t *testing.T) {
 	if e.Grid().M != 8 {
 		t.Fatal("initial grid")
 	}
-	stepsOK(t, e.StepLocal, 5)
-	e.Regrid(3)
+	stepsOK(t, e, true, 5)
+	e.regrid(3)
 	if e.Grid().M != 3 {
 		t.Fatal("regrid did not take")
 	}
@@ -193,7 +193,7 @@ func TestEngineRegrid(t *testing.T) {
 			t.Fatalf("individual in partition %d after regrid to 3", ind.Partition)
 		}
 	}
-	stepsOK(t, e.StepMixed, 10)
+	stepsOK(t, e, false, 10)
 	if len(e.Population()) != 40 {
 		t.Fatalf("population size %d after regrid+phaseII", len(e.Population()))
 	}
@@ -231,7 +231,7 @@ func dominates(a, b []float64) bool {
 func TestConfigNormalization(t *testing.T) {
 	var p Params
 	p.normalize(2)
-	if p.Partitions != 8 || p.N != 5 || p.GentMax != DefaultGentMax {
+	if p.Partitions != 8 || p.GentMax != DefaultGentMax {
 		t.Fatalf("defaults: %+v", p)
 	}
 	if p.Span != 0 {
@@ -239,9 +239,6 @@ func TestConfigNormalization(t *testing.T) {
 	}
 	if p.Shape == nil {
 		t.Fatal("shape must default")
-	}
-	if p.Pressure != 1.8 {
-		t.Fatal("pressure default")
 	}
 	// An out-of-range partition objective clamps to the last objective.
 	bad := Params{PartitionObjective: 7}
@@ -381,12 +378,12 @@ func initOK(t *testing.T, prob objective.Problem, opts search.Options) *Engine {
 	return e
 }
 
-// stepsOK runs n iterations of one phase primitive (StepLocal or
-// StepMixed) at annealing positions 0..n-1 of an n-iteration span.
-func stepsOK(t *testing.T, step func(t, span int) error, n int) {
+// stepsOK runs n iterations, pure-local or mixed, at annealing positions
+// 0..n-1 of an n-iteration span.
+func stepsOK(t *testing.T, e *Engine, pureLocal bool, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := step(i, n); err != nil {
+		if err := e.iterate(i, n, pureLocal); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/gob"
+	"fmt"
 	"time"
 
 	"sacga/internal/ga"
@@ -279,9 +280,9 @@ func (e *ParallelIslands) Checkpoint() *search.Checkpoint {
 
 // Restore implements search.Engine.
 func (e *ParallelIslands) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	sn, err := stateOf[IslandsSnapshot](e.Name(), cp)
+	sn, err := search.StateOf[IslandsSnapshot](e.Name(), cp)
 	if err != nil {
-		return err
+		return fmt.Errorf("sched: %s: %w", e.Name(), err)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err

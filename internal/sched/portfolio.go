@@ -216,9 +216,9 @@ func (e *Portfolio) Checkpoint() *search.Checkpoint {
 
 // Restore implements search.Engine.
 func (e *Portfolio) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	sn, err := stateOf[PortfolioSnapshot](e.Name(), cp)
+	sn, err := search.StateOf[PortfolioSnapshot](e.Name(), cp)
 	if err != nil {
-		return err
+		return fmt.Errorf("sched: %s: %w", e.Name(), err)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err

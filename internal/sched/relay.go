@@ -233,9 +233,9 @@ func (e *Relay) Checkpoint() *search.Checkpoint {
 // population it inherited, which the snapshot carries. The completed legs'
 // evaluations are the checkpoint's count less the active leg's.
 func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
-	sn, err := stateOf[RelaySnapshot](e.Name(), cp)
+	sn, err := search.StateOf[RelaySnapshot](e.Name(), cp)
 	if err != nil {
-		return err
+		return fmt.Errorf("sched: %s: %w", e.Name(), err)
 	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err

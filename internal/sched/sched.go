@@ -156,16 +156,3 @@ func firstError(errs []error) error {
 	}
 	return nil
 }
-
-// stateOf checks that cp is a checkpoint of the engine called name and
-// returns its state.
-func stateOf[T any](name string, cp *search.Checkpoint) (*T, error) {
-	if cp.Algo != name {
-		return nil, fmt.Errorf("sched: %s: checkpoint is for %q", name, cp.Algo)
-	}
-	sn, ok := cp.State.(*T)
-	if !ok {
-		return nil, fmt.Errorf("sched: %s: checkpoint state is %T, want %T", name, cp.State, sn)
-	}
-	return sn, nil
-}

@@ -1,5 +1,7 @@
 package search
 
+import "fmt"
+
 // Checkpoint is a deep, self-contained snapshot of a run: everything an
 // engine needs to rebuild its exact state under the same problem and
 // options. Snapshots share no memory with the live engine, so a checkpoint
@@ -23,4 +25,18 @@ type Checkpoint struct {
 	Evals int64
 	// State is the engine-specific snapshot payload.
 	State any
+}
+
+// StateOf checks that cp is a checkpoint of the engine called name and
+// returns its state, which must be a *T. Callers prefix the error with
+// their package (and engine) name.
+func StateOf[T any](name string, cp *Checkpoint) (*T, error) {
+	if cp.Algo != name {
+		return nil, fmt.Errorf("checkpoint is for %q", cp.Algo)
+	}
+	sn, ok := cp.State.(*T)
+	if !ok {
+		return nil, fmt.Errorf("checkpoint state is %T, want %T", cp.State, sn)
+	}
+	return sn, nil
 }

@@ -99,3 +99,51 @@ func TestLegacyCheckpointsResume(t *testing.T) {
 		})
 	}
 }
+
+// TestFinishedCheckpointsResume pins the end states of the phase machine:
+// testdata/sacga-done.ckpt and mesacga-done.ckpt are legacyCases' sacga and
+// mesacga runs checkpointed once Done, by a build whose SACGA snapshot
+// ended at T == Span and whose MESACGA snapshot ended one phase past its
+// schedule with T == 0. Each must resume as finished: no Step, and the
+// generations, evaluations, final population and front of the run left
+// uninterrupted.
+func TestFinishedCheckpointsResume(t *testing.T) {
+	for _, tc := range legacyCases() {
+		if tc.name != "sacga" && tc.name != "mesacga" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := search.LoadCheckpoint(filepath.Join("testdata", tc.name+"-done.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := search.New(tc.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := search.Run(context.Background(), ref, tc.prob(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := search.New(tc.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			counted := search.ObserverFunc(func(*search.Frame) { steps++ })
+			got, err := search.Resume(context.Background(), fresh, tc.prob(), tc.opts, cp, counted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if steps != 0 {
+				t.Fatalf("a finished checkpoint resumed for %d more generations", steps)
+			}
+			if got.Evals != want.Evals || got.Generations != want.Generations {
+				t.Fatalf("resumed run: %d evals over %d generations, uninterrupted: %d over %d",
+					got.Evals, got.Generations, want.Evals, want.Generations)
+			}
+			popsIdentical(t, "final", got.Final, want.Final)
+			popsIdentical(t, "front", got.Front, want.Front)
+		})
+	}
+}

@@ -22,11 +22,8 @@ type Migrator interface {
 	// selection bookkeeping (ranks, crowding, partition assignment). The
 	// engine takes ownership of the migrants: they must be clones that no
 	// other engine retains. Migrants beyond half the population are
-	// ignored, preserving a resident majority.
+	// ignored, preserving a resident majority, so migration refreshes
+	// diversity without letting a single epoch replace a population
+	// wholesale. ga.Arena.Immigrate implements that replacement rule.
 	Immigrate(migrants ga.Population)
 }
-
-// MigrantCap bounds how many immigrants an engine accepts per exchange:
-// half its population, so migration refreshes diversity without letting a
-// single epoch replace a population wholesale.
-func MigrantCap(popSize int) int { return popSize / 2 }

@@ -52,8 +52,15 @@ type HVSample struct {
 // generation at pop 100, well under 1% of a generation, so there is no
 // incremental structure behind it; Score swaps in another metric.
 //
-// The zero value is ready to use on two-objective minimization problems; a
-// HypervolumeObserver is not safe for concurrent use.
+// The zero value scores feasible individuals' first two objectives with
+// PaperMetric, the staircase of the paper's reported integrator plane,
+// which maximizes X and minimizes Y. On other axes that staircase is not a
+// dominated hypervolume: on a front of two minimized objectives it
+// collapses to X_max·Y_min, the one step under the member that leads in
+// f0, which tends to 0 as the front converges. Callers that want a
+// hypervolume set Project and Score; circuit jobs and cmd/sacga use
+// probspec.CircuitPoint and probspec.CircuitHV, the reported (CL, Power)
+// plane in 0.1 mW·pF. A HypervolumeObserver is not safe for concurrent use.
 type HypervolumeObserver struct {
 	// Project maps an individual to a 2-D point; returning false skips the
 	// individual. nil selects the default: feasible individuals' first two

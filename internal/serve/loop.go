@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"sacga/internal/objective"
+	"sacga/internal/probspec"
 	"sacga/internal/sched"
 	"sacga/internal/search"
 	"sacga/internal/shard"
@@ -167,7 +168,7 @@ func (s *Server) initJob(j *Job) (err error) {
 			err = fmt.Errorf("serve: job init panicked: %v", r)
 		}
 	}()
-	prob, _, err := s.cfg.Build(j.Spec)
+	prob, circuit, err := s.cfg.Build(j.Spec)
 	if err != nil {
 		return err
 	}
@@ -201,6 +202,11 @@ func (s *Server) initJob(j *Job) (err error) {
 	j.opts = opts
 	j.eng = eng
 	j.hvObs = &search.HypervolumeObserver{}
+	if circuit {
+		// The reported (CL, Power) plane in 0.1 mW·pF, the paper
+		// hypervolume cmd/sacga prints for the same run.
+		j.hvObs.Project, j.hvObs.Score = probspec.CircuitPoint, probspec.CircuitHV
+	}
 	if j.restoreCP != nil {
 		cp := j.restoreCP
 		j.restoreCP = nil

@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
 	"sacga/internal/probspec"
 	"sacga/internal/search"
+	"sacga/internal/sizing"
 )
 
 // slowProblem delays every evaluation without changing its result, so the
@@ -203,6 +205,54 @@ func TestJobBitIdenticalToSoloRun(t *testing.T) {
 			t.Fatalf("%s: state %s, want done (err %q)", engine, res.State, res.Error)
 		}
 		frontsEqual(t, engine, res.Front, soloRun(t, testBuild(0), req))
+	}
+}
+
+// TestCircuitJobHVIsThePaperHypervolume pins a circuit job's hv to the
+// paper hypervolume cmd/sacga prints for the same run: the final front on
+// the reported (CL, Power) plane, in 0.1 mW·pF.
+func TestCircuitJobHVIsThePaperHypervolume(t *testing.T) {
+	s := newTestServer(t, Config{Slots: 1})
+	req := JobRequest{
+		Problem: probspec.Spec{Name: "integrator", Seed: 1},
+		Engine:  "nsga2",
+		Options: search.JobOptions{PopSize: 40, Generations: 30, Seed: 1},
+	}
+	view, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if res := waitTerminal(t, s, view.ID); res.State != StateDone {
+		t.Fatalf("state %s, want done (err %q)", res.State, res.Error)
+	}
+	j, _ := s.job(view.ID)
+	got := j.View().HV
+
+	prob, _, err := req.Problem.BuildValidated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := search.New(req.Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := search.Run(context.Background(), eng, prob, req.Options.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []hypervolume.Point2
+	for _, ind := range res.Front {
+		if ind.Feasible() {
+			cl, pw := sizing.ReportedPoint(ind.Objectives)
+			pts = append(pts, hypervolume.Point2{X: cl, Y: pw})
+		}
+	}
+	want := hypervolume.PaperMetric(pts) / (0.1e-3 * 1e-12)
+	if got == nil {
+		t.Fatal("the finished circuit job reports no hv")
+	}
+	if *got != want {
+		t.Fatalf("job hv %g, want the paper hypervolume %g", *got, want)
 	}
 }
 

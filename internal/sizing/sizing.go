@@ -510,6 +510,11 @@ func ReportedPoint(obj []float64) (cl, power float64) {
 	return -obj[1], obj[0]
 }
 
+// HVUnit is the unit the paper reports hypervolumes in, 0.1 mW·pF, in W·F:
+// a hypervolume of points on ReportedPoint's axes divided by HVUnit reads
+// in the paper's numbers.
+const HVUnit = 0.1e-3 * 1e-12
+
 // ObjectiveRangeCL returns the minimized-objective range of the −CL axis,
 // which SACGA partitions: [−CLMax, −CLMin].
 func ObjectiveRangeCL() (lo, hi float64) { return -CLMax, -CLMin }
