@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"sacga/internal/search"
@@ -30,9 +33,8 @@ import (
 // A Cache is safe for concurrent use; the store is rewritten durably
 // (search.WriteFileAtomic: temp file, fsync, rename, directory sync) after
 // every successful run so a crash never corrupts previously cached entries.
-// A report that JSON cannot encode, one holding a NaN or an infinity, is
-// refused by Store and stays uncached alone: the entries before and after
-// it are still persisted.
+// Report values round-trip bit for bit, infinities and NaNs included: a
+// front with no feasible point, ordinary at small budgets, reports +Inf.
 type Cache struct {
 	path string
 
@@ -54,10 +56,70 @@ func OpenCache(path string) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("expt: reading cache %s: %w", path, err)
 	}
-	if err := json.Unmarshal(data, &c.entries); err != nil {
+	var stored map[string]cacheEntry
+	if err := json.Unmarshal(data, &stored); err != nil {
 		return nil, fmt.Errorf("expt: corrupt cache %s: %w", path, err)
 	}
+	for key, e := range stored {
+		rep := e.Report
+		rep.Values = make(map[string]float64, len(e.Values))
+		for k, v := range e.Values {
+			rep.Values[k] = float64(v)
+		}
+		c.entries[key] = &rep
+	}
 	return c, nil
+}
+
+// cacheEntry is a Report as the cache file holds it, its Values as
+// cacheValues.
+type cacheEntry struct {
+	Report
+	Values map[string]cacheValue
+}
+
+// cacheValue is a report value in the cache file: a JSON number when
+// finite, else a string, since JSON numbers hold no infinity or NaN —
+// "+Inf", "-Inf", or "NaN:" and the value's bits in hex, as NaNs differ
+// in their bits.
+type cacheValue float64
+
+func (v cacheValue) MarshalJSON() ([]byte, error) {
+	f := float64(v)
+	switch {
+	case math.IsInf(f, 1):
+		return []byte(`"+Inf"`), nil
+	case math.IsInf(f, -1):
+		return []byte(`"-Inf"`), nil
+	case math.IsNaN(f):
+		return fmt.Appendf(nil, `"NaN:%#x"`, math.Float64bits(f)), nil
+	}
+	return json.Marshal(f)
+}
+
+func (v *cacheValue) UnmarshalJSON(data []byte) error {
+	if len(data) == 0 || data[0] != '"' {
+		return json.Unmarshal(data, (*float64)(v))
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	switch {
+	case s == "+Inf":
+		*v = cacheValue(math.Inf(1))
+	case s == "-Inf":
+		*v = cacheValue(math.Inf(-1))
+	case strings.HasPrefix(s, "NaN:"):
+		bits, err := strconv.ParseUint(s[len("NaN:"):], 0, 64)
+		if err != nil || !math.IsNaN(math.Float64frombits(bits)) {
+			return fmt.Errorf("expt: cache value %q is not a NaN", s)
+		}
+		*v = cacheValue(math.Float64frombits(bits))
+	default:
+		return fmt.Errorf("expt: cache value %q is not a number", s)
+	}
+	return nil
 }
 
 // Path returns the backing file path.
@@ -124,19 +186,22 @@ func (c *Cache) Lookup(id string, cfg Config) (*Report, bool) {
 	return &cp, true
 }
 
-// Store records a completed run and persists the cache file durably. A
-// report JSON cannot encode is refused before it enters the cache, so it
-// cannot make every later Store fail with it.
+// Store records a completed run and persists the cache file durably.
 func (c *Cache) Store(id string, cfg Config, rep *Report) error {
-	if _, err := json.Marshal(rep); err != nil {
-		return fmt.Errorf("expt: caching %s: %w", id, err)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries[cacheKey(id, cfg)] = rep
-	data, err := json.MarshalIndent(c.entries, "", " ")
+	stored := make(map[string]cacheEntry, len(c.entries))
+	for key, r := range c.entries {
+		e := cacheEntry{Report: *r, Values: make(map[string]cacheValue, len(r.Values))}
+		for k, v := range r.Values {
+			e.Values[k] = cacheValue(v)
+		}
+		stored[key] = e
+	}
+	data, err := json.MarshalIndent(stored, "", " ")
 	if err != nil {
-		return err
+		return fmt.Errorf("expt: caching %s: %w", id, err)
 	}
 	if err := os.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
 		return err

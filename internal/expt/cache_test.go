@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -103,34 +104,44 @@ func TestCacheFailedRunsNotStored(t *testing.T) {
 	}
 }
 
-// TestCacheNonFiniteReportStaysUncached stores a report JSON cannot encode
-// (a front with no feasible point reports an infinite lowest load), then a
-// finite one. The first Store must fail without blocking the second, and
-// the file must hold the finite report alone.
-func TestCacheNonFiniteReportStaysUncached(t *testing.T) {
+// TestCacheNonFiniteReportRoundTrips stores a report holding +Inf (a front
+// with no feasible point), −Inf, a NaN with a payload and −0, reopens the
+// cache file and requires the report served cached with every value's
+// bits intact.
+func TestCacheNonFiniteReportRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 	cache, err := OpenCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cacheTestConfig()
-	inf := &Report{ID: "ablation", Values: map[string]float64{"min_cl_pF_islands": math.Inf(1)}}
-	if err := cache.Store("ablation", cfg, inf); err == nil {
-		t.Fatal("storing a +Inf value must fail")
+	want := map[string]float64{
+		"min_cl_pF_islands": math.Inf(1),
+		"low":               math.Inf(-1),
+		"nan":               math.Float64frombits(0xfff8000000000123),
+		"neg_zero":          math.Copysign(0, -1),
+		"hv":                0.1 + 0.2,
 	}
-	finite := &Report{ID: "fig2", Values: map[string]float64{"min_cl_pF": 1.5}}
-	if err := cache.Store("fig2", cfg, finite); err != nil {
-		t.Fatalf("a finite report must still be stored after a refused one: %v", err)
+	rep := &Report{ID: "ablation", Values: maps.Clone(want)}
+	if err := cache.Store("ablation", cfg, rep); err != nil {
+		t.Fatalf("storing a report with non-finite values: %v", err)
 	}
 	reopened, err := OpenCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, ok := reopened.Lookup("fig2", cfg); !ok || rep.Values["min_cl_pF"] != 1.5 {
-		t.Fatalf("finite report not persisted: %+v, %v", rep, ok)
+	got, ok := reopened.Lookup("ablation", cfg)
+	if !ok || !got.Cached {
+		t.Fatalf("the report was not served cached: %+v, %v", got, ok)
 	}
-	if _, ok := reopened.Lookup("ablation", cfg); ok {
-		t.Fatal("the refused +Inf report must stay uncached")
+	if len(got.Values) != len(want) {
+		t.Fatalf("cached values %v, want %v", got.Values, want)
+	}
+	for k, v := range want {
+		if math.Float64bits(got.Values[k]) != math.Float64bits(v) {
+			t.Errorf("cached %s = %v (%#x), want %v (%#x)", k, got.Values[k],
+				math.Float64bits(got.Values[k]), v, math.Float64bits(v))
+		}
 	}
 }
 

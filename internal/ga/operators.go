@@ -68,12 +68,12 @@ func sbxCrossover(s *rng.Stream, x1, x2, lo, hi []float64) {
 		u := s.Float64()
 		// Child 1 (toward lower bound side).
 		beta := 1.0 + 2.0*(p1-yl)/(p2-p1)
-		alpha := 2.0 - math.Pow(beta, -(etaC+1.0))
+		alpha := 2.0 - powNeg16(beta)
 		betaq := sbxBetaQ(u, alpha)
 		c1 := 0.5 * ((p1 + p2) - betaq*(p2-p1))
 		// Child 2 (toward upper bound side).
 		beta = 1.0 + 2.0*(yu-p2)/(p2-p1)
-		alpha = 2.0 - math.Pow(beta, -(etaC+1.0))
+		alpha = 2.0 - powNeg16(beta)
 		betaq = sbxBetaQ(u, alpha)
 		c2 := 0.5 * ((p1 + p2) + betaq*(p2-p1))
 		c1 = clamp(c1, yl, yu)
@@ -88,9 +88,9 @@ func sbxCrossover(s *rng.Stream, x1, x2, lo, hi []float64) {
 
 func sbxBetaQ(u, alpha float64) float64 {
 	if u <= 1.0/alpha {
-		return math.Pow(u*alpha, 1.0/(etaC+1.0))
+		return powRoot(u*alpha, 1.0/(etaC+1.0))
 	}
-	return math.Pow(1.0/(2.0-u*alpha), 1.0/(etaC+1.0))
+	return powRoot(1.0/(2.0-u*alpha), 1.0/(etaC+1.0))
 }
 
 // polyMutate is Deb's polynomial mutation with distribution index etaM,
@@ -112,15 +112,63 @@ func polyMutate(s *rng.Stream, x, lo, hi []float64, pm float64) {
 		var deltaq float64
 		if u <= 0.5 {
 			xy := 1.0 - delta1
-			val := 2.0*u + (1.0-2.0*u)*math.Pow(xy, etaM+1.0)
-			deltaq = math.Pow(val, mutPow) - 1.0
+			val := 2.0*u + (1.0-2.0*u)*pow21(xy)
+			deltaq = powRoot(val, mutPow) - 1.0
 		} else {
 			xy := 1.0 - delta2
-			val := 2.0*(1.0-u) + 2.0*(u-0.5)*math.Pow(xy, etaM+1.0)
-			deltaq = 1.0 - math.Pow(val, mutPow)
+			val := 2.0*(1.0-u) + 2.0*(u-0.5)*pow21(xy)
+			deltaq = 1.0 - powRoot(val, mutPow)
 		}
 		x[i] = clamp(y+deltaq*(yu-yl), yl, yu)
 	}
+}
+
+// The variation kernels raise to four constant powers: −(etaC+1) = −16,
+// 1/(etaC+1) = 1/16, etaM+1 = 21 and 1/(etaM+1) = 1/21. Each helper below
+// runs the operations math.Pow itself runs for its exponent, so it returns
+// math.Pow's result bit for bit, without math.Pow's special-case dispatch.
+// For an integer exponent, math.Pow squares and multiplies Frexp's
+// mantissa, keeps the binary exponent apart and applies it with Ldexp at
+// the end; that rounds exactly as the same products of x itself while
+// every intermediate and the result stay normal. For a fraction below 1/2
+// it returns Exp(y·Log(x)). Outside the input ranges where that holds, the
+// helpers call math.Pow.
+
+// powNeg16 returns math.Pow(x, -16).
+func powNeg16(x float64) float64 {
+	// x¹⁶ and its reciprocal lie in [2⁻⁹⁹², 2⁹⁹²].
+	if a := math.Abs(x); a >= 0x1p-62 && a <= 0x1p62 {
+		x2 := x * x
+		x4 := x2 * x2
+		x8 := x4 * x4
+		return 1 / (x8 * x8)
+	}
+	return math.Pow(x, -16)
+}
+
+// pow21 returns math.Pow(x, 21), multiplying the squarings x, x⁴ and x¹⁶
+// in math.Pow's order.
+func pow21(x float64) float64 {
+	// x²¹ and every intermediate lie in [2⁻¹⁰⁰⁸, 2¹⁰⁰⁸].
+	if a := math.Abs(x); a >= 0x1p-48 && a <= 0x1p48 {
+		x2 := x * x
+		x4 := x2 * x2
+		x5 := x * x4
+		x8 := x4 * x4
+		x16 := x8 * x8
+		return x5 * x16
+	}
+	return math.Pow(x, 21)
+}
+
+// powRoot returns math.Pow(x, y) for y in (0, 1/2), here 1/16 or 1/21.
+// For positive finite x, math.Pow returns Ldexp(Exp(y·Log(x)), 0), and
+// the Exp is normal, so the Ldexp returns it unchanged.
+func powRoot(x, y float64) float64 {
+	if x > 0 && x <= math.MaxFloat64 {
+		return math.Exp(y * math.Log(x))
+	}
+	return math.Pow(x, y)
 }
 
 func clamp(v, lo, hi float64) float64 {
