@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"sacga/internal/benchfn"
 	"sacga/internal/expt"
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
@@ -603,4 +604,58 @@ func BenchmarkSearchStepOverhead(b *testing.B) {
 		}
 	}
 	_ = gens
+}
+
+// checkpointCodecPair returns a pop-100 zdt1 nsga2 checkpoint in the
+// packed form this build writes and the same checkpoint with its
+// population in the read-only struct-form field older builds wrote.
+func checkpointCodecPair(b *testing.B) (packed, structForm *search.Checkpoint) {
+	b.Helper()
+	eng := new(nsga2.Engine)
+	if err := eng.Init(benchfn.ByName("zdt1"), search.Options{PopSize: 100, Generations: 10, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	for !eng.Done() {
+		if err := eng.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	packed = eng.Checkpoint()
+	sn := *packed.State.(*nsga2.Snapshot)
+	pop, err := ga.UnpackPopulation(sn.PackedPop)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn.PackedPop, sn.Pop = nil, pop
+	structForm = &search.Checkpoint{Algo: packed.Algo, Gen: packed.Gen, Evals: packed.Evals, State: &sn}
+	return packed, structForm
+}
+
+// benchCheckpointCodec encodes and decodes cp through the sealed
+// checkpoint form, as a disk save and load do.
+func benchCheckpointCodec(b *testing.B, cp *search.Checkpoint) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data, err := search.EncodeCheckpoint(cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := search.DecodeCheckpoint("bench", data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointCodecStruct and BenchmarkCheckpointCodecPacked are
+// the checkpoint codec's speedup pair: one nsga2 checkpoint at pop 100 on
+// zdt1 through EncodeCheckpoint and DecodeCheckpoint, its population in
+// gob's struct form and packed.
+func BenchmarkCheckpointCodecStruct(b *testing.B) {
+	_, cp := checkpointCodecPair(b)
+	benchCheckpointCodec(b, cp)
+}
+
+func BenchmarkCheckpointCodecPacked(b *testing.B) {
+	cp, _ := checkpointCodecPair(b)
+	benchCheckpointCodec(b, cp)
 }

@@ -25,7 +25,14 @@ import (
 // place of version 1's self-contained gob per frame around a sealed
 // checkpoint. A version-1 peer expects every frame to carry its own type
 // descriptors, so it must be turned away at the handshake.
-const ProtocolVersion = 2
+//
+// Version 3: every population a Request or Reply carries — the engine
+// snapshots' populations and phase fronts, and WireOptions.Initial — is a
+// ga.Packed, one opaque byte string in place of gob's struct form. A
+// version-2 peer would decode a packed snapshot as one with an empty
+// population, since gob drops fields its type lacks, so it must be turned
+// away at the handshake.
+const ProtocolVersion = 3
 
 // Hello is the handshake frame each side sends exactly once, before any
 // request, on a fresh connection. The dialer (coordinator) writes first;

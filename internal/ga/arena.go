@@ -1,7 +1,8 @@
 package ga
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sacga/internal/pareto"
 )
@@ -18,7 +19,7 @@ import (
 type Arena struct {
 	sorter pareto.Sorter
 	pts    []pareto.Point
-	ord    crowdedOrder
+	order  []int
 	free   []*Individual
 }
 
@@ -63,23 +64,37 @@ func (a *Arena) Immigrate(pop, migrants Population) (Population, bool) {
 	return append(append(pop[:0], ordered[:keep]...), migrants...), true
 }
 
-// crowdedOrder sorts an index slice by NSGA-II's crowded comparison
-// (ascending rank, then descending crowding). It is a sort.Interface with a
-// pointer receiver so sort.Stable runs without allocating.
-type crowdedOrder struct {
-	pop Population
-	idx []int
+// sortCrowded stable-sorts idx, indices into pop, best-first by NSGA-II's
+// crowded comparison: ascending rank, then descending crowding. The
+// comparator is negative exactly where a precedes b, and the stable sort
+// tests only for that, so a NaN crowding distance never moves an index.
+func sortCrowded(pop Population, idx []int) {
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ia, ib := pop[a], pop[b]
+		switch {
+		case ia.Rank != ib.Rank:
+			return cmp.Compare(ia.Rank, ib.Rank)
+		case ia.Crowding > ib.Crowding:
+			return -1
+		case ia.Crowding < ib.Crowding:
+			return 1
+		}
+		return 0
+	})
 }
 
-func (o *crowdedOrder) Len() int { return len(o.idx) }
-func (o *crowdedOrder) Less(a, b int) bool {
-	ia, ib := o.pop[o.idx[a]], o.pop[o.idx[b]]
-	if ia.Rank != ib.Rank {
-		return ia.Rank < ib.Rank
+// identity returns idx resized to n and filled with 0..n-1, reallocated
+// only to grow.
+func identity(idx []int, n int) []int {
+	if cap(idx) < n {
+		idx = make([]int, n)
 	}
-	return ia.Crowding > ib.Crowding
+	idx = idx[:n]
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
-func (o *crowdedOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
 
 // points refreshes the arena's point-view buffer over pop.
 func (a *Arena) points(pop Population) []pareto.Point {
@@ -111,26 +126,15 @@ func (a *Arena) AssignRanksAndCrowding(pop Population) {
 // (Rank, Crowding). The returned slice is workspace, valid until the next
 // arena call that sorts.
 func (a *Arena) SortByCrowdedComparison(pop Population) []int {
-	if cap(a.ord.idx) < len(pop) {
-		a.ord.idx = make([]int, len(pop))
-	}
-	a.ord.idx = a.ord.idx[:len(pop)]
-	for i := range a.ord.idx {
-		a.ord.idx[i] = i
-	}
-	a.ord.pop = pop
-	sort.Stable(&a.ord)
-	a.ord.pop = nil
-	return a.ord.idx
+	a.order = identity(a.order, len(pop))
+	sortCrowded(pop, a.order)
+	return a.order
 }
 
 // SortIndicesByCrowdedComparison stable-sorts idx — a slice of indices into
 // pop — best-first in place by (Rank, Crowding), without allocating.
 func (a *Arena) SortIndicesByCrowdedComparison(pop Population, idx []int) {
-	saved := a.ord.idx
-	a.ord.pop, a.ord.idx = pop, idx
-	sort.Stable(&a.ord)
-	a.ord.pop, a.ord.idx = nil, saved
+	sortCrowded(pop, idx)
 }
 
 // Truncate selects the best n individuals of pop by crowded comparison into

@@ -1,6 +1,9 @@
 package ga
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"sacga/internal/benchfn"
@@ -120,5 +123,52 @@ func TestTournamentSelectZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("TournamentSelect allocates %.1f objects/run, want 0", avg)
+	}
+}
+
+// crowdedLess is the sort.Interface crowded comparison the arena sorts
+// used before slices.SortStableFunc, kept as the reference order.
+type crowdedLess struct {
+	pop Population
+	idx []int
+}
+
+func (o crowdedLess) Len() int { return len(o.idx) }
+func (o crowdedLess) Less(a, b int) bool {
+	ia, ib := o.pop[o.idx[a]], o.pop[o.idx[b]]
+	if ia.Rank != ib.Rank {
+		return ia.Rank < ib.Rank
+	}
+	return ia.Crowding > ib.Crowding
+}
+func (o crowdedLess) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+
+// TestCrowdedSortMatchesSortStable: the arena's crowded-comparison sort
+// orders every population as sort.Stable over the interface form does,
+// ties and NaN crowding distances included, below and above the
+// insertion-sort block size.
+func TestCrowdedSortMatchesSortStable(t *testing.T) {
+	s := rng.New(113)
+	crowding := []float64{0, 0.5, 1, 1, math.Inf(1), math.NaN(), math.NaN(), -1}
+	var a Arena
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + s.Intn(90)
+		pop := make(Population, n)
+		for i := range pop {
+			pop[i] = &Individual{Rank: s.Intn(4), Crowding: crowding[s.Intn(len(crowding))]}
+		}
+		want := crowdedLess{pop: pop, idx: make([]int, n)}
+		for i := range want.idx {
+			want.idx[i] = i
+		}
+		sort.Stable(want)
+		if got := a.SortByCrowdedComparison(pop); !slices.Equal(got, want.idx) {
+			t.Fatalf("trial %d (n=%d): order %v, sort.Stable gives %v", trial, n, got, want.idx)
+		}
+		var rs RankSelector
+		rs.Reset(pop, 1.8)
+		if !slices.Equal(rs.order, want.idx) {
+			t.Fatalf("trial %d (n=%d): RankSelector order %v, sort.Stable gives %v", trial, n, rs.order, want.idx)
+		}
 	}
 }

@@ -34,8 +34,9 @@ func TournamentSelect(s *rng.Stream, pop Population) *Individual {
 // reuses the selector's buffers, so a selector kept across generations
 // allocates nothing at steady state.
 type RankSelector struct {
-	ord crowdedOrder
-	cum []float64
+	pop   Population
+	order []int
+	cum   []float64
 }
 
 // Reset rebuilds the selector over a new population state in place.
@@ -43,15 +44,9 @@ type RankSelector struct {
 // individual: 2.0 is maximum pressure, 1.0 degenerates to uniform.
 func (rs *RankSelector) Reset(pop Population, pressure float64) {
 	n := len(pop)
-	rs.ord.pop = pop
-	if cap(rs.ord.idx) < n {
-		rs.ord.idx = make([]int, n)
-	}
-	rs.ord.idx = rs.ord.idx[:n]
-	for i := range rs.ord.idx {
-		rs.ord.idx[i] = i
-	}
-	sort.Stable(&rs.ord)
+	rs.pop = pop
+	rs.order = identity(rs.order, n)
+	sortCrowded(pop, rs.order)
 	if cap(rs.cum) < n {
 		rs.cum = make([]float64, n)
 	}
@@ -72,10 +67,10 @@ func (rs *RankSelector) Pick(s *rng.Stream) *Individual {
 	total := rs.cum[len(rs.cum)-1]
 	u := s.Float64() * total
 	k := sort.SearchFloat64s(rs.cum, u)
-	if k >= len(rs.ord.idx) {
-		k = len(rs.ord.idx) - 1
+	if k >= len(rs.order) {
+		k = len(rs.order) - 1
 	}
-	return rs.ord.pop[rs.ord.idx[k]]
+	return rs.pop[rs.order[k]]
 }
 
 // TruncateByCrowdedComparison selects the best n individuals from pop using

@@ -102,11 +102,13 @@ type Engine struct {
 }
 
 // Snapshot is the engine-specific checkpoint payload: every island's
-// population and RNG stream position. The generation count lives on the
-// enclosing search.Checkpoint.
+// population, packed, and RNG stream position. The generation count lives
+// on the enclosing search.Checkpoint. Isles carries the populations in
+// checkpoints written before the packed form, and is read only.
 type Snapshot struct {
-	Isles []ga.Population
-	RNG   []rng.State
+	PackedIsles []ga.Packed
+	RNG         []rng.State
+	Isles       []ga.Population
 }
 
 // Name implements search.Engine.
@@ -254,12 +256,11 @@ func (e *Engine) Immigrate(migrants ga.Population) {
 // Checkpoint implements search.Engine.
 func (e *Engine) Checkpoint() *search.Checkpoint {
 	sn := &Snapshot{
-		Isles: make([]ga.Population, len(e.isles)),
-		RNG:   make([]rng.State, len(e.streams)),
+		PackedIsles: ga.PackPopulations(e.isles),
+		RNG:         make([]rng.State, len(e.streams)),
 	}
-	for k := range e.isles {
-		sn.Isles[k] = e.isles[k].Clone()
-		sn.RNG[k] = e.streams[k].State()
+	for k, s := range e.streams {
+		sn.RNG[k] = s.State()
 	}
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.gen, Evals: e.Evals(), State: sn}
 }
@@ -273,16 +274,19 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
+	isles, err := ga.RestorePopulations(sn.PackedIsles, sn.Isles)
+	if err != nil {
+		return fmt.Errorf("islands: %w", err)
+	}
 	n := e.params.Islands
-	if len(sn.Isles) != n || len(sn.RNG) != n {
-		return fmt.Errorf("islands: checkpoint has %d islands, options configure %d", len(sn.Isles), n)
+	if len(isles) != n || len(sn.RNG) != n {
+		return fmt.Errorf("islands: checkpoint has %d islands, options configure %d", len(isles), n)
 	}
 	e.budget.RestoreEvals(cp.Evals)
 	e.gen = cp.Gen
-	e.isles = make([]ga.Population, n)
+	e.isles = isles
 	e.streams = make([]*rng.Stream, n)
-	for k := range e.isles {
-		e.isles[k] = sn.Isles[k].Clone()
+	for k := range e.streams {
 		e.streams[k] = rng.FromState(sn.RNG[k])
 	}
 	if e.done() {

@@ -64,15 +64,18 @@ type Engine struct {
 
 // Snapshot is the engine-specific checkpoint payload: the inner SACGA
 // engine's snapshot, which carries the population state, plus the phase
-// machine's position and the recorded per-phase fronts.
+// machine's position and the recorded per-phase fronts, packed.
+// PhaseFronts carries the fronts in checkpoints written before the packed
+// form, and is read only.
 type Snapshot struct {
-	Inner       *sacga.Snapshot
-	Stage       int
-	Phase       int
-	T           int
-	Span        int
-	GentUsed    int
-	PhaseFronts []ga.Population
+	Inner        *sacga.Snapshot
+	Stage        int
+	Phase        int
+	T            int
+	Span         int
+	GentUsed     int
+	PackedFronts []ga.Packed
+	PhaseFronts  []ga.Population
 }
 
 // Name implements search.Engine.
@@ -146,8 +149,8 @@ func (e *Engine) Checkpoint() *search.Checkpoint {
 	in := cp.State.(*sacga.Snapshot)
 	cp.Algo = e.Name()
 	cp.State = &Snapshot{Inner: in, Stage: in.Stage, Phase: in.Phase, T: in.T,
-		Span: in.Span, GentUsed: in.GentUsed, PhaseFronts: in.PhaseFronts}
-	in.Stage, in.Phase, in.T, in.Span, in.GentUsed, in.PhaseFronts = 0, 0, 0, 0, 0, nil
+		Span: in.Span, GentUsed: in.GentUsed, PackedFronts: in.PackedFronts}
+	in.Stage, in.Phase, in.T, in.Span, in.GentUsed, in.PackedFronts = 0, 0, 0, 0, 0, nil
 	return cp
 }
 
@@ -163,7 +166,8 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 		return err
 	}
 	in := *sn.Inner
-	in.Stage, in.Phase, in.T, in.Span, in.GentUsed, in.PhaseFronts = sn.Stage, sn.Phase, sn.T, sn.Span, sn.GentUsed, sn.PhaseFronts
+	in.Stage, in.Phase, in.T, in.Span, in.GentUsed = sn.Stage, sn.Phase, sn.T, sn.Span, sn.GentUsed
+	in.PackedFronts, in.PhaseFronts = sn.PackedFronts, sn.PhaseFronts
 	inner := &search.Checkpoint{Algo: e.inner.Name(), Gen: cp.Gen, Evals: cp.Evals, State: &in}
 	if err := e.inner.Restore(prob, opts, inner); err != nil {
 		return fmt.Errorf("mesacga: %w", err)

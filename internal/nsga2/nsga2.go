@@ -46,6 +46,10 @@ type Engine struct {
 // the ranked parent population.
 type Snapshot struct {
 	RNG rng.State
+	// PackedPop is the population, packed.
+	PackedPop ga.Packed
+	// Pop is the population of a checkpoint written before the packed
+	// form; read only.
 	Pop ga.Population
 }
 
@@ -130,7 +134,7 @@ func (e *Engine) Checkpoint() *search.Checkpoint {
 		Algo:  e.Name(),
 		Gen:   e.gen,
 		Evals: e.Evals(),
-		State: &Snapshot{RNG: e.s.State(), Pop: e.pop.Clone()},
+		State: &Snapshot{RNG: e.s.State(), PackedPop: ga.PackPopulation(e.pop)},
 	}
 }
 
@@ -144,10 +148,14 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *Checkp
 	if opts.Extra != nil {
 		return fmt.Errorf("nsga2: %w", &search.ExtraTypeError{Got: fmt.Sprintf("%T", opts.Extra)})
 	}
+	pop, err := ga.RestorePopulation(sn.PackedPop, sn.Pop)
+	if err != nil {
+		return fmt.Errorf("nsga2: %w", err)
+	}
 	e.prepare(prob, opts)
 	e.budget.RestoreEvals(cp.Evals)
 	e.s = rng.FromState(sn.RNG)
-	e.pop = sn.Pop.Clone()
+	e.pop = pop
 	e.gen = cp.Gen
 	return nil
 }

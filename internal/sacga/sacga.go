@@ -316,35 +316,39 @@ func (e *Engine) PhaseFronts() []ga.Population { return e.fronts }
 // the population with its revised ranks, the partition liveness flags, the
 // step-machine position and the recorded phase fronts. Partitions records
 // the CURRENT grid size, which differs from the first schedule entry once
-// a MESACGA run has re-gridded.
+// a MESACGA run has re-gridded. The populations are packed; Pop and
+// PhaseFronts carry them in checkpoints written before the packed form,
+// and are read only.
 type Snapshot struct {
-	RNG         rng.State
-	Pop         ga.Population
-	Dead        []bool
-	Partitions  int
-	Gen         int
-	Stage       int
-	T           int
-	Span        int
-	GentUsed    int
-	Phase       int
-	PhaseFronts []ga.Population
+	RNG          rng.State
+	PackedPop    ga.Packed
+	Dead         []bool
+	Partitions   int
+	Gen          int
+	Stage        int
+	T            int
+	Span         int
+	GentUsed     int
+	Phase        int
+	PackedFronts []ga.Packed
+	Pop          ga.Population
+	PhaseFronts  []ga.Population
 }
 
 // Checkpoint implements search.Engine.
 func (e *Engine) Checkpoint() *search.Checkpoint {
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.gen, Evals: e.Evals(), State: &Snapshot{
-		RNG:         e.s.State(),
-		Pop:         e.pop.Clone(),
-		Dead:        append([]bool(nil), e.dead...),
-		Partitions:  e.grid.M,
-		Gen:         e.gen,
-		Stage:       e.stage,
-		T:           e.t,
-		Span:        e.span,
-		GentUsed:    e.gentUsed,
-		Phase:       e.phase,
-		PhaseFronts: cloneFronts(e.fronts),
+		RNG:          e.s.State(),
+		PackedPop:    ga.PackPopulation(e.pop),
+		Dead:         append([]bool(nil), e.dead...),
+		Partitions:   e.grid.M,
+		Gen:          e.gen,
+		Stage:        e.stage,
+		T:            e.t,
+		Span:         e.span,
+		GentUsed:     e.gentUsed,
+		Phase:        e.phase,
+		PackedFronts: ga.PackPopulations(e.fronts),
 	}}
 }
 
@@ -354,28 +358,27 @@ func (e *Engine) Restore(prob objective.Problem, opts search.Options, cp *search
 	if err != nil {
 		return fmt.Errorf("sacga: %w", err)
 	}
+	pop, err := ga.RestorePopulation(sn.PackedPop, sn.Pop)
+	if err != nil {
+		return fmt.Errorf("sacga: %w", err)
+	}
+	fronts, err := ga.RestorePopulations(sn.PackedFronts, sn.PhaseFronts)
+	if err != nil {
+		return fmt.Errorf("sacga: phase fronts: %w", err)
+	}
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
 	e.budget.RestoreEvals(cp.Evals)
 	p := &e.params
 	e.s = rng.FromState(sn.RNG)
-	e.pop = sn.Pop.Clone()
+	e.pop = pop
 	e.dead = append([]bool(nil), sn.Dead...)
 	e.grid = NewGrid(p.PartitionObjective, p.PartitionLo, p.PartitionHi, sn.Partitions)
 	e.gen = sn.Gen
 	e.stage, e.phase, e.t, e.span, e.gentUsed = sn.Stage, sn.Phase, sn.T, sn.Span, sn.GentUsed
-	e.fronts = cloneFronts(sn.PhaseFronts)
+	e.fronts = fronts
 	return nil
-}
-
-// cloneFronts deep-copies a list of phase fronts.
-func cloneFronts(fronts []ga.Population) []ga.Population {
-	out := make([]ga.Population, len(fronts))
-	for i, f := range fronts {
-		out[i] = f.Clone()
-	}
-	return out
 }
 
 // Emigrants implements search.Migrator: deep copies of the engine's k best

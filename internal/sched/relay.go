@@ -63,12 +63,15 @@ type Relay struct {
 }
 
 // RelaySnapshot is the composite checkpoint payload: which leg is active,
-// its checkpoint, and the population it inherited at the last handoff.
+// its checkpoint, and the population it inherited at the last handoff,
+// packed. Handoff carries that population in checkpoints written before
+// the packed form, and is read only.
 type RelaySnapshot struct {
-	Leg      int
-	DoneGens int
-	Handoff  ga.Population // nil when the active leg is leg 0
-	Inner    *search.Checkpoint
+	Leg           int
+	DoneGens      int
+	PackedHandoff ga.Packed // nil when the active leg is leg 0
+	Inner         *search.Checkpoint
+	Handoff       ga.Population
 }
 
 // Name implements search.Engine.
@@ -223,7 +226,7 @@ func (e *Relay) Checkpoint() *search.Checkpoint {
 		Inner:    e.inner.Checkpoint(),
 	}
 	if e.handoff != nil {
-		sn.Handoff = e.handoff.Clone()
+		sn.PackedHandoff = ga.PackPopulation(e.handoff)
 	}
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.Generation(), Evals: e.Evals(), State: sn}
 }
@@ -247,8 +250,10 @@ func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.
 		return fmt.Errorf("sched: relay: checkpoint leg %d ran %q, options configure %q",
 			sn.Leg, innerAlgo(sn.Inner), e.legs[sn.Leg].Algo)
 	}
-	if sn.Handoff != nil {
-		e.handoff = sn.Handoff.Clone()
+	if sn.PackedHandoff != nil || sn.Handoff != nil {
+		if e.handoff, err = ga.RestorePopulation(sn.PackedHandoff, sn.Handoff); err != nil {
+			return fmt.Errorf("sched: relay handoff: %w", err)
+		}
 	}
 	eng, err := search.New(e.legs[sn.Leg].Algo)
 	if err != nil {

@@ -11,9 +11,10 @@ import "fmt"
 // data structs of exported fields, gob-registered by their engine
 // packages, so callers may persist checkpoints with encoding/gob for
 // cross-process resume (gob round-trips the ±Inf crowding distances that
-// JSON rejects). Payload populations are ga.Population clones: each
-// individual keeps its cached evaluation and selection bookkeeping, so a
-// restore never re-evaluates the problem.
+// JSON rejects). Payload populations are ga.Packed copies, which gob
+// carries as opaque byte strings: each individual keeps its cached
+// evaluation and selection bookkeeping, so a restore never re-evaluates
+// the problem.
 type Checkpoint struct {
 	// Algo is the engine's registry name; Restore refuses a mismatched
 	// checkpoint.

@@ -21,27 +21,34 @@ import (
 // Snapshot payloads are registered by their engine packages from init,
 // and gob round-trips the ±Inf crowding distances JSON rejects.
 //
-// Layout (version 2):
+// Layout (versions 2 and 3):
 //
 //	[gob(diskCheckpoint)] [payload length: uint64 LE] [CRC32-C: uint32 LE] [footer magic: uint32 LE]
 //
+// Version 3 payloads carry every population as a ga.Packed: raw IEEE
+// bits behind varint counts, one opaque string to gob. Version-2 payloads
+// carry them in gob's struct form, in snapshot fields this build still
+// reads; a version-2 build would read a version-3 file as one with empty
+// populations, which the version number makes it refuse instead.
+//
 // The footer turns silent corruption (bit rot, torn writes that survived
 // rename, copy truncation) into a typed *CorruptError instead of a gob
-// panic or a mis-decode. SaveCheckpoint
+// panic or a mis-decode; so does a malformed packed population, which
+// fails the gob decode. SaveCheckpoint
 // rotates the previous snapshot to path+PrevSuffix before installing the
 // new one, and LoadLatestCheckpoint falls back to it — so one corrupted
 // write never strands a long campaign.
 
 // checkpointMagic identifies a checkpoint file; checkpointVersion gates the
 // layout so a future format change fails loudly instead of mis-decoding.
-// Version 1 files (no footer) are still readable.
+// Version 1 files (no footer) and version 2 files are still readable.
 const (
 	checkpointMagic   = "sacga-checkpoint"
-	checkpointVersion = 2
+	checkpointVersion = 3
 )
 
-// footerMagic terminates a version-2 checkpoint file; footerSize is the
-// fixed footer length in bytes.
+// footerMagic terminates a version-2 or later checkpoint file; footerSize
+// is the fixed footer length in bytes.
 const (
 	footerMagic = 0x5ac6ac91
 	footerSize  = 16

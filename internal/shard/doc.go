@@ -17,7 +17,8 @@
 // ships the whole of it to a worker for each epoch; the worker restores
 // the engine, advances it one generation, and ships the new checkpoint
 // back. Both travel as values on the connection's gob stream: type
-// descriptors cross a connection once, and the frame CRC covers every
+// descriptors cross a connection once, every population is a ga.Packed
+// byte string that gob copies whole, and the frame CRC covers every
 // payload byte, so nothing on the wire path seals or unseals a checkpoint
 // (disk checkpoints keep search.SaveCheckpoint's sealed form). The
 // stream's table of types already sent is the only per-connection state,
@@ -51,7 +52,8 @@
 //     own epoch barrier, in replica-index order, accumulating into
 //     *sched.ReplicaError;
 //   - corrupt or torn frames — and payloads that fail to decode on the
-//     stream, leave bytes over, or reply cleanly without a checkpoint —
+//     stream (a malformed packed population included), leave bytes
+//     over, or reply cleanly without a checkpoint —
 //     surface as typed *search.CorruptError, never a gob panic; a
 //     coordinator/worker binary mismatch is a typed *fleet.VersionError
 //     at dial time, which fails the replica without burning retries.

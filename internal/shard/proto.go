@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"time"
 
 	"sacga/internal/ga"
@@ -109,29 +110,35 @@ type WireOptions struct {
 	Generations int
 	Seed        int64
 	Workers     int
-	Initial     ga.Population
+	Initial     ga.Packed // nil when there is no seed population
 	Extra       any
 }
 
-// ToWire projects opts into wire form. The Initial population is cloned;
-// gob round-trips floats exactly, so a shipped seed population is
-// bit-identical to a local one.
+// ToWire projects opts into wire form. The Initial population is packed,
+// raw bits and all, so a shipped seed population is bit-identical to a
+// local one.
 func ToWire(opts search.Options) WireOptions {
-	return WireOptions{
+	w := WireOptions{
 		PopSize:     opts.PopSize,
 		Generations: opts.Generations,
 		Seed:        opts.Seed,
 		Workers:     opts.Workers,
-		Initial:     opts.Initial.Clone(),
 		Extra:       opts.Extra,
 	}
+	if len(opts.Initial) > 0 {
+		w.Initial = ga.PackPopulation(opts.Initial)
+	}
+	return w
 }
 
 // Options rebuilds the search.Options a worker hands its engine.
-func (w WireOptions) Options() search.Options {
+func (w WireOptions) Options() (search.Options, error) {
 	var initial ga.Population
-	if len(w.Initial) > 0 {
-		initial = w.Initial.Clone()
+	if w.Initial != nil {
+		var err error
+		if initial, err = ga.UnpackPopulation(w.Initial); err != nil {
+			return search.Options{}, fmt.Errorf("shard: initial population: %w", err)
+		}
 	}
 	return search.Options{
 		PopSize:     w.PopSize,
@@ -140,5 +147,5 @@ func (w WireOptions) Options() search.Options {
 		Workers:     w.Workers,
 		Initial:     initial,
 		Extra:       w.Extra,
-	}
+	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,11 +266,36 @@ func tamperedReply(info StepInfo) bool {
 	return !info.Init && info.Replica == 1 && info.Epoch == 3 && info.Attempt == 0
 }
 
+// reencoded is a per-connection reply tamper that re-encodes every reply
+// on a stream of its own, in step with the coordinator's decoder, so that
+// edit changes the tampered reply and nothing else.
+func reencoded(edit func(*Reply)) func() func(StepInfo, []byte) []byte {
+	return func() func(StepInfo, []byte) []byte {
+		in, out := fleet.NewStream(), fleet.NewStream()
+		return func(info StepInfo, frame []byte) []byte {
+			_, payload, _ := fleet.ReadFrame(bytes.NewReader(frame), "tamper")
+			var reply Reply
+			if err := in.Decode("tamper", payload, &reply); err != nil {
+				return nil // the coordinator then sees a torn stream
+			}
+			if tamperedReply(info) {
+				edit(&reply)
+			}
+			frame, err := out.EncodeFrame(fleet.FrameReply, &reply)
+			if err != nil {
+				return nil
+			}
+			return frame
+		}
+	}
+}
+
 // TestBadRepliesTaintTheLink: a reply whose frame passes the CRC but whose
-// payload is wrong — bytes left over after the Reply, or a successful
-// Reply with no State — fails the round trip with a typed
-// *search.CorruptError, so the session kills the link. The retry runs on a
-// fresh connection, and the run still matches the in-process one.
+// payload is wrong — bytes left over after the Reply, a successful Reply
+// with no State, or a State whose packed population is malformed — fails
+// the round trip with a typed *search.CorruptError, so the session kills
+// the link. The retry runs on a fresh connection, and the run still
+// matches the in-process one.
 func TestBadRepliesTaintTheLink(t *testing.T) {
 	ref, err := supervisedRun(t, sched.NameParallelIslands, inProcessOpts("nsga2", nil))
 	if err != nil {
@@ -277,9 +303,10 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
+		reason string                               // in the round trip's error
 		tamper func() func(StepInfo, []byte) []byte // one per connection
 	}{
-		{"leftover-bytes", func() func(StepInfo, []byte) []byte {
+		{"leftover-bytes", "left over", func() func(StepInfo, []byte) []byte {
 			return func(info StepInfo, frame []byte) []byte {
 				if !tamperedReply(info) {
 					return frame
@@ -288,26 +315,11 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 				return reframe(append(bytes.Clone(payload), 0))
 			}
 		}},
-		{"no-state", func() func(StepInfo, []byte) []byte {
-			// Re-encode every reply on a stream of the tamper's own, in
-			// step with the coordinator's decoder, so only the State goes.
-			in, out := fleet.NewStream(), fleet.NewStream()
-			return func(info StepInfo, frame []byte) []byte {
-				_, payload, _ := fleet.ReadFrame(bytes.NewReader(frame), "tamper")
-				var reply Reply
-				if err := in.Decode("tamper", payload, &reply); err != nil {
-					return nil // the coordinator then sees a torn stream
-				}
-				if tamperedReply(info) {
-					reply.State = nil
-				}
-				frame, err := out.EncodeFrame(fleet.FrameReply, &reply)
-				if err != nil {
-					return nil
-				}
-				return frame
-			}
-		}},
+		{"no-state", "carries no state", reencoded(func(reply *Reply) { reply.State = nil })},
+		{"malformed-population", "malformed packed population", reencoded(func(reply *Reply) {
+			sn := reply.State.State.(*nsga2.Snapshot)
+			sn.PackedPop = sn.PackedPop[:len(sn.PackedPop)-1]
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := loopbackWorker(t, func(c net.Conn) {
@@ -326,8 +338,8 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 				Opts: ToWire(seedOpts), State: seedCheckpoint(t)}
 			_, err = roundTrip(link, req, 0, 0)
 			var ce *search.CorruptError
-			if !errors.As(err, &ce) {
-				t.Fatalf("round trip error is %T (%v), want *search.CorruptError", err, err)
+			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
+				t.Fatalf("round trip error is %T (%v), want a *search.CorruptError for %q", err, err, tc.reason)
 			}
 
 			// A run over a one-worker pool: the tainted link is killed,

@@ -135,8 +135,8 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		}
 		stop := startHeartbeats(w, period, req.Replica, req.Epoch)
 		reply := handleRequest(&req, problems, cfg.Build)
-		// stop returns once the heartbeat goroutine has exited, so the
-		// reply is the only writer on w from here on.
+		// stop returns once no heartbeat is being written, so the reply
+		// is the only writer on w from here on.
 		stop()
 		frame, err := stream.EncodeFrame(fleet.FrameReply, reply)
 		if err != nil {
@@ -160,42 +160,64 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 const workerSrc = "shard: worker stream"
 
 // startHeartbeats emits heartbeat frames every period until the returned
-// stop function is called; stop returns once the emitting goroutine has
-// exited, so the heartbeats and the reply never write w at once. A
-// non-positive period disables them.
+// stop function is called; stop returns once no heartbeat is being or
+// will be written, so the heartbeats and the reply never write w at once.
+// A non-positive period disables them.
 func startHeartbeats(w io.Writer, period time.Duration, replica, epoch int) (stop func()) {
 	if period <= 0 {
 		return func() {}
 	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(period)
-		defer t.Stop()
+	h := &heartbeat{w: w, period: period, beat: Heartbeat{Replica: replica, Epoch: epoch}}
+	h.mu.Lock() // the first tick waits for h.t
+	h.t = time.AfterFunc(period, h.tick)
+	h.mu.Unlock()
+	return h.stop
+}
+
+// heartbeat is one request's heartbeat timer. Until its first tick it
+// runs no goroutine and has encoded nothing, so a step that ends sooner,
+// as most do, costs one timer.
+type heartbeat struct {
+	w       io.Writer
+	period  time.Duration
+	beat    Heartbeat
+	mu      sync.Mutex // held while a tick writes
+	stopped bool
+	payload []byte
+	t       *time.Timer
+}
+
+// tick writes one heartbeat frame and re-arms the timer.
+func (h *heartbeat) tick() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.stopped {
+		return
+	}
+	if h.payload == nil {
 		// A self-contained gob, off the connection's stream: the
 		// coordinator never decodes heartbeats, so one that carried a type
 		// definition a later Reply relies on would break that Reply.
 		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).Encode(&Heartbeat{Replica: replica, Epoch: epoch}); err != nil {
+		if err := gob.NewEncoder(&payload).Encode(&h.beat); err != nil {
+			h.stopped = true
 			return
 		}
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if err := fleet.WriteFrame(w, fleet.FrameHeartbeat, payload.Bytes()); err != nil {
-					return // pipe gone; the main loop will notice too
-				}
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
+		h.payload = payload.Bytes()
 	}
+	if err := fleet.WriteFrame(h.w, fleet.FrameHeartbeat, h.payload); err != nil {
+		h.stopped = true // pipe gone; the main loop will notice too
+		return
+	}
+	h.t.Reset(h.period)
+}
+
+// stop ends the heartbeats, after the write of a tick in progress.
+func (h *heartbeat) stop() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.stopped = true
+	h.t.Stop()
 }
 
 // handleRequest performs one replica step (or init). Engine-level failures
@@ -224,7 +246,11 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 	// baseline included, so the coordinator can sum replicas for the
 	// ensemble budget.
 	prob := objective.NewCounter(base)
-	opts := req.Opts.Options()
+	opts, err := req.Opts.Options()
+	if err != nil {
+		reply.Err = err.Error()
+		return reply
+	}
 	var stepErr error
 	if req.Init {
 		if err := eng.Init(prob, opts); err != nil {
