@@ -54,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"time"
 
 	"sacga/internal/benchfn"
 	"sacga/internal/hypervolume"
@@ -170,9 +169,7 @@ func main() {
 			name = shard.NameShardedIslands
 			p := &shard.Params{
 				Replicas: 4, Algo: "nsga2", MigrationEvery: 10, Migrants: 2,
-				Spec:             spec.Encode(),
-				EpochDeadline:    5 * time.Minute,
-				HeartbeatTimeout: 15 * time.Second,
+				Spec: spec.Encode(),
 			}
 			if *shardProcs > 0 {
 				self, eerr := os.Executable()

@@ -47,7 +47,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":9750", "TCP listen address")
-		heartbeat = flag.Duration("heartbeat", 0, "heartbeat period while a step is in flight (0 = protocol default; coordinators may tune it per run)")
+		heartbeat = flag.Duration("heartbeat", 0, "heartbeat period while a step is in flight (0 = 200ms); must stay under the coordinators' heartbeat gap (15s by default)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {

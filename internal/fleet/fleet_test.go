@@ -107,6 +107,28 @@ func TestHandshakeProtocolMismatch(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesVersion3Worker: a worker of protocol version 3,
+// whose Request type lacks the packed seed population, is refused at dial
+// time with a typed protocol *VersionError.
+func TestHandshakeRefusesVersion3Worker(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	defer srv.Close()
+	go func() {
+		if _, _, err := ReadFrame(srv, "test: hello"); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		gob.NewEncoder(&buf).Encode(&Hello{Proto: 3, Build: BuildFingerprint()})
+		WriteFrame(srv, FrameHello, buf.Bytes())
+	}()
+	_, err := ClientHandshake(pipeConn{cli}, HandshakeConfig{})
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Field != "protocol" || ve.Ours != fmt.Sprintf("v%d", ProtocolVersion) || ve.Peer != "v3" {
+		t.Fatalf("client error %v, want a protocol VersionError against v3", err)
+	}
+}
+
 // TestHandshakeCheckRejection: a worker whose Check refuses the announced
 // problem fails the dial with the reason, on both sides.
 func TestHandshakeCheckRejection(t *testing.T) {

@@ -27,12 +27,20 @@ import (
 // descriptors, so it must be turned away at the handshake.
 //
 // Version 3: every population a Request or Reply carries — the engine
-// snapshots' populations and phase fronts, and WireOptions.Initial — is a
+// snapshots' populations and phase fronts, and the seed population — is a
 // ga.Packed, one opaque byte string in place of gob's struct form. A
 // version-2 peer would decode a packed snapshot as one with an empty
 // population, since gob drops fields its type lacks, so it must be turned
 // away at the handshake.
-const ProtocolVersion = 3
+//
+// Version 4: a Request carries the replica's search.Options as they are,
+// in place of version 3's six-field projection of them, and the seed
+// population once, packed in Request.Initial on the Init request only; the
+// per-request heartbeat period is gone, so a worker heartbeats at its own
+// period. A version-3 worker expects the projection in Opts and would
+// drop Request.Initial, since gob drops fields its type lacks, so it must
+// be turned away at the handshake.
+const ProtocolVersion = 4
 
 // Hello is the handshake frame each side sends exactly once, before any
 // request, on a fresh connection. The dialer (coordinator) writes first;

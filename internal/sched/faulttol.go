@@ -37,6 +37,12 @@ func (e *ReplicaError) Error() string {
 // Unwrap exposes the first dropped replica's cause to errors.Is/As.
 func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
 
+// StepRetries is how many extra attempts a failing replica or member step
+// gets, at once, before the scheduler drops it at the epoch barrier. The
+// shard coordinator's request ladder reads the same budget, so a sharded
+// run drops a replica at the epoch its in-process twin does.
+const StepRetries = 2
+
 // StepWithRetry advances one engine under the scheduler's shared fault
 // policy: a failing Step is retried at once, up to `retries` more times,
 // each attempt under search.GuardedStep, which recovers a panic as an

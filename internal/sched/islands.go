@@ -42,22 +42,17 @@ type IslandsParams struct {
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin
 	// stepping. Results are bit-identical at every setting.
 	StepWorkers int
-	// StepRetries is how many extra attempts a failing replica Step gets
-	// before the replica is dropped at the epoch barrier (default 2,
-	// negative = none). Retries follow at once.
-	StepRetries int
 	// StepTimeout arms a per-replica watchdog around every Step attempt
 	// (see search.GuardedStep); 0 arms none. A panicking Step is recovered
 	// as a droppable error either way.
 	StepTimeout time.Duration
 }
 
-func (p *IslandsParams) normalize() {
+// Normalize applies the defaults in place. The shard coordinator takes
+// its ensemble defaults from here too.
+func (p *IslandsParams) Normalize() {
 	if p.Replicas <= 0 {
 		p.Replicas = 4
-	}
-	if p.StepRetries == 0 {
-		p.StepRetries = 2
 	}
 	if p.Algo == "" {
 		p.Algo = "nsga2"
@@ -112,8 +107,10 @@ func (e *ParallelIslands) Name() string {
 // on it: Init and Restore take their parameters from p instead of
 // Options.Extra, and each replica engine is passed through wrap once the
 // migration check has accepted it, before it is initialized or restored.
-// The cross-process shard coordinator wraps every replica in one whose
-// generations run in a worker process.
+// The loop steps a wrapped replica once per epoch and leaves its
+// StepRetries to the wrapper. The cross-process shard coordinator wraps
+// every replica in one whose generations run in a worker process, over
+// its own retry ladder.
 func (e *ParallelIslands) Ensemble(name string, p IslandsParams, wrap func(i int, local search.Engine) search.Engine) {
 	e.name, e.ext, e.wrap = name, &p, wrap
 }
@@ -130,8 +127,11 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 		}
 	}
 	e.p = *p
-	e.p.normalize()
-	e.workers, e.retries, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.StepTimeout
+	e.p.Normalize()
+	e.workers, e.retries, e.timeout = e.p.StepWorkers, StepRetries, e.p.StepTimeout
+	if e.wrap != nil {
+		e.retries = 0
+	}
 	return e.reset(prob, opts, e.p.Replicas, func(i int) (search.Engine, error) {
 		eng, err := search.New(e.p.Algo)
 		if err != nil {

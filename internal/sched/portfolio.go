@@ -36,10 +36,6 @@ type PortfolioParams struct {
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin.
 	// Results are bit-identical at every setting.
 	StepWorkers int
-	// StepRetries is how many extra attempts a failing member generation
-	// gets before the member is dropped at the epoch barrier (default 2,
-	// negative = none). Retries follow at once.
-	StepRetries int
 	// StepTimeout arms a per-member watchdog around every generation
 	// attempt (see search.GuardedStep); 0 arms none. A panicking Step is
 	// recovered as a droppable error either way.
@@ -48,12 +44,6 @@ type PortfolioParams struct {
 	// reduces; nil selects the default (feasible individuals' first two
 	// objectives), matching search.HypervolumeObserver.
 	Project func(ind *ga.Individual) (hypervolume.Point2, bool)
-}
-
-func (p *PortfolioParams) normalize() {
-	if p.StepRetries == 0 {
-		p.StepRetries = 2
-	}
 }
 
 // boost is how many extra generations the previous epoch's best-scoring
@@ -112,8 +102,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 		return e.errorf("PortfolioParams must declare at least one member")
 	}
 	e.p = *p
-	e.p.normalize()
-	e.workers, e.retries, e.timeout = e.p.StepWorkers, e.p.StepRetries, e.p.StepTimeout
+	e.workers, e.retries, e.timeout = e.p.StepWorkers, StepRetries, e.p.StepTimeout
 	e.scores = make([]float64, len(e.p.Members))
 	e.best = -1
 	return e.reset(prob, opts, len(e.p.Members), func(i int) (search.Engine, error) {

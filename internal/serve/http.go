@@ -20,8 +20,9 @@ import (
 //	GET    /workers           shared-fleet health → []fleet.WorkerStat
 //	GET    /healthz           liveness + drain state
 //
-// Admission failures map to 400, an unknown job to 404, a full table to
-// 429, and a draining server to 503 (load balancers retry elsewhere).
+// Admission failures map to 400, an unknown job to 404, a full table or a
+// job's stream past its subscriber cap to 429, and a draining server to
+// 503 (load balancers retry elsewhere).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)

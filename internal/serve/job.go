@@ -47,6 +47,15 @@ func (s State) Terminal() bool {
 // errCancelled is recorded on client-cancelled jobs.
 var errCancelled = errors.New("serve: cancelled by client")
 
+// maxSubscribers caps the SSE streams one job serves at once: publish
+// walks every one of them under the job's lock, on the scheduler slot,
+// every generation.
+const maxSubscribers = 32
+
+// errStreamsFull refuses a stream past maxSubscribers; HTTP maps it to
+// 429, as it does a full job table.
+var errStreamsFull = errors.New("serve: job has too many stream subscribers")
+
 // Job is one admitted optimization run. The stepping fields (eng, prob,
 // opts, hvObs, restoreCP, initted) belong to whichever goroutine holds the
 // job's turn — the turn queue guarantees exactly one at a time — and are
@@ -101,6 +110,11 @@ func (j *Job) State() State {
 func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.view()
+}
+
+// view is View under j.mu.
+func (j *Job) view() JobView {
 	v := JobView{
 		ID:      j.ID,
 		Problem: j.Spec,
@@ -210,25 +224,24 @@ func (j *Job) closeSubs() {
 	}
 }
 
-// subscribe registers a frame channel. terminal reports the job already
-// ended (the channel is returned closed then); the snapshot view reflects
-// the subscription instant, so the stream handler can emit a consistent
-// first event.
-func (j *Job) subscribe(buf int) (ch chan FrameEvent, snapshot JobView, terminal bool) {
-	ch = make(chan FrameEvent, buf)
+// subscribe registers a frame channel: closed at once when the job is
+// already terminal, refused with errStreamsFull when the job serves
+// maxSubscribers streams. The snapshot view reflects the subscription
+// instant, so the stream handler can emit a consistent first event.
+func (j *Job) subscribe(buf int) (ch chan FrameEvent, snapshot JobView, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	terminal := j.state.Terminal()
+	if !terminal && len(j.subs) >= maxSubscribers {
+		return nil, JobView{}, errStreamsFull
+	}
+	ch = make(chan FrameEvent, buf)
+	if terminal {
 		close(ch)
 	} else {
 		j.subs[ch] = struct{}{}
 	}
-	v := JobView{ID: j.ID, Problem: j.Spec, Engine: j.Engine, Options: j.Opts,
-		State: j.state, Gen: j.gen, Evals: j.evals, HV: j.hv}
-	if j.err != nil {
-		v.Error = j.err.Error()
-	}
-	return ch, v, j.state.Terminal()
+	return ch, j.view(), nil
 }
 
 // unsubscribe removes a channel registered by subscribe.

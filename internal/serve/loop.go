@@ -189,6 +189,9 @@ func (s *Server) initJob(j *Job) (err error) {
 		// wiped even though the wire cannot set them (json:"-"), the pool
 		// is injected process-locally, and Spec is pinned to the job's own
 		// problem so workers always build what the coordinator mirrors.
+		// Unless the request sets them, the lease and heartbeat gap are
+		// shard.Params' defaults, so a worker that stops replying fails
+		// the attempt instead of holding the slot.
 		p, _ := opts.Extra.(*shard.Params)
 		if p == nil {
 			p = new(shard.Params)
@@ -234,8 +237,9 @@ func (s *Server) observe(j *Job) {
 func (s *Server) requeue(j *Job) { s.queue.push(j) }
 
 // finalizeFromEngine freezes a terminal state whose front comes from the
-// still-valid engine, persists the result, and writes a final checkpoint
-// so a restarted server serves the terminal result without re-running.
+// still-valid engine and persists the result to <id>.done, which is what
+// a restarted server serves instead of re-running the job; no final
+// checkpoint is written.
 func (s *Server) finalizeFromEngine(j *Job, state State, cause error) {
 	front := snapshotFront(j.eng.Population().FirstFront())
 	j.finalize(state, cause, front, j.eng.Generation(), j.eng.Evals())

@@ -15,7 +15,9 @@ import (
 // A stream that ends without a "done" event means the server drained
 // mid-run; the job resumes after restart and the client re-subscribes.
 // Frame delivery is best-effort (a slow client misses frames rather than
-// stalling the scheduler); status and done are authoritative.
+// stalling the scheduler); status and done are authoritative. A running
+// job serves at most maxSubscribers streams at once; the next is refused
+// with 429 before any event is written.
 
 // sseWriter encodes server-sent events onto a flushing ResponseWriter.
 type sseWriter struct {
@@ -55,15 +57,19 @@ func (sw *sseWriter) event(name string, payload any) error {
 // streamJob serves a job's SSE stream until the job ends, the server
 // drains, or the client disconnects.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
+	// Buffer a burst of generations; publish drops frames past it rather
+	// than blocking a worker slot on this client's socket.
+	ch, snapshot, err := j.subscribe(64)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+		return
+	}
+	defer j.unsubscribe(ch)
 	sw, ok := newSSEWriter(w)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	// Buffer a burst of generations; publish drops frames past it rather
-	// than blocking a worker slot on this client's socket.
-	ch, snapshot, _ := j.subscribe(64)
-	defer j.unsubscribe(ch)
 
 	if err := sw.event("status", snapshot); err != nil {
 		return

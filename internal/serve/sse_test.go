@@ -3,11 +3,13 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sacga/internal/ga"
 	"sacga/internal/search"
@@ -178,5 +180,114 @@ func TestStreamEndToEnd(t *testing.T) {
 	}
 	if done.State != StateDone || len(done.Front) == 0 {
 		t.Fatalf("done event: state %s, front %d points", done.State, len(done.Front))
+	}
+}
+
+// nextEvent reads a stream's next event: its name and data line. ok is
+// false once the stream ends.
+func nextEvent(sc *bufio.Scanner) (name string, data []byte, ok bool) {
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			return name, []byte(strings.TrimPrefix(line, "data: ")), true
+		}
+	}
+	return "", nil, false
+}
+
+// TestStreamSubscriberCap: a running job serves maxSubscribers streams and
+// refuses the next with 429 before writing any event. The refusal leaves
+// the admitted streams intact: each goes on to receive frames in
+// generation order and ends with the job's done event. A stream that
+// closes frees its place.
+func TestStreamSubscriberCap(t *testing.T) {
+	s := newTestServer(t, Config{Slots: 1, Build: testBuild(time.Millisecond)})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // after the streams' cleanups: Close waits for their handlers
+	view, _, err := s.Submit(zdtJob("nsga2", 5, 100000))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	url := ts.URL + "/jobs/" + view.ID + "/stream"
+	open := func() (*http.Response, *bufio.Scanner) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp, bufio.NewScanner(resp.Body)
+	}
+	refused := func() bool {
+		t.Helper()
+		resp, sc := open()
+		if resp.StatusCode == http.StatusOK {
+			if name, _, ok := nextEvent(sc); !ok || name != "status" {
+				t.Fatalf("admitted stream opened with %q, want status", name)
+			}
+			return false
+		}
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "subscribers") {
+			t.Fatalf("refused stream: %s %q, want 429 naming the subscribers", resp.Status, body)
+		}
+		return true
+	}
+
+	streams := make([]*bufio.Scanner, maxSubscribers)
+	bodies := make([]io.Closer, maxSubscribers)
+	for i := range streams {
+		resp, sc := open()
+		if name, _, ok := nextEvent(sc); resp.StatusCode != http.StatusOK || !ok || name != "status" {
+			t.Fatalf("stream %d: %s, first event %q", i, resp.Status, name)
+		}
+		streams[i], bodies[i] = sc, resp.Body
+	}
+	if !refused() {
+		t.Fatalf("stream %d was admitted past the cap", maxSubscribers+1)
+	}
+
+	lastGen := make([]int, maxSubscribers)
+	for i, sc := range streams {
+		name, data, ok := nextEvent(sc)
+		var ev FrameEvent
+		if !ok || name != "frame" || json.Unmarshal(data, &ev) != nil || ev.Job != view.ID {
+			t.Fatalf("stream %d after the refusal: event %q %s", i, name, data)
+		}
+		lastGen[i] = ev.Gen
+	}
+
+	// The last stream closes; its place opens once the handler sees it.
+	bodies[maxSubscribers-1].Close()
+	streams = streams[:maxSubscribers-1]
+	for deadline := time.Now().Add(10 * time.Second); refused(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a closed stream did not free its place")
+		}
+	}
+
+	s.Cancel(view.ID)
+	for i, sc := range streams {
+		for {
+			name, data, ok := nextEvent(sc)
+			if !ok {
+				t.Fatalf("stream %d ended without a done event", i)
+			}
+			if name == "done" {
+				var res ResultView
+				if err := json.Unmarshal(data, &res); err != nil || res.State != StateCancelled {
+					t.Fatalf("stream %d done event %s, want the cancelled result", i, data)
+				}
+				break
+			}
+			var ev FrameEvent
+			if name != "frame" || json.Unmarshal(data, &ev) != nil || ev.Gen <= lastGen[i] {
+				t.Fatalf("stream %d: event %q %s out of order (last gen %d)", i, name, data, lastGen[i])
+			}
+			lastGen[i] = ev.Gen
+		}
 	}
 }

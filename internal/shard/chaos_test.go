@@ -289,7 +289,7 @@ func shardedOpts(t *testing.T, procs int, chaosEnv string) search.Options {
 		Replicas: testReplicas, Algo: "nsga2",
 		MigrationEvery: 3, Migrants: 2,
 		Procs: procs, WorkerArgv: []string{self}, WorkerEnv: env,
-		Spec: "zdt1", Retries: 2,
+		Spec:          "zdt1",
 		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
 	}
 	return opts
@@ -301,7 +301,7 @@ func inProcessOpts(algo string, extra any) search.Options {
 	opts.Extra = &sched.IslandsParams{
 		Replicas: testReplicas, Algo: algo, Extra: extra,
 		MigrationEvery: 3, Migrants: 2,
-		StepWorkers: 1, StepRetries: 2,
+		StepWorkers: 1,
 	}
 	return opts
 }
@@ -525,8 +525,8 @@ func TestPanickingReplicaStepDropped(t *testing.T) {
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("%d dials, want 1: the worker must survive the panic and serve every attempt on one connection", n)
 	}
-	if n, want := attempts.Load(), int64(1+p.Retries); n != want {
-		t.Fatalf("replica 1 was stepped %d times at epoch %d, want 1 + Retries = %d", n, chaos.FailFrom, want)
+	if n, want := attempts.Load(), int64(1+sched.StepRetries); n != want {
+		t.Fatalf("replica 1 was stepped %d times at epoch %d, want 1 + sched.StepRetries = %d", n, chaos.FailFrom, want)
 	}
 	popsIdentical(t, "degraded population", res.Final, ref.Final)
 	popsIdentical(t, "degraded front", res.Front, ref.Front)
@@ -545,9 +545,8 @@ func TestShardedWedgedWorkerReclaimed(t *testing.T) {
 		t.Fatalf("comparator: %v, want replica 2 dropped", refErr)
 	}
 	opts := shardedOpts(t, 4, "wedge:2:2:99")
-	p := opts.Extra.(*Params)
-	p.HeartbeatTimeout = 400 * time.Millisecond
-	p.Retries = 1
+	// Three attempts of 250 ms each: the workers heartbeat every 50 ms.
+	opts.Extra.(*Params).HeartbeatTimeout = 250 * time.Millisecond
 	res, err := supervisedRun(t, NameShardedIslands, opts)
 	var re *sched.ReplicaError
 	if !errors.As(err, &re) {
@@ -588,12 +587,11 @@ func TestShardedStalledStepHitsLease(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts(t)
 			p := opts.Extra.(*Params)
-			// Heartbeats every 50 ms, a 500 ms gap allowed between
-			// frames, and a 1.5 s lease: only the lease can fire.
-			p.HeartbeatEvery = 50 * time.Millisecond
+			// The workers heartbeat every 50 ms, a 500 ms gap is allowed
+			// between frames, and each of the three attempts gets an
+			// 800 ms lease: only the lease can fire.
 			p.HeartbeatTimeout = 500 * time.Millisecond
-			p.EpochDeadline = 1500 * time.Millisecond
-			p.Retries = 1
+			p.EpochDeadline = 800 * time.Millisecond
 			res, err := supervisedRun(t, NameShardedIslands, opts)
 			var re *sched.ReplicaError
 			if !errors.As(err, &re) {

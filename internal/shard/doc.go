@@ -14,13 +14,15 @@
 //
 // The design rests on one invariant: workers are STATELESS between epochs.
 // The coordinator owns every replica's state as a search.Checkpoint and
-// ships the whole of it to a worker for each epoch; the worker restores
-// the engine, advances it one generation, and ships the new checkpoint
-// back. Both travel as values on the connection's gob stream: type
-// descriptors cross a connection once, every population is a ga.Packed
-// byte string that gob copies whole, and the frame CRC covers every
-// payload byte, so nothing on the wire path seals or unseals a checkpoint
-// (disk checkpoints keep search.SaveCheckpoint's sealed form). The
+// ships the whole of it to a worker for each epoch, with the replica's
+// search.Options exactly as the replica loop derived them (its share of
+// the seed population rides packed in the Init request only); the worker
+// restores the engine, advances it one generation, and ships the new
+// checkpoint back. Both travel as values on the connection's gob stream:
+// type descriptors cross a connection once, every population is a
+// ga.Packed byte string that gob copies whole, and the frame CRC covers
+// every payload byte, so nothing on the wire path seals or unseals a
+// checkpoint (disk checkpoints keep search.SaveCheckpoint's sealed form). The
 // stream's table of types already sent is the only per-connection state,
 // and it dies with the connection. A worker that crashes, wedges or
 // corrupts its stream therefore loses nothing the coordinator cannot
@@ -40,15 +42,18 @@
 // Failure handling mirrors the in-process fault-tolerance layer, one level
 // up:
 //
-//   - lease expiry (per-epoch deadline) and missed heartbeats kill the
-//     connection and respawn-or-redial the worker — the process analogue
+//   - lease expiry (per-epoch deadline, 5 min unless set) and missed
+//     heartbeats (a 15 s gap unless set; each worker heartbeats at its
+//     own period) kill the connection and respawn-or-redial the worker —
+//     the process analogue
 //     of search.GuardedStep, except reclamation always succeeds (SIGKILL
 //     or a dropped connection needs no cooperation), so there is no
 //     poisoned state class;
 //   - failed attempts retry at once, re-dispatching the last
 //     authoritative checkpoint — against whichever pool worker is healthy
 //     (the pool paces redials of a failing address with its own backoff);
-//   - a replica whose retry budget is exhausted is dropped by the loop's
+//   - a replica whose step still fails after sched.StepRetries retries,
+//     the in-process schedulers' own budget, is dropped by the loop's
 //     own epoch barrier, in replica-index order, accumulating into
 //     *sched.ReplicaError;
 //   - corrupt or torn frames — and payloads that fail to decode on the

@@ -23,9 +23,11 @@ func init() {
 
 // Params is the Islands extension struct carried by search.Options.Extra.
 // The replica-ensemble knobs (Replicas, Algo, Extra, MigrationEvery,
-// Migrants) mean exactly what they mean on sched.IslandsParams —
-// the coordinator hands them to the same replica loop — so a sharded run
-// and an in-process run configured alike produce bit-identical results.
+// Migrants) mean exactly what they mean on sched.IslandsParams, defaults
+// included — the coordinator hands them to the same replica loop — so a
+// sharded run and an in-process run configured alike produce bit-identical
+// results. A failing replica step gets sched.StepRetries extra attempts,
+// as an in-process one does.
 type Params struct {
 	// Replicas is the number of engine replicas (default 4).
 	Replicas int
@@ -76,82 +78,54 @@ type Params struct {
 	Spec string
 	// EpochDeadline is the lease on one replica step round-trip: a worker
 	// that has not replied within it is killed and the attempt retried
-	// against a fresh process (0 = no lease). The process-level analogue
-	// of sched.IslandsParams.StepTimeout.
+	// against a fresh process (0 selects 5 min; negative is an error).
+	// The process-level analogue of sched.IslandsParams.StepTimeout.
 	EpochDeadline time.Duration
 	// HeartbeatTimeout kills a worker whose frames (heartbeats included)
 	// stop for this long while a step is in flight — catching a wedged
-	// process long before a generous lease expires (0 = disabled).
+	// process, or a stopped one whose connection stays open, long before
+	// the lease expires (0 selects 15 s; negative is an error). Workers
+	// heartbeat at their own WorkerConfig.HeartbeatEvery, which must stay
+	// under it.
 	HeartbeatTimeout time.Duration
-	// HeartbeatEvery is the workers' heartbeat period while a step is in
-	// flight, shipped inside each Request so both sides tune from one
-	// knob — a WAN fleet wants a longer period than the LAN default. 0
-	// keeps the worker's own default (DefaultHeartbeatEvery). Validated:
-	// must be positive and shorter than HeartbeatTimeout and
-	// EpochDeadline when those are set, or every step would be declared
-	// dead before its first heartbeat.
-	HeartbeatEvery time.Duration
-	// Retries is how many extra attempts a failing replica step gets
-	// before the replica is dropped at the epoch barrier (default 2,
-	// negative = none). Transport faults (crash, lease, corrupt frame)
-	// replay the last authoritative checkpoint — bit-identical, so a
-	// transient fault is fully masked; engine faults ride the same retry
-	// budget with quarantine-state adoption, like the in-process
-	// scheduler. Retries follow at once; a dropped TCP daemon's redials
-	// are paced by the pool's per-address backoff.
-	Retries int
 }
 
-func (p *Params) normalize() error {
-	if p.Replicas <= 0 {
-		p.Replicas = 4
-	}
-	if p.Algo == "" {
-		p.Algo = "nsga2"
-	}
-	if p.MigrationEvery == 0 {
-		p.MigrationEvery = 10
-	}
-	if p.Migrants <= 0 {
-		p.Migrants = 2
-	}
+// The liveness defaults: the lease on one step round-trip and the gap
+// allowed between a stepping worker's frames.
+const (
+	defaultEpochDeadline    = 5 * time.Minute
+	defaultHeartbeatTimeout = 15 * time.Second
+)
+
+// normalize applies the defaults in place and returns the ensemble's
+// sched.IslandsParams, normalized by sched itself. The liveness knobs are
+// validated, not clamped: a negative lease or gap would declare every
+// step dead, so it must fail loudly at Init.
+func (p *Params) normalize() (sched.IslandsParams, error) {
+	ip := sched.IslandsParams{Replicas: p.Replicas, Algo: p.Algo, Extra: p.Extra,
+		MigrationEvery: p.MigrationEvery, Migrants: p.Migrants}
+	ip.Normalize()
+	p.Replicas, p.Algo, p.MigrationEvery, p.Migrants = ip.Replicas, ip.Algo, ip.MigrationEvery, ip.Migrants
 	if p.Procs <= 0 {
-		p.Procs = min(p.Replicas, runtime.GOMAXPROCS(0))
+		p.Procs = runtime.GOMAXPROCS(0)
 	}
-	if p.Procs > p.Replicas {
-		p.Procs = p.Replicas
-	}
-	if p.Retries == 0 {
-		p.Retries = 2
-	}
-	if p.Retries < 0 {
-		p.Retries = 0
-	}
-	// The liveness knobs are validated, not clamped: a nonsensical lease
-	// configuration (negative durations, a heartbeat period that cannot
-	// fit inside the deadlines watching it) silently degrades into
-	// spurious worker kills, so it must fail loudly at Init.
+	p.Procs = min(p.Procs, p.Replicas)
 	for _, d := range []struct {
 		name string
-		v    time.Duration
+		v    *time.Duration
+		def  time.Duration
 	}{
-		{"EpochDeadline", p.EpochDeadline},
-		{"HeartbeatTimeout", p.HeartbeatTimeout},
-		{"HeartbeatEvery", p.HeartbeatEvery},
+		{"EpochDeadline", &p.EpochDeadline, defaultEpochDeadline},
+		{"HeartbeatTimeout", &p.HeartbeatTimeout, defaultHeartbeatTimeout},
 	} {
-		if d.v < 0 {
-			return fmt.Errorf("shard: Params.%s is %v, must be positive (or 0 for the default)", d.name, d.v)
+		if *d.v < 0 {
+			return ip, fmt.Errorf("shard: Params.%s is %v, must be positive (or 0 for %v)", d.name, *d.v, d.def)
+		}
+		if *d.v == 0 {
+			*d.v = d.def
 		}
 	}
-	if p.HeartbeatEvery > 0 {
-		if p.HeartbeatTimeout > 0 && p.HeartbeatEvery >= p.HeartbeatTimeout {
-			return fmt.Errorf("shard: Params.HeartbeatEvery %v must be shorter than HeartbeatTimeout %v", p.HeartbeatEvery, p.HeartbeatTimeout)
-		}
-		if p.EpochDeadline > 0 && p.HeartbeatEvery >= p.EpochDeadline {
-			return fmt.Errorf("shard: Params.HeartbeatEvery %v must be shorter than EpochDeadline %v", p.HeartbeatEvery, p.EpochDeadline)
-		}
-	}
-	return nil
+	return ip, nil
 }
 
 // Islands shards a sched.ParallelIslands replica ensemble across worker
@@ -192,7 +166,8 @@ func (e *Islands) prepare(opts search.Options) error {
 		return fmt.Errorf("shard: %w", err)
 	}
 	e.p = *p
-	if err := e.p.normalize(); err != nil {
+	ip, err := e.p.normalize()
+	if err != nil {
 		return err
 	}
 	if e.p.Pool == nil && len(e.p.WorkerArgv) == 0 && len(e.p.Workers) == 0 {
@@ -221,14 +196,11 @@ func (e *Islands) prepare(opts search.Options) error {
 		}
 		e.pool, e.ownsPool = fleet.NewPool(transports...), true
 	}
-	// Retries and leases belong to the remote replica's request
-	// ladder, so the loop neither retries nor guards a replica step; it
-	// steps as many replicas at once as the pool has workers.
-	e.Ensemble(NameShardedIslands, sched.IslandsParams{
-		Replicas: e.p.Replicas, Algo: e.p.Algo, Extra: e.p.Extra,
-		MigrationEvery: e.p.MigrationEvery, Migrants: e.p.Migrants,
-		StepWorkers: e.pool.Size(), StepRetries: -1,
-	}, func(i int, local search.Engine) search.Engine {
+	// Retries and leases belong to the remote replica's request ladder,
+	// so the loop neither retries nor guards a replica step; it steps as
+	// many replicas at once as the pool has workers.
+	ip.StepWorkers = e.pool.Size()
+	e.Ensemble(NameShardedIslands, ip, func(i int, local search.Engine) search.Engine {
 		return &remote{Engine: local, c: e, i: i}
 	})
 	return nil
@@ -281,14 +253,18 @@ type remote struct {
 }
 
 // Init implements search.Engine: the replica's generation zero is created
-// in a worker process.
+// in a worker process, from its share of the seed population.
 func (r *remote) Init(prob objective.Problem, opts search.Options) error {
 	r.prob, r.opts = prob, opts
-	return r.request(true)
+	req := &Request{Init: true}
+	if len(opts.Initial) > 0 {
+		req.Initial = ga.PackPopulation(opts.Initial)
+	}
+	return r.request(req)
 }
 
 // Step implements search.Engine: one generation, in a worker process.
-func (r *remote) Step() error { return r.request(false) }
+func (r *remote) Step() error { return r.request(&Request{State: r.cp}) }
 
 // Restore implements search.Engine: cp becomes the authoritative state.
 func (r *remote) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
@@ -328,20 +304,11 @@ func (r *remote) adopt(cp *search.Checkpoint) error {
 // adopts the latest state a worker returned, even when the step failed in
 // the end: the loop keeps a dropped replica's last valid state, and pools
 // it, like a dead in-process replica.
-func (r *remote) request(init bool) error {
+func (r *remote) request(req *Request) error {
 	c := r.c
-	req := &Request{
-		Replica:        r.i,
-		Epoch:          c.Generation(),
-		Init:           init,
-		Algo:           c.p.Algo,
-		Spec:           c.p.Spec,
-		Opts:           ToWire(r.opts),
-		HeartbeatEvery: c.p.HeartbeatEvery,
-	}
-	if !init {
-		req.State = r.cp
-	}
+	req.Replica, req.Epoch, req.Algo, req.Spec = r.i, c.Generation(), c.p.Algo, c.p.Spec
+	req.Opts = r.opts
+	req.Opts.Initial = nil // packed in req.Initial on Init; a step never reads it
 	cp, err := r.ladder(req)
 	if cp != nil {
 		if aerr := r.adopt(cp); err == nil {
@@ -354,15 +321,16 @@ func (r *remote) request(init bool) error {
 // ladder drives one request to success or retry exhaustion, checking a
 // worker out of the pool for each attempt, and returns the latest state a
 // worker returned (nil when none did). The retry ladder, in parity with the
-// in-process sched.StepWithRetry:
+// in-process sched.StepWithRetry and over the same sched.StepRetries:
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
 //     expiry, corrupt frame or payload, desynced stream, a clean reply
 //     with no state) taint the connection: it is killed, and the SAME
 //     request — same checkpoint — is replayed at once over a fresh one,
 //     on whichever pool worker is healthiest (a dead machine degrades to
-//     the survivors, not to a dropped replica). A replay is bit-identical to the lost step, so a fault
-//     that stops recurring leaves no trace in the result.
+//     the survivors, not to a dropped replica). A replay is
+//     bit-identical to the lost step, so a fault that stops recurring
+//     leaves no trace in the result.
 //   - engine faults (the reply carries Err) adopt the reply's checkpoint
 //     when present — engines complete their generation before reporting,
 //     so each retry is a fresh generation, exactly like retrying a
@@ -373,7 +341,7 @@ func (r *remote) request(init bool) error {
 //     without burning the retry budget.
 func (r *remote) ladder(req *Request) (cp *search.Checkpoint, err error) {
 	p, init := &r.c.p, req.Init
-	for attempt := 0; attempt <= p.Retries; attempt++ {
+	for attempt := 0; attempt <= sched.StepRetries; attempt++ {
 		req.Attempt = attempt
 		sess := r.c.pool.Acquire()
 		if sess == nil {
@@ -402,7 +370,7 @@ func (r *remote) ladder(req *Request) (cp *search.Checkpoint, err error) {
 			err = fmt.Errorf("shard: replica %d epoch %d attempt %d: %s", r.i, req.Epoch, attempt, reply.Err)
 			if reply.State != nil {
 				cp = reply.State
-				req.State, req.Init = reply.State, false // retry from the advanced state
+				req.State = reply.State // retry from the advanced state
 			}
 			if init {
 				return cp, err

@@ -5,31 +5,46 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sacga/internal/sched"
 )
 
 // TestParamsNormalizeDefaults: the zero Params normalizes to the
-// documented defaults — the knobs a sharded run and its in-process twin
-// must agree on for bit-identity.
+// documented defaults. The ensemble knobs are sched.IslandsParams' own
+// defaults, which a sharded run and its in-process twin must agree on for
+// bit-identity; the liveness knobs give every run a lease and a heartbeat
+// gap, so a worker that stops replying cannot hang its coordinator.
 func TestParamsNormalizeDefaults(t *testing.T) {
 	p := &Params{}
-	if err := p.normalize(); err != nil {
+	ip, err := p.normalize()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Replicas != 4 || p.Algo != "nsga2" || p.MigrationEvery != 10 || p.Migrants != 2 {
 		t.Fatalf("ensemble defaults: %+v", p)
 	}
+	var want sched.IslandsParams
+	want.Normalize()
+	if ip.Replicas != want.Replicas || ip.Algo != want.Algo || ip.MigrationEvery != want.MigrationEvery || ip.Migrants != want.Migrants {
+		t.Fatalf("ensemble params %+v, want sched's defaults %+v", ip, want)
+	}
 	if want := min(4, runtime.GOMAXPROCS(0)); p.Procs != want {
 		t.Fatalf("procs default %d, want %d", p.Procs, want)
 	}
-	if p.Retries != 2 {
-		t.Fatalf("retries default %d, want 2", p.Retries)
+	if p.EpochDeadline != 5*time.Minute || p.HeartbeatTimeout != 15*time.Second {
+		t.Fatalf("liveness defaults: lease %v, heartbeat gap %v; want 5m0s and 15s", p.EpochDeadline, p.HeartbeatTimeout)
 	}
-	if p.HeartbeatEvery != 0 {
-		t.Fatalf("HeartbeatEvery default %v, want 0 (worker's own default)", p.HeartbeatEvery)
+
+	set := &Params{Replicas: 3, Procs: 8, EpochDeadline: time.Second, HeartbeatTimeout: 300 * time.Millisecond}
+	if _, err := set.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if set.Procs != 3 || set.EpochDeadline != time.Second || set.HeartbeatTimeout != 300*time.Millisecond {
+		t.Fatalf("explicit settings not kept: %+v", set)
 	}
 }
 
-// TestParamsValidation: nonsensical liveness configurations fail loudly at
+// TestParamsValidation: a negative lease or heartbeat gap fails loudly at
 // normalize instead of silently degrading into spurious worker kills.
 func TestParamsValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -39,19 +54,12 @@ func TestParamsValidation(t *testing.T) {
 	}{
 		{"negative deadline", Params{EpochDeadline: -time.Second}, "EpochDeadline"},
 		{"negative heartbeat timeout", Params{HeartbeatTimeout: -1}, "HeartbeatTimeout"},
-		{"negative heartbeat period", Params{HeartbeatEvery: -1}, "HeartbeatEvery"},
-		{"period at heartbeat timeout", Params{HeartbeatEvery: time.Second, HeartbeatTimeout: time.Second}, "shorter than HeartbeatTimeout"},
-		{"period at epoch deadline", Params{HeartbeatEvery: 5 * time.Second, EpochDeadline: 5 * time.Second}, "shorter than EpochDeadline"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.p.normalize()
+			_, err := tc.p.normalize()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("normalize() = %v, want error naming %q", err, tc.want)
 			}
 		})
-	}
-	ok := Params{HeartbeatEvery: 100 * time.Millisecond, HeartbeatTimeout: time.Second, EpochDeadline: time.Minute}
-	if err := ok.normalize(); err != nil {
-		t.Fatalf("valid liveness configuration rejected: %v", err)
 	}
 }

@@ -29,8 +29,8 @@ func (e *leaseError) Error() string {
 
 // roundTrip sends req on the link and reads frames until its Reply, on the
 // caller's goroutine, under one connection deadline at a time. lease
-// bounds the whole exchange (0 = unbounded); hbTimeout bounds the gap
-// between complete worker frames (0 = no heartbeat monitoring). The Reply
+// bounds the whole exchange and hbTimeout the gap between complete worker
+// frames; both must be positive (Params.normalize sees to it). The Reply
 // is decoded fresh, so it does not alias the link's read buffer. On any
 // non-nil error the link is TAINTED — the frames may be desynced, the
 // link's gob streams in an unknown state, the worker wedged or gone — and
@@ -38,10 +38,7 @@ func (e *leaseError) Error() string {
 func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Reply, error) {
 	// The lease counts from the Send, and its deadline also bounds a Send
 	// blocked on a wedged worker's full pipe or socket buffer.
-	var leaseEnd time.Time
-	if lease > 0 {
-		leaseEnd = time.Now().Add(lease)
-	}
+	leaseEnd := time.Now().Add(lease)
 	defer l.SetDeadline(time.Time{})
 	if err := l.SetDeadline(leaseEnd); err != nil {
 		return nil, fmt.Errorf("shard: arm the lease: %w", err)
@@ -58,10 +55,8 @@ func roundTrip(l *fleet.Link, req *Request, lease, hbTimeout time.Duration) (*Re
 		// that comes sooner: either ends the read as a dead worker would,
 		// and the drop cause names which one it was.
 		deadline, kind, after := leaseEnd, "lease", lease
-		if hbTimeout > 0 {
-			if gap := beat.Add(hbTimeout); deadline.IsZero() || gap.Before(deadline) {
-				deadline, kind, after = gap, "heartbeat", hbTimeout
-			}
+		if gap := beat.Add(hbTimeout); gap.Before(deadline) {
+			deadline, kind, after = gap, "heartbeat", hbTimeout
 		}
 		// A connection that cannot bound the read fails the step.
 		if err := l.SetDeadline(deadline); err != nil {

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"time"
-
 	"sacga/internal/ga"
 	"sacga/internal/search"
 )
@@ -50,15 +47,20 @@ type Request struct {
 	// Spec identifies the problem; the worker rebuilds it through its
 	// WorkerConfig.Build hook. Opaque to this package.
 	Spec string
-	// Opts is the replica's full configuration, as the coordinator's
-	// replica loop derived it — the same options an in-process replica
-	// gets, so worker-side replicas are configured byte-identically.
-	Opts WireOptions
-	// HeartbeatEvery, when positive, overrides the worker's configured
-	// heartbeat period for this step (Params.HeartbeatEvery shipped along,
-	// so one knob tunes both sides of the liveness machinery). Ignored by
-	// workers whose configuration disables heartbeats outright.
-	HeartbeatEvery time.Duration
+	// Opts is the replica's configuration exactly as the coordinator's
+	// replica loop derived it, the options an in-process replica gets
+	// (MaxEvals and StepTimeout zero: the budget and the lease are the
+	// coordinator's), except that Opts.Initial is always nil, since gob
+	// would walk a population float by float. A non-nil Opts.Extra's
+	// concrete type must be gob-registered in both processes (from an
+	// init in the package that defines it; coordinator and worker
+	// normally run one binary).
+	Opts search.Options
+	// Initial is the replica's share of the seed population, packed raw
+	// bits and all, so the worker's Init sees the coordinator's
+	// Opts.Initial bit for bit. Nil on step requests and when the share
+	// is empty.
+	Initial ga.Packed
 	// State is the replica's checkpoint to restore before stepping — the
 	// full state, every request, so any request replays on any fresh
 	// connection. Nil when Init is set.
@@ -93,59 +95,4 @@ type Heartbeat struct {
 	// Replica and Epoch identify the in-flight step.
 	Replica int
 	Epoch   int
-}
-
-// WireOptions is the gob-safe projection of search.Options: the fields a
-// replica needs, minus the ones that must not cross a process boundary —
-// MaxEvals (the budget belongs to the coordinator; children never consult
-// the shared counter) and StepTimeout (the coordinator's lease replaces the
-// in-process watchdog).
-//
-// Extra rides as an interface: a non-nil extension struct's concrete type
-// must be gob-registered in BOTH processes (register it from an init in
-// the package that defines it — coordinator and worker normally run the
-// same binary, so one call covers both).
-type WireOptions struct {
-	PopSize     int
-	Generations int
-	Seed        int64
-	Workers     int
-	Initial     ga.Packed // nil when there is no seed population
-	Extra       any
-}
-
-// ToWire projects opts into wire form. The Initial population is packed,
-// raw bits and all, so a shipped seed population is bit-identical to a
-// local one.
-func ToWire(opts search.Options) WireOptions {
-	w := WireOptions{
-		PopSize:     opts.PopSize,
-		Generations: opts.Generations,
-		Seed:        opts.Seed,
-		Workers:     opts.Workers,
-		Extra:       opts.Extra,
-	}
-	if len(opts.Initial) > 0 {
-		w.Initial = ga.PackPopulation(opts.Initial)
-	}
-	return w
-}
-
-// Options rebuilds the search.Options a worker hands its engine.
-func (w WireOptions) Options() (search.Options, error) {
-	var initial ga.Population
-	if w.Initial != nil {
-		var err error
-		if initial, err = ga.UnpackPopulation(w.Initial); err != nil {
-			return search.Options{}, fmt.Errorf("shard: initial population: %w", err)
-		}
-	}
-	return search.Options{
-		PopSize:     w.PopSize,
-		Generations: w.Generations,
-		Seed:        w.Seed,
-		Workers:     w.Workers,
-		Initial:     initial,
-		Extra:       w.Extra,
-	}, nil
 }

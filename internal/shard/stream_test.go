@@ -8,6 +8,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -18,8 +19,10 @@ import (
 	"time"
 
 	"sacga/internal/fleet"
+	"sacga/internal/ga"
 	"sacga/internal/nsga2"
 	"sacga/internal/objective"
+	"sacga/internal/rng"
 	"sacga/internal/sched"
 	"sacga/internal/search"
 )
@@ -135,8 +138,8 @@ func TestStreamSendsTypesOnce(t *testing.T) {
 	for epoch := 0; epoch < steps; epoch++ {
 		cp := local.Checkpoint()
 		sent = append(sent, cp)
-		req := &Request{Replica: 0, Epoch: epoch, Algo: "nsga2", Spec: "zdt1", Opts: ToWire(opts), State: cp}
-		reply, err := roundTrip(link, req, 0, 0)
+		req := &Request{Replica: 0, Epoch: epoch, Algo: "nsga2", Spec: "zdt1", Opts: opts, State: cp}
+		reply, err := roundTrip(link, req, time.Minute, time.Minute)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
@@ -231,7 +234,8 @@ func TestHeartbeatsBetweenReplies(t *testing.T) {
 				prob, err := buildTestProblem(spec)
 				return &slowProblem{Problem: prob, delay: time.Millisecond}, err // 8 evaluations a step
 			},
-			OnStep: func(StepInfo) { steps.Add(1) },
+			OnStep:         func(StepInfo) { steps.Add(1) },
+			HeartbeatEvery: time.Millisecond,
 		})
 	})
 	dials := new(atomic.Int64)
@@ -242,7 +246,7 @@ func TestHeartbeatsBetweenReplies(t *testing.T) {
 	defer pool.Close()
 	opts := tcpOpts(nil)
 	p := opts.Extra.(*Params)
-	p.Pool, p.HeartbeatEvery = pool, time.Millisecond
+	p.Pool = pool
 	res, err := supervisedRun(t, NameShardedIslands, longerOpts(p))
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +339,8 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 			link := fleet.NewLink(c, addr)
 			defer link.Close()
 			req := &Request{Replica: 1, Epoch: 3, Algo: "nsga2", Spec: "zdt1",
-				Opts: ToWire(seedOpts), State: seedCheckpoint(t)}
-			_, err = roundTrip(link, req, 0, 0)
+				Opts: seedOpts, State: seedCheckpoint(t)}
+			_, err = roundTrip(link, req, time.Minute, time.Minute)
 			var ce *search.CorruptError
 			if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
 				t.Fatalf("round trip error is %T (%v), want a *search.CorruptError for %q", err, err, tc.reason)
@@ -361,5 +365,124 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 			}
 			popsIdentical(t, "final population", res.Final, ref.Final)
 		})
+	}
+}
+
+// recordingTransport dials through its Transport and records every frame
+// written on each connection it makes.
+type recordingTransport struct {
+	fleet.Transport
+	mu    sync.Mutex
+	conns []*recordingConn
+}
+
+func (t *recordingTransport) Dial() (fleet.Conn, error) {
+	c, err := t.Transport.Dial()
+	if err != nil {
+		return nil, err
+	}
+	rc := &recordingConn{Conn: c}
+	t.mu.Lock()
+	t.conns = append(t.conns, rc)
+	t.mu.Unlock()
+	return rc, nil
+}
+
+// sentRequest is one recorded request frame, decoded.
+type sentRequest struct {
+	req  Request
+	size int
+}
+
+// requests decodes every recorded frame, each connection on a stream of
+// its own, as the worker at its other end does.
+func (t *recordingTransport) requests(tb testing.TB) []sentRequest {
+	tb.Helper()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []sentRequest
+	for _, c := range t.conns {
+		in := fleet.NewStream()
+		for _, f := range c.frames {
+			var req Request
+			if err := in.Decode("test", payloadOf(tb, f), &req); err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, sentRequest{req: req, size: len(f)})
+		}
+	}
+	return out
+}
+
+// TestShardedSeededInit: a seed population shorter than PopSize fills
+// replica 0's share, part of replica 1's and none of replica 2's. The
+// sharded run equals parallel-islands with the same seed population bit
+// for bit. Each replica's share crosses the wire once, packed in its Init
+// request; step requests carry no population but the checkpoint, so none
+// is larger than the unseeded run's request for the same step.
+func TestShardedSeededInit(t *testing.T) {
+	prob := zdt1Prob(t)
+	lo, hi := prob.Bounds()
+	seed := ga.NewRandomPopulation(rng.Derive(testSeed, "shard/seed-population"), 10, lo, hi)
+	shares := [testReplicas]ga.Population{seed[:8], seed[8:], nil} // PopSize 24: shares of 8
+	inOpts := inProcessOpts("nsga2", nil)
+	inOpts.Initial = seed
+	ref, err := supervisedRun(t, sched.NameParallelIslands, inOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addr := loopbackWorker(t, func(c net.Conn) { ServeWorker(c, c, WorkerConfig{Build: buildTestProblem}) })
+	run := func(initial ga.Population) (*search.Result, []sentRequest) {
+		tr := &recordingTransport{Transport: &fleet.TCPTransport{Address: addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}}}
+		pool := fleet.NewPool(tr)
+		defer pool.Close()
+		opts := tcpOpts(nil)
+		opts.Initial = initial
+		opts.Extra.(*Params).Pool = pool
+		res, err := supervisedRun(t, NameShardedIslands, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr.requests(t)
+	}
+	res, seeded := run(seed)
+	if res.Evals != ref.Evals {
+		t.Fatalf("evals %d != in-process %d", res.Evals, ref.Evals)
+	}
+	popsIdentical(t, "final population", res.Final, ref.Final)
+	popsIdentical(t, "front", res.Front, ref.Front)
+
+	_, unseeded := run(nil)
+	if len(seeded) != len(unseeded) {
+		t.Fatalf("%d requests seeded, %d unseeded", len(seeded), len(unseeded))
+	}
+	for k, s := range seeded {
+		req := s.req
+		if req.Opts.Initial != nil {
+			t.Fatalf("request %d carries Opts.Initial", k)
+		}
+		if !req.Init {
+			if req.Initial != nil {
+				t.Fatalf("step request for replica %d epoch %d carries a seed population", req.Replica, req.Epoch)
+			}
+			if u := unseeded[k]; u.req.Init || u.req.Replica != req.Replica || u.req.Epoch != req.Epoch || s.size > u.size {
+				t.Fatalf("step request for replica %d epoch %d is %d bytes, the unseeded run's %d",
+					req.Replica, req.Epoch, s.size, u.size)
+			}
+			continue
+		}
+		want := shares[req.Replica]
+		if len(want) == 0 {
+			if req.Initial != nil {
+				t.Fatalf("replica %d has no share but its Init carries %d bytes", req.Replica, len(req.Initial))
+			}
+			continue
+		}
+		got, err := ga.UnpackPopulation(req.Initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		popsIdentical(t, fmt.Sprintf("replica %d's seed share", req.Replica), got, want)
 	}
 }

@@ -118,17 +118,14 @@ func daemonAddrs(ds []*tcpDaemon) []string {
 }
 
 // tcpOpts configures a TCP-sharded run against the given daemon
-// addresses, mirroring shardedOpts. HeartbeatEvery is set (and shorter
-// than the stdio default) so the coordinator-side tuning knob rides every
-// request.
+// addresses, mirroring shardedOpts.
 func tcpOpts(addrs []string) search.Options {
 	opts := baseOpts()
 	opts.Extra = &Params{
 		Replicas: testReplicas, Algo: "nsga2",
 		MigrationEvery: 3, Migrants: 2,
-		Workers: addrs, Spec: "zdt1", Retries: 2,
+		Workers: addrs, Spec: "zdt1",
 		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
-		HeartbeatEvery: 40 * time.Millisecond,
 	}
 	return opts
 }
@@ -310,7 +307,7 @@ func (d dialCounter) Dial() (fleet.Conn, error) {
 // workers all advertise a foreign build fingerprint, and requires the typed
 // *fleet.VersionError and exactly one dial per replica: the mismatch is
 // permanent for the pair, so a replica that retried it would dial the same
-// binary 1+Retries times.
+// binary 1+sched.StepRetries times.
 func initMismatched(t *testing.T, opts search.Options, ts ...fleet.Transport) *fleet.VersionError {
 	t.Helper()
 	dials := new(atomic.Int64)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sacga/internal/fleet"
+	"sacga/internal/ga"
 	"sacga/internal/objective"
 	"sacga/internal/search"
 )
@@ -25,7 +26,9 @@ type WorkerConfig struct {
 	Build func(spec string) (objective.Problem, error)
 	// HeartbeatEvery is the heartbeat period while a step is in flight
 	// (default DefaultHeartbeatEvery; negative disables heartbeats — the
-	// chaos suite's simulated wedge).
+	// chaos suite's simulated wedge). It must stay under the heartbeat
+	// gap of every coordinator this worker serves (Params.HeartbeatTimeout,
+	// 15 s unless set), or a long step is declared dead.
 	HeartbeatEvery time.Duration
 	// OnStep, when non-nil, runs before each request is processed — the
 	// chaos suite's injection point (crash here to simulate a worker dying
@@ -129,11 +132,7 @@ func ServeWorker(r io.Reader, w io.Writer, cfg WorkerConfig) error {
 		if cfg.OnStep != nil {
 			cfg.OnStep(info)
 		}
-		period := cfg.HeartbeatEvery
-		if req.HeartbeatEvery > 0 && period > 0 {
-			period = req.HeartbeatEvery // coordinator tuning; a disabled worker stays disabled
-		}
-		stop := startHeartbeats(w, period, req.Replica, req.Epoch)
+		stop := startHeartbeats(w, cfg.HeartbeatEvery, req.Replica, req.Epoch)
 		reply := handleRequest(&req, problems, cfg.Build)
 		// stop returns once no heartbeat is being written, so the reply
 		// is the only writer on w from here on.
@@ -246,10 +245,12 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 	// baseline included, so the coordinator can sum replicas for the
 	// ensemble budget.
 	prob := objective.NewCounter(base)
-	opts, err := req.Opts.Options()
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
+	opts := req.Opts
+	if req.Initial != nil {
+		if opts.Initial, err = ga.UnpackPopulation(req.Initial); err != nil {
+			reply.Err = fmt.Sprintf("shard: initial population: %v", err)
+			return reply
+		}
 	}
 	var stepErr error
 	if req.Init {
