@@ -7,13 +7,14 @@
 // tnk, bnh, dtlz1, dtlz2).
 //
 // Algorithms: tpg (NSGA-II), sacga, mesacga, local (local-competition-only
-// ablation), islands (parallel-population comparator), plus the
-// multi-engine schedulers — parislands (concurrent engine replicas with
-// ring migration), relay (NSGA-II warm start handing off to SACGA) and
-// portfolio (tpg vs sacga raced under one budget) — all dispatched by name
-// through the unified search registry and driven by search.Run, so a run
-// can be cancelled with Ctrl-C (the best-so-far front is still printed)
-// and capped with -maxevals.
+// ablation), plus the multi-engine schedulers — islands (the paper's
+// parallel-population comparator: five NSGA-II islands on a ring),
+// parislands (four concurrent engine replicas with ring migration), relay
+// (NSGA-II warm start handing off to SACGA) and portfolio (tpg vs sacga
+// raced under one budget) — all dispatched by name through the unified
+// search registry and driven by search.Run, so a run can be cancelled
+// with Ctrl-C (the best-so-far front is still printed) and capped with
+// -maxevals.
 //
 // Long runs survive preemption with -checkpoint: the engine state is
 // durably snapshotted every -checkpoint-every generations (and on
@@ -57,7 +58,6 @@ import (
 
 	"sacga/internal/benchfn"
 	"sacga/internal/hypervolume"
-	"sacga/internal/islands"
 	"sacga/internal/mesacga"
 	"sacga/internal/objective"
 	"sacga/internal/plot"
@@ -73,7 +73,7 @@ import (
 func main() {
 	var (
 		problem    = flag.String("problem", "integrator", "problem name (integrator or a benchmark: "+strings.Join(benchfn.Names(), ",")+")")
-		algo       = flag.String("algo", "sacga", "optimizer: tpg|sacga|mesacga|local|islands|parislands|relay|portfolio")
+		algo       = flag.String("algo", "sacga", "optimizer: tpg|sacga|mesacga|local|islands|parislands|relay|portfolio (islands: 5 NSGA-II replicas on a ring, parislands: 4)")
 		pop        = flag.Int("pop", 100, "population size")
 		iters      = flag.Int("iters", 800, "total iterations")
 		partitions = flag.Int("partitions", 8, "SACGA partition count")
@@ -152,12 +152,8 @@ func main() {
 			Span:               span,
 		}
 	case "islands":
-		name = "islands"
-		size := *pop / 5
-		if size < 4 {
-			size = 4
-		}
-		opts.Extra = &islands.Params{Islands: 5, IslandSize: size, MigrationEvery: 10, Migrants: 2}
+		name = "parallel-islands"
+		opts.Extra = &sched.IslandsParams{Replicas: 5, Algo: "nsga2", MigrationEvery: 10, Migrants: 2}
 	case "parislands":
 		if *shardProcs > 0 || *fleetAddrs != "" {
 			// Same replica ensemble, sharded across worker processes
@@ -294,7 +290,7 @@ func main() {
 					fmt.Fprintf(os.Stderr, "sacga: checkpoint saved to %s; continue with -resume\n", *ckpt)
 				}
 			}
-		case faultErr(err) && res != nil:
+		case sched.FaultErr(err) && res != nil:
 			exitCode = exitFault
 			fmt.Fprintf(os.Stderr, "sacga: run degraded by evaluation faults: %v\nsacga: reporting the best-so-far front\n", err)
 		default:
@@ -371,15 +367,6 @@ func fatal(err error) {
 func fatalUsage(err error) {
 	fmt.Fprintln(os.Stderr, "sacga:", err)
 	os.Exit(exitUsage)
-}
-
-// faultErr reports whether err is one of the typed fault-tolerance errors —
-// a degraded-but-valid outcome, distinct from an internal failure.
-func faultErr(err error) bool {
-	var ee *objective.EvalError
-	var we *search.WatchdogError
-	var re *sched.ReplicaError
-	return errors.As(err, &ee) || errors.As(err, &we) || errors.As(err, &re)
 }
 
 // runWorker serves the shard protocol on stdin/stdout until the

@@ -1,8 +1,8 @@
 package expt
 
 import (
-	"sacga/internal/islands"
 	"sacga/internal/sacga"
+	"sacga/internal/sched"
 	"sacga/internal/search"
 	"sacga/internal/sizing"
 	"sacga/internal/stats"
@@ -18,8 +18,9 @@ import (
 //     join the global competition (annealing removed, probability pinned
 //     at ~1);
 //   - SACGA          — the full annealed mix (eqns. 2–4);
-//   - islands        — the paper's reference [7] alternative: parallel
-//     subpopulations with ring migration at the same evaluation budget.
+//   - islands        — the paper's reference [7] alternative: five NSGA-II
+//     islands (parallel-islands) with ring migration at the same
+//     evaluation budget.
 //
 // The paper's argument is that the annealed middle ground beats both
 // extremes; the islands row checks its claim that the simpler
@@ -50,8 +51,8 @@ func Ablation(c Config) (*Report, error) {
 			// Five islands of a fifth of the population each (at least 4)
 			// and the same generation count: an equal evaluation budget.
 			size := max(c.PopSize/5, 4)
-			return c.run(name, spec, new(islands.Engine), search.Options{PopSize: 5 * size, Generations: total, Seed: seed,
-				Extra: &islands.Params{Islands: 5, IslandSize: size, MigrationEvery: 10, Migrants: 2}})
+			return c.run(name, spec, new(sched.ParallelIslands), search.Options{PopSize: 5 * size, Generations: total, Seed: seed,
+				Extra: &sched.IslandsParams{Replicas: 5, Algo: "nsga2", MigrationEvery: 10, Migrants: 2}})
 		}
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func valuesDigest(values map[string]float64) string {
 // iterations, so fig10's three curves coincide.
 func TestValuesPinned(t *testing.T) {
 	want := map[string]string{
-		"ablation": "4ffe486942d14b94",
+		"ablation": "eccdd75d89b2fd8b",
 		"fig10":    "78f16b2616941caf",
 		"fig11":    "ad7e594dfd014a5a",
 		"fig2":     "8a601978bee9ab47",
@@ -83,18 +83,19 @@ func TestValuesPinned(t *testing.T) {
 
 // TestAblationValuesPinned pins the ablation's headline values bit for bit
 // at a small, fixed configuration. The ablation drives five different
-// engine set-ups (TPG, local-only, instant-global, SACGA, islands), so a
-// change to how any of them is configured or stepped shows up here even
-// when it keeps every self-referential determinism check green.
+// engine set-ups (TPG, local-only, instant-global, SACGA, and
+// parallel-islands for the islands row), so a change to how any of them is
+// configured or stepped shows up here even when it keeps every
+// self-referential determinism check green.
 func TestAblationValuesPinned(t *testing.T) {
 	want := map[string]float64{
 		"hv_instant-global":        16.681608612224757,
-		"hv_islands":               23.927751951775242,
+		"hv_islands":               31.044307288938,
 		"hv_local-only":            11.59602247055877,
 		"hv_sacga":                 20.075351661258807,
 		"hv_tpg":                   23.830528538458747,
 		"min_cl_pF_instant-global": 4.321931710466624,
-		"min_cl_pF_islands":        1.7912723875151775,
+		"min_cl_pF_islands":        1.730836544892207,
 		"min_cl_pF_local-only":     1.081645413502097,
 		"min_cl_pF_sacga":          4.265036907055201,
 		"min_cl_pF_tpg":            1.212074563181544,

@@ -54,7 +54,8 @@ func TestHandshakeRoundTrip(t *testing.T) {
 }
 
 // TestHandshakeBuildMismatch: different build fingerprints produce the
-// typed *VersionError on BOTH sides, each from its own perspective.
+// typed *VersionError on BOTH sides, each naming the values by role: the
+// worker reports its own build as the worker's.
 func TestHandshakeBuildMismatch(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer cli.Close()
@@ -65,13 +66,14 @@ func TestHandshakeBuildMismatch(t *testing.T) {
 		done <- err
 	}()
 	_, err := ClientHandshake(pipeConn{cli}, HandshakeConfig{Build: "aaaa"})
+	const want = "fleet: worker build mismatch: coordinator has aaaa, worker has bbbb"
 	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Field != "build" || ve.Ours != "aaaa" || ve.Peer != "bbbb" {
-		t.Fatalf("client error %v, want build VersionError aaaa vs bbbb", err)
+	if !errors.As(err, &ve) || ve.Field != "build" || ve.Coordinator != "aaaa" || ve.Worker != "bbbb" || ve.Error() != want {
+		t.Fatalf("client error %v, want %q", err, want)
 	}
 	var sve *VersionError
-	if serr := <-done; !errors.As(serr, &sve) || sve.Field != "build" || sve.Ours != "bbbb" || sve.Peer != "aaaa" {
-		t.Fatalf("server error %v, want the mirrored build VersionError", serr)
+	if serr := <-done; !errors.As(serr, &sve) || *sve != *ve || sve.Error() != want {
+		t.Fatalf("server error %v, want %q", serr, want)
 	}
 }
 
@@ -99,8 +101,8 @@ func TestHandshakeProtocolMismatch(t *testing.T) {
 	}()
 	_, err := ServerHandshake(srv, srv, HandshakeConfig{})
 	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Field != "protocol" {
-		t.Fatalf("server error %v, want protocol VersionError", err)
+	if !errors.As(err, &ve) || ve.Field != "protocol" || ve.Worker != fmt.Sprintf("v%d", ProtocolVersion) {
+		t.Fatalf("server error %v, want protocol VersionError naming its own version the worker's", err)
 	}
 	if h := <-answer; h.Proto != ProtocolVersion {
 		t.Fatalf("answering hello %+v, want the worker's own protocol version", h)
@@ -124,7 +126,7 @@ func TestHandshakeRefusesVersion3Worker(t *testing.T) {
 	}()
 	_, err := ClientHandshake(pipeConn{cli}, HandshakeConfig{})
 	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Field != "protocol" || ve.Ours != fmt.Sprintf("v%d", ProtocolVersion) || ve.Peer != "v3" {
+	if !errors.As(err, &ve) || ve.Field != "protocol" || ve.Coordinator != fmt.Sprintf("v%d", ProtocolVersion) || ve.Worker != "v3" {
 		t.Fatalf("client error %v, want a protocol VersionError against v3", err)
 	}
 }

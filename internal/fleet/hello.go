@@ -69,13 +69,14 @@ type Hello struct {
 type VersionError struct {
 	// Field is what mismatched: "protocol" or "build".
 	Field string
-	// Ours and Peer are the two sides' values of that field.
-	Ours string
-	Peer string
+	// Coordinator and Worker are the two roles' values of that field,
+	// whichever side reports the mismatch.
+	Coordinator string
+	Worker      string
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("fleet: worker %s mismatch: coordinator has %s, worker has %s", e.Field, e.Ours, e.Peer)
+	return fmt.Sprintf("fleet: worker %s mismatch: coordinator has %s, worker has %s", e.Field, e.Coordinator, e.Worker)
 }
 
 // HandshakeConfig parameterizes one side of the handshake.
@@ -156,7 +157,7 @@ func ServerHandshake(r io.Reader, w io.Writer, cfg HandshakeConfig) (Hello, erro
 		return Hello{}, err
 	}
 	ours := cfg.hello()
-	verr := matchVersions(ours, peer)
+	verr := matchVersions(peer, ours)
 	if verr == nil && cfg.Check != nil {
 		if cerr := cfg.Check(peer); cerr != nil {
 			ours.Err = cerr.Error()
@@ -174,14 +175,14 @@ func ServerHandshake(r io.Reader, w io.Writer, cfg HandshakeConfig) (Hello, erro
 	return peer, nil
 }
 
-// matchVersions compares the two sides' version fields from the local
-// side's perspective (ours = this process).
-func matchVersions(ours, peer Hello) *VersionError {
-	if peer.Proto != ours.Proto {
-		return &VersionError{Field: "protocol", Ours: fmt.Sprintf("v%d", ours.Proto), Peer: fmt.Sprintf("v%d", peer.Proto)}
+// matchVersions compares the coordinator's and the worker's version
+// fields, whichever of them this process is.
+func matchVersions(coord, worker Hello) *VersionError {
+	if worker.Proto != coord.Proto {
+		return &VersionError{Field: "protocol", Coordinator: fmt.Sprintf("v%d", coord.Proto), Worker: fmt.Sprintf("v%d", worker.Proto)}
 	}
-	if peer.Build != ours.Build {
-		return &VersionError{Field: "build", Ours: ours.Build, Peer: peer.Build}
+	if worker.Build != coord.Build {
+		return &VersionError{Field: "build", Coordinator: coord.Build, Worker: worker.Build}
 	}
 	return nil
 }

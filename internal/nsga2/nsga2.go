@@ -185,8 +185,7 @@ type Checkpoint = search.Checkpoint
 // arena.Offspring and appended to dst's backing array (nil allocates one),
 // so a warmed-up generation loop allocates nothing for variation. The
 // offspring genes depend only on s and pop, never on the arena's state.
-// Exported because the island engine runs the same pipeline on each
-// island.
+// Exported for the variation benchmarks, which time it on its own.
 func MakeChildrenInto(s *rng.Stream, pop ga.Population, lo, hi []float64, n int, arena *ga.Arena, dst ga.Population) ga.Population {
 	if dst == nil {
 		dst = make(ga.Population, 0, n)

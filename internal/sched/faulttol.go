@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -36,6 +37,18 @@ func (e *ReplicaError) Error() string {
 
 // Unwrap exposes the first dropped replica's cause to errors.Is/As.
 func (e *ReplicaError) Unwrap() error { return e.Errs[0] }
+
+// FaultErr reports whether err holds one of the typed fault-tolerance
+// errors — an evaluation fault, a step the watchdog timed out, dropped
+// replicas — which ride alongside a valid best-so-far result: a degraded
+// run, distinct from an internal failure. cmd/sacga exits 4 on it and the
+// job server ends the job degraded, both with the front.
+func FaultErr(err error) bool {
+	var ee *objective.EvalError
+	var we *search.WatchdogError
+	var re *ReplicaError
+	return errors.As(err, &ee) || errors.As(err, &we) || errors.As(err, &re)
+}
 
 // StepRetries is how many extra attempts a failing replica or member step
 // gets, at once, before the scheduler drops it at the epoch barrier. The

@@ -19,6 +19,8 @@ func init() {
 // IslandsParams is the ParallelIslands extension struct carried by
 // search.Options.Extra. The zero value selects the defaults: 4 NSGA-II
 // replicas on a ring, migrating 2 individuals every 10 epochs.
+// StepWorkers and StepTimeout are the operator's, not part of a job's
+// wire form: they are excluded from JSON.
 type IslandsParams struct {
 	// Replicas is the number of engine replicas (default 4). Each replica
 	// receives PopSize/Replicas individuals of the total population and a
@@ -41,11 +43,11 @@ type IslandsParams struct {
 	// StepWorkers bounds how many replicas step concurrently within an
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin
 	// stepping. Results are bit-identical at every setting.
-	StepWorkers int
+	StepWorkers int `json:"-"`
 	// StepTimeout arms a per-replica watchdog around every Step attempt
 	// (see search.GuardedStep); 0 arms none. A panicking Step is recovered
 	// as a droppable error either way.
-	StepTimeout time.Duration
+	StepTimeout time.Duration `json:"-"`
 }
 
 // Normalize applies the defaults in place. The shard coordinator takes
@@ -246,10 +248,10 @@ func (e *ParallelIslands) liveIndices() []int {
 
 // migrate performs one deterministic ring exchange over the live replicas:
 // each sends its emigrants to the next (k → k+1 mod N), the classic
-// island-model ring the islands package implements one level down. All
-// emigrants are selected (as clones) before any immigration, so the
-// exchange is simultaneous and order-independent; destinations are then
-// served in replica-index order. Dropped replicas fall out of the ring —
+// island-model ring of the paper's reference [7]. All emigrants are
+// selected (as clones) before any immigration, so the exchange is
+// simultaneous and order-independent; destinations are then served in
+// replica-index order. Dropped replicas fall out of the ring —
 // it contracts over the survivors, in index order, so the exchange stays
 // deterministic at any worker count.
 func (e *ParallelIslands) migrate() {

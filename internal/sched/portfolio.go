@@ -27,6 +27,7 @@ type Member struct {
 
 // PortfolioParams is the Portfolio extension struct carried by
 // search.Options.Extra. A portfolio must declare at least one member.
+// StepWorkers and StepTimeout are excluded from JSON, as on IslandsParams.
 type PortfolioParams struct {
 	// Members are the racing engines. Each gets the full Options.PopSize
 	// and a seed derived from its index — the comparative-EA setting:
@@ -35,11 +36,11 @@ type PortfolioParams struct {
 	// StepWorkers bounds how many members step concurrently within an
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin.
 	// Results are bit-identical at every setting.
-	StepWorkers int
+	StepWorkers int `json:"-"`
 	// StepTimeout arms a per-member watchdog around every generation
 	// attempt (see search.GuardedStep); 0 arms none. A panicking Step is
 	// recovered as a droppable error either way.
-	StepTimeout time.Duration
+	StepTimeout time.Duration `json:"-"`
 	// Project maps an individual to the 2-D point the hypervolume score
 	// reduces; nil selects the default (feasible individuals' first two
 	// objectives), matching search.HypervolumeObserver.

@@ -15,7 +15,6 @@ import (
 
 	"sacga/internal/benchfn"
 	"sacga/internal/ga"
-	_ "sacga/internal/islands" // registered for the typed-error sweep
 	_ "sacga/internal/mesacga" // a registered engine that is NOT a Migrator
 	_ "sacga/internal/nsga2"   // the default replica engine
 	"sacga/internal/objective"
@@ -353,23 +352,80 @@ func TestScheduledBudget(t *testing.T) {
 }
 
 // TestParallelIslandsPoolsFront checks the final pooled population is
-// globally ranked with a non-empty first front of the total size.
+// globally ranked with a non-empty, feasible first front of the total
+// size — on a constrained problem too — and that a longer ZDT1 run comes
+// within gap of the optimal front.
 func TestParallelIslandsPoolsFront(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prob objective.Problem
+		opts search.Options
+		gap  float64 // the largest f1 - (1 - sqrt(f0)) allowed; 0 skips it
+	}{
+		{"zdt1", testProblem(), islandsOpts(2, "nsga2", nil), 0},
+		{"constr", constrProblem(), search.Options{PopSize: 60, Generations: 50, Seed: 5,
+			Extra: &sched.IslandsParams{Replicas: 3}}, 0},
+		{"zdt1-converges", benchfn.ZDT1(8), search.Options{PopSize: 80, Generations: 60, Seed: 1,
+			Extra: &sched.IslandsParams{Replicas: 4}}, 0.8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _ := search.New("parallel-islands")
+			res, err := search.Run(context.Background(), eng, tc.prob, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Final) != tc.opts.PopSize {
+				t.Fatalf("pooled population has %d members, want %d", len(res.Final), tc.opts.PopSize)
+			}
+			if len(res.Front) == 0 || len(res.Front) > len(res.Final) {
+				t.Fatalf("pooled front has %d members", len(res.Front))
+			}
+			for _, ind := range res.Front {
+				if ind.Rank != 0 || !ind.Feasible() {
+					t.Fatalf("front member has global rank %d and violation %g", ind.Rank, ind.Violation)
+				}
+				if gap := ind.Objectives[1] - (1 - math.Sqrt(ind.Objectives[0])); tc.gap > 0 && gap > tc.gap {
+					t.Fatalf("front member %v is %g from the optimal front", ind.Objectives, gap)
+				}
+			}
+		})
+	}
+}
+
+// TestParallelIslandsMigrationChangesRun checks the ring exchange reaches
+// the replicas: the same ensemble with migration disabled ends with a
+// different pooled population.
+func TestParallelIslandsMigrationChangesRun(t *testing.T) {
+	opts := islandsOpts(2, "nsga2", nil)
+	mig := runToEnd(t, "parallel-islands", testProblem(), opts)
+	opts.Extra.(*sched.IslandsParams).MigrationEvery = -1
+	iso := runToEnd(t, "parallel-islands", testProblem(), opts)
+	for i := range mig {
+		for k := range mig[i].X {
+			if mig[i].X[k] != iso[i].X[k] {
+				return
+			}
+		}
+	}
+	t.Fatal("migration had no effect on the run")
+}
+
+// TestParallelIslandsMigrationPreservesPopulationSizes checks migration
+// replaces members rather than adding them: the pooled view holds the
+// whole population at every epoch, exchanges included.
+func TestParallelIslandsMigrationPreservesPopulationSizes(t *testing.T) {
+	obs := search.ObserverFunc(func(f *search.Frame) {
+		if len(f.Pop) != 3*14 {
+			t.Fatalf("pooled size %d at epoch %d, want %d", len(f.Pop), f.Gen, 3*14)
+		}
+	})
 	eng, _ := search.New("parallel-islands")
-	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(2, "nsga2", nil))
+	_, err := search.Run(context.Background(), eng, benchfn.ZDT1(6), search.Options{
+		PopSize: 3 * 14, Generations: 20, Seed: 4,
+		Extra: &sched.IslandsParams{Replicas: 3, MigrationEvery: 3, Migrants: 2},
+	}, obs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Final) != 24 {
-		t.Fatalf("pooled population has %d members, want 24", len(res.Final))
-	}
-	if len(res.Front) == 0 || len(res.Front) > len(res.Final) {
-		t.Fatalf("pooled front has %d members", len(res.Front))
-	}
-	for _, ind := range res.Front {
-		if ind.Rank != 0 {
-			t.Fatalf("front member has global rank %d", ind.Rank)
-		}
 	}
 }
 
@@ -387,7 +443,7 @@ func TestSchedulerRegistry(t *testing.T) {
 // engines and, via errors.As, through their wrapping.
 func TestSchedulerExtraTypeError(t *testing.T) {
 	wrong := search.Options{Extra: &struct{ Bogus int }{}}
-	for _, name := range []string{"parallel-islands", "relay", "portfolio", "nsga2", "sacga", "mesacga", "islands"} {
+	for _, name := range []string{"parallel-islands", "relay", "portfolio", "nsga2", "sacga", "mesacga"} {
 		eng, err := search.New(name)
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@
 package engines
 
 import (
-	_ "sacga/internal/islands"
 	_ "sacga/internal/mesacga"
 	_ "sacga/internal/nsga2"
 	_ "sacga/internal/sacga"

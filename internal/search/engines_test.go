@@ -13,11 +13,11 @@ import (
 
 	"sacga/internal/benchfn"
 	"sacga/internal/ga"
-	"sacga/internal/islands"
 	"sacga/internal/mesacga"
 	"sacga/internal/nsga2"
 	"sacga/internal/objective"
 	"sacga/internal/sacga"
+	"sacga/internal/sched"
 	"sacga/internal/search"
 )
 
@@ -105,14 +105,14 @@ func cases() []engineCase {
 			perGen:         20,
 		},
 		{
-			name:  "islands",
-			label: "islands",
+			name:  sched.NameParallelIslands,
+			label: "parallel-islands",
 			prob:  testProblem,
 			opts: func() search.Options {
 				return search.Options{
-					Generations: 10, Seed: 11,
-					Extra: &islands.Params{
-						Islands: 3, IslandSize: 8, MigrationEvery: 3, Migrants: 2,
+					PopSize: 24, Generations: 10, Seed: 11,
+					Extra: &sched.IslandsParams{
+						Replicas: 3, MigrationEvery: 3, Migrants: 2,
 					},
 				}
 			},
@@ -345,7 +345,7 @@ func TestHypervolumeObserverTrace(t *testing.T) {
 // TestRegistryNames checks every algorithm is selectable by string once its
 // package is linked in.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"islands", "mesacga", "nsga2", "sacga"}
+	want := []string{"mesacga", "nsga2", "sacga"}
 	got := search.Names()
 	for _, w := range want {
 		found := false
@@ -367,7 +367,7 @@ func TestRegistryNames(t *testing.T) {
 // Init error for every engine rather than a silent misconfiguration.
 func TestExtensionTypeMismatch(t *testing.T) {
 	wrong := search.Options{Extra: &struct{ Bogus int }{}}
-	for _, name := range []string{"nsga2", "sacga", "mesacga", "islands"} {
+	for _, name := range []string{"nsga2", "sacga", "mesacga"} {
 		eng, _ := search.New(name)
 		if err := eng.Init(testProblem(), wrong); err == nil {
 			t.Fatalf("%s: Init accepted a %T extension", name, wrong.Extra)

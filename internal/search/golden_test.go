@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sacga/internal/ga"
-	"sacga/internal/islands"
 	"sacga/internal/mesacga"
 	"sacga/internal/objective"
 	"sacga/internal/sacga"
@@ -96,11 +95,6 @@ func TestGoldenFronts(t *testing.T) {
 		{"mesacga-derived", "mesacga", constrProblem,
 			search.Options{PopSize: 20, Generations: 25, Seed: 7, Extra: goldenMESACGA(0)},
 			"df20649431580547"},
-		{"islands", "islands", testProblem,
-			search.Options{Generations: 10, Seed: 11, Extra: &islands.Params{
-				Islands: 3, IslandSize: 8, MigrationEvery: 3, Migrants: 2,
-			}},
-			"6f8528fa343b54e9"},
 		{"parallel-islands", sched.NameParallelIslands, testProblem,
 			search.Options{PopSize: 40, Generations: 10, Seed: 13, Extra: &sched.IslandsParams{
 				Replicas: 3, MigrationEvery: 3, StepWorkers: 1,

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sacga/internal/islands"
 	"sacga/internal/objective"
 	"sacga/internal/sched"
 	"sacga/internal/search"
@@ -40,9 +39,6 @@ func legacyCases() []struct {
 		{"nsga2", "nsga2", testProblem, search.Options{PopSize: 12, Generations: 16, Seed: 3}},
 		{"sacga", "sacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 5, Extra: goldenSACGA(4, 0)}},
 		{"mesacga", "mesacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 7, Extra: goldenMESACGA(3)}},
-		{"islands", "islands", testProblem, search.Options{Generations: 16, Seed: 11, Extra: &islands.Params{
-			Islands: 2, IslandSize: 8, MigrationEvery: 3, Migrants: 2,
-		}}},
 		// At generation 12 the relay is in its second leg, so the file
 		// carries the handed-off population as well.
 		{"relay", sched.NameRelay, constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 17, Extra: relayLegs}},

@@ -4,8 +4,8 @@ import "sacga/internal/ga"
 
 // Migrator is the cross-engine migration hook the multi-engine scheduler
 // drives: an engine that can emit its best individuals and absorb
-// newcomers mid-run. The base optimizers (nsga2, sacga, islands) implement
-// it; schedulers step engine replicas concurrently and exchange migrants at
+// newcomers mid-run. The base optimizers nsga2 and sacga implement it;
+// schedulers step engine replicas concurrently and exchange migrants at
 // epoch boundaries, when no Step is in flight.
 //
 // Both methods are deterministic — selection and replacement use the

@@ -19,11 +19,11 @@ const (
 // Options holds the hyperparameters every engine understands. Algorithm-
 // specific knobs (partition grids, annealing shapes, migration intervals)
 // live in per-algorithm extension structs carried by Extra — see
-// sacga.Params, mesacga.Params and islands.Params.
+// sacga.Params, mesacga.Params and sched.IslandsParams.
 type Options struct {
 	// PopSize is the population size (default 100). Engines with internal
-	// structure interpret it as the total across that structure (islands:
-	// all islands pooled).
+	// structure interpret it as the total across that structure
+	// (parallel-islands: all replicas pooled).
 	PopSize int
 	// Generations is the total iteration budget (default 250). For sacga
 	// it bounds phase I + phase II together when the extension struct does
@@ -68,7 +68,7 @@ func (o *Options) Normalize() {
 }
 
 // ExtraTypeError reports that Options.Extra held the wrong extension struct
-// for the engine it was handed to — a *sacga.Params given to "islands", say.
+// for the engine it was handed to — a *sacga.Params given to "nsga2", say.
 // Engines surface it (wrapped with their name) from Init/Restore, so a
 // misrouted configuration is a recoverable, errors.As-matchable error
 // instead of a panic or a silent default.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"sacga/internal/ga"
-	"sacga/internal/islands"
 	"sacga/internal/mesacga"
 	"sacga/internal/nsga2"
 	"sacga/internal/objective"
@@ -145,10 +144,6 @@ func structForm(t *testing.T, cp *search.Checkpoint) string {
 			return "mesacga fronts in struct form"
 		}
 		return structForm(t, &search.Checkpoint{State: st.Inner})
-	case *islands.Snapshot:
-		if st.Isles != nil || st.PackedIsles == nil {
-			return "islands populations in struct form"
-		}
 	case *sched.RelaySnapshot:
 		if st.Handoff != nil || (st.Leg > 0 && st.PackedHandoff == nil) {
 			return "relay handoff in struct form"

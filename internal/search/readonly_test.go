@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"sacga/internal/islands"
 	"sacga/internal/mesacga"
 	"sacga/internal/objective"
 	"sacga/internal/sacga"
@@ -35,7 +34,6 @@ func TestExtensionStructsStayReadOnly(t *testing.T) {
 		{"mesacga", constrProblem, 16, func() any {
 			return &mesacga.Params{PartitionObjective: 0, PartitionLo: 0.1, PartitionHi: 1}
 		}},
-		{"islands", testProblem, 16, func() any { return &islands.Params{} }},
 		{sched.NameParallelIslands, constrProblem, 32, func() any {
 			return &sched.IslandsParams{Algo: "sacga", Extra: defaultedSACGA(), StepWorkers: 2}
 		}},

@@ -1,9 +1,11 @@
 // Package search is the unified driver API over every optimizer in this
-// repository. The four algorithms — nsga2 (the paper's TPG baseline), sacga,
-// mesacga and islands — implement one step-wise Engine interface, share one
-// Options struct for the common hyperparameters, and are driven by one Run
-// loop that provides context cancellation, per-generation Observer
-// callbacks, an evaluation budget, and deterministic checkpoint/resume.
+// repository. The three algorithms — nsga2 (the paper's TPG baseline),
+// sacga and mesacga — and the schedulers built from them (package sched's
+// parallel-islands is the island model the paper sets SACGA against)
+// implement one step-wise Engine interface, share one Options struct for
+// the common hyperparameters, and are driven by one Run loop that provides
+// context cancellation, per-generation Observer callbacks, an evaluation
+// budget, and deterministic checkpoint/resume.
 //
 // The package exists because the paper's contribution is *orchestration*:
 // global and local competition mixed phase by phase. Orchestration needs
@@ -33,8 +35,8 @@
 // Checkpoint returns a deep snapshot — RNG stream positions, the
 // population(s) with cached objectives, and the engine's phase bookkeeping.
 // Restore on a fresh engine rebuilds the exact state: continuing a restored
-// run is bit-identical to never having stopped (property-tested for all
-// four algorithms). Snapshots never re-evaluate the problem, so resuming
+// run is bit-identical to never having stopped (property-tested for every
+// engine). Snapshots never re-evaluate the problem, so resuming
 // does not perturb evaluation counts.
 package search
 
@@ -64,7 +66,7 @@ import (
 //     package comment.
 type Engine interface {
 	// Name is the engine's canonical registry name ("nsga2", "sacga",
-	// "mesacga", "islands").
+	// "mesacga", "parallel-islands", ...).
 	Name() string
 	// Init prepares a run of prob under opts. It evaluates the initial
 	// population, so it consumes evaluation budget.

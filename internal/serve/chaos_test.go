@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"sacga/internal/fault"
+	"sacga/internal/nsga2"
 	"sacga/internal/objective"
 	"sacga/internal/probspec"
+	"sacga/internal/rng"
+	"sacga/internal/sched"
+	"sacga/internal/search"
 )
 
 // TestFaultyJobDegradesWithoutWedging is the multi-tenant fault-isolation
@@ -114,4 +119,52 @@ func TestRelayJobQuarantinedInitDegrades(t *testing.T) {
 	if ares := waitTerminal(t, s, after.ID); ares.State != StateDone {
 		t.Fatalf("job after the relay ended %s (err %q)", ares.State, ares.Error)
 	}
+}
+
+// failingReplica is nsga2 whose every Step fails when it runs as replica 1
+// of a seed-5 ensemble, so the ensemble drops that replica once its
+// retries are spent and finishes on the other two.
+type failingReplica struct {
+	nsga2.Engine
+	fail bool
+}
+
+func (e *failingReplica) Init(prob objective.Problem, opts search.Options) error {
+	e.fail = opts.Seed == rng.ChildSeed(5, sched.ReplicaLabel, 1)
+	return e.Engine.Init(prob, opts)
+}
+
+func (e *failingReplica) Step() error {
+	if e.fail {
+		return errors.New("replica step failed")
+	}
+	return e.Engine.Step()
+}
+
+func init() {
+	search.Register("serve-test-failing-replica", func() search.Engine { return new(failingReplica) })
+}
+
+// TestDroppedReplicaJobDegrades: an ensemble job that dropped a replica
+// ends degraded with the pooled front search.Run returns beside the same
+// *sched.ReplicaError, as cmd/sacga reports the run, not failed and empty.
+func TestDroppedReplicaJobDegrades(t *testing.T) {
+	req := zdtJob(sched.NameParallelIslands, 5, 6)
+	req.Params = []byte(`{"Replicas": 3, "Algo": "serve-test-failing-replica"}`)
+	solo, err := soloResult(t, testBuild(0), req)
+	var re *sched.ReplicaError
+	if !errors.As(err, &re) || len(re.Dropped) != 1 || re.Dropped[0] != 1 || len(solo.Front) == 0 {
+		t.Fatalf("solo run: %v, want replica 1 dropped beside a front", err)
+	}
+
+	s := newTestServer(t, Config{Slots: 1})
+	view, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitTerminal(t, s, view.ID)
+	if res.State != StateDegraded || !strings.Contains(res.Error, "dropped replicas [1]") {
+		t.Fatalf("job ended %s (err %q), want degraded by the dropped replica", res.State, res.Error)
+	}
+	frontsEqual(t, "degraded ensemble", res.Front, snapshotFront(solo.Front))
 }

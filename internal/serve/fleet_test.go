@@ -137,8 +137,9 @@ func TestShardedJobWithoutFleetRejected(t *testing.T) {
 
 // TestShardedJobClientCannotNameWorkers: the fleet is the operator's.
 // Requests that try to point the engine at their own worker commands or
-// addresses are rejected as unknown fields — those knobs are not part of
-// the wire surface at all.
+// addresses, or to set the fleet's process count, lease or heartbeat gap,
+// are rejected as unknown fields — those knobs are not part of the wire
+// surface at all.
 func TestShardedJobClientCannotNameWorkers(t *testing.T) {
 	pool := fleet.NewPool(&fleet.TCPTransport{Address: startWorkerDaemon(t)})
 	defer pool.Close()
@@ -147,6 +148,9 @@ func TestShardedJobClientCannotNameWorkers(t *testing.T) {
 		`{"Workers": ["attacker:9750"]}`,
 		`{"WorkerArgv": ["/bin/true"]}`,
 		`{"WorkerEnv": ["PATH=/tmp"]}`,
+		`{"Procs": 2}`,
+		`{"EpochDeadline": 1}`,
+		`{"HeartbeatTimeout": 1}`,
 	} {
 		req := zdtJob(shard.NameShardedIslands, 1, 5)
 		req.Params = []byte(params)

@@ -105,20 +105,20 @@ func (s *Server) turn(j *Job) {
 		return
 	}
 
-	// No retries: the first quarantining generation ends the job with its
+	// No retries: the first faulting generation ends the job with its
 	// best-so-far front, matching cmd/sacga.
 	err, poisoned := sched.StepWithRetry(j.eng, j.prob, 0, s.cfg.StepTimeout)
-	var ee *objective.EvalError
 	switch {
 	case poisoned:
 		// Watchdog abandonment: a runaway step may still be writing the
 		// engine's buffers, so nothing in them is servable.
 		j.finalize(StateFailed, err, nil, 0, 0)
 		s.persistResult(j)
-	case err != nil && errors.As(err, &ee):
-		// Quarantining generation: it completed — state, counters and
-		// population are valid — so the job ends degraded with its
-		// best-so-far front, the exit-code-4 analogue.
+	case err != nil && sched.FaultErr(err):
+		// A quarantining generation, or an ensemble that dropped replicas:
+		// the step completed — state, counters and population are valid —
+		// so the job ends degraded with its best-so-far front, the
+		// exit-code-4 analogue.
 		s.observe(j)
 		s.finalizeFromEngine(j, StateDegraded, err)
 	case err != nil:
@@ -189,9 +189,9 @@ func (s *Server) initJob(j *Job) (err error) {
 		// wiped even though the wire cannot set them (json:"-"), the pool
 		// is injected process-locally, and Spec is pinned to the job's own
 		// problem so workers always build what the coordinator mirrors.
-		// Unless the request sets them, the lease and heartbeat gap are
-		// shard.Params' defaults, so a worker that stops replying fails
-		// the attempt instead of holding the slot.
+		// The lease and heartbeat gap, which the wire cannot set either,
+		// are shard.Params' defaults, so a worker that stops replying
+		// fails the attempt instead of holding the slot.
 		p, _ := opts.Extra.(*shard.Params)
 		if p == nil {
 			p = new(shard.Params)

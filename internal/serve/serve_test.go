@@ -16,6 +16,7 @@ import (
 	"sacga/internal/hypervolume"
 	"sacga/internal/objective"
 	"sacga/internal/probspec"
+	"sacga/internal/sched"
 	"sacga/internal/search"
 	"sacga/internal/sizing"
 )
@@ -55,6 +56,16 @@ func testBuild(delay time.Duration) func(probspec.Spec) (objective.Problem, bool
 // every bit-identity assertion.
 func soloRun(t *testing.T, build func(probspec.Spec) (objective.Problem, bool, error), req JobRequest) []FrontPoint {
 	t.Helper()
+	res, err := soloResult(t, build, req)
+	if err != nil {
+		t.Fatalf("solo run: %v", err)
+	}
+	return snapshotFront(res.Front)
+}
+
+// soloResult is soloRun's search.Run, returning its result and error.
+func soloResult(t *testing.T, build func(probspec.Spec) (objective.Problem, bool, error), req JobRequest) (*search.Result, error) {
+	t.Helper()
 	prob, _, err := build(req.Problem)
 	if err != nil {
 		t.Fatalf("solo build: %v", err)
@@ -71,11 +82,7 @@ func soloRun(t *testing.T, build func(probspec.Spec) (objective.Problem, bool, e
 		}
 		opts.Extra = extra
 	}
-	res, err := search.Run(context.Background(), eng, objective.NewCounter(prob), opts)
-	if err != nil {
-		t.Fatalf("solo run: %v", err)
-	}
-	return snapshotFront(res.Front)
+	return search.Run(context.Background(), eng, objective.NewCounter(prob), opts)
 }
 
 func mustRaw(t *testing.T, req JobRequest) []byte {
@@ -394,6 +401,36 @@ func TestAdmissionValidation(t *testing.T) {
 	}
 	if got := len(s.Jobs()); got != 0 {
 		t.Fatalf("rejected submissions leaked %d jobs into the table", got)
+	}
+}
+
+// TestJobClientCannotNameStepSettings: how many replicas or members step
+// at once, and their watchdog, are the operator's settings, not part of
+// the wire surface: a request naming one is rejected as an unknown field,
+// and a request naming none keeps the job ID it always had.
+func TestJobClientCannotNameStepSettings(t *testing.T) {
+	s := newTestServer(t, Config{Slots: 1})
+	for _, tc := range []struct{ engine, params string }{
+		{sched.NameParallelIslands, `{"StepWorkers": 4}`},
+		{sched.NameParallelIslands, `{"StepTimeout": 1000000000}`},
+		{sched.NamePortfolio, `{"Members": [{"Algo": "nsga2"}], "StepWorkers": 4}`},
+		{sched.NamePortfolio, `{"Members": [{"Algo": "nsga2"}], "StepTimeout": 1000000000}`},
+	} {
+		req := zdtJob(tc.engine, 1, 5)
+		req.Params = []byte(tc.params)
+		_, _, err := s.Submit(req)
+		var re *RequestError
+		if !errors.As(err, &re) {
+			t.Errorf("%s params %s: got %v, want RequestError", tc.engine, tc.params, err)
+		}
+	}
+	if got := len(s.Jobs()); got != 0 {
+		t.Fatalf("rejected submissions leaked %d jobs", got)
+	}
+	req := zdtJob(sched.NameParallelIslands, 1, 5)
+	req.Params = []byte(`{"Replicas": 3, "MigrationEvery": 2}`)
+	if view, _, err := s.Submit(req); err != nil || view.ID != "ec505deb596ad2d1bff4144a" {
+		t.Fatalf("submit: ID %s, err %v", view.ID, err)
 	}
 }
 

@@ -27,7 +27,8 @@ func init() {
 // included — the coordinator hands them to the same replica loop — so a
 // sharded run and an in-process run configured alike produce bit-identical
 // results. A failing replica step gets sched.StepRetries extra attempts,
-// as an in-process one does.
+// as an in-process one does. Procs, EpochDeadline and HeartbeatTimeout are
+// the fleet operator's, like the worker fields: excluded from JSON.
 type Params struct {
 	// Replicas is the number of engine replicas (default 4).
 	Replicas int
@@ -51,7 +52,7 @@ type Params struct {
 	// min(Replicas, GOMAXPROCS)). Results are bit-identical at every
 	// setting — workers are stateless, so which process steps which
 	// replica cannot matter.
-	Procs int
+	Procs int `json:"-"`
 	// WorkerArgv is the command line spawned for each worker process
 	// (argv[0] = binary). The worker must run ServeWorker on its
 	// stdin/stdout — e.g. `cmd/sacga -worker`, or a test binary re-exec.
@@ -80,14 +81,14 @@ type Params struct {
 	// that has not replied within it is killed and the attempt retried
 	// against a fresh process (0 selects 5 min; negative is an error).
 	// The process-level analogue of sched.IslandsParams.StepTimeout.
-	EpochDeadline time.Duration
+	EpochDeadline time.Duration `json:"-"`
 	// HeartbeatTimeout kills a worker whose frames (heartbeats included)
 	// stop for this long while a step is in flight — catching a wedged
 	// process, or a stopped one whose connection stays open, long before
 	// the lease expires (0 selects 15 s; negative is an error). Workers
 	// heartbeat at their own WorkerConfig.HeartbeatEvery, which must stay
 	// under it.
-	HeartbeatTimeout time.Duration
+	HeartbeatTimeout time.Duration `json:"-"`
 }
 
 // The liveness defaults: the lease on one step round-trip and the gap

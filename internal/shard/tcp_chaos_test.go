@@ -342,7 +342,7 @@ func initMismatched(t *testing.T, opts search.Options, ts ...fleet.Transport) *f
 func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
 	ds := startTCPDaemons(t, 1, "SHARD_BUILD_FP=deadbeefdeadbeef")
 	ve := initMismatched(t, tcpOpts(nil), &fleet.TCPTransport{Address: ds[0].addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}})
-	if ve.Field != "build" || ve.Peer != "deadbeefdeadbeef" {
+	if ve.Field != "build" || ve.Worker != "deadbeefdeadbeef" {
 		t.Fatalf("mismatch %+v, want build mismatch against the fake fingerprint", ve)
 	}
 }
