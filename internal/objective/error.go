@@ -41,34 +41,3 @@ func (e *EvalError) Error() string {
 
 // Unwrap exposes the first failure's cause to errors.Is/As.
 func (e *EvalError) Unwrap() error { return e.Err }
-
-// Interruptible is implemented by problems (or problem wrappers) whose
-// in-flight evaluations can be unblocked from another goroutine — the hook
-// a step watchdog uses to reclaim a hung evaluation. Interrupt must be
-// safe to call concurrently with evaluations and more than once; after the
-// first call every present and future blocking evaluation must return
-// promptly (typically by panicking, which the evaluation layer converts to
-// a quarantine plus an EvalError).
-type Interruptible interface {
-	Interrupt()
-}
-
-// Interrupt walks prob's wrapper chain — following Unwrap() Problem the way
-// errors.Unwrap follows error chains — and fires the first Interruptible it
-// finds. It reports whether anything was interrupted; false means the
-// problem has no interruption hook and a hung evaluation cannot be
-// reclaimed.
-func Interrupt(prob Problem) bool {
-	for prob != nil {
-		if i, ok := prob.(Interruptible); ok {
-			i.Interrupt()
-			return true
-		}
-		u, ok := prob.(interface{ Unwrap() Problem })
-		if !ok {
-			return false
-		}
-		prob = u.Unwrap()
-	}
-	return false
-}

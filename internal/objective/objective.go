@@ -113,10 +113,6 @@ func (c *Counter) EvaluateBatch(xs [][]float64, out []Result) {
 // Count returns the number of Evaluate calls so far.
 func (c *Counter) Count() int64 { return c.n.Load() }
 
-// Unwrap exposes the wrapped problem, so chain-walking helpers (Interrupt)
-// can see through the counter.
-func (c *Counter) Unwrap() Problem { return c.Problem }
-
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n.Store(0) }
 

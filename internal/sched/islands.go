@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/gob"
 	"fmt"
-	"time"
 
 	"sacga/internal/ga"
 	"sacga/internal/objective"
@@ -19,8 +18,8 @@ func init() {
 // IslandsParams is the ParallelIslands extension struct carried by
 // search.Options.Extra. The zero value selects the defaults: 4 NSGA-II
 // replicas on a ring, migrating 2 individuals every 10 epochs.
-// StepWorkers and StepTimeout are the operator's, not part of a job's
-// wire form: they are excluded from JSON.
+// StepWorkers is the operator's, not part of a job's wire form: it is
+// excluded from JSON.
 type IslandsParams struct {
 	// Replicas is the number of engine replicas (default 4). Each replica
 	// receives PopSize/Replicas individuals of the total population and a
@@ -44,10 +43,6 @@ type IslandsParams struct {
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin
 	// stepping. Results are bit-identical at every setting.
 	StepWorkers int `json:"-"`
-	// StepTimeout arms a per-replica watchdog around every Step attempt
-	// (see search.GuardedStep); 0 arms none. A panicking Step is recovered
-	// as a droppable error either way.
-	StepTimeout time.Duration `json:"-"`
 }
 
 // Normalize applies the defaults in place. The shard coordinator takes
@@ -87,14 +82,11 @@ type ParallelIslands struct {
 }
 
 // IslandsSnapshot is the composite checkpoint payload: every replica's own
-// checkpoint, in replica order. Dead/Poisoned record the fault-tolerance
-// state (nil in pre-fault-tolerance snapshots means all replicas alive);
-// Inner holds an empty placeholder for poisoned replicas, whose state was
-// unrecoverable, carrying only the replica's last evaluation count.
+// checkpoint, in replica order. Dead records which replicas were dropped
+// (nil in pre-fault-tolerance snapshots means all replicas alive).
 type IslandsSnapshot struct {
-	Inner    []*search.Checkpoint
-	Dead     []bool
-	Poisoned []bool
+	Inner []*search.Checkpoint
+	Dead  []bool
 }
 
 // Name implements search.Engine.
@@ -130,7 +122,7 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 	}
 	e.p = *p
 	e.p.Normalize()
-	e.workers, e.retries, e.timeout = e.p.StepWorkers, StepRetries, e.p.StepTimeout
+	e.workers, e.retries = e.p.StepWorkers, StepRetries
 	if e.wrap != nil {
 		e.retries = 0
 	}
@@ -271,12 +263,10 @@ func (e *ParallelIslands) migrate() {
 }
 
 // Checkpoint implements search.Engine: a composite snapshot of every
-// usable replica's checkpoint, plus the liveness state. Poisoned replicas
-// snapshot as placeholders holding only their last evaluation count —
-// their state belongs to a runaway step.
+// replica's checkpoint, plus the liveness state.
 func (e *ParallelIslands) Checkpoint() *search.Checkpoint {
 	sn := new(IslandsSnapshot)
-	sn.Inner, sn.Dead, sn.Poisoned = e.snapshot()
+	sn.Inner, sn.Dead = e.snapshot()
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
 
@@ -289,5 +279,5 @@ func (e *ParallelIslands) Restore(prob objective.Problem, opts search.Options, c
 	if err := e.prepare(prob, opts); err != nil {
 		return err
 	}
-	return e.restore(cp.Gen, sn.Inner, sn.Dead, sn.Poisoned)
+	return e.restore(cp.Gen, sn.Inner, sn.Dead)
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"sacga/internal/ga"
 	"sacga/internal/objective"
@@ -19,43 +18,26 @@ import (
 // checkpoints.
 //
 // A dead replica is no longer stepped, but its last-good population stays
-// in the pooled view; a poisoned replica (watchdog abandonment — a runaway
-// step may still be writing its buffers) is excluded from everything and
-// keeps the count it had before its abandoned step.
+// in the pooled view and its count in the budget.
 type replicaLoop struct {
 	name    string // the scheduler's engine name, for errors
 	opts    search.Options
 	workers int // replicas stepped at once; 0 = GOMAXPROCS
 	retries int
-	timeout time.Duration
 	engines []search.Engine
 	probs   []objective.Problem // per-replica counters over the problem (own accounting)
 	options func(i int) search.Options
-	counts  []int64 // each replica's Evals(), read at the last barrier
-	evals   int64   // the sum of counts: the scheduler's budget
+	evals   int64 // the sum of the replicas' Evals() at the last barrier: the scheduler's budget
 	epoch   int
 	pooled  ga.Population
 	final   bool
 
-	dead, poisoned []bool
-	dropped        []int
-	errs           []error
-	reported       bool
-	fails          []replicaFailure // per-epoch scratch, index-addressed
+	dead     []bool
+	dropped  []int
+	errs     []error
+	reported bool
+	fails    []error // per-epoch scratch, written by index from the stepping goroutines
 }
-
-// replicaFailure is one replica's outcome for an epoch, written by index
-// from the stepping goroutines and consumed at the barrier.
-type replicaFailure struct {
-	err      error
-	poisoned bool
-}
-
-// poisonedAlgo marks a poisoned replica's placeholder entry in a composite
-// snapshot. gob rejects nil pointers inside slices, so the unusable state is
-// stood in for by an empty checkpoint carrying only the replica's last
-// evaluation count; Restore reads that count and keeps the replica dropped.
-const poisonedAlgo = "sched/poisoned"
 
 // errorf prefixes an error with the package and the scheduler's name.
 func (l *replicaLoop) errorf(format string, args ...any) error {
@@ -79,10 +61,9 @@ func (l *replicaLoop) reset(prob objective.Problem, opts search.Options, n int,
 		}
 		l.engines[i], l.probs[i] = eng, childProblem(prob)
 	}
-	l.counts = make([]int64, n)
-	l.dead, l.poisoned = make([]bool, n), make([]bool, n)
+	l.dead = make([]bool, n)
 	l.dropped, l.errs, l.reported = nil, nil, false
-	l.fails = make([]replicaFailure, n)
+	l.fails = make([]error, n)
 	return nil
 }
 
@@ -91,22 +72,23 @@ func (l *replicaLoop) reset(prob objective.Problem, opts search.Options, n int,
 // replicas are whole. A replica whose Init failed outright may hold no
 // count to read (nothing attached, no leg started); it counts 0.
 func (l *replicaLoop) init() error {
+	counts := make([]int64, len(l.engines))
 	err := runIndexed(len(l.engines), l.workers, func(i int) error {
 		err := l.engines[i].Init(l.probs[i], l.options(i))
 		var ee *objective.EvalError
 		if err == nil || errors.As(err, &ee) {
-			l.counts[i] = l.engines[i].Evals()
+			counts[i] = l.engines[i].Evals()
 		}
 		return err
 	})
-	for _, n := range l.counts {
+	for _, n := range counts {
 		l.evals += n
 	}
 	return err
 }
 
 // step runs one epoch: every live replica advances up to gens(i)
-// generations under StepWithRetry, concurrently up to the worker bound,
+// generations under stepWithRetry, concurrently up to the worker bound,
 // and the barrier drops the replicas that failed, in index order. Unless
 // none survives, the epoch is then counted and between runs (the
 // scheduler's own barrier work) before the done check. The accumulated
@@ -119,16 +101,16 @@ func (l *replicaLoop) step(gens func(i int) int, between func()) error {
 	runIndexed(len(l.engines), l.workers, func(i int) error {
 		eng := l.engines[i]
 		for g := 0; !l.dead[i] && g < gens(i) && !eng.Done(); g++ {
-			if err, poisoned := StepWithRetry(eng, l.probs[i], l.retries, l.timeout); err != nil {
-				l.fails[i] = replicaFailure{err: err, poisoned: poisoned}
+			if err := stepWithRetry(eng, l.retries); err != nil {
+				l.fails[i] = err
 				break
 			}
 		}
 		return nil
 	})
-	for i, f := range l.fails {
-		if f.err != nil {
-			l.drop(i, f.err, f.poisoned)
+	for i, err := range l.fails {
+		if err != nil {
+			l.drop(i, err)
 		}
 	}
 	l.tally()
@@ -143,10 +125,25 @@ func (l *replicaLoop) step(gens func(i int) int, between func()) error {
 	return l.takeErr()
 }
 
+// stepWithRetry advances one engine under the scheduler's shared fault
+// policy: a failing Step is retried at once, up to `retries` more times,
+// each attempt under search.GuardedStep, which recovers a panic as an
+// error. Retrying a quarantining engine is meaningful because engines
+// complete their generation before reporting the fault: each attempt is a
+// fresh generation that may evaluate cleanly.
+func stepWithRetry(eng search.Engine, retries int) error {
+	for attempt := 0; ; attempt++ {
+		err := search.GuardedStep(eng, 0)
+		if err == nil || attempt >= retries {
+			return err
+		}
+	}
+}
+
 // drop retires replica i. Called at the barrier in index order, so
 // Dropped is deterministic at any worker count.
-func (l *replicaLoop) drop(i int, err error, poisoned bool) {
-	l.dead[i], l.poisoned[i] = true, poisoned
+func (l *replicaLoop) drop(i int, err error) {
+	l.dead[i] = true
 	l.dropped = append(l.dropped, i)
 	l.errs = append(l.errs, err)
 }
@@ -177,15 +174,11 @@ func (l *replicaLoop) takeErr() error {
 }
 
 // tally reads every replica's own evaluation count at the barrier; their
-// sum is the scheduler's budget. A poisoned replica keeps the count it had
-// before its abandoned step: its state belongs to the runaway step.
+// sum is the scheduler's budget.
 func (l *replicaLoop) tally() {
 	l.evals = 0
-	for i, eng := range l.engines {
-		if !l.poisoned[i] {
-			l.counts[i] = eng.Evals()
-		}
-		l.evals += l.counts[i]
+	for _, eng := range l.engines {
+		l.evals += eng.Evals()
 	}
 }
 
@@ -223,15 +216,12 @@ func (l *replicaLoop) Population() ga.Population {
 }
 
 // pool rebuilds the concatenated view of every replica's population, in
-// index order (pooling order is part of the determinism contract).
-// Poisoned replicas are skipped; dead-but-valid ones contribute their
-// last-good generation.
+// index order (pooling order is part of the determinism contract). Dead
+// replicas contribute their last-good generation.
 func (l *replicaLoop) pool() ga.Population {
 	l.pooled = l.pooled[:0]
-	for i, eng := range l.engines {
-		if !l.poisoned[i] {
-			l.pooled = append(l.pooled, eng.Population()...)
-		}
+	for _, eng := range l.engines {
+		l.pooled = append(l.pooled, eng.Population()...)
 	}
 	return l.pooled
 }
@@ -243,32 +233,26 @@ func (l *replicaLoop) finalize() {
 	l.final = true
 }
 
-// snapshot returns every replica's checkpoint in index order — a
-// placeholder holding only its last count for a poisoned replica — and
-// copies of the liveness flags.
-func (l *replicaLoop) snapshot() (inner []*search.Checkpoint, dead, poisoned []bool) {
+// snapshot returns every replica's checkpoint in index order and a copy of
+// the liveness flags.
+func (l *replicaLoop) snapshot() (inner []*search.Checkpoint, dead []bool) {
 	inner = make([]*search.Checkpoint, len(l.engines))
 	for i, eng := range l.engines {
-		if l.poisoned[i] {
-			inner[i] = &search.Checkpoint{Algo: poisonedAlgo, Evals: l.counts[i]}
-			continue
-		}
 		inner[i] = eng.Checkpoint()
 	}
-	return inner, append([]bool(nil), l.dead...), append([]bool(nil), l.poisoned...)
+	return inner, append([]bool(nil), l.dead...)
 }
 
 // restore resumes the loop at epoch from snapshot's parts. nil dead (a
 // snapshot from before fault tolerance) means every replica alive. Dropped
 // causes are not persisted; a placeholder keeps the final report
 // well-formed.
-func (l *replicaLoop) restore(epoch int, inner []*search.Checkpoint, dead, poisoned []bool) error {
+func (l *replicaLoop) restore(epoch int, inner []*search.Checkpoint, dead []bool) error {
 	if len(inner) != len(l.engines) {
 		return l.errorf("checkpoint has %d replicas, options configure %d", len(inner), len(l.engines))
 	}
 	l.epoch = epoch
 	copy(l.dead, dead)
-	copy(l.poisoned, poisoned)
 	for i, d := range l.dead {
 		if d {
 			l.dropped = append(l.dropped, i)
@@ -276,10 +260,6 @@ func (l *replicaLoop) restore(epoch int, inner []*search.Checkpoint, dead, poiso
 		}
 	}
 	if err := runIndexed(len(l.engines), l.workers, func(i int) error {
-		if l.poisoned[i] {
-			l.counts[i] = inner[i].Evals // unrecoverable: stays dropped, keeps its count
-			return nil
-		}
 		return l.engines[i].Restore(l.probs[i], l.options(i), inner[i])
 	}); err != nil {
 		return l.errorf("%w", err)

@@ -3,7 +3,6 @@ package sched
 import (
 	"encoding/gob"
 	"fmt"
-	"time"
 
 	"sacga/internal/ga"
 	"sacga/internal/hypervolume"
@@ -27,7 +26,7 @@ type Member struct {
 
 // PortfolioParams is the Portfolio extension struct carried by
 // search.Options.Extra. A portfolio must declare at least one member.
-// StepWorkers and StepTimeout are excluded from JSON, as on IslandsParams.
+// StepWorkers is excluded from JSON, as on IslandsParams.
 type PortfolioParams struct {
 	// Members are the racing engines. Each gets the full Options.PopSize
 	// and a seed derived from its index — the comparative-EA setting:
@@ -37,10 +36,6 @@ type PortfolioParams struct {
 	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin.
 	// Results are bit-identical at every setting.
 	StepWorkers int `json:"-"`
-	// StepTimeout arms a per-member watchdog around every generation
-	// attempt (see search.GuardedStep); 0 arms none. A panicking Step is
-	// recovered as a droppable error either way.
-	StepTimeout time.Duration `json:"-"`
 	// Project maps an individual to the 2-D point the hypervolume score
 	// reduces; nil selects the default (feasible individuals' first two
 	// objectives), matching search.HypervolumeObserver.
@@ -75,17 +70,14 @@ type Portfolio struct {
 }
 
 // PortfolioSnapshot is the composite checkpoint payload: every member's
-// checkpoint plus the reallocation state. Dead/Poisoned record the
-// fault-tolerance state (nil in pre-fault-tolerance snapshots means all
-// members alive); Inner holds an empty placeholder for poisoned members,
-// carrying only the member's last evaluation count.
+// checkpoint plus the reallocation state. Dead records which members were
+// dropped (nil in pre-fault-tolerance snapshots means all members alive).
 type PortfolioSnapshot struct {
-	Epoch    int
-	Best     int
-	Scores   []float64
-	Inner    []*search.Checkpoint
-	Dead     []bool
-	Poisoned []bool
+	Epoch  int
+	Best   int
+	Scores []float64
+	Inner  []*search.Checkpoint
+	Dead   []bool
 }
 
 // Name implements search.Engine.
@@ -103,7 +95,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 		return e.errorf("PortfolioParams must declare at least one member")
 	}
 	e.p = *p
-	e.workers, e.retries, e.timeout = e.p.StepWorkers, StepRetries, e.p.StepTimeout
+	e.workers, e.retries = e.p.StepWorkers, StepRetries
 	e.scores = make([]float64, len(e.p.Members))
 	e.best = -1
 	return e.reset(prob, opts, len(e.p.Members), func(i int) (search.Engine, error) {
@@ -141,10 +133,10 @@ func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 // Member faults degrade the race instead of aborting it: a member whose
 // generation keeps failing after the retry budget is dropped at the epoch
 // barrier, in member-index order; its last-good population still competes
-// in the final pooled front (unless the watchdog abandoned it mid-step) but
-// it receives no further budget and never holds the boost. The accumulated
-// *ReplicaError is returned by the finalizing Step alongside the valid
-// pooled Result — or immediately when no member survives.
+// in the final pooled front, but it receives no further budget and never
+// holds the boost. The accumulated *ReplicaError is returned by the
+// finalizing Step alongside the valid pooled Result — or immediately when
+// no member survives.
 func (e *Portfolio) Step() error {
 	return e.step(func(i int) int {
 		if i == e.best {
@@ -157,9 +149,8 @@ func (e *Portfolio) Step() error {
 // rescore reduces every member's population to the staircase metric and
 // elects the next epoch's boosted member: the best (lowest) score among
 // live members, ties broken by index. Sequential and pure — the same
-// populations always elect the same member. Poisoned members keep their
-// last score (their population is untouchable); dead-but-valid members are
-// rescored but never elected.
+// populations always elect the same member. Dead members are rescored but
+// never elected.
 func (e *Portfolio) rescore() {
 	project := e.p.Project
 	if project == nil {
@@ -167,9 +158,6 @@ func (e *Portfolio) rescore() {
 	}
 	e.best = -1
 	for i, eng := range e.engines {
-		if e.poisoned[i] {
-			continue
-		}
 		e.pts = e.pts[:0]
 		for _, ind := range eng.Population() {
 			if p, ok := project(ind); ok {
@@ -200,7 +188,7 @@ func (e *Portfolio) Best() int { return e.best }
 // Checkpoint implements search.Engine.
 func (e *Portfolio) Checkpoint() *search.Checkpoint {
 	sn := &PortfolioSnapshot{Epoch: e.epoch, Best: e.best, Scores: append([]float64(nil), e.scores...)}
-	sn.Inner, sn.Dead, sn.Poisoned = e.snapshot()
+	sn.Inner, sn.Dead = e.snapshot()
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
 
@@ -215,5 +203,5 @@ func (e *Portfolio) Restore(prob objective.Problem, opts search.Options, cp *sea
 	}
 	e.best = sn.Best
 	copy(e.scores, sn.Scores)
-	return e.restore(sn.Epoch, sn.Inner, sn.Dead, sn.Poisoned)
+	return e.restore(sn.Epoch, sn.Inner, sn.Dead)
 }

@@ -51,9 +51,8 @@
 // contract. Every scheduler counts the same way: its budget is the sum of
 // its child engines' own Evals() at the epoch boundary — for Relay, the
 // completed legs' counts plus the active leg's. It is the only count a
-// replica stepped in another process can give. A poisoned replica keeps
-// the count it had before its abandoned step, and its checkpoint
-// placeholder carries that count.
+// replica stepped in another process can give. A dropped replica keeps
+// the count of its last completed generation in the sum.
 package sched
 
 import (
@@ -77,9 +76,9 @@ const (
 
 // childOptions builds the options handed to one child engine: the shared
 // hyperparameters pass through; the seed is derived per child so replicas
-// explore independently; the evaluation cap and the step watchdog stay with
-// the scheduler (children must never consult the shared live counter — see
-// the package determinism contract).
+// explore independently; the evaluation cap stays with the scheduler
+// (children must never consult the shared live counter — see the package
+// determinism contract).
 func childOptions(opts search.Options, popSize, generations int, label string, n int, extra any, initial ga.Population) search.Options {
 	return search.Options{
 		PopSize:     popSize,

@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"time"
 
 	"sacga/internal/ga"
 	"sacga/internal/objective"
@@ -45,12 +44,6 @@ type Options struct {
 	// ga.SharedPool: 0 selects NumCPU, 1 forces the sequential path.
 	// Results are bit-identical either way.
 	Workers int
-	// StepTimeout, when > 0, arms a per-generation watchdog: a Step that
-	// exceeds the deadline has its problem interrupted (see
-	// objective.Interruptible) and surfaces a *WatchdogError. Engines whose
-	// problems expose no interruption hook are abandoned on expiry — the
-	// run ends with best-so-far results from the last completed generation.
-	StepTimeout time.Duration
 	// Extra carries the per-algorithm extension struct (e.g.
 	// *sacga.Params). nil selects that algorithm's defaults.
 	Extra any

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"errors"
-	"time"
 
 	"sacga/internal/objective"
 )
@@ -21,8 +20,7 @@ import (
 // Evaluation faults do not crash the run: failed individuals are
 // quarantined (see objective.EvalError) and the generation completes, so a
 // faulting Step — like a cancelled run — returns the best-so-far Result
-// alongside the typed error. Options.StepTimeout arms a per-generation
-// watchdog (see GuardedStep).
+// alongside the typed error.
 func Run(ctx context.Context, eng Engine, prob objective.Problem, opts Options, observers ...Observer) (*Result, error) {
 	if err := eng.Init(prob, opts); err != nil {
 		var ee *objective.EvalError
@@ -33,7 +31,7 @@ func Run(ctx context.Context, eng Engine, prob objective.Problem, opts Options, 
 		}
 		return nil, err
 	}
-	return drive(ctx, eng, prob, opts.StepTimeout, observers)
+	return drive(ctx, eng, observers)
 }
 
 // Resume is Run for a checkpointed run: Restore instead of Init, then the
@@ -43,12 +41,11 @@ func Resume(ctx context.Context, eng Engine, prob objective.Problem, opts Option
 	if err := eng.Restore(prob, opts, cp); err != nil {
 		return nil, err
 	}
-	return drive(ctx, eng, prob, opts.StepTimeout, observers)
+	return drive(ctx, eng, observers)
 }
 
-func drive(ctx context.Context, eng Engine, prob objective.Problem, stepTimeout time.Duration, observers []Observer) (*Result, error) {
+func drive(ctx context.Context, eng Engine, observers []Observer) (*Result, error) {
 	d := NewDriver(eng, observers...)
-	d.Guard(prob, stepTimeout)
 	for {
 		more, err := d.Step(ctx)
 		if err != nil {
@@ -66,12 +63,9 @@ func drive(ctx context.Context, eng Engine, prob objective.Problem, stepTimeout 
 // the observers. The zero value is not usable; construct with NewDriver
 // around an engine that is already Init-ed or Restore-d.
 type Driver struct {
-	eng      Engine
-	obs      []Observer
-	frame    Frame
-	prob     objective.Problem
-	timeout  time.Duration
-	poisoned bool
+	eng   Engine
+	obs   []Observer
+	frame Frame
 }
 
 // NewDriver wraps an initialized engine and its observers. The driver adds
@@ -80,52 +74,21 @@ func NewDriver(eng Engine, observers ...Observer) *Driver {
 	return &Driver{eng: eng, obs: observers, frame: Frame{Engine: eng}}
 }
 
-// Guard arms the per-step watchdog: every subsequent Step runs under
-// GuardedStep(eng, prob, timeout). timeout <= 0 leaves the driver
-// unguarded.
-func (d *Driver) Guard(prob objective.Problem, timeout time.Duration) {
-	d.prob, d.timeout = prob, timeout
-}
-
 // Step checks the context, advances one generation and notifies the
 // observers. It returns false when the engine is done (no generation was
 // executed), and ctx.Err() when cancelled. A quarantining generation
 // (objective.EvalError) completes — state and observers included — before
-// the error is returned; a watchdog abandonment poisons the driver, after
-// which the engine is never touched again and Result is empty.
+// the error is returned.
 func (d *Driver) Step(ctx context.Context) (more bool, err error) {
-	if d.poisoned {
-		return false, &WatchdogError{Timeout: d.timeout, Abandoned: true}
-	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
 	if d.eng.Done() {
 		return false, nil
 	}
-	if err := d.step(); err != nil {
-		// A direct type assertion, not errors.As: only an abandonment of
-		// THIS driver's step poisons the engine. A fault-tolerant scheduler
-		// may return an error that wraps an abandoned *WatchdogError from a
-		// replica it already dropped — the scheduler itself is still valid.
-		if we, ok := err.(*WatchdogError); ok && we.Abandoned {
-			d.poisoned = true
-			return false, err
-		}
-		d.notify()
-		return false, err
-	}
+	err = d.eng.Step()
 	d.notify()
-	return true, nil
-}
-
-// step dispatches to the guarded or plain path. Kept out of Step so the
-// no-watchdog fast path stays a direct engine call.
-func (d *Driver) step() error {
-	if d.timeout > 0 {
-		return GuardedStep(d.eng, d.prob, d.timeout)
-	}
-	return d.eng.Step()
+	return err == nil, err
 }
 
 // notify fans the completed generation out to the observers.
@@ -140,12 +103,8 @@ func (d *Driver) notify() {
 
 // Result assembles the run outcome from the engine's current state. Valid
 // at any generation boundary, which is what makes cancelled and faulted
-// runs useful. A poisoned driver (watchdog abandonment) returns an empty
-// Result: the engine's buffers still belong to the runaway step.
+// runs useful.
 func (d *Driver) Result() *Result {
-	if d.poisoned {
-		return &Result{}
-	}
 	pop := d.eng.Population()
 	return &Result{
 		Final:       pop,

@@ -2,10 +2,9 @@ package search
 
 // JobOptions is the wire-facing projection of Options: the JSON-encodable
 // subset a remote caller may set, which is exactly the result-determining
-// subset. Everything else in Options is either process-local machinery
-// (StepTimeout), a performance knob that never changes results (Workers —
-// bit-identical at any parallelism), or not expressible in a wire request
-// (Initial).
+// subset. Everything else in Options is either a performance knob that
+// never changes results (Workers — bit-identical at any parallelism) or not
+// expressible in a wire request (Initial).
 //
 // The zero value of each field means "engine default" (Options.Normalize
 // semantics), so a minimal request can carry nothing but a seed.
@@ -22,9 +21,9 @@ type JobOptions struct {
 	Seed int64 `json:"seed"`
 }
 
-// Options expands the wire form into runnable Options. Process-local fields
-// (Workers, StepTimeout) are left zero for the caller to set — they are
-// the serving side's decision, not the client's.
+// Options expands the wire form into runnable Options. Workers is left
+// zero for the caller to set — it is the serving side's decision, not the
+// client's.
 func (jo JobOptions) Options() Options {
 	return Options{
 		PopSize:     jo.PopSize,

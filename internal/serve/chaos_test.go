@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"sacga/internal/fault"
 	"sacga/internal/nsga2"
@@ -167,4 +168,86 @@ func TestDroppedReplicaJobDegrades(t *testing.T) {
 		t.Fatalf("job ended %s (err %q), want degraded by the dropped replica", res.State, res.Error)
 	}
 	frontsEqual(t, "degraded ensemble", res.Front, snapshotFront(solo.Front))
+}
+
+// wedgeRelease unblocks every wedged Step. TestWedgedJobFailsAndFreesSlot
+// makes a fresh one before submitting and closes it at cleanup; each
+// engine reads it once, when the registry builds it.
+var wedgeRelease chan struct{}
+
+// wedgedEngine is nsga2 whose Step blocks from generation 3 until
+// wedgeRelease is closed: a tenant that never finishes its turn.
+type wedgedEngine struct {
+	nsga2.Engine
+	release chan struct{}
+}
+
+func (e *wedgedEngine) Step() error {
+	if e.Generation() >= 3 {
+		<-e.release
+	}
+	return e.Engine.Step()
+}
+
+func init() {
+	search.Register("serve-test-wedged", func() search.Engine { return &wedgedEngine{release: wedgeRelease} })
+}
+
+// TestWedgedJobFailsAndFreesSlot: with Config.StepTimeout set, a turn that
+// never returns is abandoned. The job fails with the watchdog's error and
+// no front, keeping the generation and evaluation count it last
+// published, and the one slot goes on to finish the job queued behind it,
+// bit-identically to its solo run.
+func TestWedgedJobFailsAndFreesSlot(t *testing.T) {
+	wedgeRelease = make(chan struct{})
+	release := wedgeRelease
+	s := newTestServer(t, Config{Slots: 1, StepTimeout: 200 * time.Millisecond})
+	t.Cleanup(func() { close(release) })
+
+	wedgedReq := zdtJob("serve-test-wedged", 5, 20)
+	wedged, _, err := s.Submit(wedgedReq)
+	if err != nil {
+		t.Fatalf("submit wedged: %v", err)
+	}
+	healthyReq := zdtJob("nsga2", 5, 15)
+	healthyReq.Problem = probspec.Spec{Name: "zdt2"}
+	healthy, _, err := s.Submit(healthyReq)
+	if err != nil {
+		t.Fatalf("submit healthy: %v", err)
+	}
+
+	// The evaluation count of three completed generations.
+	prob, _, err := testBuild(0)(wedgedReq.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := search.New("nsga2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Init(prob, wedgedReq.Options.Options()); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := waitTerminal(t, s, wedged.ID)
+	if res.State != StateFailed || !strings.Contains(res.Error, "step exceeded 200ms; engine abandoned") {
+		t.Fatalf("wedged job ended %s (err %q), want failed by the watchdog", res.State, res.Error)
+	}
+	if len(res.Front) != 0 {
+		t.Fatalf("an abandoned job served a front of %d points", len(res.Front))
+	}
+	if res.Gen != 3 || res.Evals != ref.Evals() {
+		t.Fatalf("wedged job kept gen %d, evals %d; want 3, %d", res.Gen, res.Evals, ref.Evals())
+	}
+
+	hres := waitTerminal(t, s, healthy.ID)
+	if hres.State != StateDone {
+		t.Fatalf("job behind the wedged one ended %s (err %q)", hres.State, hres.Error)
+	}
+	frontsEqual(t, "job behind the wedged one", hres.Front, soloRun(t, testBuild(0), healthyReq))
 }

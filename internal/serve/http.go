@@ -20,9 +20,10 @@ import (
 //	GET    /workers           shared-fleet health → []fleet.WorkerStat
 //	GET    /healthz           liveness + drain state
 //
-// Admission failures map to 400, an unknown job to 404, a full table or a
-// job's stream past its subscriber cap to 429, and a draining server to
-// 503 (load balancers retry elsewhere).
+// Admission failures map to 400, a submission body over maxSubmitBytes to
+// 413, an unknown job to 404, a full table or a job's stream past its
+// subscriber cap to 429, and a draining server to 503 (load balancers
+// retry elsewhere).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -38,11 +39,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes caps a POST /jobs body. A real submission is a few
+// hundred bytes; the cap stops a huge one before admission parses it.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

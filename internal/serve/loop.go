@@ -107,9 +107,10 @@ func (s *Server) turn(j *Job) {
 
 	// No retries: the first faulting generation ends the job with its
 	// best-so-far front, matching cmd/sacga.
-	err, poisoned := sched.StepWithRetry(j.eng, j.prob, 0, s.cfg.StepTimeout)
+	err := search.GuardedStep(j.eng, s.cfg.StepTimeout)
+	_, abandoned := err.(*search.WatchdogError)
 	switch {
-	case poisoned:
+	case abandoned:
 		// Watchdog abandonment: a runaway step may still be writing the
 		// engine's buffers, so nothing in them is servable.
 		j.finalize(StateFailed, err, nil, 0, 0)

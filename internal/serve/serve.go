@@ -24,11 +24,13 @@
 //
 // # Fault isolation
 //
-// Each turn runs under sched.StepWithRetry: a panicking or quarantining
+// Each turn runs under search.GuardedStep: a panicking or quarantining
 // tenant degrades itself — terminal state "degraded" or "failed", with the
 // best-so-far front served where the engine remains valid — and never the
 // serving process or its co-tenants (the cmd/sacga exit-code-4 contract,
-// jobified).
+// jobified). With Config.StepTimeout set, a turn that overruns it is
+// abandoned: the job fails with no front and its slot is freed for the
+// next turn.
 //
 // # Durability
 //
@@ -84,8 +86,9 @@ type Config struct {
 	// each running job (default 50; meaningful only with Dir).
 	CheckpointEvery int
 	// StepTimeout, when > 0, arms the per-turn watchdog (see
-	// search.GuardedStep): a wedged tenant is reclaimed instead of
-	// occupying a slot forever.
+	// search.GuardedStep): a turn that overruns it is abandoned, its job
+	// failed with no front and its slot freed, instead of a wedged tenant
+	// occupying the slot forever.
 	StepTimeout time.Duration
 	// Fleet, when non-nil, is the server's shared worker fleet (a
 	// fleet.Pool over TCP worker daemons, built by sacgad -fleet). Jobs

@@ -405,9 +405,9 @@ func TestAdmissionValidation(t *testing.T) {
 }
 
 // TestJobClientCannotNameStepSettings: how many replicas or members step
-// at once, and their watchdog, are the operator's settings, not part of
-// the wire surface: a request naming one is rejected as an unknown field,
-// and a request naming none keeps the job ID it always had.
+// at once is the operator's setting, not part of the wire surface, and no
+// ensemble has a step timeout: a request naming either is rejected as an
+// unknown field, and a request naming none keeps the job ID it always had.
 func TestJobClientCannotNameStepSettings(t *testing.T) {
 	s := newTestServer(t, Config{Slots: 1})
 	for _, tc := range []struct{ engine, params string }{
@@ -450,6 +450,26 @@ func TestAdmissionRejectsHugeRobustCheaply(t *testing.T) {
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 		t.Fatalf("rejecting the request allocated %d bytes, want under 1 MB", d)
+	}
+}
+
+// TestSubmitBodyCapped: a 32 MiB submission is refused 413 once its body
+// passes maxSubmitBytes, before admission parses any of it: its params, an
+// array of zeros, are never decoded or canonicalized.
+func TestSubmitBodyCapped(t *testing.T) {
+	h := newTestServer(t, Config{Slots: 1}).Handler()
+	params := strings.Repeat("0,", 16<<20) + "0"
+	body := `{"problem":{"name":"zdt1"},"engine":"nsga2","params":[` + params + `]}`
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want 413", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("refusing the request allocated %d bytes, want under 4 MB", d)
 	}
 }
 

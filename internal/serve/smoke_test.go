@@ -20,6 +20,8 @@ import (
 // SIGTERM the server mid-run, restart it on the same state directory, and
 // check the resumed job's front is bit-identical (to the CSV's printed
 // precision) to an uninterrupted cmd/sacga run of the same configuration.
+// Both servers run every turn under the per-turn watchdog (-step-timeout),
+// which must change nothing for turns that finish in time.
 func TestSmokeBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
@@ -104,7 +106,8 @@ func TestSmokeBinaries(t *testing.T) {
 // parsed from the "serving on" stderr line.
 func startSacgad(t *testing.T, bin, dir string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-slots", "2", "-checkpoint-every", "5")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-dir", dir, "-slots", "2", "-checkpoint-every", "5",
+		"-step-timeout", "1m")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatalf("stderr pipe: %v", err)

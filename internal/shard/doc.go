@@ -44,11 +44,9 @@
 //
 //   - lease expiry (per-epoch deadline, 5 min unless set) and missed
 //     heartbeats (a 15 s gap unless set; each worker heartbeats at its
-//     own period) kill the connection and respawn-or-redial the worker —
-//     the process analogue
-//     of search.GuardedStep, except reclamation always succeeds (SIGKILL
-//     or a dropped connection needs no cooperation), so there is no
-//     poisoned state class;
+//     own period) kill the connection and respawn-or-redial the worker;
+//     a killed process or a dropped connection takes its step with it,
+//     so the attempt is simply retried;
 //   - failed attempts retry at once, re-dispatching the last
 //     authoritative checkpoint — against whichever pool worker is healthy
 //     (the pool paces redials of a failing address with its own backoff);

@@ -80,7 +80,6 @@ type Params struct {
 	// EpochDeadline is the lease on one replica step round-trip: a worker
 	// that has not replied within it is killed and the attempt retried
 	// against a fresh process (0 selects 5 min; negative is an error).
-	// The process-level analogue of sched.IslandsParams.StepTimeout.
 	EpochDeadline time.Duration `json:"-"`
 	// HeartbeatTimeout kills a worker whose frames (heartbeats included)
 	// stop for this long while a step is in flight — catching a wedged
@@ -322,7 +321,7 @@ func (r *remote) request(req *Request) error {
 // ladder drives one request to success or retry exhaustion, checking a
 // worker out of the pool for each attempt, and returns the latest state a
 // worker returned (nil when none did). The retry ladder, in parity with the
-// in-process sched.StepWithRetry and over the same sched.StepRetries:
+// in-process replica loop's retries and over the same sched.StepRetries:
 //
 //   - transport faults (dial failure, crash/EOF, lease or heartbeat
 //     expiry, corrupt frame or payload, desynced stream, a clean reply

@@ -13,9 +13,9 @@ import (
 
 // leaseError reports a worker that missed a liveness deadline: the
 // per-epoch lease expired, or heartbeats stopped while a step was in
-// flight. The process analogue of *search.WatchdogError — except the
-// coordinator's reclamation (kill the connection, respawn or redial)
-// always succeeds, so a lease breach never poisons anything.
+// flight. The coordinator kills the connection and retries the step on a
+// fresh one, so a lease breach costs an attempt, never the replica's
+// state.
 type leaseError struct {
 	replica int
 	epoch   int

@@ -49,12 +49,11 @@ type Request struct {
 	Spec string
 	// Opts is the replica's configuration exactly as the coordinator's
 	// replica loop derived it, the options an in-process replica gets
-	// (MaxEvals and StepTimeout zero: the budget and the lease are the
-	// coordinator's), except that Opts.Initial is always nil, since gob
-	// would walk a population float by float. A non-nil Opts.Extra's
-	// concrete type must be gob-registered in both processes (from an
-	// init in the package that defines it; coordinator and worker
-	// normally run one binary).
+	// (MaxEvals zero: the budget is the coordinator's), except that
+	// Opts.Initial is always nil, since gob would walk a population float
+	// by float. A non-nil Opts.Extra's concrete type must be gob-registered
+	// in both processes (from an init in the package that defines it;
+	// coordinator and worker normally run one binary).
 	Opts search.Options
 	// Initial is the replica's share of the seed population, packed raw
 	// bits and all, so the worker's Init sees the coordinator's

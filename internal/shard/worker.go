@@ -273,7 +273,7 @@ func handleRequest(req *Request, problems map[string]objective.Problem, build fu
 			// diagnostic value in the reply). No watchdog: the
 			// coordinator's lease and heartbeat deadlines reclaim a hung
 			// worker process.
-			stepErr = search.GuardedStep(eng, prob, 0)
+			stepErr = search.GuardedStep(eng, 0)
 		}
 	}
 	reply.State = eng.Checkpoint()
