@@ -23,14 +23,16 @@
 // rotation (with a warning).
 //
 // The parislands scheduler can shard its replicas across worker OS
-// processes with -shard N: the coordinator spawns N copies of this binary
-// in -worker mode (a non-interactive mode serving the shard protocol on
-// stdin/stdout), ships each replica's checkpoint out for every epoch, and
-// survives worker crashes by respawning and replaying — results are
-// bit-identical to the in-process run, faults or not. With -fleet
-// addr,addr the same replicas shard over TCP worker daemons (cmd/sacgaw)
-// instead — or as well: -shard and -fleet combine into one mixed pool of
-// local processes and remote machines, still bit-identical.
+// processes with -shard N: the run builds a worker pool of copies of this
+// binary in -worker mode (a non-interactive mode serving the shard
+// protocol on stdin/stdout), at most one per replica, ships each
+// replica's checkpoint out for every epoch, and survives worker crashes
+// by respawning and replaying — results are bit-identical to the
+// in-process run, faults or not. With -fleet addr,addr the pool dials TCP
+// worker daemons (cmd/sacgaw) instead — or as well: -shard and -fleet
+// combine into one mixed pool of local processes and remote machines,
+// still bit-identical. Each worker is told the problem when it is dialed,
+// and the pool is closed, its processes reaped, once the run ends.
 //
 // Exit codes distinguish how a run ended: 0 completed, 1 internal error,
 // 2 usage error, 3 cancelled (Ctrl-C; a second Ctrl-C exits immediately),
@@ -57,6 +59,7 @@ import (
 	"strings"
 
 	"sacga/internal/benchfn"
+	"sacga/internal/fleet"
 	"sacga/internal/hypervolume"
 	"sacga/internal/mesacga"
 	"sacga/internal/objective"
@@ -88,7 +91,7 @@ func main() {
 		ckpt       = flag.String("checkpoint", "", "durable checkpoint file, written atomically every -checkpoint-every generations and on interrupt")
 		ckptEvery  = flag.Int("checkpoint-every", 50, "generations between checkpoint writes (with -checkpoint)")
 		resume     = flag.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh (same problem/algo/options)")
-		shardProcs = flag.Int("shard", 0, "with -algo parislands: shard the replicas across N worker OS processes (0 = in-process)")
+		shardProcs = flag.Int("shard", 0, "with -algo parislands: shard the replicas across N worker OS processes, at most one per replica (0 = in-process)")
 		fleetAddrs = flag.String("fleet", "", "with -algo parislands: comma-separated sacgaw worker daemon addresses to shard over TCP (combinable with -shard N for a mixed pool)")
 		worker     = flag.Bool("worker", false, "serve as a shard worker on stdin/stdout (spawned by -shard coordinators; not for interactive use)")
 	)
@@ -107,6 +110,7 @@ func main() {
 		fatalUsage(err)
 	}
 	counter := objective.NewCounter(prob)
+	var pool *fleet.Pool // a sharded run's workers; nil in process
 
 	pLo, pHi, pObj := partitionRange(prob, isCircuit)
 	opts := search.Options{
@@ -162,23 +166,15 @@ func main() {
 			// pool of both. Results are bit-identical to the in-process
 			// run; worker crashes are retried and, past the retry budget,
 			// degrade the run replica-by-replica (exit code 4).
+			const replicas = 4
 			name = shard.NameShardedIslands
-			p := &shard.Params{
-				Replicas: 4, Algo: "nsga2", MigrationEvery: 10, Migrants: 2,
-				Spec: spec.Encode(),
+			if pool, err = workerPool(min(*shardProcs, replicas), splitAddrs(*fleetAddrs), spec.Encode()); err != nil {
+				fatal(err)
 			}
-			if *shardProcs > 0 {
-				self, eerr := os.Executable()
-				if eerr != nil {
-					fatal(eerr)
-				}
-				p.Procs = *shardProcs
-				p.WorkerArgv = []string{self, "-worker"}
+			opts.Extra = &shard.Params{
+				Replicas: replicas, Algo: "nsga2", MigrationEvery: 10, Migrants: 2,
+				Pool: pool, Spec: spec.Encode(),
 			}
-			if *fleetAddrs != "" {
-				p.Workers = splitAddrs(*fleetAddrs)
-			}
-			opts.Extra = p
 		} else {
 			name = "parallel-islands"
 			opts.Extra = &sched.IslandsParams{Replicas: 4, Algo: "nsga2", MigrationEvery: 10, Migrants: 2}
@@ -212,9 +208,6 @@ func main() {
 	eng, err := search.New(name)
 	if err != nil {
 		fatal(err)
-	}
-	if sh, ok := eng.(*shard.Islands); ok {
-		defer sh.Close() // reap worker processes even on a cancelled run
 	}
 	var observers []search.Observer
 	hvObs := &search.HypervolumeObserver{Every: *trace}
@@ -276,6 +269,11 @@ func main() {
 		res, err = search.Resume(ctx, eng, counter, opts, cp, observers...)
 	} else {
 		res, err = search.Run(ctx, eng, counter, opts, observers...)
+	}
+	if pool != nil {
+		// The run is over, and its checkpoint is the coordinator's own
+		// state: reap the workers before any exit below.
+		pool.Close()
 	}
 	exitCode := exitOK
 	if err != nil {
@@ -340,9 +338,6 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if exitCode != exitOK {
-		if sh, ok := eng.(*shard.Islands); ok {
-			sh.Close() // os.Exit skips the deferred close; Close is idempotent
-		}
 		os.Exit(exitCode)
 	}
 }
@@ -394,6 +389,31 @@ func partitionRange(prob objective.Problem, isCircuit bool) (lo, hi float64, obj
 		return lo, hi, 1
 	}
 	return 0, 1, 0
+}
+
+// workerPool builds a sharded run's worker pool: procs copies of this
+// binary in -worker mode, then one TCP worker daemon per address, each
+// told the problem spec when it is dialed. Nothing is spawned or dialed
+// until the run first asks for a worker.
+func workerPool(procs int, addrs []string, spec string) (*fleet.Pool, error) {
+	hello := fleet.HandshakeConfig{Problem: spec}
+	var ts []fleet.Transport
+	if procs > 0 {
+		self, err := os.Executable()
+		if err != nil {
+			return nil, err
+		}
+		for range procs {
+			ts = append(ts, &fleet.ProcTransport{Argv: []string{self, "-worker"}, Hello: hello})
+		}
+	}
+	for _, addr := range addrs {
+		ts = append(ts, &fleet.TCPTransport{Address: addr, Hello: hello})
+	}
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("-fleet lists no worker addresses")
+	}
+	return fleet.NewPool(ts...), nil
 }
 
 // splitAddrs parses a -fleet value: comma-separated worker daemon

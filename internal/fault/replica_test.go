@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sacga/internal/nsga2"
@@ -72,15 +73,22 @@ func (c *chaosReplica) Step() error {
 
 // islandsChaosOpts builds a three-replica ParallelIslands run over
 // chaos-replica engines.
-func islandsChaosOpts(stepWorkers int, cp chaosParams) search.Options {
+func islandsChaosOpts(cp chaosParams) search.Options {
 	return search.Options{
 		PopSize: 24, Generations: 10, Seed: 7,
 		Extra: &sched.IslandsParams{
 			Replicas: 3, Algo: "chaos-replica", Extra: &cp,
 			MigrationEvery: 4, Migrants: 2,
-			StepWorkers: stepWorkers,
 		},
 	}
+}
+
+// setProcs sets GOMAXPROCS, which is how many replicas the schedulers step
+// at once, for the rest of the test. No test in this package runs in
+// parallel, so the setting is the running test's own.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // replicaTarget is replica i's derived seed under scheduler seed 7.
@@ -109,10 +117,11 @@ func runDegraded(t *testing.T, name string, opts search.Options) (*search.Result
 // every attempt, so it is dropped at the first epoch barrier after the
 // retry budget; the survivors finish, the dead replica's last-good
 // population stays pooled, and the outcome is bit-identical at any
-// StepWorkers.
+// GOMAXPROCS.
 func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	cp := chaosParams{TargetSeed: replicaTarget("sched/replica", 1)}
-	want, wantErr := runDegraded(t, "parallel-islands", islandsChaosOpts(1, cp))
+	setProcs(t, 1)
+	want, wantErr := runDegraded(t, "parallel-islands", islandsChaosOpts(cp))
 	if len(wantErr.Dropped) != 1 || wantErr.Dropped[0] != 1 {
 		t.Fatalf("dropped %v, want [1]", wantErr.Dropped)
 	}
@@ -128,10 +137,11 @@ func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 	}
 	popSane(t, want.Final)
 
-	for _, workers := range []int{2, 4} {
-		got, gotErr := runDegraded(t, "parallel-islands", islandsChaosOpts(workers, cp))
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, gotErr := runDegraded(t, "parallel-islands", islandsChaosOpts(cp))
 		if len(gotErr.Dropped) != 1 || gotErr.Dropped[0] != 1 {
-			t.Fatalf("workers=%d: dropped %v, want [1]", workers, gotErr.Dropped)
+			t.Fatalf("GOMAXPROCS %d: dropped %v, want [1]", procs, gotErr.Dropped)
 		}
 		popsIdentical(t, "degraded islands population", want.Final, got.Final)
 	}
@@ -141,7 +151,7 @@ func TestIslandsDropFailingReplicaDeterministically(t *testing.T) {
 // finalizes immediately with AllDead set, and the result still carries the
 // pooled last-good populations.
 func TestIslandsAllReplicasDead(t *testing.T) {
-	res, re := runDegraded(t, "parallel-islands", islandsChaosOpts(2, chaosParams{All: true}))
+	res, re := runDegraded(t, "parallel-islands", islandsChaosOpts(chaosParams{All: true}))
 	if !re.AllDead {
 		t.Fatal("AllDead not set with every replica failing")
 	}
@@ -157,21 +167,19 @@ func TestIslandsAllReplicasDead(t *testing.T) {
 // TestPortfolioDropsFailingMember: a portfolio member whose Step always
 // fails is dropped at the epoch barrier; the race continues on the
 // survivor, the dead member's last-good population stays pooled, and the
-// outcome is bit-identical at any StepWorkers.
+// outcome is bit-identical at any GOMAXPROCS.
 func TestPortfolioDropsFailingMember(t *testing.T) {
-	mk := func(stepWorkers int) search.Options {
-		return search.Options{
-			PopSize: 16, Generations: 8, Seed: 3,
-			Extra: &sched.PortfolioParams{
-				Members: []sched.Member{
-					{Algo: "nsga2"},
-					{Algo: "chaos-replica", Extra: &chaosParams{All: true}},
-				},
-				StepWorkers: stepWorkers,
+	opts := search.Options{
+		PopSize: 16, Generations: 8, Seed: 3,
+		Extra: &sched.PortfolioParams{
+			Members: []sched.Member{
+				{Algo: "nsga2"},
+				{Algo: "chaos-replica", Extra: &chaosParams{All: true}},
 			},
-		}
+		},
 	}
-	want, wantErr := runDegraded(t, "portfolio", mk(1))
+	setProcs(t, 1)
+	want, wantErr := runDegraded(t, "portfolio", opts)
 	if len(wantErr.Dropped) != 1 || wantErr.Dropped[0] != 1 {
 		t.Fatalf("dropped %v, want [1]", wantErr.Dropped)
 	}
@@ -186,7 +194,8 @@ func TestPortfolioDropsFailingMember(t *testing.T) {
 	}
 	popSane(t, want.Final)
 
-	got, _ := runDegraded(t, "portfolio", mk(2))
+	runtime.GOMAXPROCS(2)
+	got, _ := runDegraded(t, "portfolio", opts)
 	popsIdentical(t, "degraded portfolio population", want.Final, got.Final)
 }
 
@@ -194,7 +203,7 @@ func TestPortfolioDropsFailingMember(t *testing.T) {
 // replicas are dead) survives a durable save/load cycle, and a run resumed
 // from a degraded checkpoint finishes bit-identically to the original.
 func TestIslandsDegradedCheckpointRoundTrip(t *testing.T) {
-	opts := islandsChaosOpts(2, chaosParams{TargetSeed: replicaTarget("sched/replica", 1)})
+	opts := islandsChaosOpts(chaosParams{TargetSeed: replicaTarget("sched/replica", 1)})
 	eng, err := search.New("parallel-islands")
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +260,6 @@ func TestPortfolioPoisonedCheckpointRoundTrip(t *testing.T) {
 				{Algo: "nsga2"},
 				{Algo: "chaos-replica", Extra: &chaosParams{All: true}},
 			},
-			StepWorkers: 2,
 		},
 	}
 	eng, err := search.New("portfolio")

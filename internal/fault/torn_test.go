@@ -49,9 +49,9 @@ func savedCheckpoint(t *testing.T) (string, []byte) {
 }
 
 // footerSize mirrors the on-disk layout: [payload][len u64][crc u32][magic
-// u32]. The fuzzers below distinguish the regions because the last four
-// bytes are special: flipping the footer magic demotes the file to the
-// footerless legacy format, whose intact payload legitimately still loads.
+// u32]. The CRC guards the payload; the footer guards itself, because a
+// file whose footer magic is cut or flipped reads as footerless, and only
+// version-1 files, which predate the footer, may be footerless.
 const footerSize = 16
 
 // loadFlipped corrupts one bit of the pristine image and loads the result;
@@ -78,11 +78,10 @@ func loadFlipped(t *testing.T, path string, pristine []byte, bit int64) error {
 	return err
 }
 
-// TestCheckpointBitFlipFuzz flips bits across the whole file. Every flip in
-// the CRC-guarded region — the payload plus the length and CRC fields —
-// must be caught as a *CorruptError; flips in the trailing magic may
-// instead demote the file to a legacy (footerless) load of the still-intact
-// payload, which is an accepted outcome, never a panic.
+// TestCheckpointBitFlipFuzz flips bits across the whole file. Every flip
+// must be caught as a *CorruptError: in the CRC-guarded region — the
+// payload plus the length and CRC fields — by the CRC, and in the trailing
+// magic because a version-3 payload without its footer is corrupt.
 func TestCheckpointBitFlipFuzz(t *testing.T) {
 	path, pristine := savedCheckpoint(t)
 	n := int64(len(pristine))
@@ -97,20 +96,18 @@ func TestCheckpointBitFlipFuzz(t *testing.T) {
 			t.Fatalf("bit %d: flip inside the CRC-guarded region loaded cleanly", bit)
 		}
 	}
-	// The footer in full, every bit: the last 32 (magic) may load via the
-	// legacy path, the rest must be caught.
+	// The footer in full, every bit, the magic's included.
 	for bit := (n - footerSize) * 8; bit < n*8; bit++ {
-		err := loadFlipped(t, path, pristine, bit)
-		if bit < guardedBits && err == nil {
-			t.Fatalf("bit %d: flip in the length/CRC fields loaded cleanly", bit)
+		if err := loadFlipped(t, path, pristine, bit); err == nil {
+			t.Fatalf("bit %d: flip in the footer loaded cleanly", bit)
 		}
 	}
 }
 
 // TestCheckpointTruncationFuzz cuts the file short at a spread of points.
-// Any cut into the payload must be a *CorruptError; a cut that only sheds
-// (part of) the footer leaves an intact payload, which the legacy path may
-// legitimately still load.
+// Every cut must be a *CorruptError: one into the payload tears it, and
+// one that only sheds (part of) the footer leaves a version-3 payload
+// without its footer.
 func TestCheckpointTruncationFuzz(t *testing.T) {
 	path, pristine := savedCheckpoint(t)
 	n := int64(len(pristine))
@@ -124,15 +121,9 @@ func TestCheckpointTruncationFuzz(t *testing.T) {
 		if err := fault.Truncate(path, keep); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := search.LoadCheckpoint(path)
+		_, err := search.LoadCheckpoint(path)
 		if err == nil {
-			if keep < payload {
-				t.Fatalf("keep=%d: torn payload loaded cleanly", keep)
-			}
-			if cp == nil {
-				t.Fatalf("keep=%d: nil checkpoint with nil error", keep)
-			}
-			continue
+			t.Fatalf("keep=%d of %d bytes loaded cleanly", keep, n)
 		}
 		var ce *search.CorruptError
 		if !errors.As(err, &ce) {

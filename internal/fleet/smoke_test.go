@@ -14,10 +14,12 @@ import (
 
 // TestSmokeFleetBinaries is the end-to-end fleet story exactly as an
 // operator runs it: build the real cmd/sacgaw and cmd/sacga binaries,
-// start one worker daemon on a loopback port, run a TCP-sharded
-// optimization against it with -fleet, and require the front CSV to be
-// cell-for-cell identical to the same run executed in-process. Then
-// SIGTERM the daemon and require a clean exit.
+// start one worker daemon on a loopback port, run the sharded
+// optimization over the pools cmd/sacga builds — the daemon alone
+// (-fleet), two worker processes of its own (-shard 2) and both mixed —
+// and require each front CSV to be cell-for-cell identical to the same
+// run executed in-process. Then SIGTERM the daemon and require a clean
+// exit.
 func TestSmokeFleetBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test: skipped in -short")
@@ -65,27 +67,31 @@ func TestSmokeFleetBinaries(t *testing.T) {
 		t.Fatal("sacgaw never announced its listen address")
 	}
 
-	fleetCSV := filepath.Join(tmp, "fleet.csv")
-	soloCSV := filepath.Join(tmp, "solo.csv")
 	base := []string{"-problem", "zdt1", "-algo", "parislands", "-pop", "24", "-iters", "16", "-seed", "7"}
-	run := func(out string, extra ...string) {
+	run := func(extra ...string) [][]string {
 		t.Helper()
+		out := filepath.Join(t.TempDir(), "front.csv")
 		args := append(append([]string{}, base...), "-out", out)
 		args = append(args, extra...)
 		cmd := exec.Command(sacga, args...)
 		if msg, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("sacga %v: %v\n%s", args, err, msg)
 		}
+		return readCSV(t, out)
 	}
-	run(fleetCSV, "-fleet", workerAddr)
-	run(soloCSV)
-
-	got, want := readCSV(t, fleetCSV), readCSV(t, soloCSV)
-	if len(got) == 0 {
-		t.Fatal("fleet run produced an empty front")
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("TCP-sharded front differs from in-process run:\nfleet: %v\nsolo:  %v", got, want)
+	want := run()
+	for _, pool := range [][]string{
+		{"-fleet", workerAddr},
+		{"-shard", "2"},
+		{"-shard", "2", "-fleet", workerAddr},
+	} {
+		got := run(pool...)
+		if len(got) == 0 {
+			t.Fatalf("%v: empty front", pool)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%v: sharded front differs from in-process run:\nsharded: %v\nsolo:    %v", pool, got, want)
+		}
 	}
 
 	// Clean shutdown: SIGTERM → exit 0.

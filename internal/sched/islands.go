@@ -18,8 +18,6 @@ func init() {
 // IslandsParams is the ParallelIslands extension struct carried by
 // search.Options.Extra. The zero value selects the defaults: 4 NSGA-II
 // replicas on a ring, migrating 2 individuals every 10 epochs.
-// StepWorkers is the operator's, not part of a job's wire form: it is
-// excluded from JSON.
 type IslandsParams struct {
 	// Replicas is the number of engine replicas (default 4). Each replica
 	// receives PopSize/Replicas individuals of the total population and a
@@ -39,10 +37,6 @@ type IslandsParams struct {
 	// Migrants is how many individuals each replica emits per exchange
 	// (default 2).
 	Migrants int
-	// StepWorkers bounds how many replicas step concurrently within an
-	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin
-	// stepping. Results are bit-identical at every setting.
-	StepWorkers int `json:"-"`
 }
 
 // Normalize applies the defaults in place. The shard coordinator takes
@@ -69,10 +63,10 @@ func (p *IslandsParams) Normalize() {
 // is the one global non-dominated competition the paper performs at the
 // end of every run.
 //
-// It implements search.Engine (registered as "parallel-islands") and is
-// bit-identical to sequential round-robin stepping at any StepWorkers and
-// GOMAXPROCS setting. The cross-process shard coordinator runs this same
-// loop over remote replicas (see Ensemble).
+// It implements search.Engine (registered as "parallel-islands"), steps up
+// to GOMAXPROCS replicas at once, and is bit-identical to sequential
+// round-robin stepping at any GOMAXPROCS. The cross-process shard
+// coordinator runs this same loop over remote replicas (see Ensemble).
 type ParallelIslands struct {
 	replicaLoop
 	ext     *IslandsParams                                 // Ensemble's params; nil reads Options.Extra
@@ -99,14 +93,15 @@ func (e *ParallelIslands) Name() string {
 
 // Ensemble runs this loop as the engine called name, for an engine built
 // on it: Init and Restore take their parameters from p instead of
-// Options.Extra, and each replica engine is passed through wrap once the
-// migration check has accepted it, before it is initialized or restored.
-// The loop steps a wrapped replica once per epoch and leaves its
+// Options.Extra, up to width replicas initialize, restore and step at once
+// instead of GOMAXPROCS, and each replica engine is passed through wrap
+// once the migration check has accepted it, before it is initialized or
+// restored. The loop steps a wrapped replica once per epoch and leaves its
 // StepRetries to the wrapper. The cross-process shard coordinator wraps
 // every replica in one whose generations run in a worker process, over
-// its own retry ladder.
-func (e *ParallelIslands) Ensemble(name string, p IslandsParams, wrap func(i int, local search.Engine) search.Engine) {
-	e.name, e.ext, e.wrap = name, &p, wrap
+// its own retry ladder, and sets width to its worker pool's size.
+func (e *ParallelIslands) Ensemble(name string, p IslandsParams, width int, wrap func(i int, local search.Engine) search.Engine) {
+	e.name, e.ext, e.workers, e.wrap = name, &p, width, wrap
 }
 
 // prepare applies the option/problem wiring shared by Init and Restore and
@@ -122,7 +117,7 @@ func (e *ParallelIslands) prepare(prob objective.Problem, opts search.Options) e
 	}
 	e.p = *p
 	e.p.Normalize()
-	e.workers, e.retries = e.p.StepWorkers, StepRetries
+	e.retries = StepRetries
 	if e.wrap != nil {
 		e.retries = 0
 	}
@@ -198,8 +193,8 @@ func (e *ParallelIslands) replicaOptions(i int) search.Options {
 }
 
 // Init implements search.Engine: every replica is seeded and evaluated,
-// concurrently when StepWorkers allows (replica initialization is
-// independent work, exactly like a step).
+// concurrently (replica initialization is independent work, exactly like
+// a step).
 func (e *ParallelIslands) Init(prob objective.Problem, opts search.Options) error {
 	if err := e.prepare(prob, opts); err != nil {
 		return err

@@ -22,7 +22,7 @@ import (
 type replicaLoop struct {
 	name    string // the scheduler's engine name, for errors
 	opts    search.Options
-	workers int // replicas stepped at once; 0 = GOMAXPROCS
+	workers int // replicas stepped at once: Ensemble's width, or 0 for GOMAXPROCS
 	retries int
 	engines []search.Engine
 	probs   []objective.Problem // per-replica counters over the problem (own accounting)

@@ -26,16 +26,11 @@ type Member struct {
 
 // PortfolioParams is the Portfolio extension struct carried by
 // search.Options.Extra. A portfolio must declare at least one member.
-// StepWorkers is excluded from JSON, as on IslandsParams.
 type PortfolioParams struct {
 	// Members are the racing engines. Each gets the full Options.PopSize
 	// and a seed derived from its index — the comparative-EA setting:
 	// identical starting conditions, one shared evaluation budget.
 	Members []Member
-	// StepWorkers bounds how many members step concurrently within an
-	// epoch: 0 selects GOMAXPROCS, 1 forces sequential round-robin.
-	// Results are bit-identical at every setting.
-	StepWorkers int `json:"-"`
 	// Project maps an individual to the 2-D point the hypervolume score
 	// reduces; nil selects the default (feasible individuals' first two
 	// objectives), matching search.HypervolumeObserver.
@@ -49,8 +44,8 @@ const boost = 2
 // Portfolio races heterogeneous engines under one shared evaluation
 // budget. Each epoch every live member advances one generation
 // (concurrently — members are independent); at the epoch barrier every
-// member's population is reduced to the paper's staircase hypervolume
-// metric (lower is better), and the best-scoring live member is awarded
+// live member's population is reduced to the paper's staircase
+// hypervolume metric (lower is better), and the best-scoring one is awarded
 // boost extra generations the next epoch — budget flows toward whichever
 // algorithm is currently winning, deterministically (scores are pure
 // functions of the populations; ties break by member index).
@@ -61,23 +56,24 @@ const boost = 2
 // front is the best of every member's front.
 type Portfolio struct {
 	replicaLoop
-	p      PortfolioParams
-	scores []float64
-	best   int // previous epoch's best member; -1 before the first scoring
+	p    PortfolioParams
+	best int // previous epoch's best member; -1 before the first scoring
 
 	calc hypervolume.Calc
 	pts  []hypervolume.Point2
 }
 
 // PortfolioSnapshot is the composite checkpoint payload: every member's
-// checkpoint plus the reallocation state. Dead records which members were
-// dropped (nil in pre-fault-tolerance snapshots means all members alive).
+// checkpoint plus the reallocation state, the boosted member. Dead records
+// which members were dropped (nil in pre-fault-tolerance snapshots means
+// all members alive). Checkpoints written by earlier builds also carry the
+// members' scores (field Scores); gob skips them, since every barrier
+// scores the live members afresh.
 type PortfolioSnapshot struct {
-	Epoch  int
-	Best   int
-	Scores []float64
-	Inner  []*search.Checkpoint
-	Dead   []bool
+	Epoch int
+	Best  int
+	Inner []*search.Checkpoint
+	Dead  []bool
 }
 
 // Name implements search.Engine.
@@ -95,8 +91,7 @@ func (e *Portfolio) prepare(prob objective.Problem, opts search.Options) error {
 		return e.errorf("PortfolioParams must declare at least one member")
 	}
 	e.p = *p
-	e.workers, e.retries = e.p.StepWorkers, StepRetries
-	e.scores = make([]float64, len(e.p.Members))
+	e.retries = StepRetries
 	e.best = -1
 	return e.reset(prob, opts, len(e.p.Members), func(i int) (search.Engine, error) {
 		eng, err := search.New(e.p.Members[i].Algo)
@@ -114,8 +109,7 @@ func (e *Portfolio) memberOptions(i int) search.Options {
 }
 
 // Init implements search.Engine: every member is seeded and evaluated
-// (concurrently when StepWorkers allows), then scored for the first
-// epoch's allocation.
+// (concurrently), then scored for the first epoch's allocation.
 func (e *Portfolio) Init(prob objective.Problem, opts search.Options) error {
 	if err := e.prepare(prob, opts); err != nil {
 		return err
@@ -146,30 +140,30 @@ func (e *Portfolio) Step() error {
 	}, e.rescore)
 }
 
-// rescore reduces every member's population to the staircase metric and
-// elects the next epoch's boosted member: the best (lowest) score among
-// live members, ties broken by index. Sequential and pure — the same
-// populations always elect the same member. Dead members are rescored but
-// never elected.
+// rescore reduces every live member's population to the staircase metric
+// and elects the next epoch's boosted member: the best (lowest) score,
+// ties broken by index. Sequential and pure — the same populations always
+// elect the same member. Done and dead members are neither scored nor
+// elected.
 func (e *Portfolio) rescore() {
 	project := e.p.Project
 	if project == nil {
 		project = defaultProject
 	}
 	e.best = -1
+	var best float64
 	for i, eng := range e.engines {
+		if eng.Done() || e.dead[i] {
+			continue
+		}
 		e.pts = e.pts[:0]
 		for _, ind := range eng.Population() {
 			if p, ok := project(ind); ok {
 				e.pts = append(e.pts, p)
 			}
 		}
-		e.scores[i] = e.calc.PaperMetric(e.pts)
-		if eng.Done() || e.dead[i] {
-			continue
-		}
-		if e.best < 0 || e.scores[i] < e.scores[e.best] {
-			e.best = i
+		if score := e.calc.PaperMetric(e.pts); e.best < 0 || score < best {
+			e.best, best = i, score
 		}
 	}
 }
@@ -187,7 +181,7 @@ func (e *Portfolio) Best() int { return e.best }
 
 // Checkpoint implements search.Engine.
 func (e *Portfolio) Checkpoint() *search.Checkpoint {
-	sn := &PortfolioSnapshot{Epoch: e.epoch, Best: e.best, Scores: append([]float64(nil), e.scores...)}
+	sn := &PortfolioSnapshot{Epoch: e.epoch, Best: e.best}
 	sn.Inner, sn.Dead = e.snapshot()
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.epoch, Evals: e.evals, State: sn}
 }
@@ -202,6 +196,5 @@ func (e *Portfolio) Restore(prob objective.Problem, opts search.Options, cp *sea
 		return err
 	}
 	e.best = sn.Best
-	copy(e.scores, sn.Scores)
 	return e.restore(sn.Epoch, sn.Inner, sn.Dead)
 }

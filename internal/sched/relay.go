@@ -47,9 +47,9 @@ type RelayParams struct {
 // like a fresh run's Init).
 //
 // It implements search.Engine (registered as "relay"). Checkpoints carry
-// the active leg's checkpoint plus the population it inherited, so a
-// resume mid-leg — or exactly mid-handoff — is bit-identical to an
-// uninterrupted run.
+// the active leg's checkpoint, which holds everything the leg goes on
+// from, so a resume mid-leg — or exactly mid-handoff — is bit-identical to
+// an uninterrupted run.
 type Relay struct {
 	prob      objective.Problem
 	opts      search.Options
@@ -59,19 +59,16 @@ type Relay struct {
 	doneGens  int   // generations consumed by completed legs
 	doneEvals int64 // evaluations consumed by completed legs
 	inner     search.Engine
-	handoff   ga.Population // population the active leg started from (nil for leg 0)
 }
 
-// RelaySnapshot is the composite checkpoint payload: which leg is active,
-// its checkpoint, and the population it inherited at the last handoff,
-// packed. Handoff carries that population in checkpoints written before
-// the packed form, and is read only.
+// RelaySnapshot is the composite checkpoint payload: which leg is active
+// and its checkpoint. Checkpoints written by earlier builds also carry
+// the population the active leg inherited (fields PackedHandoff and
+// Handoff); gob skips them, since only an Init reads a seed population.
 type RelaySnapshot struct {
-	Leg           int
-	DoneGens      int
-	PackedHandoff ga.Packed // nil when the active leg is leg 0
-	Inner         *search.Checkpoint
-	Handoff       ga.Population
+	Leg      int
+	DoneGens int
+	Inner    *search.Checkpoint
 }
 
 // Name implements search.Engine.
@@ -117,7 +114,7 @@ func (e *Relay) prepare(prob objective.Problem, opts search.Options) error {
 	e.prob, e.opts = prob, opts
 	e.legs = p.Legs
 	e.gens = resolveGens(p.Legs, opts.Generations)
-	e.leg, e.doneGens, e.doneEvals, e.handoff = 0, 0, 0, nil
+	e.leg, e.doneGens, e.doneEvals = 0, 0, 0
 	return nil
 }
 
@@ -156,7 +153,7 @@ func (e *Relay) startLeg(leg int, handoff ga.Population) error {
 			e.doneGens += e.inner.Generation()
 			e.doneEvals += e.inner.Evals()
 		}
-		e.leg, e.inner, e.handoff = leg, eng, handoff
+		e.leg, e.inner = leg, eng
 	}
 	if err != nil {
 		return fmt.Errorf("sched: relay leg %d (%s): %w", leg, e.legs[leg].Algo, err)
@@ -220,20 +217,13 @@ func (e *Relay) Leg() int { return e.leg }
 
 // Checkpoint implements search.Engine.
 func (e *Relay) Checkpoint() *search.Checkpoint {
-	sn := &RelaySnapshot{
-		Leg:      e.leg,
-		DoneGens: e.doneGens,
-		Inner:    e.inner.Checkpoint(),
-	}
-	if e.handoff != nil {
-		sn.PackedHandoff = ga.PackPopulation(e.handoff)
-	}
+	sn := &RelaySnapshot{Leg: e.leg, DoneGens: e.doneGens, Inner: e.inner.Checkpoint()}
 	return &search.Checkpoint{Algo: e.Name(), Gen: e.Generation(), Evals: e.Evals(), State: sn}
 }
 
 // Restore implements search.Engine: rebuild the active leg from its own
-// checkpoint, under the options it originally started with — including the
-// population it inherited, which the snapshot carries. The completed legs'
+// checkpoint, under the options it started with less the population it
+// inherited, which no engine's Restore reads. The completed legs'
 // evaluations are the checkpoint's count less the active leg's.
 func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.Checkpoint) error {
 	sn, err := search.StateOf[RelaySnapshot](e.Name(), cp)
@@ -250,16 +240,11 @@ func (e *Relay) Restore(prob objective.Problem, opts search.Options, cp *search.
 		return fmt.Errorf("sched: relay: checkpoint leg %d ran %q, options configure %q",
 			sn.Leg, innerAlgo(sn.Inner), e.legs[sn.Leg].Algo)
 	}
-	if sn.PackedHandoff != nil || sn.Handoff != nil {
-		if e.handoff, err = ga.RestorePopulation(sn.PackedHandoff, sn.Handoff); err != nil {
-			return fmt.Errorf("sched: relay handoff: %w", err)
-		}
-	}
 	eng, err := search.New(e.legs[sn.Leg].Algo)
 	if err != nil {
 		return fmt.Errorf("sched: relay leg %d: %w", sn.Leg, err)
 	}
-	if err := eng.Restore(childProblem(e.prob), e.legOptions(sn.Leg, e.handoff), sn.Inner); err != nil {
+	if err := eng.Restore(childProblem(e.prob), e.legOptions(sn.Leg, nil), sn.Inner); err != nil {
 		return fmt.Errorf("sched: relay leg %d (%s): %w", sn.Leg, e.legs[sn.Leg].Algo, err)
 	}
 	e.leg, e.doneGens, e.inner = sn.Leg, sn.DoneGens, eng

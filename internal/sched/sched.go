@@ -27,12 +27,15 @@
 // ParallelIslands and Portfolio share one replica loop: the concurrent
 // epoch, the barrier that drops failed replicas, the budget tally, the
 // pooled population and the replica half of the checkpoint are the same
-// code, and the cross-process shard coordinator runs it too.
+// code, and the cross-process shard coordinator runs it too. The loop
+// steps up to GOMAXPROCS replicas at once; the shard coordinator, as many
+// as its worker pool has workers.
 //
 // # Determinism
 //
 // Every driver is bit-identical to sequential round-robin stepping
-// regardless of GOMAXPROCS or its StepWorkers setting (property-tested).
+// regardless of GOMAXPROCS or how many replicas step at once
+// (property-tested).
 // The ingredients: each child engine owns its RNG streams, arena and
 // buffers, so concurrent Steps share only the evaluation pool (whose
 // results are written by index — order-free); cross-engine reductions

@@ -1,5 +1,6 @@
 // Property tests of the multi-engine scheduler: bit-identical results
-// across StepWorkers and GOMAXPROCS settings (the determinism contract),
+// across GOMAXPROCS settings, and so across how many replicas step at once
+// (the determinism contract),
 // checkpoint/resume — including a relay resumed exactly mid-handoff — the
 // shared evaluation budget, and the typed configuration errors.
 package sched_test
@@ -76,20 +77,27 @@ func runToEnd(t *testing.T, name string, prob objective.Problem, opts search.Opt
 
 // islandsOpts is the ParallelIslands configuration the determinism and
 // checkpoint properties run under: migration crosses several exchanges.
-func islandsOpts(stepWorkers int, algo string, extra any) search.Options {
+func islandsOpts(algo string, extra any) search.Options {
 	return search.Options{
 		PopSize: 24, Generations: 12, Seed: 7,
 		Extra: &sched.IslandsParams{
 			Replicas: 3, Algo: algo, Extra: extra,
 			MigrationEvery: 4, Migrants: 2,
-			StepWorkers: stepWorkers,
 		},
 	}
 }
 
+// setProcs sets GOMAXPROCS, which is how many replicas the schedulers step
+// at once, for the rest of the test. No test in this package runs in
+// parallel, so the setting is the running test's own.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestParallelIslandsDeterministic pins the acceptance criterion: the
 // pooled result is bit-identical whether replicas step sequentially
-// (round-robin, StepWorkers=1) or concurrently, at GOMAXPROCS 1 and 4,
+// (round-robin, at GOMAXPROCS 1) or concurrently, at GOMAXPROCS 2 and 4,
 // for NSGA-II and SACGA replicas.
 func TestParallelIslandsDeterministic(t *testing.T) {
 	variants := []struct {
@@ -103,15 +111,12 @@ func TestParallelIslandsDeterministic(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.label, func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-			runtime.GOMAXPROCS(1)
-			want := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(1, v.algo, v.extra))
-			for _, procs := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					runtime.GOMAXPROCS(procs)
-					got := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(workers, v.algo, v.extra))
-					popsIdentical(t, v.label, want, got)
-				}
+			setProcs(t, 1)
+			want := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(v.algo, v.extra))
+			for _, procs := range []int{2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := runToEnd(t, "parallel-islands", v.prob(), islandsOpts(v.algo, v.extra))
+				popsIdentical(t, v.label, want, got)
 			}
 		})
 	}
@@ -121,8 +126,9 @@ func TestParallelIslandsDeterministic(t *testing.T) {
 // epochs on both sides of a migration exchange and resumes each on a fresh
 // engine: bit-identical to the uninterrupted run.
 func TestParallelIslandsCheckpointResume(t *testing.T) {
+	setProcs(t, 4)
 	prob := testProblem()
-	opts := islandsOpts(4, "nsga2", nil)
+	opts := islandsOpts("nsga2", nil)
 	eng, err := search.New("parallel-islands")
 	if err != nil {
 		t.Fatal(err)
@@ -229,31 +235,25 @@ func TestRelayWarmStartsNextLeg(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministic races nsga2 against sacga at StepWorkers 1
-// and 4 under GOMAXPROCS 1 and 4: pooled results must be bit-identical,
-// and the boost must have elected a member.
+// TestPortfolioDeterministic races nsga2 against sacga under GOMAXPROCS
+// 1, 2 and 4, so with its members stepped one at a time and at once:
+// pooled results must be bit-identical.
 func TestPortfolioDeterministic(t *testing.T) {
-	opts := func(workers int) search.Options {
-		return search.Options{
-			PopSize: 16, Generations: 10, Seed: 5,
-			Extra: &sched.PortfolioParams{
-				Members: []sched.Member{
-					{Algo: "nsga2"},
-					{Algo: "sacga", Extra: sacgaParams()},
-				},
-				StepWorkers: workers,
+	opts := search.Options{
+		PopSize: 16, Generations: 10, Seed: 5,
+		Extra: &sched.PortfolioParams{
+			Members: []sched.Member{
+				{Algo: "nsga2"},
+				{Algo: "sacga", Extra: sacgaParams()},
 			},
-		}
+		},
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
-	want := runToEnd(t, "portfolio", constrProblem(), opts(1))
-	for _, procs := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			got := runToEnd(t, "portfolio", constrProblem(), opts(workers))
-			popsIdentical(t, "portfolio", want, got)
-		}
+	setProcs(t, 1)
+	want := runToEnd(t, "portfolio", constrProblem(), opts)
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := runToEnd(t, "portfolio", constrProblem(), opts)
+		popsIdentical(t, "portfolio", want, got)
 	}
 }
 
@@ -266,7 +266,6 @@ func TestPortfolioCheckpointResume(t *testing.T) {
 				{Algo: "nsga2"},
 				{Algo: "sacga", Extra: sacgaParams()},
 			},
-			StepWorkers: 4,
 		},
 	}
 	prob := constrProblem()
@@ -314,7 +313,7 @@ func TestScheduledBudget(t *testing.T) {
 		perEpoch int64 // the most evaluations one epoch consumes
 	}{
 		// 3 replicas × 8 individuals.
-		{"parallel-islands", testProblem, islandsOpts(4, "nsga2", nil), 96, 24},
+		{"parallel-islands", testProblem, islandsOpts("nsga2", nil), 96, 24},
 		// The cap falls in the handoff epoch, which evaluates the second
 		// leg's initial population and its first generation (2 × 20).
 		{"relay", constrProblem, relayOpts(), 150, 40},
@@ -362,7 +361,7 @@ func TestParallelIslandsPoolsFront(t *testing.T) {
 		opts search.Options
 		gap  float64 // the largest f1 - (1 - sqrt(f0)) allowed; 0 skips it
 	}{
-		{"zdt1", testProblem(), islandsOpts(2, "nsga2", nil), 0},
+		{"zdt1", testProblem(), islandsOpts("nsga2", nil), 0},
 		{"constr", constrProblem(), search.Options{PopSize: 60, Generations: 50, Seed: 5,
 			Extra: &sched.IslandsParams{Replicas: 3}}, 0},
 		{"zdt1-converges", benchfn.ZDT1(8), search.Options{PopSize: 80, Generations: 60, Seed: 1,
@@ -396,7 +395,7 @@ func TestParallelIslandsPoolsFront(t *testing.T) {
 // the replicas: the same ensemble with migration disabled ends with a
 // different pooled population.
 func TestParallelIslandsMigrationChangesRun(t *testing.T) {
-	opts := islandsOpts(2, "nsga2", nil)
+	opts := islandsOpts("nsga2", nil)
 	mig := runToEnd(t, "parallel-islands", testProblem(), opts)
 	opts.Extra.(*sched.IslandsParams).MigrationEvery = -1
 	iso := runToEnd(t, "parallel-islands", testProblem(), opts)
@@ -529,7 +528,7 @@ func TestSchedulerObserverSequence(t *testing.T) {
 		lastGen, lastEvals = f.Gen, f.Evals
 	})
 	eng, _ := search.New("parallel-islands")
-	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts(4, "nsga2", nil), obs)
+	res, err := search.Run(context.Background(), eng, testProblem(), islandsOpts("nsga2", nil), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,9 +565,10 @@ func TestParallelIslandsBudgetMatchedPopulation(t *testing.T) {
 // byte-identical composite checkpoints — impossible if a child's budget
 // sampled the ensemble-wide counter while siblings were mid-evaluation.
 func TestCompositeCheckpointBytesDeterministic(t *testing.T) {
+	setProcs(t, 4)
 	snapshot := func() []byte {
 		eng, _ := search.New("parallel-islands")
-		if err := eng.Init(testProblem(), islandsOpts(4, "nsga2", nil)); err != nil {
+		if err := eng.Init(testProblem(), islandsOpts("nsga2", nil)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {

@@ -97,14 +97,14 @@ func TestGoldenFronts(t *testing.T) {
 			"df20649431580547"},
 		{"parallel-islands", sched.NameParallelIslands, testProblem,
 			search.Options{PopSize: 40, Generations: 10, Seed: 13, Extra: &sched.IslandsParams{
-				Replicas: 3, MigrationEvery: 3, StepWorkers: 1,
+				Replicas: 3, MigrationEvery: 3,
 			}},
 			"8891da72051a2f3c"},
 		// MaxEvals stops this ensemble at epoch 6 of 10, a migration epoch
 		// whose exchange the stop skips: the digest pins the budget rule.
 		{"parallel-islands-budget", sched.NameParallelIslands, testProblem,
 			search.Options{PopSize: 40, Generations: 10, Seed: 13, MaxEvals: 270, Extra: &sched.IslandsParams{
-				Replicas: 3, MigrationEvery: 3, StepWorkers: 1,
+				Replicas: 3, MigrationEvery: 3,
 			}},
 			"ed09734e20f6dd52"},
 		{"relay", sched.NameRelay, constrProblem,

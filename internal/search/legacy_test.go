@@ -40,10 +40,11 @@ func legacyCases() []struct {
 		{"sacga", "sacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 5, Extra: goldenSACGA(4, 0)}},
 		{"mesacga", "mesacga", constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 7, Extra: goldenMESACGA(3)}},
 		// At generation 12 the relay is in its second leg, so the file
-		// carries the handed-off population as well.
+		// carries the handed-off population as well, in a field this
+		// build skips.
 		{"relay", sched.NameRelay, constrProblem, search.Options{PopSize: 16, Generations: 16, Seed: 17, Extra: relayLegs}},
 		{"parallel-islands", sched.NameParallelIslands, testProblem, search.Options{PopSize: 24, Generations: 16, Seed: 13, Extra: &sched.IslandsParams{
-			Replicas: 2, MigrationEvery: 3, StepWorkers: 1,
+			Replicas: 2, MigrationEvery: 3,
 		}}},
 	}
 }

@@ -34,7 +34,9 @@ import (
 // The footer turns silent corruption (bit rot, torn writes that survived
 // rename, copy truncation) into a typed *CorruptError instead of a gob
 // panic or a mis-decode; so does a malformed packed population, which
-// fails the gob decode. SaveCheckpoint
+// fails the gob decode. Only version 1 predates the footer: a file of a
+// later version that ends without the footer magic lost its footer (a
+// cut, or a flipped magic bit), so it is corrupt too. SaveCheckpoint
 // rotates the previous snapshot to path+PrevSuffix before installing the
 // new one, and LoadLatestCheckpoint falls back to it — so one corrupted
 // write never strands a long campaign.
@@ -173,13 +175,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DecodeCheckpoint parses data in the sealed checkpoint form, verifying
 // the CRC footer before anything is decoded; any integrity failure — bad
-// CRC, truncation, a payload that does not decode — is reported as a
-// *CorruptError (src names the origin, e.g. a file path),
+// CRC, truncation, a lost footer, a payload that does not decode — is
+// reported as a *CorruptError (src names the origin, e.g. a file path),
 // never a gob panic. Version-1 payloads (written before the footer
 // existed) are still accepted, decode-guarded.
 func DecodeCheckpoint(src string, data []byte) (*Checkpoint, error) {
 	payload := data
-	versionFloor := 1 // footerless legacy files decode as version 1 only
+	versionFloor := 1 // footerless files can only be version 1
 	if n := len(data); n >= footerSize && binary.LittleEndian.Uint32(data[n-4:]) == footerMagic {
 		plen := binary.LittleEndian.Uint64(data[n-footerSize : n-8])
 		if plen != uint64(n-footerSize) {
@@ -197,6 +199,9 @@ func DecodeCheckpoint(src string, data []byte) (*Checkpoint, error) {
 	}
 	if disk.Magic != checkpointMagic {
 		return nil, &CorruptError{Path: src, Reason: "not a checkpoint file"}
+	}
+	if versionFloor == 1 && disk.Version > 1 {
+		return nil, &CorruptError{Path: src, Reason: fmt.Sprintf("version-%d checkpoint without its CRC footer", disk.Version)}
 	}
 	if disk.Version < versionFloor || disk.Version > checkpointVersion {
 		return nil, fmt.Errorf("search: checkpoint %s has version %d, this build reads %d", src, disk.Version, checkpointVersion)

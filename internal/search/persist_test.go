@@ -1,9 +1,13 @@
 package search_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sacga/internal/search"
@@ -102,5 +106,88 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 	}
 	if err := search.SaveCheckpoint(filepath.Join(dir, "nil.ckpt"), nil); err == nil {
 		t.Fatal("nil checkpoint must error")
+	}
+}
+
+// TestFooterlessVersion1Loads: a version-1 file — a bare gob envelope, as
+// builds wrote it before the CRC footer existed — still loads, to the
+// checkpoint it carries.
+func TestFooterlessVersion1Loads(t *testing.T) {
+	eng, _ := search.New("nsga2")
+	if err := eng.Init(testProblem(), search.Options{PopSize: 10, Generations: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Checkpoint()
+	envelope := struct {
+		Magic      string
+		Version    int
+		Checkpoint *search.Checkpoint
+	}{"sacga-checkpoint", 1, want}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := search.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("loading a version-1 file: %v", err)
+	}
+	a, err := search.EncodeCheckpoint(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := search.EncodeCheckpoint(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("the version-1 file loaded into a different checkpoint")
+	}
+}
+
+// TestFooterlessVersion3FallsBack: a version-3 file that ends without its
+// footer has lost it, so it loads as a *search.CorruptError, and
+// LoadLatestCheckpoint falls back to the rotated last-good file.
+func TestFooterlessVersion3FallsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	eng, _ := search.New("nsga2")
+	if err := eng.Init(testProblem(), search.Options{PopSize: 10, Generations: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := search.SaveCheckpoint(path, eng.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := search.SaveCheckpoint(path, eng.Checkpoint()); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const footerSize = 16
+	if err := os.WriteFile(path, sealed[:len(sealed)-footerSize], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = search.LoadCheckpoint(path)
+	var ce *search.CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "version-3 checkpoint without its CRC footer") {
+		t.Fatalf("loading the footerless version-3 file gave %T (%v), want a *search.CorruptError for the lost footer", err, err)
+	}
+	cp, from, err := search.LoadLatestCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from != path+search.PrevSuffix || cp.Gen != 0 {
+		t.Fatalf("loaded generation %d from %s, want generation 0 from the last-good file", cp.Gen, from)
 	}
 }

@@ -3,6 +3,7 @@ package search_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sacga/internal/mesacga"
@@ -35,7 +36,7 @@ func TestExtensionStructsStayReadOnly(t *testing.T) {
 			return &mesacga.Params{PartitionObjective: 0, PartitionLo: 0.1, PartitionHi: 1}
 		}},
 		{sched.NameParallelIslands, constrProblem, 32, func() any {
-			return &sched.IslandsParams{Algo: "sacga", Extra: defaultedSACGA(), StepWorkers: 2}
+			return &sched.IslandsParams{Algo: "sacga", Extra: defaultedSACGA()}
 		}},
 	}
 	for _, tc := range cases {
@@ -74,13 +75,17 @@ func TestExtensionStructsStayReadOnly(t *testing.T) {
 }
 
 // TestReplicasShareOneSACGAParams runs four SACGA replicas that share one
-// *sacga.Params and initialize and step concurrently (StepWorkers 4). Under
-// the race detector any write through the shared pointer fails the run;
-// without it, the result must still match sequential stepping bit for bit
-// and leave the shared struct as it was.
+// *sacga.Params and initialize and step concurrently (GOMAXPROCS 4, so on
+// any number of cores). Under the race detector any write through the
+// shared pointer fails the run; without it, the result must still match
+// sequential stepping (GOMAXPROCS 1) bit for bit and leave the shared
+// struct as it was. No test in this package runs in parallel, so the
+// GOMAXPROCS setting is this test's own.
 func TestReplicasShareOneSACGAParams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shared := defaultedSACGA()
-	run := func(stepWorkers int) string {
+	run := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
 		eng, err := search.New(sched.NameParallelIslands)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +94,7 @@ func TestReplicasShareOneSACGAParams(t *testing.T) {
 			PopSize: 48, Generations: 8, Seed: 23,
 			Extra: &sched.IslandsParams{
 				Replicas: 4, Algo: "sacga", Extra: shared,
-				MigrationEvery: 3, StepWorkers: stepWorkers,
+				MigrationEvery: 3,
 			},
 		})
 		if err != nil {
@@ -99,7 +104,7 @@ func TestReplicasShareOneSACGAParams(t *testing.T) {
 	}
 	concurrent, sequential := run(4), run(1)
 	if concurrent != sequential {
-		t.Fatalf("StepWorkers 4 digest %s, sequential %s", concurrent, sequential)
+		t.Fatalf("GOMAXPROCS 4 digest %s, sequential %s", concurrent, sequential)
 	}
 	if !reflect.DeepEqual(shared, defaultedSACGA()) {
 		t.Fatalf("replicas wrote through the shared Params: %+v", shared)

@@ -53,8 +53,8 @@ func startWorkerDaemon(t *testing.T) string {
 }
 
 // shardedSolo is the tenant's reference run: the same sharded-islands
-// configuration executed directly (its own private workers, no job
-// server), the way cmd/sacga -fleet runs it.
+// configuration executed directly (its own private pool over the same
+// daemons, no job server), the way cmd/sacga -fleet runs it.
 func shardedSolo(t *testing.T, addrs []string, req JobRequest) []FrontPoint {
 	t.Helper()
 	prob, _, err := testBuild(0)(req.Problem)
@@ -65,8 +65,15 @@ func shardedSolo(t *testing.T, addrs []string, req JobRequest) []FrontPoint {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hello := fleet.HandshakeConfig{Problem: req.Problem.Encode()}
+	ts := make([]fleet.Transport, len(addrs))
+	for i, addr := range addrs {
+		ts[i] = &fleet.TCPTransport{Address: addr, Hello: hello}
+	}
+	pool := fleet.NewPool(ts...)
+	defer pool.Close()
 	opts := req.Options.Options()
-	opts.Extra = &shard.Params{Workers: addrs, Spec: req.Problem.Encode()}
+	opts.Extra = &shard.Params{Pool: pool, Spec: req.Problem.Encode()}
 	res, err := search.Run(t.Context(), eng, objective.NewCounter(prob), opts)
 	if err != nil {
 		t.Fatalf("solo sharded run: %v", err)

@@ -186,18 +186,16 @@ func (s *Server) initJob(j *Job) (err error) {
 	}
 	if j.Engine == shard.NameShardedIslands {
 		// A sharded tenant draws its workers from the server's shared
-		// fleet, and from nowhere else: the exec-capable Params fields are
-		// wiped even though the wire cannot set them (json:"-"), the pool
-		// is injected process-locally, and Spec is pinned to the job's own
-		// problem so workers always build what the coordinator mirrors.
-		// The lease and heartbeat gap, which the wire cannot set either,
-		// are shard.Params' defaults, so a worker that stops replying
-		// fails the attempt instead of holding the slot.
+		// fleet: Params.Pool, the only worker source, cannot cross the
+		// wire (json:"-") and is injected process-locally, and Spec is
+		// pinned to the job's own problem so workers always build what the
+		// coordinator mirrors. The lease and heartbeat gap, which the wire
+		// cannot set either, are shard.Params' defaults, so a worker that
+		// stops replying fails the attempt instead of holding the slot.
 		p, _ := opts.Extra.(*shard.Params)
 		if p == nil {
 			p = new(shard.Params)
 		}
-		p.WorkerArgv, p.WorkerEnv, p.Workers = nil, nil, nil
 		p.Pool = s.cfg.Fleet
 		p.Spec = j.Spec.Encode()
 		opts.Extra = p

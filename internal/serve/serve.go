@@ -93,9 +93,9 @@ type Config struct {
 	// Fleet, when non-nil, is the server's shared worker fleet (a
 	// fleet.Pool over TCP worker daemons, built by sacgad -fleet). Jobs
 	// submitting the "sharded-islands" engine draw worker sessions from
-	// it — the fleet is the only worker source a job can use: the
-	// exec-capable shard.Params fields never cross the wire, and without a
-	// fleet the engine is rejected at admission. The pool is owned by the
+	// it — the fleet is the only worker source a job can use:
+	// shard.Params.Pool never crosses the wire, and without a fleet the
+	// engine is rejected at admission. The pool is owned by the
 	// caller, shared across tenants, and never closed by the server;
 	// results remain bit-identical to a solo run at any fleet size.
 	Fleet *fleet.Pool

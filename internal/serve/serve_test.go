@@ -453,6 +453,30 @@ func TestAdmissionRejectsHugeRobustCheaply(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusesParamsCheaply: a submission just under the body cap
+// whose params are an array of zeros is a 400 — for an engine that takes
+// no params, and for one whose params struct cannot hold an array — and
+// admission refuses it before canonicalizing the params, which would
+// build a generic tree of the whole array (3 MB and more).
+func TestAdmissionRefusesParamsCheaply(t *testing.T) {
+	h := newTestServer(t, Config{Slots: 1}).Handler()
+	for _, engine := range []string{"nsga2", "sacga"} {
+		head := `{"problem":{"name":"zdt1"},"engine":"` + engine + `","params":[`
+		body := head + strings.Repeat("0,", (maxSubmitBytes-len(head)-3)/2) + "0]}"
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s, %d-byte body: status %d (%s), want 400", engine, len(body), rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: refusing the request allocated %d bytes, want under 1 MB", engine, d)
+		}
+	}
+}
+
 // TestSubmitBodyCapped: a 32 MiB submission is refused 413 once its body
 // passes maxSubmitBytes, before admission parses any of it: its params, an
 // array of zeros, are never decoded or canonicalized.

@@ -132,26 +132,29 @@ func (s *Server) admit(req JobRequest) (*admitted, error) {
 		return nil, badRequest("serve: %v", err)
 	}
 	if req.Engine == shard.NameShardedIslands && s.cfg.Fleet == nil {
-		// The exec-capable worker knobs (shard.Params.WorkerArgv/Workers)
-		// are json:"-" by design, so the server's shared fleet is the only
-		// worker source a job could ever use; without one the engine can
-		// only fail at its first turn. Reject at admission instead.
+		// shard.Params' only worker source, Pool, is json:"-", so the
+		// server's shared fleet is the only one a job could ever use;
+		// without it the engine can only fail at its first turn. Reject
+		// at admission instead.
 		return nil, badRequest("serve: engine %q needs a worker fleet; start the server with -fleet", req.Engine)
 	}
-	canonParams, err := search.Canon(req.Params)
-	if err != nil {
-		return nil, badRequest("serve: params: %v", err)
-	}
-	if len(canonParams) > 0 && string(canonParams) != "null" {
+	// The params must fit the engine's struct before they are
+	// canonicalized: Canon builds a generic tree of the whole document,
+	// which a refused request must not get to pay for.
+	if !noParams(req.Params) {
 		proto, ok := search.NewExtra(req.Engine)
 		if !ok {
 			return nil, badRequest("serve: engine %q takes no params", req.Engine)
 		}
-		dec := json.NewDecoder(bytes.NewReader(canonParams))
+		dec := json.NewDecoder(bytes.NewReader(req.Params))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(proto); err != nil {
 			return nil, badRequest("serve: params for %q: %v", req.Engine, err)
 		}
+	}
+	canonParams, err := search.Canon(req.Params)
+	if err != nil {
+		return nil, badRequest("serve: params: %v", err)
 	}
 	if _, _, err := s.cfg.Build(req.Problem); err != nil {
 		return nil, badRequest("serve: %v", err)
@@ -255,6 +258,12 @@ func (s *Server) persistResult(j *Job) {
 	}
 }
 
+// noParams reports whether a request's params are absent or JSON null.
+func noParams(raw json.RawMessage) bool {
+	raw = bytes.TrimSpace(raw)
+	return len(raw) == 0 || string(raw) == "null"
+}
+
 // decodeExtra rebuilds the engine's extension struct from a job's canonical
 // request JSON. Returns nil when the job carries no params.
 func decodeExtra(engine string, rawReq []byte) (any, error) {
@@ -262,7 +271,7 @@ func decodeExtra(engine string, rawReq []byte) (any, error) {
 	if err := json.Unmarshal(rawReq, &req); err != nil {
 		return nil, fmt.Errorf("serve: decode job request: %w", err)
 	}
-	if len(req.Params) == 0 || string(req.Params) == "null" {
+	if noParams(req.Params) {
 		return nil, nil
 	}
 	proto, ok := search.NewExtra(engine)

@@ -117,7 +117,6 @@ func BenchmarkShardReplicaStep(b *testing.B) {
 	})
 	defer pool.Close()
 	eng := new(Islands)
-	defer eng.Close()
 	opts := search.Options{PopSize: 25, Generations: b.N, Seed: 1, Extra: &Params{
 		Replicas: 1, Algo: "nsga2", MigrationEvery: -1, Spec: "zdt1", Pool: pool,
 	}}

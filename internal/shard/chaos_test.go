@@ -272,27 +272,51 @@ func baseOpts() search.Options {
 	return search.Options{PopSize: 24, Generations: 8, Seed: testSeed}
 }
 
-// shardedOpts configures a sharded run at the given process count, with
-// chaosEnv ("" for none) armed in the workers.
-func shardedOpts(t *testing.T, procs int, chaosEnv string) search.Options {
+// poolOpts configures a sharded run over pool.
+func poolOpts(pool *fleet.Pool) search.Options {
+	opts := baseOpts()
+	opts.Extra = &Params{
+		Replicas: testReplicas, Algo: "nsga2",
+		MigrationEvery: 3, Migrants: 2,
+		Pool: pool, Spec: "zdt1",
+		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
+	}
+	return opts
+}
+
+// testPool builds a pool over ts that the test's cleanup closes.
+func testPool(t *testing.T, ts ...fleet.Transport) *fleet.Pool {
+	pool := fleet.NewPool(ts...)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// procTransports is n stdio worker processes (this test binary re-execed)
+// with env added to their environment.
+func procTransports(t *testing.T, n int, env ...string) []fleet.Transport {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := []string{"SHARD_WORKER=1"}
+	env = append([]string{"SHARD_WORKER=1"}, env...)
+	ts := make([]fleet.Transport, n)
+	for i := range ts {
+		ts[i] = &fleet.ProcTransport{Argv: []string{self}, Env: env, Hello: fleet.HandshakeConfig{Problem: "zdt1"}}
+	}
+	return ts
+}
+
+// shardedOpts configures a sharded run over its own pool of worker
+// processes, at most one per replica, with chaosEnv ("" for none) armed
+// in the workers.
+func shardedOpts(t *testing.T, procs int, chaosEnv string) search.Options {
+	t.Helper()
+	var env []string
 	if chaosEnv != "" {
 		env = append(env, "SHARD_CHAOS="+chaosEnv)
 	}
-	opts := baseOpts()
-	opts.Extra = &Params{
-		Replicas: testReplicas, Algo: "nsga2",
-		MigrationEvery: 3, Migrants: 2,
-		Procs: procs, WorkerArgv: []string{self}, WorkerEnv: env,
-		Spec:          "zdt1",
-		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
-	}
-	return opts
+	return poolOpts(testPool(t, procTransports(t, min(procs, testReplicas), env...)...))
 }
 
 // inProcessOpts configures the comparator run on sched.ParallelIslands.
@@ -301,7 +325,6 @@ func inProcessOpts(algo string, extra any) search.Options {
 	opts.Extra = &sched.IslandsParams{
 		Replicas: testReplicas, Algo: algo, Extra: extra,
 		MigrationEvery: 3, Migrants: 2,
-		StepWorkers: 1,
 	}
 	return opts
 }
@@ -313,9 +336,6 @@ func supervisedRun(t *testing.T, name string, opts search.Options) (*search.Resu
 	eng, err := search.New(name)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s, ok := eng.(*Islands); ok {
-		defer s.Close()
 	}
 	type outcome struct {
 		res *search.Result
@@ -512,14 +532,12 @@ func TestPanickingReplicaStepDropped(t *testing.T) {
 		})
 	})
 	dials := new(atomic.Int64)
-	pool := fleet.NewPool(dialCounter{
+	opts := poolOpts(testPool(t, dialCounter{
 		Transport: &fleet.TCPTransport{Address: addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}},
 		dials:     dials,
-	})
-	defer pool.Close()
-	opts := tcpOpts(nil)
+	}))
 	p := opts.Extra.(*Params)
-	p.Pool, p.Algo, p.Extra = pool, "proc-chaos-replica", chaos
+	p.Algo, p.Extra = "proc-chaos-replica", chaos
 	res, err := supervisedRun(t, NameShardedIslands, opts)
 	checkDropped(t, res, err)
 	if n := dials.Load(); n != 1 {
@@ -581,7 +599,7 @@ func TestShardedStalledStepHitsLease(t *testing.T) {
 	}{
 		{"stdio", func(t *testing.T) search.Options { return shardedOpts(t, 2, chaos) }},
 		{"tcp", func(t *testing.T) search.Options {
-			return tcpOpts(daemonAddrs(startTCPDaemons(t, 1, "SHARD_CHAOS="+chaos)))
+			return tcpOpts(t, startTCPDaemons(t, 1, "SHARD_CHAOS="+chaos))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -637,25 +655,23 @@ func TestShardedCorruptFramesDropTyped(t *testing.T) {
 
 // TestShardedCheckpointResume: a sharded run snapshotted mid-flight,
 // persisted through the durable checkpoint layer, and resumed on a FRESH
-// coordinator (fresh worker processes) finishes bit-identically to the
-// uninterrupted run — state outlives every process involved.
+// coordinator (a second pool, so fresh worker processes) finishes
+// bit-identically to the uninterrupted run — state outlives every process
+// involved.
 func TestShardedCheckpointResume(t *testing.T) {
 	prob := benchfn.ZDT1(6)
-	opts := shardedOpts(t, 2, "")
 
 	full, err := search.New(NameShardedIslands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer full.(*Islands).Close()
-	if err := full.Init(prob, opts); err != nil {
+	if err := full.Init(prob, shardedOpts(t, 2, "")); err != nil {
 		t.Fatal(err)
 	}
 	fork, err := search.New(NameShardedIslands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fork.(*Islands).Close()
 	for i := 0; i < 4; i++ {
 		if err := full.Step(); err != nil {
 			t.Fatal(err)
@@ -669,7 +685,7 @@ func TestShardedCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fork.Restore(prob, opts, cp); err != nil {
+	if err := fork.Restore(prob, shardedOpts(t, 2, ""), cp); err != nil {
 		t.Fatal(err)
 	}
 	for !full.Done() {

@@ -32,12 +32,12 @@
 // tolerated.
 //
 // HOW workers are reached lives one layer down, in internal/fleet: the
-// coordinator draws connections from a fleet.Pool, whose transports spawn
-// child processes on framed stdio (fleet.ProcTransport — the original
-// runtime) or dial long-lived TCP worker daemons (fleet.TCPTransport +
-// cmd/sacgaw). Params.WorkerArgv, Params.Workers and Params.Pool select
-// among them; the determinism contract is transport-independent, because
-// a stateless request replays identically over any byte stream.
+// coordinator draws connections from Params.Pool, a fleet.Pool that its
+// caller builds and closes, whose transports spawn child processes on
+// framed stdio (fleet.ProcTransport — the original runtime) or dial
+// long-lived TCP worker daemons (fleet.TCPTransport + cmd/sacgaw), in any
+// mix; the determinism contract is transport-independent, because a
+// stateless request replays identically over any byte stream.
 //
 // Failure handling mirrors the in-process fault-tolerance layer, one level
 // up:

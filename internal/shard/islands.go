@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"sacga/internal/fleet"
@@ -27,8 +26,8 @@ func init() {
 // included — the coordinator hands them to the same replica loop — so a
 // sharded run and an in-process run configured alike produce bit-identical
 // results. A failing replica step gets sched.StepRetries extra attempts,
-// as an in-process one does. Procs, EpochDeadline and HeartbeatTimeout are
-// the fleet operator's, like the worker fields: excluded from JSON.
+// as an in-process one does. Pool, EpochDeadline and HeartbeatTimeout are
+// the fleet operator's: excluded from JSON.
 type Params struct {
 	// Replicas is the number of engine replicas (default 4).
 	Replicas int
@@ -48,30 +47,17 @@ type Params struct {
 	// Migrants is how many individuals each replica emits per exchange
 	// (default 2).
 	Migrants int
-	// Procs bounds how many worker processes run at once (default
-	// min(Replicas, GOMAXPROCS)). Results are bit-identical at every
-	// setting — workers are stateless, so which process steps which
-	// replica cannot matter.
-	Procs int `json:"-"`
-	// WorkerArgv is the command line spawned for each worker process
-	// (argv[0] = binary). The worker must run ServeWorker on its
-	// stdin/stdout — e.g. `cmd/sacga -worker`, or a test binary re-exec.
-	// At least one of WorkerArgv, Workers or Pool is required. Excluded
-	// from JSON: a job server must never exec a client-supplied command.
-	WorkerArgv []string `json:"-"`
-	// WorkerEnv is appended to the inherited environment of each worker.
-	WorkerEnv []string `json:"-"`
-	// Workers lists TCP worker daemon addresses (cmd/sacgaw) to dial, in
-	// place of — or mixed with — the WorkerArgv child processes. Each
-	// address is one pool slot; a dropped daemon is redialed with backoff
-	// and its in-flight step replayed elsewhere. Excluded from JSON for
-	// the same reason as WorkerArgv: the fleet is the operator's to
-	// configure, not the client's.
-	Workers []string `json:"-"`
-	// Pool, when non-nil, is an externally owned shared fleet (the job
-	// server's): the run draws sessions from it instead of building its
-	// own, and does NOT close it. WorkerArgv/Workers are ignored with it.
-	// Process-local by nature; excluded from both JSON and the wire.
+	// Pool is the run's one worker source, and is required: a fleet.Pool
+	// over child processes serving ServeWorker on their stdin/stdout
+	// (fleet.ProcTransport), TCP worker daemons (fleet.TCPTransport,
+	// cmd/sacgaw) or both. Its owner builds and closes it — the job server
+	// shares one across tenants, cmd/sacga builds one per run — and the
+	// run only draws sessions from it, stepping as many replicas at once
+	// as it has workers. Results are bit-identical at every pool size and
+	// mix: workers are stateless, so which worker steps which replica
+	// cannot matter. Process-local by nature; excluded from both JSON and
+	// the wire, so a job server's client can never point a run at a
+	// command or an address of its own.
 	Pool *fleet.Pool `json:"-"`
 	// Spec names the problem for the workers' Build hook. The coordinator
 	// treats it as opaque; it must describe the same problem the
@@ -79,7 +65,7 @@ type Params struct {
 	Spec string
 	// EpochDeadline is the lease on one replica step round-trip: a worker
 	// that has not replied within it is killed and the attempt retried
-	// against a fresh process (0 selects 5 min; negative is an error).
+	// over a fresh connection (0 selects 5 min; negative is an error).
 	EpochDeadline time.Duration `json:"-"`
 	// HeartbeatTimeout kills a worker whose frames (heartbeats included)
 	// stop for this long while a step is in flight — catching a wedged
@@ -106,10 +92,6 @@ func (p *Params) normalize() (sched.IslandsParams, error) {
 		MigrationEvery: p.MigrationEvery, Migrants: p.Migrants}
 	ip.Normalize()
 	p.Replicas, p.Algo, p.MigrationEvery, p.Migrants = ip.Replicas, ip.Algo, ip.MigrationEvery, ip.Migrants
-	if p.Procs <= 0 {
-		p.Procs = runtime.GOMAXPROCS(0)
-	}
-	p.Procs = min(p.Procs, p.Replicas)
 	for _, d := range []struct {
 		name string
 		v    *time.Duration
@@ -133,26 +115,16 @@ func (p *Params) normalize() (sched.IslandsParams, error) {
 // "sharded-islands") by running ParallelIslands' own epoch loop — the
 // barrier, drops, migration, budget, pooling and checkpoints are that
 // loop's — over remote replicas: each replica generation runs in some
-// worker process, and the replica's state stays on the coordinator as a
-// checkpoint plus a local mirror engine restored from it.
+// worker of Params.Pool, and the replica's state stays on the coordinator
+// as a checkpoint plus a local mirror engine restored from it.
 //
 // The coordinator is the single source of truth; workers are stateless
 // executors. See the package comment for the fault model; the determinism
 // contract is property-tested against the in-process scheduler in this
 // package's chaos suite.
-//
-// An Islands engine owns OS processes; call Close (or drive it to Done,
-// which closes them implicitly) to reap the workers.
 type Islands struct {
 	sched.ParallelIslands
 	p Params
-
-	// pool is where replica requests draw worker connections from. Owned
-	// (built from WorkerArgv/Workers and closed with the engine) unless
-	// Params.Pool supplied a shared one.
-	pool     *fleet.Pool
-	ownsPool bool
-	closed   bool
 }
 
 // Name implements search.Engine.
@@ -170,37 +142,13 @@ func (e *Islands) prepare(opts search.Options) error {
 	if err != nil {
 		return err
 	}
-	if e.p.Pool == nil && len(e.p.WorkerArgv) == 0 && len(e.p.Workers) == 0 {
-		return fmt.Errorf("shard: a worker source is required: Params.WorkerArgv (child processes), Params.Workers (TCP daemons) or Params.Pool (shared fleet)")
-	}
-	e.closed = false
-	if e.p.Pool != nil {
-		e.pool, e.ownsPool = e.p.Pool, false
-	} else {
-		// Build the run's own pool: Procs child-process slots (when a
-		// worker command line is configured) plus one slot per TCP daemon
-		// address.
-		hello := fleet.HandshakeConfig{Problem: e.p.Spec}
-		var transports []fleet.Transport
-		if len(e.p.WorkerArgv) > 0 {
-			for s := 0; s < e.p.Procs; s++ {
-				transports = append(transports, &fleet.ProcTransport{
-					Argv:  e.p.WorkerArgv,
-					Env:   e.p.WorkerEnv,
-					Hello: hello,
-				})
-			}
-		}
-		for _, addr := range e.p.Workers {
-			transports = append(transports, &fleet.TCPTransport{Address: addr, Hello: hello})
-		}
-		e.pool, e.ownsPool = fleet.NewPool(transports...), true
+	if e.p.Pool == nil || e.p.Pool.Size() == 0 {
+		return fmt.Errorf("shard: Params.Pool is required, with at least one worker: it is the run's only worker source")
 	}
 	// Retries and leases belong to the remote replica's request ladder,
-	// so the loop neither retries nor guards a replica step; it steps as
-	// many replicas at once as the pool has workers.
-	ip.StepWorkers = e.pool.Size()
-	e.Ensemble(NameShardedIslands, ip, func(i int, local search.Engine) search.Engine {
+	// so the loop does not retry a replica step; it steps as many
+	// replicas at once as the pool has workers.
+	e.Ensemble(NameShardedIslands, ip, e.p.Pool.Size(), func(i int, local search.Engine) search.Engine {
 		return &remote{Engine: local, c: e, i: i}
 	})
 	return nil
@@ -213,11 +161,8 @@ func (e *Islands) Init(prob objective.Problem, opts search.Options) error {
 	if err := e.prepare(opts); err != nil {
 		return err
 	}
-	return e.settle(e.ParallelIslands.Init(prob, opts))
+	return e.ParallelIslands.Init(prob, opts)
 }
-
-// Step implements search.Engine: one epoch of the embedded loop.
-func (e *Islands) Step() error { return e.settle(e.ParallelIslands.Step()) }
 
 // Restore implements search.Engine. The snapshot is a
 // sched.IslandsSnapshot under this engine's name, so sharded runs
@@ -226,15 +171,7 @@ func (e *Islands) Restore(prob objective.Problem, opts search.Options, cp *searc
 	if err := e.prepare(opts); err != nil {
 		return err
 	}
-	return e.settle(e.ParallelIslands.Restore(prob, opts, cp))
-}
-
-// settle reaps the workers once the run has failed or finished.
-func (e *Islands) settle(err error) error {
-	if err != nil || e.Done() {
-		e.Close()
-	}
-	return err
+	return e.ParallelIslands.Restore(prob, opts, cp)
 }
 
 // remote is one replica of a sharded ensemble, as the embedded loop sees
@@ -343,7 +280,7 @@ func (r *remote) ladder(req *Request) (cp *search.Checkpoint, err error) {
 	p, init := &r.c.p, req.Init
 	for attempt := 0; attempt <= sched.StepRetries; attempt++ {
 		req.Attempt = attempt
-		sess := r.c.pool.Acquire()
+		sess := p.Pool.Acquire()
 		if sess == nil {
 			return cp, fmt.Errorf("shard: replica %d epoch %d: worker pool closed", r.i, req.Epoch)
 		}
@@ -384,18 +321,6 @@ func (r *remote) ladder(req *Request) (cp *search.Checkpoint, err error) {
 	return cp, err
 }
 
-// Close reaps the run's workers: an owned pool is closed (clean
-// stdin-close shutdown for child processes, kill after a 2 s grace;
-// connection close for TCP daemons, which outlive their connections). A
-// shared Params.Pool is left untouched — its owner closes it. Idempotent;
-// called implicitly when the run finalizes. Callers abandoning an
-// unfinished engine must call it.
-func (e *Islands) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.ownsPool && e.pool != nil {
-		e.pool.Close()
-	}
-}
+// Close does nothing: the run's workers belong to Params.Pool, and its
+// owner closes it. It remains for callers that close the engine itself.
+func (e *Islands) Close() {}

@@ -1,12 +1,13 @@
 package shard
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"sacga/internal/fleet"
 	"sacga/internal/sched"
+	"sacga/internal/search"
 )
 
 // TestParamsNormalizeDefaults: the zero Params normalizes to the
@@ -28,18 +29,15 @@ func TestParamsNormalizeDefaults(t *testing.T) {
 	if ip.Replicas != want.Replicas || ip.Algo != want.Algo || ip.MigrationEvery != want.MigrationEvery || ip.Migrants != want.Migrants {
 		t.Fatalf("ensemble params %+v, want sched's defaults %+v", ip, want)
 	}
-	if want := min(4, runtime.GOMAXPROCS(0)); p.Procs != want {
-		t.Fatalf("procs default %d, want %d", p.Procs, want)
-	}
 	if p.EpochDeadline != 5*time.Minute || p.HeartbeatTimeout != 15*time.Second {
 		t.Fatalf("liveness defaults: lease %v, heartbeat gap %v; want 5m0s and 15s", p.EpochDeadline, p.HeartbeatTimeout)
 	}
 
-	set := &Params{Replicas: 3, Procs: 8, EpochDeadline: time.Second, HeartbeatTimeout: 300 * time.Millisecond}
+	set := &Params{Replicas: 3, EpochDeadline: time.Second, HeartbeatTimeout: 300 * time.Millisecond}
 	if _, err := set.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if set.Procs != 3 || set.EpochDeadline != time.Second || set.HeartbeatTimeout != 300*time.Millisecond {
+	if set.Replicas != 3 || set.EpochDeadline != time.Second || set.HeartbeatTimeout != 300*time.Millisecond {
 		t.Fatalf("explicit settings not kept: %+v", set)
 	}
 }
@@ -59,6 +57,33 @@ func TestParamsValidation(t *testing.T) {
 			_, err := tc.p.normalize()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("normalize() = %v, want error naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPoolRequired: Params.Pool is a sharded run's only worker source, so
+// Init and Restore without one, or with an empty one, fail with an error
+// that names it — before any replica is built.
+func TestPoolRequired(t *testing.T) {
+	cp := &search.Checkpoint{Algo: NameShardedIslands, State: new(sched.IslandsSnapshot)}
+	for _, tc := range []struct {
+		name string
+		pool *fleet.Pool
+	}{
+		{"nil", nil},
+		{"empty", fleet.NewPool()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := poolOpts(tc.pool)
+			for what, start := range map[string]func(search.Engine) error{
+				"Init":    func(e search.Engine) error { return e.Init(zdt1Prob(t), opts) },
+				"Restore": func(e search.Engine) error { return e.Restore(zdt1Prob(t), opts, cp) },
+			} {
+				err := start(new(Islands))
+				if err == nil || !strings.Contains(err.Error(), "Params.Pool") {
+					t.Fatalf("%s = %v, want an error naming Params.Pool", what, err)
+				}
 			}
 		})
 	}

@@ -239,15 +239,11 @@ func TestHeartbeatsBetweenReplies(t *testing.T) {
 		})
 	})
 	dials := new(atomic.Int64)
-	pool := fleet.NewPool(dialCounter{
+	opts := poolOpts(testPool(t, dialCounter{
 		Transport: &fleet.TCPTransport{Address: addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}},
 		dials:     dials,
-	})
-	defer pool.Close()
-	opts := tcpOpts(nil)
-	p := opts.Extra.(*Params)
-	p.Pool = pool
-	res, err := supervisedRun(t, NameShardedIslands, longerOpts(p))
+	}))
+	res, err := supervisedRun(t, NameShardedIslands, longerOpts(opts.Extra))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +345,7 @@ func TestBadRepliesTaintTheLink(t *testing.T) {
 			// A run over a one-worker pool: the tainted link is killed,
 			// the step replays on a second dial, and nothing shows.
 			dials := new(atomic.Int64)
-			pool := fleet.NewPool(dialCounter{Transport: tr, dials: dials})
-			defer pool.Close()
-			opts := tcpOpts(nil)
-			opts.Extra.(*Params).Pool = pool
-			res, err := supervisedRun(t, NameShardedIslands, opts)
+			res, err := supervisedRun(t, NameShardedIslands, poolOpts(testPool(t, dialCounter{Transport: tr, dials: dials})))
 			if err != nil {
 				t.Fatalf("bad reply was not masked: %v", err)
 			}
@@ -437,9 +429,8 @@ func TestShardedSeededInit(t *testing.T) {
 		tr := &recordingTransport{Transport: &fleet.TCPTransport{Address: addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}}}
 		pool := fleet.NewPool(tr)
 		defer pool.Close()
-		opts := tcpOpts(nil)
+		opts := poolOpts(pool)
 		opts.Initial = initial
-		opts.Extra.(*Params).Pool = pool
 		res, err := supervisedRun(t, NameShardedIslands, opts)
 		if err != nil {
 			t.Fatal(err)

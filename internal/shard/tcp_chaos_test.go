@@ -109,25 +109,20 @@ func startTCPDaemons(t *testing.T, n int, env ...string) []*tcpDaemon {
 	return ds
 }
 
-func daemonAddrs(ds []*tcpDaemon) []string {
-	addrs := make([]string, len(ds))
+// daemonTransports is one TCP transport per daemon, announcing the test
+// problem.
+func daemonTransports(ds []*tcpDaemon) []fleet.Transport {
+	ts := make([]fleet.Transport, len(ds))
 	for i, d := range ds {
-		addrs[i] = d.addr
+		ts[i] = &fleet.TCPTransport{Address: d.addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}}
 	}
-	return addrs
+	return ts
 }
 
-// tcpOpts configures a TCP-sharded run against the given daemon
-// addresses, mirroring shardedOpts.
-func tcpOpts(addrs []string) search.Options {
-	opts := baseOpts()
-	opts.Extra = &Params{
-		Replicas: testReplicas, Algo: "nsga2",
-		MigrationEvery: 3, Migrants: 2,
-		Workers: addrs, Spec: "zdt1",
-		EpochDeadline: 20 * time.Second, HeartbeatTimeout: time.Second,
-	}
-	return opts
+// tcpOpts configures a TCP-sharded run over a pool of the given daemons,
+// mirroring shardedOpts.
+func tcpOpts(t *testing.T, ds []*tcpDaemon) search.Options {
+	return poolOpts(testPool(t, daemonTransports(ds)...))
 }
 
 // TestTCPShardedMatchesInProcess: with no faults, a TCP-sharded run is
@@ -142,7 +137,7 @@ func TestTCPShardedMatchesInProcess(t *testing.T) {
 	for _, daemons := range []int{1, 4} {
 		t.Run(fmt.Sprintf("daemons=%d", daemons), func(t *testing.T) {
 			ds := startTCPDaemons(t, daemons)
-			res, err := supervisedRun(t, NameShardedIslands, tcpOpts(daemonAddrs(ds)))
+			res, err := supervisedRun(t, NameShardedIslands, tcpOpts(t, ds))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +162,7 @@ func TestTCPShardedDaemonKilledMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := startTCPDaemons(t, 2, "SHARD_CHAOS=kill:1:3:0")
-	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(daemonAddrs(ds)))
+	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(t, ds))
 	if err != nil {
 		t.Fatalf("daemon kill was not masked: %v", err)
 	}
@@ -188,7 +183,7 @@ func TestTCPShardedDroppedConnMasked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := startTCPDaemons(t, 1, "SHARD_CHAOS=drop:1:2:0")
-	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(daemonAddrs(ds)))
+	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(t, ds))
 	if err != nil {
 		t.Fatalf("dropped connection was not masked: %v", err)
 	}
@@ -212,7 +207,7 @@ func TestTCPShardedCorruptPermanentDropsTyped(t *testing.T) {
 		t.Fatalf("comparator: %v, want replica 0 dropped", refErr)
 	}
 	ds := startTCPDaemons(t, 2, "SHARD_CHAOS=corrupt:0:4:99")
-	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(daemonAddrs(ds)))
+	res, err := supervisedRun(t, NameShardedIslands, tcpOpts(t, ds))
 	var re *sched.ReplicaError
 	if !errors.As(err, &re) {
 		t.Fatalf("error is %T (%v), want *sched.ReplicaError", err, err)
@@ -237,9 +232,8 @@ func TestTCPShardedMixedPoolMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := startTCPDaemons(t, 1)
-	opts := shardedOpts(t, 2, "")
-	opts.Extra.(*Params).Workers = daemonAddrs(ds)
-	res, err := supervisedRun(t, NameShardedIslands, opts)
+	pool := testPool(t, append(procTransports(t, 2), daemonTransports(ds)...)...)
+	res, err := supervisedRun(t, NameShardedIslands, poolOpts(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +261,11 @@ func TestTCPShardedSharedPoolSkipsDeadAddress(t *testing.T) {
 	}
 	deadAddr := dead.Addr().String()
 	dead.Close()
-	pool := fleet.NewPool(
+	pool := testPool(t,
 		&fleet.TCPTransport{Address: deadAddr},
 		&fleet.TCPTransport{Address: ds[0].addr},
 	)
-	defer pool.Close()
-	opts := tcpOpts(nil)
-	opts.Extra.(*Params).Pool = pool
-	res, err := supervisedRun(t, NameShardedIslands, opts)
+	res, err := supervisedRun(t, NameShardedIslands, poolOpts(pool))
 	if err != nil {
 		t.Fatalf("dead address was not degraded past: %v", err)
 	}
@@ -303,33 +294,28 @@ func (d dialCounter) Dial() (fleet.Conn, error) {
 	return d.Transport.Dial()
 }
 
-// initMismatched initializes a sharded run over a shared pool of ts, whose
+// initMismatched initializes a sharded run over a pool of ts, whose
 // workers all advertise a foreign build fingerprint, and requires the typed
 // *fleet.VersionError and exactly one dial per replica: the mismatch is
 // permanent for the pair, so a replica that retried it would dial the same
 // binary 1+sched.StepRetries times.
-func initMismatched(t *testing.T, opts search.Options, ts ...fleet.Transport) *fleet.VersionError {
+func initMismatched(t *testing.T, ts ...fleet.Transport) *fleet.VersionError {
 	t.Helper()
 	dials := new(atomic.Int64)
 	for i, tr := range ts {
 		ts[i] = dialCounter{Transport: tr, dials: dials}
 	}
-	pool := fleet.NewPool(ts...)
-	defer pool.Close()
-	p := opts.Extra.(*Params)
-	p.Pool = pool
 	eng, err := search.New(NameShardedIslands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.(*Islands).Close()
-	err = eng.Init(zdt1Prob(t), opts)
+	err = eng.Init(zdt1Prob(t), poolOpts(testPool(t, ts...)))
 	var ve *fleet.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Init error is %T (%v), want *fleet.VersionError", err, err)
 	}
-	if n := dials.Load(); n != int64(p.Replicas) {
-		t.Fatalf("%d dials for %d replicas, want one each: the mismatch was retried", n, p.Replicas)
+	if n := dials.Load(); n != testReplicas {
+		t.Fatalf("%d dials for %d replicas, want one each: the mismatch was retried", n, testReplicas)
 	}
 	return ve
 }
@@ -340,8 +326,7 @@ func initMismatched(t *testing.T, opts search.Options, ts ...fleet.Transport) *f
 // pair, the replica fails immediately instead of burning its retry
 // ladder against the same binary.
 func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
-	ds := startTCPDaemons(t, 1, "SHARD_BUILD_FP=deadbeefdeadbeef")
-	ve := initMismatched(t, tcpOpts(nil), &fleet.TCPTransport{Address: ds[0].addr, Hello: fleet.HandshakeConfig{Problem: "zdt1"}})
+	ve := initMismatched(t, daemonTransports(startTCPDaemons(t, 1, "SHARD_BUILD_FP=deadbeefdeadbeef"))...)
 	if ve.Field != "build" || ve.Worker != "deadbeefdeadbeef" {
 		t.Fatalf("mismatch %+v, want build mismatch against the fake fingerprint", ve)
 	}
@@ -351,14 +336,7 @@ func TestTCPShardedVersionMismatchFailsFast(t *testing.T) {
 // original stdio transport — the handshake retrofit covers child
 // processes, not just daemons.
 func TestStdioVersionMismatchFailsFast(t *testing.T) {
-	opts := shardedOpts(t, 2, "")
-	p := opts.Extra.(*Params)
-	env := append(p.WorkerEnv, "SHARD_BUILD_FP=deadbeefdeadbeef")
-	ts := make([]fleet.Transport, p.Procs)
-	for i := range ts {
-		ts[i] = &fleet.ProcTransport{Argv: p.WorkerArgv, Env: env, Hello: fleet.HandshakeConfig{Problem: p.Spec}}
-	}
-	ve := initMismatched(t, opts, ts...)
+	ve := initMismatched(t, procTransports(t, 2, "SHARD_BUILD_FP=deadbeefdeadbeef")...)
 	if ve.Field != "build" {
 		t.Fatalf("mismatch field %q, want build", ve.Field)
 	}
